@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from datetime import date
 
-from .emprior import HyperPrior, two_pass_fit
+from .emprior import HyperPrior, InsufficientEvents, two_pass_fit
 from .errors import TailcastError
 from .ingest import DateWindow, EmptyListError, PerformanceList, build_performance_list
 from .sampler import SamplerConfig
@@ -198,7 +198,7 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
         except EmptyListError:
             _add_note(notes, event_id, "no marks before cutoff")
     if len(pre_lists) < 4:
-        raise ValueError(
+        raise InsufficientEvents(
             f"backtest needs >= 4 events with pre-cutoff data, have {len(pre_lists)}"
         )
 

@@ -1,11 +1,11 @@
 """Numerical kernels for the truncated-normal tail model.
 
-Standard normal cdf/quantile, the truncated log-density, the tail-mass
-reparametrization linking population size N to the spread sigma, and the
-model log-posterior over theta = (mu, log N).
-
-All public functions accept plain floats; the cdf family also accepts
-numpy arrays (the forecast statistics evaluate them over draw vectors).
+The standard normal cdf, log-cdf and quantile are scipy.special's ndtr,
+log_ndtr and ndtri, and take floats or numpy arrays alike. On top of them:
+the truncated log-density, the tail-mass reparametrization linking
+population size N to the spread sigma (`tail_mass_sigma` holds its vector
+form over posterior draws), and the model log-posterior over
+theta = (mu, log N).
 """
 from __future__ import annotations
 
@@ -17,13 +17,7 @@ from scipy import special
 
 from .errors import TailcastError
 
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
-
-# Below this z the direct erfc expression underflows in stages; switch to the
-# scaled complementary error function and pull the exp(-z^2/2) factor out.
-_LOG_CDF_SWITCH = -5.0
 
 
 class ReparamOutOfDomain(TailcastError):
@@ -76,93 +70,21 @@ class PopulationParams:
 
 
 def std_normal_cdf(z):
-    """Phi(z), evaluated through the complementary error function."""
-    if isinstance(z, (float, int)):
-        return 0.5 * math.erfc(-z / _SQRT2)
-    z = np.asarray(z, dtype=float)
-    return 0.5 * special.erfc(-z / _SQRT2)
+    """Phi(z) for a float or an array."""
+    return special.ndtr(z)
 
 
 def log_std_normal_cdf(z):
-    """log Phi(z), safe deep into the lower tail.
-
-    Uses the scaled complementary error function below the switch point so
-    the result stays finite long after Phi itself underflows, and log1p of
-    the upper-tail mass above it so the log keeps full relative accuracy
-    once Phi rounds to within an ulp of one.
-    """
-    if isinstance(z, (float, int)):
-        if z > -_LOG_CDF_SWITCH:
-            return math.log1p(-0.5 * math.erfc(z / _SQRT2))
-        if z > _LOG_CDF_SWITCH:
-            return math.log(0.5 * math.erfc(-z / _SQRT2))
-        return -0.5 * z * z + math.log(0.5 * float(special.erfcx(-z / _SQRT2)))
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    top = z > -_LOG_CDF_SWITCH
-    out[top] = np.log1p(-0.5 * special.erfc(z[top] / _SQRT2))
-    hi = ~top & (z > _LOG_CDF_SWITCH)
-    out[hi] = np.log(0.5 * special.erfc(-z[hi] / _SQRT2))
-    lo = ~top & ~hi
-    out[lo] = -0.5 * z[lo] * z[lo] + np.log(0.5 * special.erfcx(-z[lo] / _SQRT2))
-    return out
-
-
-# Rational approximation coefficients (central / tail regions) for the
-# standard normal quantile, accurate to ~1.15e-9 before refinement.
-_QA = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-       1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_QB = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-       6.680131188771972e+01, -1.328068155288572e+01)
-_QC = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-       -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_QD = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-       3.754408661907416e+00)
-_Q_LOW = 0.02425
-
-
-def _quantile_raw(p: float) -> float:
-    if p < _Q_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5])
-                / ((((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0))
-    if p > 1.0 - _Q_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5])
-                 / ((((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0))
-    q = p - 0.5
-    r = q * q
-    return ((((((_QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5]) * q
-            / (((((_QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0))
-
-
-def _quantile_scalar(p: float) -> float:
-    x = _quantile_raw(p)
-    # One Halley-style refinement against the erfc-based cdf. Skipped only
-    # where exp(x^2/2) would overflow, far outside the accuracy contract.
-    h = 0.5 * x * x
-    if h < 700.0:
-        e = 0.5 * math.erfc(-x / _SQRT2) - p
-        u = e * _SQRT_2PI * math.exp(h)
-        x -= u / (1.0 + x * u / 2.0)
-    return x
+    """log Phi(z) for a float or an array, finite long after Phi underflows."""
+    return special.log_ndtr(z)
 
 
 def std_normal_quantile(p):
-    """Inverse of std_normal_cdf.
-
-    Rational approximation with one refinement step; |Phi(q(p)) - p| stays
-    below 1e-10 across [1e-15, 1 - 1e-15].
-    """
-    if isinstance(p, (float, int)):
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile requires 0 < p < 1, got {p}")
-        return _quantile_scalar(float(p))
+    """Phi^-1(p) for a float or an array; every p must lie in (0, 1)."""
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("quantile requires 0 < p < 1 elementwise")
-    out = np.array([_quantile_scalar(float(v)) for v in p.ravel()])
-    return out.reshape(p.shape)
+    if not np.all((p > 0.0) & (p < 1.0)):
+        raise ValueError(f"quantile requires 0 < p < 1, got {p}")
+    return special.ndtri(p)
 
 
 def exceedance_prob(a, params: NormalParams):
@@ -186,13 +108,21 @@ def _sigma_from(mu: float, n_pop: float, n_k: int, w_k: float) -> float:
         raise ReparamOutOfDomain(f"tail fraction n_k/N = {q:.6g} must be in (0, 0.5)")
     if not w_k < mu:
         raise ReparamOutOfDomain(f"worst mark w_k = {w_k:.6g} must lie below mu = {mu:.6g}")
-    return (w_k - mu) / _quantile_scalar(q)
+    return (w_k - mu) / float(special.ndtri(q))
 
 
 def sigma_from_population(p: PopulationParams) -> float:
     """Spread implied by (mu, N) through the tail-mass identity
     Phi((w_k - mu)/sigma) = n_k/N."""
     return _sigma_from(p.mu, p.N, p.n_k, p.w_k)
+
+
+def tail_mass_sigma(mu, log_n_pop, n_k: int, w_k: float):
+    """sigma = (w_k - mu) / Phi^-1(n_k/N) elementwise over draws of mu and log N.
+
+    The caller keeps every draw inside the domain (w_k < mu, 0 < n_k/N < 0.5).
+    """
+    return (w_k - mu) / special.ndtri(n_k * np.exp(-log_n_pop))
 
 
 def population_from_sigma(mu: float, sigma: float, n_k: int, w_k: float) -> float:
@@ -256,7 +186,7 @@ def make_log_posterior(data, prior):
     prior_const = -0.5 * math.log(2.0 * math.pi * sigma2_n)
     data_const = -0.5 * n * _LOG_2PI
     c_is_w = c_k == w_k
-    exp_, log_, quantile_ = math.exp, math.log, _quantile_scalar
+    exp_, log_, ndtri, log_ndtr = math.exp, math.log, special.ndtri, special.log_ndtr
 
     def target(theta: tuple[float, float]) -> float:
         mu, log_n_pop = theta
@@ -267,13 +197,13 @@ def make_log_posterior(data, prior):
         q = n * exp_(-log_n_pop)
         if not 0.0 < q < 0.5:
             return -math.inf
-        z_q = quantile_(q)
-        sigma = (w_k - mu) / z_q
+        # float() keeps the rest of the step in Python-float arithmetic.
+        sigma = (w_k - mu) / float(ndtri(q))
         # Truncation mass: at c_k == w_k it is exactly q by construction.
         if c_is_w:
             log_tail = log_n - log_n_pop
         else:
-            log_tail = log_std_normal_cdf((c_k - mu) / sigma)
+            log_tail = float(log_ndtr((c_k - mu) / sigma))
         dev = mean_x - mu
         data_term = (data_const - n * log_(sigma)
                      - (css + n * dev * dev) / (2.0 * sigma * sigma)

@@ -347,57 +347,3 @@ def write_list_file(path: str | Path, event: EventSpec, records: list[RawMark] |
             cells.append(r.athlete)
         lines.append("\t".join(cells))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-_DATE_PATTERNS = (
-    (re.compile(r"^\d{4}-\d{2}-\d{2}$"), "%Y-%m-%d"),
-    (re.compile(r"^\d{1,2}\.\d{1,2}\.\d{4}$"), "%d.%m.%Y"),
-)
-_WIND_RE = re.compile(r"^[+-]\d+(\.\d+)?$")
-
-
-def _tolerant_date(token: str) -> dt.date | None:
-    for pattern, fmt in _DATE_PATTERNS:
-        if pattern.match(token):
-            try:
-                return dt.datetime.strptime(token, fmt).date()
-            except ValueError:
-                return None
-    if re.fullmatch(r"(19|20)\d{2}", token):
-        return dt.date(int(token), 12, 31)
-    return None
-
-
-def read_tolerant_list(path: str | Path, event: EventSpec) -> list[RawMark]:
-    """Best-effort import of whitespace-aligned public all-time lists.
-
-    The mark is the first token of each line and the date the last
-    date-like token; tokens in between that look like names are kept as
-    the athlete. Field-event values below 100 are taken to be meters.
-    """
-    path = Path(path)
-    records = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        tokens = line.split()
-        mark_token = tokens[0]
-        date = None
-        date_idx = None
-        for i in range(len(tokens) - 1, 0, -1):
-            date = _tolerant_date(tokens[i])
-            if date is not None:
-                date_idx = i
-                break
-        if date is None:
-            raise MarkParseError(f"{path.name}:{lineno}: no date-like token in {line!r}")
-        value = _parse_value(mark_token, event.unit, 1.0)
-        if event.unit is Unit.CENTIMETERS and value < 100.0:
-            value *= 100.0
-        name_tokens = [
-            t for t in tokens[1:date_idx]
-            if not _WIND_RE.match(t) and not re.fullmatch(r"[\d.:]+", t)
-        ]
-        athlete = " ".join(name_tokens) or None
-        records.append(RawMark(value=value, date=date, athlete=athlete))
-    return records

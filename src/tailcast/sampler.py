@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .distcore import _quantile_scalar, make_log_posterior
+from .distcore import make_log_posterior, tail_mass_sigma
 from .errors import TailcastError
 
 if TYPE_CHECKING:
@@ -224,14 +224,13 @@ def gelman_rubin_mpsrf(chains) -> float:
     return math.sqrt(psrf2)
 
 
-def _draw_init(data, prior, rng, max_tries=500):
-    """Random initialization with finite log-posterior, or None.
+def _draw_init(target, data, prior, rng, max_tries=500):
+    """Random initialization with finite target log-posterior, or None.
 
     mu starts near the list median; log N near the prior location with its
     spread clamped to something searchable (the weakly-informative prior is
     deliberately near-flat, so literal prior draws would be useless).
     """
-    target = make_log_posterior(data, prior)
     marks = np.asarray(data.marks)
     center = float(np.median(marks))
     spread = max(2.0 * (data.w_k - data.best), 0.02)
@@ -265,7 +264,7 @@ def fit_event(data, prior, config: SamplerConfig, t_m: float | None = None) -> F
     notes = []
     for chain_id in range(config.chains):
         rng = np.random.default_rng(config.seed ^ chain_id)
-        init = _draw_init(data, prior, rng)
+        init = _draw_init(target, data, prior, rng)
         if init is None:
             failed.append(chain_id)
             notes.append(f"chain {chain_id}: no finite-posterior initialization found")
@@ -283,7 +282,8 @@ def fit_event(data, prior, config: SamplerConfig, t_m: float | None = None) -> F
         raise FitFailed(
             f"{data.event.event_id}: {len(failed)} of {config.chains} chains failed"
         )
-    chains = [replace(c, sigma=_sigma_draws(data, c)) for c in chains]
+    chains = [replace(c, sigma=tail_mass_sigma(c.mu, c.logN, data.n_k, data.w_k))
+              for c in chains]
     mpsrf = gelman_rubin_mpsrf(chains) if len(chains) >= 2 else math.inf
     pooled_mu, pooled_y, pooled_sigma = _pool_draws(chains, config.pool_size)
     meta = FitMetadata(
@@ -316,16 +316,6 @@ def _derive_t_m(data) -> float:
         if span is not None:
             return span
     return max(data.span_years(), 1.0)
-
-
-def _sigma_draws(data, chain: PosteriorChain) -> np.ndarray:
-    n_k = data.n_k
-    w_k = data.w_k
-    out = np.empty(len(chain.mu))
-    for i in range(len(out)):
-        q = n_k * math.exp(-chain.logN[i])
-        out[i] = (w_k - chain.mu[i]) / _quantile_scalar(q)
-    return out
 
 
 def _pool_draws(chains, pool_size):

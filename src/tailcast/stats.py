@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .distcore import log_std_normal_cdf, std_normal_cdf, std_normal_quantile
+from .distcore import log_std_normal_cdf, std_normal_cdf, tail_mass_sigma
 from .errors import TailcastError
 from .ingest import EventSpec, PerformanceList, decode_mark, encode_mark, format_raw_mark
 from .sampler import FitResult
@@ -245,9 +245,8 @@ def substituted_sigma_draws(ctx: ForecastContext, population_logN: np.ndarray):
             f"{fit.event_id}: no borrowed population draw keeps the tail-mass "
             "identity in-domain"
         )
-    z = std_normal_quantile(q[valid])
-    sigma = (fit.meta.w_k - mu[valid]) / z
-    return mu[valid], sigma, logN[valid]
+    mu, logN = mu[valid], logN[valid]
+    return mu, tail_mass_sigma(mu, logN, fit.meta.n_k, fit.meta.w_k), logN
 
 
 def anchor_mark(ctx: ForecastContext, target_rate: float = ANCHOR_RATE,

@@ -19,7 +19,7 @@ from tailcast.backtest import (
     render_summary_records,
     run_backtest,
 )
-from tailcast.emprior import Provenance
+from tailcast.emprior import InsufficientEvents, Provenance
 from tailcast.ingest import DateWindow, EventSpec, RawMark, build_performance_list
 from tailcast.sampler import SamplerConfig
 from tailcast.stats import ReferenceMark, pearson, reference_mark
@@ -225,7 +225,7 @@ def test_run_backtest_ignores_post_cutoff_data(small_report):
 def test_run_backtest_needs_four_pre_cutoff_events():
     corpus = varied_span_corpus()[:3]
     spec = BacktestSpec(cutoff_year=CUTOFF, windows=(1,), reference_ranks=(10,))
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientEvents):
         run_backtest(corpus, spec, CONFIG)
 
 

@@ -200,6 +200,25 @@ def test_backtest_command(workspace, tmp_path):
     assert len(lines) - 1 == 2 * 2 * 2 + 2
 
 
+def test_backtest_too_few_pre_cutoff_events(tmp_path, capsys):
+    # Five events, two of which start after the cutoff: a clean error, no traceback.
+    lists = []
+    for i, (event_id, first_year) in enumerate(
+        [("m0100", 2006), ("m0200", 2006), ("m0400", 2006), ("m0800", 2019), ("w1500m", 2019)]
+    ):
+        tail = sample_tail(600 + i, MU_STAR, SIGMA_STAR, 20_000, 40)
+        lists.append(tail_performance_list(EventSpec.running(event_id), tail,
+                                           first_year, 2020, seed=650 + i))
+    data_dir = tmp_path / "data"
+    write_corpus(data_dir, lists)
+    code = main(["backtest", "--data", str(data_dir), "--out", str(tmp_path / "bt"),
+                 "--cutoff", "2018", "--windows", "1", "--ranks", "10", *SPEED])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: backtest needs >= 4 events with pre-cutoff data, have 3" in err
+    assert "Traceback" not in err
+
+
 def test_backtest_needs_cutoff(workspace):
     data_dir, _ = workspace
     assert main(["backtest", "--data", str(data_dir), "--out", "unused"]) == 2

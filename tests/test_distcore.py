@@ -22,18 +22,26 @@ from tailcast.distcore import (
     sigma_from_population,
     std_normal_cdf,
     std_normal_quantile,
+    tail_mass_sigma,
     truncnorm_logpdf,
 )
 from tailcast.emprior import HyperPrior
 
 # Reference values, frozen from high-precision evaluation (mpmath at 50
-# digits) in a scratch session; they are independent of this package's
-# erfc-based routines.
+# digits); they are independent of the scipy.special routines under test.
 PHI_MINUS_2 = 0.02275013194817922
 Q_975 = 1.9599639845400532
 Q_1E10 = -6.3613409024040575
 Q_125 = -1.1503493803760083
 LOG_2_PHI0 = -0.22579135264472738  # log(2 * N(0 | 0, 1))
+LOG_PHI = {
+    3.5: -0.00023265614137680455,
+    4.5: -3.397678896834466e-06,
+    4.99: -3.01896508091595e-07,
+    5.5: -1.8989562646189464e-08,
+    -5.0: -15.064998393988725,
+    -37.5: -707.6689893175072,
+}
 
 
 def test_cdf_reference_points():
@@ -69,6 +77,15 @@ def test_log_cdf_against_scipy():
         assert log_std_normal_cdf(z) == pytest.approx(
             float(special.log_ndtr(z)), rel=1e-13, abs=1e-13
         )
+
+
+def test_log_cdf_reference_points():
+    # Upper tail: Phi rounds to within a few ulps of one, so log Phi keeps full
+    # relative accuracy only if it is not taken as the log of Phi itself.
+    for z, want in LOG_PHI.items():
+        assert log_std_normal_cdf(z) == pytest.approx(want, rel=1e-13, abs=0.0)
+    zs = np.array(list(LOG_PHI))
+    assert log_std_normal_cdf(zs) == pytest.approx(list(LOG_PHI.values()), rel=1e-13, abs=0.0)
 
 
 def test_log_cdf_survives_deep_tail():
@@ -180,6 +197,16 @@ def test_sigma_from_population_exact_identity():
     assert sigma_from_population(p) == pytest.approx(1.0, abs=1e-9)
     p2 = PopulationParams(mu=5.0, N=10.0 / q, n_k=10, w_k=4.0, t_m=1.0)
     assert sigma_from_population(p2) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_tail_mass_sigma_matches_scalar_identity():
+    rng = np.random.default_rng(7)
+    mu = rng.uniform(0.5, 3.0, 50)
+    log_n_pop = rng.uniform(math.log(250.0), 20.0, 50)
+    sigma = tail_mass_sigma(mu, log_n_pop, 100, 0.2)
+    for m, y, s in zip(mu, log_n_pop, sigma):
+        p = PopulationParams(mu=float(m), N=math.exp(y), n_k=100, w_k=0.2, t_m=1.0)
+        assert s == pytest.approx(sigma_from_population(p), rel=1e-12)
 
 
 def test_reparam_domain_errors():

@@ -22,7 +22,6 @@ from tailcast.ingest import (
     load_performance_list,
     parse_time,
     read_list_file,
-    read_tolerant_list,
     write_list_file,
 )
 
@@ -229,30 +228,6 @@ def test_read_list_file_header_errors(tmp_path):
     path.write_text("# unit=s\n# direction=lower\n9.58\t16-08-2009\n", encoding="utf-8")
     with pytest.raises(MarkParseError):
         read_list_file(path)
-
-
-def test_read_tolerant_list(tmp_path):
-    path = tmp_path / "alltime.txt"
-    path.write_text(
-        "9.58   +0.9   Usain Bolt        JAM   16.08.2009\n"
-        "9.69   0.0    Usain Bolt        JAM   2008-08-16\n"
-        "# comment line\n"
-        "9.72          Usain Bolt        JAM   2008\n",
-        encoding="utf-8",
-    )
-    records = read_tolerant_list(path, EventSpec.running("m100"))
-    assert [r.value for r in records] == [9.58, 9.69, 9.72]
-    assert records[0].date == dt.date(2009, 8, 16)
-    assert records[1].date == dt.date(2008, 8, 16)
-    assert records[2].date == dt.date(2008, 12, 31)
-    assert records[0].athlete == "Usain Bolt JAM"
-
-
-def test_read_tolerant_list_field_meters(tmp_path):
-    path = tmp_path / "lj.txt"
-    path.write_text("8.95  Mike Powell  USA  30.08.1991\n", encoding="utf-8")
-    records = read_tolerant_list(path, EventSpec.field("lj"))
-    assert records[0].value == pytest.approx(895.0)
 
 
 def test_reserialization_idempotent(tmp_path):
