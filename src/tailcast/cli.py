@@ -162,7 +162,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         sampler = SamplerConfig(
             burn_in_steps=int(pick(args.burn_in, "burn_in", base.burn_in_steps)),
             batches=int(pick(args.batches, "batches", base.batches)),
-            batch_len=base.batch_len,
+            batch_len=int(pick(None, "batch_len", base.batch_len)),
             chains=int(pick(args.chains, "chains", base.chains)),
             step_scale=float(pick(args.step_scale, "step_scale", base.step_scale)),
             seed=seed,

@@ -124,17 +124,24 @@ class FitResult:
 
 
 def _run_steps(target, state, lp, n_steps, scales, rng):
-    """Advance one chain n_steps; returns (state, lp, accepted_count)."""
-    incs = rng.standard_normal((n_steps, 2))
-    incs[:, 0] *= scales[0]
-    incs[:, 1] *= scales[1]
-    log_us = np.log(rng.random(n_steps))
+    """Advance one chain n_steps; returns (state, lp, accepted_count).
+
+    The draws leave numpy once per block via .tolist(), so the state and
+    every target call stay on Python floats: numpy-scalar arithmetic makes
+    the target about 1.5x slower. Scaling each increment in the loop is
+    the same IEEE product as a numpy column multiply, so the chain matches
+    the numpy-indexing reference loop in tests/test_sampler.py bit for bit.
+    """
+    incs = rng.standard_normal((n_steps, 2)).tolist()
+    # np.log, not math.log: the two can differ in the last ulp.
+    log_us = np.log(rng.random(n_steps)).tolist()
+    s_mu, s_y = scales
     mu, y = state
     accepted = 0
-    for k in range(n_steps):
-        cand = (mu + incs[k, 0], y + incs[k, 1])
+    for (d_mu, d_y), log_u in zip(incs, log_us):
+        cand = (mu + d_mu * s_mu, y + d_y * s_y)
         lp_new = target(cand)
-        if log_us[k] < lp_new - lp:
+        if log_u < lp_new - lp:
             mu, y = cand
             lp = lp_new
             accepted += 1

@@ -272,6 +272,19 @@ def test_config_file_and_flag_precedence(workspace, tmp_path):
     assert main(["fit", "--config", str(bad), "--data", str(data_dir)]) == 2
 
 
+def test_config_file_batch_len(workspace, tmp_path):
+    data_dir, _ = workspace
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"data = {data_dir}\nprior = weak\nevents = m0100\nbatch_len = 10\n"
+        "chains = 2\nbatches = 80\nburn_in = 1000\npool_size = 160\n"
+    )
+    out = tmp_path / "out"
+    assert main(["fit", "--config", str(config), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["sampler"]["batch_len"] == 10
+
+
 def test_env_var_supplies_data_dir(workspace, tmp_path, monkeypatch, capsys):
     data_dir, _ = workspace
     monkeypatch.setenv(DATA_ENV, str(data_dir))

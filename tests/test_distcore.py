@@ -67,18 +67,6 @@ def test_cdf_symmetry(z):
     assert std_normal_cdf(z) + std_normal_cdf(-z) == pytest.approx(1.0, abs=1e-13)
 
 
-def test_log_cdf_against_scipy():
-    zs = np.concatenate([np.linspace(-40.0, -5.5, 70), np.linspace(-5.0, 6.0, 56)])
-    ours = log_std_normal_cdf(zs)
-    ref = special.log_ndtr(zs)
-    assert np.allclose(ours, ref, rtol=1e-12, atol=1e-12)
-    # scalar and array paths agree
-    for z in (-37.5, -5.0, -1.0, 0.0, 3.0):
-        assert log_std_normal_cdf(z) == pytest.approx(
-            float(special.log_ndtr(z)), rel=1e-13, abs=1e-13
-        )
-
-
 def test_log_cdf_reference_points():
     # Upper tail: Phi rounds to within a few ulps of one, so log Phi keeps full
     # relative accuracy only if it is not taken as the log of Phi itself.

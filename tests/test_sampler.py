@@ -1,9 +1,12 @@
 """Metropolis-Hastings machinery: tuning, sampling, diagnostics, fitting."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from tailcast import fitfile
+from tailcast.distcore import make_log_posterior
 from tailcast.emprior import HyperPrior, Provenance
 from tailcast.ingest import EventSpec
 from tailcast.sampler import (
@@ -17,6 +20,7 @@ from tailcast.sampler import (
     tune_burn_in,
     _derive_t_m,
     _pool_draws,
+    _run_steps,
 )
 from tailcast.synth import sample_tail, tail_performance_list
 
@@ -91,6 +95,57 @@ def test_run_chain_zero_scale_degenerate():
     assert chain.accept_rate == 1.0
     assert np.all(chain.mu == 0.7)
     assert np.all(chain.logN == -0.2)
+
+
+def _reference_run_steps(target, state, lp, n_steps, scales, rng):
+    """The straightforward numpy-indexing step loop that _run_steps must
+    reproduce bit for bit."""
+    incs = rng.standard_normal((n_steps, 2))
+    incs[:, 0] *= scales[0]
+    incs[:, 1] *= scales[1]
+    log_us = np.log(rng.random(n_steps))
+    mu, y = state
+    accepted = 0
+    for k in range(n_steps):
+        cand = (mu + incs[k, 0], y + incs[k, 1])
+        lp_new = target(cand)
+        if log_us[k] < lp_new - lp:
+            mu, y = cand
+            lp = lp_new
+            accepted += 1
+    return (mu, y), lp, accepted
+
+
+@pytest.mark.parametrize("case", ["event", "std_normal"])
+def test_run_steps_matches_reference_loop(case):
+    if case == "event":
+        data = synthetic_event()
+        target = make_log_posterior(data, INFORMATIVE)
+        state = (float(max(data.marks)) + 0.05, math.log(20_000.0))
+        scales = (0.01, 0.05)
+    else:
+        target, state, scales = std_normal_2d, (0.3, -0.4), (1.5, 0.7)
+    fast_rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+    fast = ref = (state, target(state), 0)
+    accepted = 0
+    for n_steps in (50, 10, 10, 1000, 7):
+        fast = _run_steps(target, *fast[:2], n_steps, scales, fast_rng)
+        ref = _reference_run_steps(target, *ref[:2], n_steps, scales, ref_rng)
+        assert fast == ref  # state, lp and accepted count, bit for bit
+        assert all(type(v) is float for v in fast[0])
+        accepted += fast[2]
+    assert 0 < accepted < 1077
+
+
+# sha256 of the fit file below; it moves only with a deliberate change to
+# the sampler's draws, which must then say so.
+FIT_FILE_SHA256 = "c831ab7d0df6c2320c922e17bff8108fa5d8bd63ec48d91f2f1efca13a36ba8a"
+
+
+def test_fit_event_bytes_are_frozen():
+    fit = fit_event(synthetic_event(), INFORMATIVE, small_config(), t_m=1.0)
+    digest = hashlib.sha256(fitfile.dumps(fit).encode("utf-8")).hexdigest()
+    assert digest == FIT_FILE_SHA256
 
 
 def test_run_chain_deterministic():
