@@ -18,7 +18,6 @@ from .ingest import DateWindow, EmptyListError, PerformanceList, build_performan
 from .sampler import SamplerConfig
 from .stats import (
     ForecastContext,
-    IntegrationUnstable,
     ReferenceMark,
     UndefinedCorrelation,
     expected_best,
@@ -233,13 +232,9 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
     cells: list[BacktestCell] = []
     for length in spec.windows:
         window = spec.evaluation_window(length)
-        expected_best_x: dict[str, float | None] = {}
-        for event_id, ctx in contexts[length].items():
-            try:
-                expected_best_x[event_id] = expected_best(ctx).x
-            except IntegrationUnstable as exc:
-                expected_best_x[event_id] = None
-                _add_note(notes, event_id, f"expected_best failed: {exc}")
+        expected_best_x = {
+            event_id: expected_best(ctx).x for event_id, ctx in contexts[length].items()
+        }
         for rank in spec.reference_ranks:
             exceed_rows: list[tuple[str, float, float]] = []
             improv_rows: list[tuple[str, float, float]] = []
@@ -253,14 +248,11 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
                     (event_id, predicted_count,
                      float(realized_exceedances(data, ref, window)))
                 )
-                best_x = expected_best_x[event_id]
-                if best_x is None:
-                    continue
                 try:
                     actual_impr = realized_improvement(data, ref, window)
                 except MissingOutcome:
                     continue
-                improv_rows.append((event_id, ref.mark - best_x, actual_impr))
+                improv_rows.append((event_id, ref.mark - expected_best_x[event_id], actual_impr))
             cells.append(_correlate("exceedances", length, rank, exceed_rows))
             cells.append(_correlate("improvement", length, rank, improv_rows))
 

@@ -184,36 +184,35 @@ def loads(text: str) -> FitResult:
         raise FitFileError("unexpected column header")
     meta = _rebuild_meta(payload)
 
-    per_chain: dict[int, list[tuple[int, float, float, float]]] = {}
-    for lineno, line in enumerate(lines[3:], start=4):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != len(COLUMNS):
-            raise FitFileError(f"line {lineno}: expected {len(COLUMNS)} columns")
-        try:
-            chain_id = int(parts[0])
-            row = (int(parts[1]), float(parts[2]), float(parts[3]), float(parts[4]))
-        except ValueError as exc:
-            raise FitFileError(f"line {lineno}: {exc}") from exc
-        per_chain.setdefault(chain_id, []).append(row)
-    if not per_chain:
+    rows = lines[3:]
+    if not any(rows):
         raise FitFileError("file contains no posterior draws")
+    try:
+        table = np.loadtxt(rows, delimiter="\t", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise FitFileError(f"draw lines: {exc}") from exc
+    if table.shape[1] != len(COLUMNS):
+        raise FitFileError(f"draw lines: expected {len(COLUMNS)} columns, got {table.shape[1]}")
+    ids = table[:, :2]
+    if not np.all(np.isfinite(ids) & (ids == np.floor(ids))):
+        raise FitFileError("draw lines: chain_id and draw_index must be integers")
 
+    # a stable sort keeps each chain's draws in file order
+    table = table[np.argsort(table[:, 0], kind="stable")]
+    chain_ids, starts = np.unique(table[:, 0], return_index=True)
     chain_info = {c["chain_id"]: c for c in payload.get("chains", [])}
     chains = []
-    for chain_id in sorted(per_chain):
-        rows = per_chain[chain_id]
-        if [r[0] for r in rows] != list(range(len(rows))):
-            raise FitFileError(f"chain {chain_id}: draw indices are not 0..{len(rows) - 1}")
+    for chain_id, draws in zip(map(int, chain_ids), np.split(table, starts[1:])):
+        if not np.array_equal(draws[:, 1], np.arange(len(draws))):
+            raise FitFileError(f"chain {chain_id}: draw indices are not 0..{len(draws) - 1}")
         info = chain_info.get(chain_id, {})
         chains.append(PosteriorChain(
             chain_id=chain_id,
-            mu=np.array([r[1] for r in rows]),
-            logN=np.array([r[2] for r in rows]),
+            mu=draws[:, 2],
+            logN=draws[:, 3],
             accept_rate=info.get("accept_rate", math.nan),
             step_scale=info.get("step_scale", math.nan),
-            sigma=np.array([r[3] for r in rows]),
+            sigma=draws[:, 4],
         ))
 
     mpsrf = payload["mpsrf"]

@@ -139,6 +139,36 @@ def test_loads_rejects_gap_in_draw_indices():
         loads("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("column, text", [
+    (0, "0.5"),   # fractional chain_id
+    (1, "1.5"),   # fractional draw_index
+    (2, "fast"),  # not a number
+    (0, "#"),     # a stray comment marker
+])
+def test_loads_rejects_malformed_draw_line(column, text):
+    lines = dumps(sample_fit()).splitlines()
+    fields = lines[4].split("\t")
+    fields[column] = text
+    lines[4] = "\t".join(fields)
+    with pytest.raises(FitFileError):
+        loads("\n".join(lines) + "\n")
+
+
+def test_loads_rejects_header_only():
+    header = dumps(sample_fit()).splitlines()[:3]
+    with pytest.raises(FitFileError, match="no posterior draws"):
+        loads("\n".join(header) + "\n\n")
+
+
+def test_loads_groups_interleaved_chains_in_file_order():
+    fit = sample_fit()
+    lines = dumps(fit).splitlines()
+    body = lines[3:]
+    half = len(body) // 2
+    interleaved = [row for pair in zip(body[:half], body[half:]) for row in pair]
+    assert dumps(loads("\n".join(lines[:3] + interleaved) + "\n")) == dumps(fit)
+
+
 def test_dumps_requires_sigma():
     fit = sample_fit()
     bare = PosteriorChain(
