@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .backtest import (
@@ -22,11 +22,13 @@ from .backtest import (
     render_summary_records,
     run_backtest,
 )
-from .emprior import HyperPrior, InsufficientEvents, event_seed, two_pass_fit
+from .emprior import HyperPrior, InsufficientEvents, fit_corpus, two_pass_fit
 from .errors import TailcastError
 from .fitfile import atomic_write_text, load_fit, save_fit
 from .ingest import DateWindow, decode_mark, format_raw_mark, load_performance_list
-from .sampler import FitFailed, FitResult, SamplerConfig, fit_event
+from .sampler import FitResult, SamplerConfig
+# Not called here: perfbench/tracing.py wraps fit_event under this name.
+from .sampler import fit_event  # noqa: F401
 from .stats import (
     DEFAULT_POINT_GRID,
     ForecastContext,
@@ -234,16 +236,9 @@ def cmd_fit(cfg: RunConfig) -> int:
         return 1
 
     notes = dict(skipped)
-    fits: dict[str, FitResult] = {}
     if cfg.prior == "weak":
         prior = HyperPrior.weakly_informative()
-        for data in lists:
-            event_id = data.event.event_id
-            sampler = replace(cfg.sampler, seed=event_seed(cfg.seed, event_id))
-            try:
-                fits[event_id] = fit_event(data, prior, sampler, t_m=t_m)
-            except FitFailed as exc:
-                notes[event_id] = f"fit failed: {exc}"
+        fits, failures = fit_corpus(lists, prior, cfg.sampler, t_m)
     else:
         try:
             result = two_pass_fit(lists, cfg.sampler, t_m=t_m)
@@ -252,10 +247,9 @@ def cmd_fit(cfg: RunConfig) -> int:
             print("hint: rerun with --prior weak to fit without the empirical prior",
                   file=sys.stderr)
             return 1
-        prior = result.prior
-        fits = result.fits
-        for event_id, msg in result.failures.items():
-            notes[event_id] = f"fit failed: {msg}"
+        prior, fits, failures = result.prior, result.fits, result.failures
+    for event_id, msg in failures.items():
+        notes[event_id] = f"fit failed: {msg}"
 
     if not fits:
         print("error: every fit failed", file=sys.stderr)

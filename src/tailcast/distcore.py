@@ -18,6 +18,8 @@ from scipy import special
 from .errors import TailcastError
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 class ReparamOutOfDomain(TailcastError):
@@ -210,5 +212,61 @@ def make_log_posterior(data, prior):
                      - n * log_tail)
         prior_dev = log_n_pop - mu_n
         return data_term + prior_const - 0.5 * prior_dev * prior_dev / sigma2_n
+
+    return target
+
+
+def make_lane_log_posterior(lists, priors):
+    """The log-posterior of many chains at once: lane i scores lists[i]
+    under priors[i], and target(mu, log_n_pop) maps two arrays over the
+    lanes to an array of log-posteriors.
+
+    The sufficient statistics are held per lane with the constants folded,
+    and each lane's value is an elementwise function of its own list, prior
+    and point, never of the other lanes. The order of operations differs
+    from make_log_posterior, so the two agree to round-off. Every lane
+    outside the domain comes out nan or -inf: log(mu - w_k) is nan below
+    w_k, and log(-ndtri(q)) is nan or -inf for q = n_k/N >= 0.5. Only
+    log N >= 700 needs an explicit guard: the scalar target rejects it, but
+    there q is a tiny positive number that the quantile maps to a finite value.
+    """
+    stats = []
+    for data, prior in zip(lists, priors):
+        marks = np.asarray(data.marks, dtype=float)
+        mean_x = marks.mean()
+        stats.append((data.n_k, marks.max(), data.c_k, mean_x,
+                      ((marks - mean_x) ** 2).sum() / data.n_k,
+                      prior.mu_N, prior.sigma2_N))
+    n, w_k, c_k, mean_x, var_x, mu_n, sigma2_n = np.array(stats, dtype=float).T
+    # Per mark, with d = mu - w_k, r = -ndtri(q)/sqrt(2) (so sigma = d/(r sqrt 2))
+    # and y = log N, the log-posterior is
+    #   log(r/d) - (var_x + (mean_x - mu)^2) (r/d)^2 - log_tail + y (a - b y) + const,
+    # where y (a - b y) - b mu_N^2 is the prior's -(y - mu_N)^2 / (2 sigma2_N n_k).
+    b = 0.5 / (sigma2_n * n)
+    a = 2.0 * b * mu_n
+    const = (0.5 * math.log(2.0) - 0.5 * _LOG_2PI - b * mu_n * mu_n
+             - 0.5 * np.log(2.0 * math.pi * sigma2_n) / n)
+    log_n = np.log(n)
+    # Truncation mass: at c_k == w_k it is exactly q, so -log_tail = y - log n_k.
+    # Lanes truncated further out (c_k > w_k) take log_ndtr instead.
+    cut = c_k != w_k
+    a += np.where(cut, 0.0, 1.0)
+    const -= np.where(cut, 0.0, log_n)
+    any_cut = bool(cut.any())
+    # Array operands: a Python float operand is converted again on every call.
+    cap = np.full(len(n), 700.0)
+    reject = np.full(len(n), -math.inf)
+    log_ndtr, ndtri = special.log_ndtr, special.ndtri
+
+    def target(mu, log_n_pop):
+        r = ndtri(np.exp(log_n - log_n_pop)) * -_SQRT_HALF
+        d = mu - w_k
+        r_d = r / d
+        dev = mean_x - mu
+        per_mark = np.log(r) - np.log(d) - (var_x + dev * dev) * (r_d * r_d)
+        if any_cut:
+            per_mark -= np.where(cut, log_ndtr((c_k - mu) * r_d * _SQRT2), 0.0)
+        lp = n * (per_mark + log_n_pop * (a - b * log_n_pop) + const)
+        return np.where(log_n_pop < cap, lp, reject)
 
     return target

@@ -11,12 +11,14 @@ import enum
 import math
 import warnings
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TailcastError
-from .sampler import FitFailed, FitResult, SamplerConfig, fit_event
+from .sampler import FitFailed, FitResult, SamplerConfig, fit_events
+# Not called here: perfbench/tracing.py wraps fit_event under this name.
+from .sampler import fit_event  # noqa: F401
 
 WEAK_MU_N = math.log(10_000.0)
 WEAK_SIGMA2_N = math.exp(20.0)
@@ -124,17 +126,26 @@ class TwoPassResult:
     failures: dict[str, str]
 
 
-def _fit_all(lists, prior, config, t_m):
+def fit_corpus(lists, prior: HyperPrior, config: SamplerConfig, t_m=None):
+    """Fit every list under one prior, each event with its own event_seed.
+
+    `t_m` is as for two_pass_fit. All events are sampled together (see
+    sampler.fit_events), and each fit is the one fit_event would give with
+    that seed. Returns (fits, failures): event_id -> FitResult, and
+    event_id -> the message of the FitFailed that ended that event.
+    """
+    lists = list(lists)
+    ids = [data.event.event_id for data in lists]
+    events = [(data, prior, event_seed(config.seed, event_id),
+               t_m.get(event_id) if hasattr(t_m, "get") else t_m)
+              for data, event_id in zip(lists, ids)]
     fits: dict[str, FitResult] = {}
     failures: dict[str, str] = {}
-    for data in lists:
-        event_id = data.event.event_id
-        cfg = replace(config, seed=event_seed(config.seed, event_id))
-        event_t_m = t_m.get(event_id) if hasattr(t_m, "get") else t_m
-        try:
-            fits[event_id] = fit_event(data, prior, cfg, t_m=event_t_m)
-        except FitFailed as exc:
-            failures[event_id] = str(exc)
+    for event_id, result in zip(ids, fit_events(events, config)):
+        if isinstance(result, FitFailed):
+            failures[event_id] = str(result)
+        else:
+            fits[event_id] = result
     return fits, failures
 
 
@@ -151,10 +162,10 @@ def two_pass_fit(all_events, config: SamplerConfig, t_m=None,
     if len(lists) < 4:
         raise InsufficientEvents(f"two-pass fitting needs >= 4 events, have {len(lists)}")
     weak = HyperPrior.weakly_informative()
-    pass1_fits, failures1 = _fit_all(lists, weak, config, t_m)
+    pass1_fits, failures1 = fit_corpus(lists, weak, config, t_m)
     estimates = {event_id: expected_population(fit) for event_id, fit in pass1_fits.items()}
     prior = second_prior if second_prior is not None else robust_hyperprior(estimates)
-    pass2_fits, failures2 = _fit_all(lists, prior, config, t_m)
+    pass2_fits, failures2 = fit_corpus(lists, prior, config, t_m)
     failures = dict(failures1)
     for event_id, msg in failures2.items():
         failures[event_id] = f"{failures.get(event_id, '')}; pass 2: {msg}".lstrip("; ")

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .distcore import make_log_posterior, tail_mass_sigma
+from .distcore import make_lane_log_posterior, make_log_posterior, tail_mass_sigma
 from .errors import TailcastError
 
 if TYPE_CHECKING:
@@ -61,8 +61,11 @@ class SamplerConfig:
         for name in ("burn_in_steps", "batches", "batch_len", "chains", "pool_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.step_scale < 0.0 or self.max_retunes < 0:
-            raise ValueError("step_scale and max_retunes must be nonnegative")
+        # A zero or non-finite scale never moves a chain, however often it is retuned.
+        if not (math.isfinite(self.step_scale) and self.step_scale > 0.0):
+            raise ValueError(f"step_scale must be positive and finite, got {self.step_scale}")
+        if self.max_retunes < 0:
+            raise ValueError("max_retunes must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -201,6 +204,49 @@ def run_chain(target, config: SamplerConfig, tuned: TunedState, rng=None,
                           accept_rate=rate, step_scale=tuned.step_scale)
 
 
+def sample_lanes(target, config: SamplerConfig, tuned, rngs):
+    """run_chain for many chains at once, stepped together as numpy lanes.
+
+    Lane i starts from tuned[i] and draws from rngs[i]; `target` is a lane
+    target (distcore.make_lane_log_posterior) whose lane i is that chain's
+    posterior. Each lane draws its batch of increments and uniforms from its
+    own generator in run_chain's order, and a chain's states depend only on
+    those draws and its accept decisions. So lane i reproduces run_chain's
+    chain bit for bit, unless the two targets' round-off splits a
+    near-exact tie. Returns (mu, logN, accepted): (lanes, batches) arrays
+    of retained states and each lane's accepted-step count.
+    """
+    lanes, n = len(tuned), config.batch_len
+    scales = np.array([[t.step_scale * ratio for t in tuned] for ratio in config.scale_ratio])
+    state = np.empty((3, lanes))  # mu, log N and lp of every lane
+    state[:2] = np.array([t.state for t in tuned], dtype=float).T
+    cand = np.empty((3, lanes))
+    incs = np.empty((lanes, n, 2))
+    us = np.empty((lanes, n))
+    mu_draws = np.empty((lanes, config.batches))
+    y_draws = np.empty((lanes, config.batches))
+    accepted = np.zeros(lanes, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        state[2] = target(state[0], state[1])
+        for b in range(config.batches):
+            for inc, u, rng in zip(incs, us, rngs):
+                rng.standard_normal(out=inc)
+                rng.random(out=u)
+            steps = incs.transpose(1, 2, 0) * scales
+            # np.log over one contiguous block, as in _run_steps: a strided or
+            # scalar log can differ in the last ulp.
+            log_us = np.log(us).T
+            for step, log_u in zip(steps, log_us):
+                np.add(state[:2], step, out=cand[:2])
+                cand[2] = target(cand[0], cand[1])
+                accept = log_u < cand[2] - state[2]
+                np.copyto(state, cand, where=accept)
+                accepted += accept
+            mu_draws[:, b] = state[0]
+            y_draws[:, b] = state[1]
+    return mu_draws, y_draws, accepted
+
+
 def gelman_rubin_mpsrf(chains) -> float:
     """Multivariate potential scale reduction factor over (mu, log N).
 
@@ -258,15 +304,70 @@ def _draw_init(target, data, prior, rng, max_tries=500):
 def fit_event(data, prior, config: SamplerConfig, t_m: float | None = None) -> FitResult:
     """Full fit of one event: chains, tuning, sampling, diagnostics, pooling.
 
-    t_m defaults to the ingestion window span when the window is bounded,
-    else to the record-date span of the list (floored at one year).
+    The one-event case of fit_events, seeded with config.seed. t_m defaults
+    to the ingestion window span when the window is bounded, else to the
+    record-date span of the list (floored at one year).
+    """
+    (result,) = fit_events([(data, prior, config.seed, t_m)], config)
+    if isinstance(result, FitFailed):
+        raise result
+    return result
+
+
+@dataclass(frozen=True)
+class _TunedEvent:
+    """One event after burn-in: its tuned chains, ready for the lane loop."""
+
+    data: object
+    prior: "HyperPrior"
+    config: SamplerConfig
+    t_m: float
+    tuned: tuple[tuple[int, TunedState, np.random.Generator], ...]
+    failed: tuple[int, ...]
+    notes: tuple[str, ...]
+
+
+def fit_events(events, config: SamplerConfig) -> list:
+    """Fit several events, sampling all their chains in one lane loop.
+
+    `events` holds one (data, prior, seed, t_m) per event; t_m None is
+    derived as in fit_event. Each event's chains are initialized and burned
+    in one after another, chain c on its own default_rng(seed ^ c). Every
+    tuned chain of every event that can still succeed then becomes one lane
+    of sample_lanes. So an event's fit depends on its own data, prior, seed
+    and t_m, never on the events fitted with it. Returns each event's
+    FitResult, or the FitFailed that ended it, in order.
     """
     if config.chains < 2:
-        raise ValueError("fit_event needs at least 2 chains for the convergence diagnostic")
-    if t_m is None:
-        t_m = _derive_t_m(data)
+        raise ValueError("fitting needs at least 2 chains for the convergence diagnostic")
+    results: list = []
+    for data, prior, seed, t_m in events:
+        try:
+            results.append(_burn_in_event(data, prior, replace(config, seed=seed),
+                                          _derive_t_m(data) if t_m is None else t_m))
+        except FitFailed as exc:
+            results.append(exc)
+    lanes = [(ev, tuned, rng) for ev in results if isinstance(ev, _TunedEvent)
+             for _, tuned, rng in ev.tuned]
+    if not lanes:
+        return results
+    target = make_lane_log_posterior([ev.data for ev, _, _ in lanes],
+                                     [ev.prior for ev, _, _ in lanes])
+    mu, y, accepted = sample_lanes(target, config, [t for _, t, _ in lanes],
+                                   [rng for _, _, rng in lanes])
+    first = 0
+    for i, ev in enumerate(results):
+        if isinstance(ev, _TunedEvent):
+            lane = slice(first, first + len(ev.tuned))
+            results[i] = _finish_event(ev, mu[lane], y[lane], accepted[lane])
+            first = lane.stop
+    return results
+
+
+def _burn_in_event(data, prior, config: SamplerConfig, t_m: float) -> _TunedEvent:
+    """Initialize and burn in every chain of one event, scalar and in order."""
     target = make_log_posterior(data, prior)
-    chains = []
+    tuned = []
     failed = []
     notes = []
     for chain_id in range(config.chains):
@@ -277,33 +378,42 @@ def fit_event(data, prior, config: SamplerConfig, t_m: float | None = None) -> F
             notes.append(f"chain {chain_id}: no finite-posterior initialization found")
             continue
         try:
-            tuned = tune_burn_in(target, config, init, rng)
+            tuned.append((chain_id, tune_burn_in(target, config, init, rng), rng))
         except TuningFailed as exc:
             failed.append(chain_id)
             notes.append(f"chain {chain_id}: {exc}")
-            continue
-        chains.append(run_chain(target, config, tuned, rng, chain_id=chain_id))
-    if not chains:
+    if not tuned:
         raise FitFailed(f"{data.event.event_id}: all {config.chains} chains failed tuning")
     if len(failed) * 2 >= config.chains:
         raise FitFailed(
             f"{data.event.event_id}: {len(failed)} of {config.chains} chains failed"
         )
-    chains = [replace(c, sigma=tail_mass_sigma(c.mu, c.logN, data.n_k, data.w_k))
-              for c in chains]
-    mpsrf = gelman_rubin_mpsrf(chains) if len(chains) >= 2 else math.inf
+    return _TunedEvent(data, prior, config, t_m, tuple(tuned), tuple(failed), tuple(notes))
+
+
+def _finish_event(ev: _TunedEvent, mu, y, accepted) -> FitResult:
+    """Diagnostics and pooling over one event's sampled lanes."""
+    data, config = ev.data, ev.config
+    steps = config.batches * config.batch_len
+    chains = [
+        PosteriorChain(chain_id=chain_id, mu=m, logN=lg,
+                       accept_rate=int(acc) / steps, step_scale=tuned.step_scale,
+                       sigma=tail_mass_sigma(m, lg, data.n_k, data.w_k))
+        for (chain_id, tuned, _), m, lg, acc in zip(ev.tuned, mu, y, accepted)
+    ]
+    mpsrf = gelman_rubin_mpsrf(chains)
     pooled_mu, pooled_y, pooled_sigma = _pool_draws(chains, config.pool_size)
     meta = FitMetadata(
         event=data.event,
-        t_m=float(t_m),
+        t_m=float(ev.t_m),
         n_k=data.n_k,
         w_k=data.w_k,
         c_k=data.c_k,
         best_x=data.best,
-        prior=prior,
+        prior=ev.prior,
         config=config,
-        failed_chains=tuple(failed),
-        notes=tuple(notes),
+        failed_chains=ev.failed,
+        notes=ev.notes,
     )
     return FitResult(
         event_id=data.event.event_id,

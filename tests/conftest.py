@@ -6,12 +6,16 @@ builders here assemble structurally complete FitResults from arrays.
 """
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from tailcast.emprior import HyperPrior
-from tailcast.ingest import EventSpec
+from tailcast.ingest import EventSpec, PerformanceList
 from tailcast.sampler import FitMetadata, FitResult, PosteriorChain, SamplerConfig
+from tailcast.synth import sample_tail, tail_performance_list
 
 
 def running_event(event_id: str = "ev100m") -> EventSpec:
@@ -97,6 +101,20 @@ def point_mass_fit(
         np.full(n_draws, sigma),
         **kwargs,
     )
+
+
+def lane_events(with_cut: bool) -> list[PerformanceList]:
+    """Synthetic events of 400, 25 and 120 marks for the lane-sampler tests.
+    With with_cut the last one is truncated above its worst mark, so its
+    lanes take the lane target's log_ndtr branch."""
+    lists = []
+    for seed, keep in ((55, 400), (61, 25), (62, 120)):
+        tail = sample_tail(seed, math.log(11.28), 0.033, 20_000, keep)
+        lists.append(tail_performance_list(EventSpec.running(f"lane{seed}"), tail,
+                                           2001, 2020, seed=seed + 1))
+    if with_cut:
+        lists[-1] = dataclasses.replace(lists[-1], c_k=lists[-1].w_k + 0.004)
+    return lists
 
 
 @pytest.fixture

@@ -251,6 +251,15 @@ def test_usage_errors(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fit_rejects_unusable_step_scale(workspace, tmp_path, capsys):
+    data_dir, _ = workspace
+    for bad in ("0", "nan", "inf"):
+        assert main(["fit", "--data", str(data_dir), "--out", str(tmp_path / "out"),
+                     "--prior", "weak", "--events", "m0100", "--step-scale", bad]) == 2
+        assert "bad sampler settings" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_and_flag_precedence(workspace, tmp_path):
     data_dir, _ = workspace
     config = tmp_path / "run.cfg"

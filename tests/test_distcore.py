@@ -17,6 +17,7 @@ from tailcast.distcore import (
     gaussian_logpdf,
     log_posterior,
     log_std_normal_cdf,
+    make_lane_log_posterior,
     make_log_posterior,
     population_from_sigma,
     sigma_from_population,
@@ -25,7 +26,9 @@ from tailcast.distcore import (
     tail_mass_sigma,
     truncnorm_logpdf,
 )
-from tailcast.emprior import HyperPrior
+from tailcast.emprior import HyperPrior, Provenance
+
+from conftest import lane_events
 
 # Reference values, frozen from high-precision evaluation (mpmath at 50
 # digits); they are independent of the scipy.special routines under test.
@@ -293,3 +296,55 @@ def test_log_posterior_two_routes_agree(mu, y, seed):
         assert math.isinf(fast) and fast < 0
     else:
         assert fast == pytest.approx(reference, rel=1e-9, abs=1e-9)
+
+
+def _lanes(with_cut):
+    """lane_events under a weak and an informative prior, two lanes each."""
+    informative = HyperPrior(math.log(20_000.0), 0.25, Provenance.EMPIRICAL)
+    lists = lane_events(with_cut)
+    return [d for d in lists for _ in range(2)], [WEAK, informative] * len(lists)
+
+
+@pytest.mark.parametrize("with_cut", [False, True])
+def test_lane_target_matches_scalar_target(with_cut):
+    lists, priors = _lanes(with_cut)
+    lane = make_lane_log_posterior(lists, priors)
+    scalar = [make_log_posterior(d, p) for d, p in zip(lists, priors)]
+    w_k = np.array([d.w_k for d in lists])
+    log_n = np.log([d.n_k for d in lists])
+    for gap in (0.01, 0.03, 0.08):
+        for excess in (1.0, 2.5, 5.0):
+            mu, y = w_k + gap, log_n + excess
+            got = lane(mu, y)
+            for i, target in enumerate(scalar):
+                want = target((float(mu[i]), float(y[i])))
+                assert math.isfinite(want)
+                assert got[i] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("with_cut", [False, True])
+def test_lane_target_never_finite_outside_domain(with_cut):
+    lists, priors = _lanes(with_cut)
+    lane = make_lane_log_posterior(lists, priors)
+    w_k = np.array([d.w_k for d in lists])
+    log_n = np.log([d.n_k for d in lists])
+    ones = np.ones(len(lists))
+    cases = [
+        (w_k, log_n + 3.0),                       # mu == w_k
+        (w_k - 0.01, log_n + 3.0),                # mu below w_k
+        (w_k - 1.0, log_n + 3.0),
+        (w_k + 0.05, log_n + math.log(2.0) - 1e-9),  # N just below 2 n_k
+        (w_k + 0.05, log_n + 0.3),
+        (w_k + 0.05, log_n),                      # N == n_k
+        (w_k + 0.05, log_n - 3.0),
+        (w_k - 0.01, log_n - 3.0),                # both at once: r/d alone would be finite
+        (w_k + 0.05, 700.0 * ones),               # log N >= 700
+        (w_k + 0.05, 720.0 * ones),
+        (w_k + 0.05, 1e4 * ones),
+        (w_k + 0.05, -700.0 * ones),              # log N <= -700
+        (w_k + 0.05, -1e4 * ones),
+    ]
+    with np.errstate(all="ignore"):
+        for mu, y in cases:
+            lp = lane(mu, y)
+            assert np.all(np.isnan(lp) | (lp == -math.inf)), (mu - w_k, y - log_n, lp)

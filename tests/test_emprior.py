@@ -1,4 +1,5 @@
 """Empirical hyperprior construction and the two-pass fitting orchestrator."""
+import dataclasses
 import itertools
 import math
 
@@ -16,12 +17,14 @@ from tailcast.emprior import (
     Provenance,
     event_seed,
     expected_population,
+    fit_corpus,
     min_subset_variance,
     robust_hyperprior,
     two_pass_fit,
 )
+from tailcast.fitfile import dumps
 from tailcast.ingest import EventSpec
-from tailcast.sampler import SamplerConfig
+from tailcast.sampler import SamplerConfig, fit_event
 from tailcast.synth import sample_tail, tail_performance_list
 
 from conftest import make_fit, point_mass_fit
@@ -162,6 +165,22 @@ def test_two_pass_needs_four_lists():
     lists = _corpus(n_events=3)
     with pytest.raises(InsufficientEvents):
         two_pass_fit(lists, TINY, t_m=1.0)
+
+
+def test_fit_corpus_fit_does_not_depend_on_co_batched_events():
+    lists = _corpus(n_events=3)
+    a, c = lists["ev0"], lists["ev2"]
+    # Truncated above its worst mark, b puts its lanes on the log_ndtr branch.
+    b = dataclasses.replace(lists["ev1"], c_k=lists["ev1"].w_k + 0.004)
+    weak = HyperPrior.weakly_informative()
+    abc, failures_abc = fit_corpus([a, b, c], weak, TINY, t_m=1.0)
+    ca, failures_ca = fit_corpus([c, a], weak, TINY, t_m=1.0)
+    alone = fit_event(a, weak, dataclasses.replace(TINY, seed=event_seed(TINY.seed, "ev0")),
+                      t_m=1.0)
+    assert failures_abc == failures_ca == {}
+    assert list(abc) == ["ev0", "ev1", "ev2"] and list(ca) == ["ev2", "ev0"]
+    assert dumps(abc["ev0"]) == dumps(ca["ev0"]) == dumps(alone)
+    assert dumps(abc["ev2"]) == dumps(ca["ev2"])
 
 
 def test_two_pass_weak_second_prior_reproduces_pass_one():

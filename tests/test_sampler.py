@@ -1,4 +1,5 @@
 """Metropolis-Hastings machinery: tuning, sampling, diagnostics, fitting."""
+import copy
 import hashlib
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from tailcast import fitfile
-from tailcast.distcore import make_log_posterior
+from tailcast.distcore import make_lane_log_posterior, make_log_posterior
 from tailcast.emprior import HyperPrior, Provenance
 from tailcast.ingest import EventSpec
 from tailcast.sampler import (
@@ -17,12 +18,16 @@ from tailcast.sampler import (
     fit_event,
     gelman_rubin_mpsrf,
     run_chain,
+    sample_lanes,
     tune_burn_in,
     _derive_t_m,
+    _draw_init,
     _pool_draws,
     _run_steps,
 )
 from tailcast.synth import sample_tail, tail_performance_list
+
+from conftest import lane_events
 
 MU_STAR = math.log(11.28)
 SIGMA_STAR = 0.033
@@ -135,6 +140,33 @@ def test_run_steps_matches_reference_loop(case):
         assert all(type(v) is float for v in fast[0])
         accepted += fast[2]
     assert 0 < accepted < 1077
+
+
+@pytest.mark.parametrize("with_cut", [False, True])
+@pytest.mark.parametrize("batch_len", [1, 7, 50])
+def test_sample_lanes_matches_run_chain(batch_len, with_cut):
+    config = small_config(batches=30, batch_len=batch_len)
+    lists, priors, tuned, rngs = [], [], [], []
+    for data in lane_events(with_cut):
+        for prior in (HyperPrior.weakly_informative(), INFORMATIVE):
+            target = make_log_posterior(data, prior)
+            for chain_id in range(2):
+                rng = np.random.default_rng(40 + len(rngs))
+                init = _draw_init(target, data, prior, rng)
+                lists.append(data)
+                priors.append(prior)
+                tuned.append(tune_burn_in(target, config, init, rng))
+                rngs.append(rng)
+    mu, logN, accepted = sample_lanes(make_lane_log_posterior(lists, priors), config,
+                                      tuned, [copy.deepcopy(rng) for rng in rngs])
+    steps = config.batches * config.batch_len
+    assert mu.shape == logN.shape == (len(tuned), config.batches)
+    for i, (data, prior) in enumerate(zip(lists, priors)):
+        chain = run_chain(make_log_posterior(data, prior), config, tuned[i], rngs[i])
+        assert np.array_equal(mu[i], chain.mu)
+        assert np.array_equal(logN[i], chain.logN)
+        assert int(accepted[i]) / steps == chain.accept_rate
+        assert 0 < accepted[i] < steps
 
 
 # sha256 of the fit file below; it moves only with a deliberate change to
@@ -303,5 +335,6 @@ def test_sampler_config_validation():
         SamplerConfig(accept_lo=0.5, accept_hi=0.4)
     with pytest.raises(ValueError):
         SamplerConfig(batches=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(step_scale=-1.0)
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SamplerConfig(step_scale=bad)
