@@ -1,6 +1,6 @@
 """Command-line pipeline: ingest data, fit posteriors, emit reports.
 
-Subcommands compose through the filesystem: `fit` persists one tailcast-fit/1
+Subcommands compose through the filesystem: `fit` persists one tailcast-fit/2
 file per event plus a manifest, and `tables`, `forecast` read those fits back
 instead of refitting. All outputs are deterministic for a fixed seed; no
 command writes timestamps.
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -61,27 +62,44 @@ class RunConfig:
     sampler: SamplerConfig
 
 
+def _number(kind, name: str, text):
+    """kind(text) for kind int or float, a bad value being a usage error."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"{name}: expected {kind.__name__}, got {text!r}") from None
+
+
 def _parse_points(text: str) -> tuple[int, ...]:
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise UsageError(f"point grid must be lo:hi:step or a comma list, got {text!r}")
-        lo, hi, step = (int(p) for p in parts)
+        lo, hi, step = (_number(int, "points entry", p) for p in parts)
         if step < 1 or hi < lo:
             raise UsageError(f"bad point grid {text!r}")
         return tuple(range(lo, hi + 1, step))
-    return tuple(int(p) for p in text.split(","))
+    return _parse_int_list("points", text)
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(","))
+def _parse_int_list(name: str, text: str) -> tuple[int, ...]:
+    return tuple(_number(int, f"{name} entry", p) for p in text.split(","))
 
 
+# Config key -> (SamplerConfig field, help of its --flag, or None for a
+# config-file-only key). The flag is the key with "-" for "_".
+_SAMPLER_KEYS = {
+    "chains": ("chains", "MCMC chains per event"),
+    "batches": ("batches", "retained draws per chain"),
+    "batch_len": ("batch_len", None),
+    "burn_in": ("burn_in_steps", "steps per tuning round"),
+    "pool_size": ("pool_size", "pooled draw count"),
+    "step_scale": ("step_scale", "initial proposal scale"),
+}
 _CONFIG_KEYS = {
     "data", "out", "events", "mode", "cutoff", "tf", "seed", "prior",
-    "points", "windows", "ranks",
-    "chains", "batches", "batch_len", "burn_in", "pool_size", "step_scale",
+    "points", "windows", "ranks", *_SAMPLER_KEYS,
 }
 
 
@@ -139,37 +157,32 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"mode must be 'all' or 'five-years', got {mode_text!r}") from None
 
     cutoff = pick(args.cutoff, "cutoff", None)
-    cutoff = None if cutoff is None else int(cutoff)
+    cutoff = None if cutoff is None else _number(int, "cutoff", cutoff)
     if mode is DataMode.FIVE_YEARS and cutoff is None:
         raise UsageError("--mode five-years needs --cutoff")
 
-    t_f = float(pick(args.tf, "tf", 1.0))
-    if t_f < 0.0:
-        raise UsageError(f"--tf must be >= 0, got {t_f}")
-    seed = int(pick(args.seed, "seed", 0))
+    t_f = _number(float, "tf", pick(args.tf, "tf", 1.0))
+    if not (math.isfinite(t_f) and t_f >= 0.0):
+        raise UsageError(f"--tf must be finite and >= 0, got {t_f}")
+    seed = _number(int, "seed", pick(args.seed, "seed", 0))
     prior = str(pick(args.prior, "prior", "empirical"))
     if prior not in ("weak", "empirical"):
         raise UsageError(f"--prior must be 'weak' or 'empirical', got {prior!r}")
 
-    points_text = pick(getattr(args, "points", None), "points", "0:1400:50")
-    points = points_text if isinstance(points_text, tuple) else _parse_points(str(points_text))
-    windows_text = pick(getattr(args, "windows", None), "windows", "1,2,5,12")
-    windows = (windows_text if isinstance(windows_text, tuple)
-               else _parse_int_list(str(windows_text)))
-    ranks_text = pick(getattr(args, "ranks", None), "ranks", "10,25,50,100")
-    ranks = ranks_text if isinstance(ranks_text, tuple) else _parse_int_list(str(ranks_text))
+    points = _parse_points(pick(getattr(args, "points", None), "points", "0:1400:50"))
+    windows = _parse_int_list("windows", pick(getattr(args, "windows", None), "windows",
+                                              "1,2,5,12"))
+    ranks = _parse_int_list("ranks", pick(getattr(args, "ranks", None), "ranks",
+                                          "10,25,50,100"))
 
     base = SamplerConfig()
+    settings = {}
+    for key, (field, _) in _SAMPLER_KEYS.items():
+        default = getattr(base, field)
+        settings[field] = _number(type(default), key,
+                                  pick(getattr(args, key, None), key, default))
     try:
-        sampler = SamplerConfig(
-            burn_in_steps=int(pick(args.burn_in, "burn_in", base.burn_in_steps)),
-            batches=int(pick(args.batches, "batches", base.batches)),
-            batch_len=int(pick(None, "batch_len", base.batch_len)),
-            chains=int(pick(args.chains, "chains", base.chains)),
-            step_scale=float(pick(args.step_scale, "step_scale", base.step_scale)),
-            seed=seed,
-            pool_size=int(pick(args.pool_size, "pool_size", base.pool_size)),
-        )
+        sampler = SamplerConfig(seed=seed, **settings)
     except ValueError as exc:
         raise UsageError(f"bad sampler settings: {exc}") from None
 
@@ -277,14 +290,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         "mpsrf": {e: fits[e].mpsrf for e in sorted(fits)},
         "converged": {e: fits[e].converged for e in sorted(fits)},
         "notes": {e: notes[e] for e in sorted(notes)},
-        "sampler": {
-            "burn_in_steps": cfg.sampler.burn_in_steps,
-            "batches": cfg.sampler.batches,
-            "batch_len": cfg.sampler.batch_len,
-            "chains": cfg.sampler.chains,
-            "step_scale": cfg.sampler.step_scale,
-            "pool_size": cfg.sampler.pool_size,
-        },
+        "sampler": {field: getattr(cfg.sampler, field) for field, _ in _SAMPLER_KEYS.values()},
     }
     _write_json(cfg.out_dir / "manifest.json", manifest)
     laggards = [e for e in sorted(fits) if not fits[e].converged]
@@ -381,15 +387,18 @@ def cmd_forecast(cfg: RunConfig) -> int:
 def cmd_backtest(cfg: RunConfig) -> int:
     if cfg.cutoff is None:
         raise UsageError("backtest needs --cutoff")
+    try:
+        spec = BacktestSpec(
+            cutoff_year=cfg.cutoff,
+            windows=cfg.windows,
+            data_mode=cfg.mode,
+            reference_ranks=cfg.ranks,
+        )
+    except ValueError as exc:
+        raise UsageError(f"bad backtest settings: {exc}") from None
     lists, skipped = _load_corpus(cfg, window=None)
     for event_id, reason in sorted(skipped.items()):
         print(f"warning: skipping {event_id}: {reason}", file=sys.stderr)
-    spec = BacktestSpec(
-        cutoff_year=cfg.cutoff,
-        windows=cfg.windows,
-        data_mode=cfg.mode,
-        reference_ranks=cfg.ranks,
-    )
     try:
         report = run_backtest(lists, spec, cfg.sampler)
     except InsufficientEvents as exc:
@@ -445,12 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tf", type=float, help="forecast horizon in years")
         p.add_argument("--seed", type=int, help="base RNG seed")
         p.add_argument("--prior", choices=["weak", "empirical"], help="population prior")
-        p.add_argument("--chains", type=int, help="MCMC chains per event")
-        p.add_argument("--batches", type=int, help="retained draws per chain")
-        p.add_argument("--burn-in", dest="burn_in", type=int, help="steps per tuning round")
-        p.add_argument("--pool-size", dest="pool_size", type=int, help="pooled draw count")
-        p.add_argument("--step-scale", dest="step_scale", type=float,
-                       help="initial proposal scale")
+        base = SamplerConfig()
+        for key, (field, text) in _SAMPLER_KEYS.items():
+            if text is not None:
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               type=type(getattr(base, field)), help=text)
 
     p_fit = sub.add_parser("fit", help="fit every event and persist the posteriors")
     add_common(p_fit)

@@ -1,37 +1,41 @@
-"""Persistence for fitted posteriors: the tailcast-fit/1 text format.
+"""Persistence for fitted posteriors: the tailcast-fit/2 text format.
 
 A fit file is self-describing and deterministic. Line 1 names the format,
 line 2 carries a JSON metadata object, line 3 names the draw columns, and
-every following line is one tab-separated posterior draw. Re-saving a
-loaded fit reproduces the file byte for byte.
+every following line is one tab-separated posterior draw. The metadata is
+`dataclasses.asdict(FitMetadata)`, enums as their values, plus each chain's
+acceptance rate and step scale, mpsrf and converged; it is read back by
+reflecting on the same dataclasses, so a new metadata field needs no change
+here. Re-saving a loaded fit reproduces the file byte for byte.
 """
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import json
 import math
 import os
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
 
-from .emprior import HyperPrior, Provenance
+from .emprior import HyperPrior
 from .errors import TailcastError
-from .ingest import Direction, EventSpec, Unit
-from .sampler import (
-    FitMetadata,
-    FitResult,
-    PosteriorChain,
-    SamplerConfig,
-    _pool_draws,
-)
+from .ingest import EventSpec
+from .sampler import FitMetadata, FitResult, PosteriorChain, _pool_draws
 
-FORMAT_LINE = "#tailcast-fit/1"
+FORMAT_LINE = "#tailcast-fit/2"
 COLUMNS = ("chain_id", "draw_index", "mu", "logN", "sigma")
+# FitMetadata's annotations name these by string only: sampler imports them
+# just for type checking, so get_type_hints is told where they live.
+_META_TYPES = {"EventSpec": EventSpec, "HyperPrior": HyperPrior}
 
 
 class FitFileError(TailcastError):
-    """The file is not a readable tailcast-fit/1 document."""
+    """The file is not a readable tailcast-fit/2 document."""
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -49,55 +53,19 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def _meta_payload(fit: FitResult) -> dict:
-    meta = fit.meta
-    return {
-        "event": {
-            "event_id": meta.event.event_id,
-            "direction": meta.event.direction.value,
-            "unit": meta.event.unit.value,
-            "display_name": meta.event.display_name,
-        },
-        "t_m": meta.t_m,
-        "n_k": meta.n_k,
-        "w_k": meta.w_k,
-        "c_k": meta.c_k,
-        "best_x": meta.best_x,
-        "prior": {
-            "mu_N": meta.prior.mu_N,
-            "sigma2_N": meta.prior.sigma2_N,
-            "provenance": meta.prior.provenance.value,
-            "contributing_events": list(meta.prior.contributing_events),
-        },
-        "config": {
-            "burn_in_steps": meta.config.burn_in_steps,
-            "accept_lo": meta.config.accept_lo,
-            "accept_hi": meta.config.accept_hi,
-            "batches": meta.config.batches,
-            "batch_len": meta.config.batch_len,
-            "chains": meta.config.chains,
-            "step_scale": meta.config.step_scale,
-            "max_retunes": meta.config.max_retunes,
-            "seed": meta.config.seed,
-            "scale_ratio": list(meta.config.scale_ratio),
-            "pool_size": meta.config.pool_size,
-        },
-        "chains": [
-            {
-                "chain_id": chain.chain_id,
-                "accept_rate": chain.accept_rate,
-                "step_scale": chain.step_scale,
-            }
-            for chain in fit.chains
-        ],
-        "mpsrf": fit.mpsrf if math.isfinite(fit.mpsrf) else "inf",
-        "converged": fit.converged,
-        "failed_chains": list(meta.failed_chains),
-        "notes": list(meta.notes),
-    }
+    payload = dataclasses.asdict(fit.meta)
+    payload["chains"] = [
+        {"chain_id": c.chain_id, "accept_rate": c.accept_rate, "step_scale": c.step_scale}
+        for c in fit.chains
+    ]
+    payload["mpsrf"] = fit.mpsrf if math.isfinite(fit.mpsrf) else "inf"
+    payload["converged"] = fit.converged
+    return payload
 
 
 def dumps(fit: FitResult) -> str:
-    lines = [FORMAT_LINE, "#meta " + json.dumps(_meta_payload(fit), sort_keys=True)]
+    meta = json.dumps(_meta_payload(fit), sort_keys=True, default=lambda e: e.value)
+    lines = [FORMAT_LINE, "#meta " + meta]
     lines.append("#columns " + "\t".join(COLUMNS))
     for chain in fit.chains:
         sigma = chain.sigma
@@ -115,7 +83,25 @@ def save_fit(fit: FitResult, path: Path) -> None:
     atomic_write_text(Path(path), dumps(fit))
 
 
-def _parse_meta(line: str) -> dict:
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls, localns=_META_TYPES)
+
+
+def _revive(hint, value):
+    """Rebuild a value of type `hint` from its dataclasses.asdict/JSON form."""
+    if dataclasses.is_dataclass(hint):
+        hints = _field_types(hint)
+        return hint(**{key: _revive(hints.get(key), v) for key, v in value.items()})
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return hint(value)
+    if typing.get_origin(hint) is tuple:
+        return tuple(value)
+    return value
+
+
+def _parse_meta(line: str):
+    """(FitMetadata, {chain_id: (accept_rate, step_scale)}, mpsrf, converged)."""
     if not line.startswith("#meta "):
         raise FitFileError("second line must be the #meta JSON object")
     try:
@@ -124,65 +110,27 @@ def _parse_meta(line: str) -> dict:
         raise FitFileError(f"metadata is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise FitFileError("metadata must be a JSON object")
-    return payload
-
-
-def _rebuild_meta(payload: dict) -> FitMetadata:
     try:
-        ev = payload["event"]
-        event = EventSpec(
-            event_id=ev["event_id"],
-            direction=Direction(ev["direction"]),
-            unit=Unit(ev["unit"]),
-            display_name=ev.get("display_name", ""),
-        )
-        pr = payload["prior"]
-        prior = HyperPrior(
-            mu_N=pr["mu_N"],
-            sigma2_N=pr["sigma2_N"],
-            provenance=Provenance(pr["provenance"]),
-            contributing_events=tuple(pr["contributing_events"]),
-        )
-        cf = payload["config"]
-        config = SamplerConfig(
-            burn_in_steps=cf["burn_in_steps"],
-            accept_lo=cf["accept_lo"],
-            accept_hi=cf["accept_hi"],
-            batches=cf["batches"],
-            batch_len=cf["batch_len"],
-            chains=cf["chains"],
-            step_scale=cf["step_scale"],
-            max_retunes=cf["max_retunes"],
-            seed=cf["seed"],
-            scale_ratio=tuple(cf["scale_ratio"]),
-            pool_size=cf["pool_size"],
-        )
-        return FitMetadata(
-            event=event,
-            t_m=payload["t_m"],
-            n_k=payload["n_k"],
-            w_k=payload["w_k"],
-            c_k=payload["c_k"],
-            best_x=payload["best_x"],
-            prior=prior,
-            config=config,
-            failed_chains=tuple(payload["failed_chains"]),
-            notes=tuple(payload["notes"]),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
+        chains = {c["chain_id"]: (c["accept_rate"], c["step_scale"])
+                  for c in payload.pop("chains")}
+        mpsrf = float(payload.pop("mpsrf"))
+        converged = bool(payload.pop("converged"))
+        meta = _revive(FitMetadata, payload)
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise FitFileError(f"metadata is missing or malformed: {exc}") from exc
+    return meta, chains, mpsrf, converged
 
 
 def loads(text: str) -> FitResult:
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_LINE:
-        raise FitFileError(f"first line must be {FORMAT_LINE!r}")
+        raise FitFileError(f"first line must be {FORMAT_LINE!r}; "
+                           "refit files of an older format with `tailcast fit`")
     if len(lines) < 3:
         raise FitFileError("file ends before the column header")
-    payload = _parse_meta(lines[1])
+    meta, chain_info, mpsrf, converged = _parse_meta(lines[1])
     if lines[2] != "#columns " + "\t".join(COLUMNS):
         raise FitFileError("unexpected column header")
-    meta = _rebuild_meta(payload)
 
     rows = lines[3:]
     if not any(rows):
@@ -200,23 +148,20 @@ def loads(text: str) -> FitResult:
     # a stable sort keeps each chain's draws in file order
     table = table[np.argsort(table[:, 0], kind="stable")]
     chain_ids, starts = np.unique(table[:, 0], return_index=True)
-    chain_info = {c["chain_id"]: c for c in payload.get("chains", [])}
     chains = []
     for chain_id, draws in zip(map(int, chain_ids), np.split(table, starts[1:])):
         if not np.array_equal(draws[:, 1], np.arange(len(draws))):
             raise FitFileError(f"chain {chain_id}: draw indices are not 0..{len(draws) - 1}")
-        info = chain_info.get(chain_id, {})
+        accept_rate, step_scale = chain_info.get(chain_id, (math.nan, math.nan))
         chains.append(PosteriorChain(
             chain_id=chain_id,
             mu=draws[:, 2],
             logN=draws[:, 3],
-            accept_rate=info.get("accept_rate", math.nan),
-            step_scale=info.get("step_scale", math.nan),
+            accept_rate=accept_rate,
+            step_scale=step_scale,
             sigma=draws[:, 4],
         ))
 
-    mpsrf = payload["mpsrf"]
-    mpsrf = math.inf if mpsrf == "inf" else float(mpsrf)
     pooled_mu, pooled_logN, pooled_sigma = _pool_draws(chains, meta.config.pool_size)
     return FitResult(
         event_id=meta.event.event_id,
@@ -225,7 +170,7 @@ def loads(text: str) -> FitResult:
         pooled_logN=pooled_logN,
         pooled_sigma=pooled_sigma,
         mpsrf=mpsrf,
-        converged=bool(payload["converged"]),
+        converged=converged,
         meta=meta,
     )
 

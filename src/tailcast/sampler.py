@@ -46,13 +46,6 @@ class SamplerConfig:
     step_scale: float = 0.001
     max_retunes: int = 25
     seed: int = 0
-    # Per-coordinate proposal multipliers for (mu, log N). The default is
-    # isotropic, matching a scalar-scale Metropolis step. The population
-    # coordinate is only weakly identified by a truncated tail, so giving it
-    # a larger proposal scale lets chains drift along the flat direction and
-    # inflate population estimates; the narrow mu width then keeps log N
-    # steps small enough to hold the sampled population near the data.
-    scale_ratio: tuple[float, float] = (1.0, 1.0)
     pool_size: int = 1000
 
     def __post_init__(self) -> None:
@@ -169,8 +162,8 @@ def tune_burn_in(target, config: SamplerConfig, init, rng=None) -> TunedState:
     scale = config.step_scale
     rate = math.nan
     for _ in range(config.max_retunes + 1):
-        scales = (scale * config.scale_ratio[0], scale * config.scale_ratio[1])
-        state, _, accepted = _run_steps(target, start, lp0, config.burn_in_steps, scales, rng)
+        state, _, accepted = _run_steps(target, start, lp0, config.burn_in_steps,
+                                        (scale, scale), rng)
         rate = accepted / config.burn_in_steps
         if config.accept_lo <= rate <= config.accept_hi:
             return TunedState(step_scale=scale, state=state, accept_rate=rate)
@@ -187,8 +180,7 @@ def run_chain(target, config: SamplerConfig, tuned: TunedState, rng=None,
     """Sample batches x batch_len steps, retaining each batch's final state."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    scales = (tuned.step_scale * config.scale_ratio[0],
-              tuned.step_scale * config.scale_ratio[1])
+    scales = (tuned.step_scale, tuned.step_scale)
     state = tuned.state
     lp = target(state)
     mu_draws = np.empty(config.batches)
@@ -217,7 +209,7 @@ def sample_lanes(target, config: SamplerConfig, tuned, rngs):
     of retained states and each lane's accepted-step count.
     """
     lanes, n = len(tuned), config.batch_len
-    scales = np.array([[t.step_scale * ratio for t in tuned] for ratio in config.scale_ratio])
+    scales = np.array([t.step_scale for t in tuned])
     state = np.empty((3, lanes))  # mu, log N and lp of every lane
     state[:2] = np.array([t.state for t in tuned], dtype=float).T
     cand = np.empty((3, lanes))

@@ -1,19 +1,17 @@
 """Synthetic corpora drawn from the model itself.
 
-Used by the test suite and by the bundled demo fixtures: performance lists
-whose true population parameters are known, either as a single windowed tail
-(the best `keep` of `population` draws) or as a dated multi-year history
-thresholded at a fixed qualifying mark, the way real top lists are built.
+Used by the test suite and the benchmark: performance lists whose true
+population parameters are known, each the best `keep` of `population`
+normal draws, dated uniformly over a span of years.
 """
 from __future__ import annotations
 
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distcore import std_normal_quantile
 from .ingest import (
     EventSpec,
     PerformanceList,
@@ -50,39 +48,6 @@ def tail_performance_list(event: EventSpec, tail: Sequence[float],
         RawMark(value=decode_mark(event, float(x)), date=start + timedelta(days=int(d)))
         for x, d in zip(tail, offsets)
     ]
-    return build_performance_list(event, records)
-
-
-def synth_event(event: EventSpec, mu: float, sigma: float,
-                attempts_by_year: Mapping[int, int], list_size: int,
-                seed) -> PerformanceList:
-    """A dated history kept above a fixed qualifying mark.
-
-    Each year contributes its scheduled number of attempts; every attempt
-    better than the qualifying mark goes on the list. The mark is chosen so
-    the expected list length equals list_size, which must stay below half
-    the total attempts to keep the list a genuine tail.
-    """
-    if not attempts_by_year:
-        raise ValueError("attempts_by_year is empty")
-    total = sum(attempts_by_year.values())
-    if not 1 <= list_size < total / 2:
-        raise ValueError(f"list_size must be in [1, {total // 2}), got {list_size}")
-    cut = mu + sigma * std_normal_quantile(list_size / total)
-    rng = np.random.default_rng(seed)
-    records = []
-    for year in sorted(attempts_by_year):
-        n = attempts_by_year[year]
-        if n < 1:
-            raise ValueError(f"year {year} has {n} attempts")
-        draws = rng.normal(mu, sigma, n)
-        kept = np.sort(draws[draws <= cut])
-        offsets = rng.integers(0, 365, len(kept))
-        start = date(year, 1, 1)
-        records.extend(
-            RawMark(value=decode_mark(event, float(x)), date=start + timedelta(days=int(d)))
-            for x, d in zip(kept, offsets)
-        )
     return build_performance_list(event, records)
 
 

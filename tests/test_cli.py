@@ -251,6 +251,25 @@ def test_usage_errors(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, extra, config", [
+    ("fit", [], "seed = abc"),
+    ("fit", [], "cutoff = abc"),
+    ("fit", [], "tf = abc"),
+    ("tables", ["--points", "10,abc"], ""),
+    ("backtest", ["--cutoff", "2015", "--windows", "0"], ""),
+    ("backtest", ["--cutoff", "2015", "--ranks", "7"], ""),
+    ("forecast", ["--tf", "nan"], ""),
+    ("forecast", ["--tf", "inf"], ""),
+])
+def test_bad_values_are_usage_errors(workspace, tmp_path, capsys, command, extra, config):
+    data_dir, out_dir = workspace
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + "\n")
+    assert main([command, "--config", str(cfg), "--data", str(data_dir),
+                 "--out", str(out_dir), *extra]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_fit_rejects_unusable_step_scale(workspace, tmp_path, capsys):
     data_dir, _ = workspace
     for bad in ("0", "nan", "inf"):

@@ -1,5 +1,11 @@
-"""Round-trip and validation tests for the tailcast-fit/1 text format."""
+"""Round-trip and validation tests for the tailcast-fit/2 text format.
+
+The metadata line is written from and read back into the FitMetadata,
+EventSpec, HyperPrior and SamplerConfig dataclasses by reflection; the
+round trips below pin that every field of them survives.
+"""
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -15,7 +21,8 @@ from tailcast.fitfile import (
     loads,
     save_fit,
 )
-from tailcast.sampler import PosteriorChain
+from tailcast.ingest import Direction, EventSpec, Unit
+from tailcast.sampler import PosteriorChain, SamplerConfig
 
 from conftest import make_fit
 
@@ -77,6 +84,47 @@ def test_round_trip_preserves_fields():
     assert np.array_equal(back.pooled_sigma, fit.pooled_sigma)
 
 
+def test_round_trip_every_metadata_field():
+    # every field off its default, so a field the format drops cannot hide
+    config = SamplerConfig(burn_in_steps=700, accept_lo=0.15, accept_hi=0.45, batches=90,
+                           batch_len=7, chains=4, step_scale=0.03, max_retunes=9,
+                           seed=123, pool_size=60)
+    prior = HyperPrior(mu_N=8.5, sigma2_N=1.7, provenance=Provenance.EMPIRICAL,
+                       contributing_events=("m0100", "m0200"))
+    event = EventSpec("wHJ", Direction.HIGHER_IS_BETTER, Unit.CENTIMETERS,
+                      display_name="Women's high jump")
+    for obj in (config, prior, event):
+        assert all(getattr(obj, f.name) != f.default for f in dataclasses.fields(obj)), obj
+    fit = sample_fit()
+    meta = dataclasses.replace(fit.meta, event=event, prior=prior, config=config, c_k=2.5,
+                               failed_chains=(2, 3), notes=("chain 2: failed",))
+    fit = dataclasses.replace(fit, event_id=event.event_id, meta=meta)
+    text = dumps(fit)
+    back = loads(text)
+    assert back.meta == fit.meta
+    assert dumps(back) == text
+
+
+def _edit_meta(edit):
+    """A sample fit file whose metadata payload went through edit(payload)."""
+    lines = dumps(sample_fit()).splitlines()
+    payload = json.loads(lines[1][len("#meta "):])
+    edit(payload)
+    lines[1] = "#meta " + json.dumps(payload)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda payload: payload.pop("mpsrf"),
+    lambda payload: payload.pop("converged"),
+    lambda payload: payload["chains"][0].pop("chain_id"),
+    lambda payload: payload["config"].update(no_such_setting=1.0),
+], ids=["no-mpsrf", "no-converged", "no-chain_id", "unknown-config-field"])
+def test_loads_rejects_bad_meta_keys(edit):
+    with pytest.raises(FitFileError, match="missing or malformed"):
+        loads(_edit_meta(edit))
+
+
 def test_infinite_mpsrf_survives():
     fit = sample_fit(mpsrf=math.inf)
     back = loads(dumps(fit))
@@ -103,6 +151,13 @@ def test_atomic_write_overwrites(tmp_path):
 def test_loads_rejects_wrong_format_line():
     with pytest.raises(FitFileError):
         loads("#something-else/9\n")
+
+
+def test_loads_rejects_format_1():
+    lines = dumps(sample_fit()).splitlines()
+    lines[0] = "#tailcast-fit/1"
+    with pytest.raises(FitFileError, match="refit .* with `tailcast fit`"):
+        loads("\n".join(lines) + "\n")
 
 
 def test_loads_rejects_truncated():
