@@ -15,18 +15,7 @@ from .backtest import (
     realized_improvement,
     run_backtest,
 )
-from .distcore import (
-    NormalParams,
-    PopulationParams,
-    ReparamOutOfDomain,
-    exceedance_prob,
-    log_posterior,
-    population_from_sigma,
-    sigma_from_population,
-    std_normal_cdf,
-    std_normal_quantile,
-    truncnorm_logpdf,
-)
+from .distcore import std_normal_cdf
 from .emprior import (
     HyperPrior,
     InsufficientEvents,
@@ -62,7 +51,6 @@ from .sampler import (
 from .stats import (
     AnchorNotFound,
     ForecastContext,
-    NotConverged,
     ReferenceMark,
     ScoreTable,
     UndefinedCorrelation,
@@ -96,14 +84,10 @@ __all__ = [
     "HyperPrior",
     "InsufficientEvents",
     "MissingOutcome",
-    "NormalParams",
-    "NotConverged",
     "PerformanceList",
-    "PopulationParams",
     "PosteriorChain",
     "RawMark",
     "ReferenceMark",
-    "ReparamOutOfDomain",
     "SamplerConfig",
     "ScoreTable",
     "TailcastError",
@@ -116,7 +100,6 @@ __all__ = [
     "build_score_table",
     "decode_mark",
     "encode_mark",
-    "exceedance_prob",
     "expected_best",
     "expected_exceedances",
     "expected_population",
@@ -125,10 +108,8 @@ __all__ = [
     "improvement",
     "load_fit",
     "load_performance_list",
-    "log_posterior",
     "mark_for_points",
     "pearson",
-    "population_from_sigma",
     "realized_exceedances",
     "realized_improvement",
     "record_probability",
@@ -137,10 +118,7 @@ __all__ = [
     "run_backtest",
     "save_fit",
     "score",
-    "sigma_from_population",
     "std_normal_cdf",
-    "std_normal_quantile",
-    "truncnorm_logpdf",
     "two_pass_fit",
     "write_list_file",
 ]

@@ -39,6 +39,20 @@ class DataMode(enum.Enum):
     FIVE_YEARS = "five-years"
 
 
+def fit_window(mode: DataMode, cutoff_year: int | None) -> tuple[DateWindow | None, float | None]:
+    """Ingestion window and t_m of a fit on the data before cutoff_year.
+
+    Five-year mode takes exactly the five years before the cutoff, t_m 5.0;
+    otherwise all data before the cutoff (all data, without one) and t_m
+    None, which lets each event's data span decide.
+    """
+    if mode is DataMode.FIVE_YEARS:
+        return DateWindow.years_before(cutoff_year, 5), 5.0
+    if cutoff_year is None:
+        return None, None
+    return DateWindow.before(cutoff_year), None
+
+
 @dataclass(frozen=True)
 class BacktestSpec:
     """What to hold out and what to predict."""
@@ -60,15 +74,6 @@ class BacktestSpec:
     @property
     def cutoff_date(self) -> date:
         return date(self.cutoff_year, 1, 1)
-
-    def fit_window(self) -> DateWindow:
-        if self.data_mode is DataMode.FIVE_YEARS:
-            return DateWindow.years_before(self.cutoff_year, 5)
-        return DateWindow.before(self.cutoff_year)
-
-    def fit_t_m(self) -> float | None:
-        """Exactly 5.0 for five-year mode; None lets the data span decide."""
-        return 5.0 if self.data_mode is DataMode.FIVE_YEARS else None
 
     def evaluation_window(self, length: int) -> DateWindow:
         return DateWindow.calendar_years(self.cutoff_year, self.cutoff_year + length - 1)
@@ -186,13 +191,13 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
         full[data.event.event_id] = data
     notes: dict[str, str] = {}
 
-    fit_window = spec.fit_window()
+    window, t_m = fit_window(spec.data_mode, spec.cutoff_year)
     pre_lists = []
     for event_id in sorted(full):
         data = full[event_id]
         try:
             pre_lists.append(
-                build_performance_list(data.event, list(data.records), window=fit_window)
+                build_performance_list(data.event, list(data.records), window=window)
             )
         except EmptyListError:
             _add_note(notes, event_id, "no marks before cutoff")
@@ -201,14 +206,14 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
             f"backtest needs >= 4 events with pre-cutoff data, have {len(pre_lists)}"
         )
 
-    result = two_pass_fit(pre_lists, config, t_m=spec.fit_t_m())
+    result = two_pass_fit(pre_lists, config, t_m=t_m)
     for event_id, msg in sorted(result.failures.items()):
         _add_note(notes, event_id, f"fit failed: {msg}")
 
     contexts: dict[int, dict[str, ForecastContext]] = {}
     for length in spec.windows:
         contexts[length] = {
-            event_id: ForecastContext(fit, t_f=float(length), force=True)
+            event_id: ForecastContext(fit, t_f=float(length))
             for event_id, fit in result.fits.items()
         }
     for event_id, fit in result.fits.items():

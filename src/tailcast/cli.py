@@ -18,6 +18,7 @@ from pathlib import Path
 from .backtest import (
     BacktestSpec,
     DataMode,
+    fit_window,
     render_detail_records,
     render_report_table,
     render_summary_records,
@@ -215,15 +216,6 @@ def _data_files(cfg: RunConfig) -> list[Path]:
     return [by_stem[e] for e in cfg.events]
 
 
-def _fit_window(cfg: RunConfig) -> tuple[DateWindow | None, float | None]:
-    """Ingestion window and forced t_m implied by mode/cutoff."""
-    if cfg.mode is DataMode.FIVE_YEARS:
-        return DateWindow.years_before(cfg.cutoff, 5), 5.0
-    if cfg.cutoff is not None:
-        return DateWindow.before(cfg.cutoff), None
-    return None, None
-
-
 def _load_corpus(cfg: RunConfig, window: DateWindow | None):
     lists = []
     skipped: dict[str, str] = {}
@@ -240,7 +232,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_fit(cfg: RunConfig) -> int:
-    window, t_m = _fit_window(cfg)
+    window, t_m = fit_window(cfg.mode, cfg.cutoff)
     lists, skipped = _load_corpus(cfg, window)
     for event_id, reason in sorted(skipped.items()):
         print(f"warning: skipping {event_id}: {reason}", file=sys.stderr)
@@ -322,7 +314,7 @@ def _context(fit: FitResult, t_f: float) -> ForecastContext:
     if not fit.converged:
         print(f"warning: {fit.event_id}: forecasting from an unconverged fit "
               f"(mpsrf={fit.mpsrf:.3f})", file=sys.stderr)
-    return ForecastContext(fit, t_f=t_f, force=True)
+    return ForecastContext(fit, t_f=t_f)
 
 
 def mile_partner(event_id: str) -> str | None:
@@ -338,14 +330,18 @@ def cmd_tables(cfg: RunConfig) -> int:
     fits = _load_fits(cfg)
     tables = []
     for event_id in sorted(fits):
-        ctx = _context(fits[event_id], cfg.t_f)
+        fit = fits[event_id]
+        ctx = _context(fit, cfg.t_f)
         population_logN = None
         partner = mile_partner(event_id)
         if partner is not None:
-            if partner in fits:
-                population_logN = fits[partner].pooled_logN
+            # Borrowing takes one partner draw per pooled draw of this fit.
+            borrowed = fits.get(partner)
+            if borrowed is not None and borrowed.pooled_size == fit.pooled_size:
+                population_logN = borrowed.pooled_logN
             else:
-                print(f"warning: {event_id}: no {partner} fit to borrow a population "
+                size = "" if borrowed is None else f" with {fit.pooled_size} pooled draws"
+                print(f"warning: {event_id}: no {partner} fit{size} to borrow a population "
                       "from; using its own", file=sys.stderr)
         tables.append(build_score_table(ctx, cfg.points, population_logN=population_logN))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -417,7 +413,7 @@ def cmd_backtest(cfg: RunConfig) -> int:
 
 
 def cmd_validate_data(cfg: RunConfig) -> int:
-    window, _ = _fit_window(cfg)
+    window, _ = fit_window(cfg.mode, cfg.cutoff)
     failures = 0
     for path in _data_files(cfg):
         try:

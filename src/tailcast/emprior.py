@@ -75,18 +75,13 @@ def min_subset_variance(values, subset_size: int) -> float:
 
 
 def robust_hyperprior(point_estimates) -> HyperPrior:
-    """Empirical prior from per-event posterior-mean population sizes.
+    """Empirical prior from a mapping event_id -> posterior-mean population E[N].
 
-    Accepts a mapping event_id -> E[N] or a plain iterable of estimates.
     Location is the median of the logs; scale is the minimum variance over
     the tightest ~75% contiguous subset, floored so the prior stays proper.
     """
-    if hasattr(point_estimates, "items"):
-        items = sorted(point_estimates.items())
-    else:
-        items = [(f"event{i}", v) for i, v in enumerate(point_estimates)]
     usable = []
-    for event_id, value in items:
+    for event_id, value in sorted(point_estimates.items()):
         if math.isfinite(value) and value > 0.0:
             usable.append((event_id, value))
         else:
@@ -126,7 +121,7 @@ class TwoPassResult:
     failures: dict[str, str]
 
 
-def fit_corpus(lists, prior: HyperPrior, config: SamplerConfig, t_m=None):
+def fit_corpus(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | None = None):
     """Fit every list under one prior, each event with its own event_seed.
 
     `t_m` is as for two_pass_fit. All events are sampled together (see
@@ -136,8 +131,7 @@ def fit_corpus(lists, prior: HyperPrior, config: SamplerConfig, t_m=None):
     """
     lists = list(lists)
     ids = [data.event.event_id for data in lists]
-    events = [(data, prior, event_seed(config.seed, event_id),
-               t_m.get(event_id) if hasattr(t_m, "get") else t_m)
+    events = [(data, prior, event_seed(config.seed, event_id), t_m)
               for data, event_id in zip(lists, ids)]
     fits: dict[str, FitResult] = {}
     failures: dict[str, str] = {}
@@ -149,22 +143,20 @@ def fit_corpus(lists, prior: HyperPrior, config: SamplerConfig, t_m=None):
     return fits, failures
 
 
-def two_pass_fit(all_events, config: SamplerConfig, t_m=None,
-                 second_prior: HyperPrior | None = None) -> TwoPassResult:
-    """Fit every event twice: weak prior, then the prior learned from pass 1.
+def two_pass_fit(lists, config: SamplerConfig, t_m: float | None = None) -> TwoPassResult:
+    """Fit every list twice: weak prior, then the prior learned from pass 1.
 
-    `t_m` may be a single float, a mapping event_id -> years, or None to
-    derive per event. `second_prior` overrides the learned prior (used by
-    plumbing tests); both passes reuse the same SamplerConfig and per-event
-    seeds, so identical priors reproduce identical fits.
+    `t_m` is one span in years for every event, or None to derive it per
+    event from its data. Both passes are fit_corpus runs with the same
+    SamplerConfig, so each event keeps its seed across them.
     """
-    lists = list(all_events.values() if hasattr(all_events, "values") else all_events)
+    lists = list(lists)
     if len(lists) < 4:
         raise InsufficientEvents(f"two-pass fitting needs >= 4 events, have {len(lists)}")
     weak = HyperPrior.weakly_informative()
     pass1_fits, failures1 = fit_corpus(lists, weak, config, t_m)
     estimates = {event_id: expected_population(fit) for event_id, fit in pass1_fits.items()}
-    prior = second_prior if second_prior is not None else robust_hyperprior(estimates)
+    prior = robust_hyperprior(estimates)
     pass2_fits, failures2 = fit_corpus(lists, prior, config, t_m)
     failures = dict(failures1)
     for event_id, msg in failures2.items():

@@ -311,20 +311,14 @@ def read_list_file(path: str | Path) -> tuple[EventSpec, list[RawMark]]:
     return event, records
 
 
-def load_performance_list(
-    path: str | Path,
-    event: EventSpec | None = None,
-    window: DateWindow | None = None,
-    c_k: float | None = None,
-) -> PerformanceList:
+def load_performance_list(path: str | Path, window: DateWindow | None = None) -> PerformanceList:
     """Load, window and encode one event's list from a canonical file."""
-    file_event, records = read_list_file(path)
-    spec = event if event is not None else file_event
+    event, records = read_list_file(path)
     try:
-        return build_performance_list(spec, records, window=window, c_k=c_k)
+        return build_performance_list(event, records, window=window)
     except EmptyListError:
         raise EmptyListError(
-            f"{spec.event_id}: no records from {Path(path).name} inside the requested window"
+            f"{event.event_id}: no records from {Path(path).name} inside the requested window"
         )
 
 

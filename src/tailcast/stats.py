@@ -31,10 +31,10 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(96)
 _NODES = 0.5 * (_GL_X + 1.0)
 _WEIGHTS = 0.5 * _GL_W
 _LOG_TAIL = math.log(1e-17)
-
-
-class NotConverged(TailcastError):
-    """The fit failed its convergence diagnostic and force was not set."""
+# anchor_mark: relative tolerance on the rate, and bracket extensions by one
+# mean sigma before giving up.
+_ANCHOR_REL_TOL = 1e-3
+_ANCHOR_EXPANSIONS = 60
 
 
 class AnchorNotFound(TailcastError):
@@ -47,30 +47,21 @@ class UndefinedCorrelation(TailcastError):
 
 @dataclass(frozen=True)
 class ForecastContext:
-    """A converged fit plus the forecast horizon its statistics refer to.
+    """A fit plus the forecast horizon t_f (years) its statistics refer to.
 
-    t_m is the span of data behind the fit (years) and defaults to the value
-    recorded at fit time; t_f is the forecast horizon in years. Forecasting
-    from an unconverged fit is refused unless force is set.
+    Rates are per year of the fit's own data span, fit.meta.t_m. Whether an
+    unconverged fit may be forecast from is the caller's decision.
     """
 
     fit: FitResult
     t_f: float
-    t_m: float | None = None
-    force: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t_f) and self.t_f >= 0.0):
             raise ValueError(f"t_f must be a nonnegative number of years, got {self.t_f}")
-        if self.t_m is None:
-            object.__setattr__(self, "t_m", self.fit.meta.t_m)
-        if not (math.isfinite(self.t_m) and self.t_m > 0.0):
-            raise ValueError(f"t_m must be a positive number of years, got {self.t_m}")
-        if not self.fit.converged and not self.force:
-            raise NotConverged(
-                f"{self.fit.event_id}: mpsrf={self.fit.mpsrf:.4g} >= 1.1; "
-                "pass force=True to forecast anyway"
-            )
+        t_m = self.fit.meta.t_m
+        if not (math.isfinite(t_m) and t_m > 0.0):
+            raise ValueError(f"t_m must be a positive number of years, got {t_m}")
 
     @property
     def event(self) -> EventSpec:
@@ -81,7 +72,7 @@ def expected_exceedances(ctx: ForecastContext, a: float) -> float:
     """Posterior-expected number of marks better than `a` per calendar year."""
     fit = ctx.fit
     z = (a - fit.pooled_mu) / fit.pooled_sigma
-    rates = np.exp(fit.pooled_logN) / ctx.t_m * std_normal_cdf(z)
+    rates = np.exp(fit.pooled_logN) / fit.meta.t_m * std_normal_cdf(z)
     return float(np.mean(rates))
 
 
@@ -95,7 +86,7 @@ def record_probability(ctx: ForecastContext, a: float) -> float:
     if ctx.t_f == 0.0:
         return 0.0
     fit = ctx.fit
-    exponent = ctx.t_f * np.exp(fit.pooled_logN) / ctx.t_m
+    exponent = ctx.t_f * np.exp(fit.pooled_logN) / fit.meta.t_m
     with np.errstate(invalid="ignore"):
         per_draw = -np.expm1(exponent * _min_log_survival(fit, a))
     return float(np.mean(per_draw))
@@ -121,7 +112,7 @@ def expected_best(ctx: ForecastContext) -> ExpectedBest:
     if ctx.t_f <= 0.0:
         raise ValueError("expected_best needs a positive forecast horizon")
     fit = ctx.fit
-    M = ctx.t_f * np.exp(fit.pooled_logN) / ctx.t_m
+    M = ctx.t_f * np.exp(fit.pooled_logN) / fit.meta.t_m
     a = ndtri_exp(_LOG_TAIL / M)              # Phi(a)^M = 1e-17
     b = -ndtri_exp(_LOG_TAIL - np.log(M))     # M (1 - Phi(b)) = 1e-17
     z = a[:, None] + (b - a)[:, None] * _NODES
@@ -175,8 +166,7 @@ def substituted_sigma_draws(ctx: ForecastContext, population_logN: np.ndarray):
 
 
 def anchor_mark(ctx: ForecastContext, target_rate: float = ANCHOR_RATE,
-                population_logN: np.ndarray | None = None,
-                rel_tol: float = 1e-3, max_expansions: int = 60) -> float:
+                population_logN: np.ndarray | None = None) -> float:
     """Transformed mark whose expected exceedance rate equals target_rate.
 
     Solved by bisection on the event's posterior rate curve. When
@@ -190,13 +180,13 @@ def anchor_mark(ctx: ForecastContext, target_rate: float = ANCHOR_RATE,
         mu, sigma, logN = fit.pooled_mu, fit.pooled_sigma, fit.pooled_logN
     else:
         mu, sigma, logN = substituted_sigma_draws(ctx, population_logN)
-    pop_per_year = np.exp(logN) / ctx.t_m
+    pop_per_year = np.exp(logN) / fit.meta.t_m
 
     def rate(a: float) -> float:
         return float(np.mean(pop_per_year * std_normal_cdf((a - mu) / sigma)))
 
     def solved(value: float) -> bool:
-        return abs(value - target_rate) <= rel_tol * target_rate
+        return abs(value - target_rate) <= _ANCHOR_REL_TOL * target_rate
 
     sigma_step = float(np.mean(sigma))
     lo = fit.meta.best_x - 5.0 * sigma_step
@@ -204,7 +194,7 @@ def anchor_mark(ctx: ForecastContext, target_rate: float = ANCHOR_RATE,
     r_hi = rate(hi)
     if solved(r_hi):
         return hi
-    for _ in range(max_expansions):
+    for _ in range(_ANCHOR_EXPANSIONS):
         if r_hi > target_rate:
             break
         hi += sigma_step
@@ -215,7 +205,7 @@ def anchor_mark(ctx: ForecastContext, target_rate: float = ANCHOR_RATE,
             f"after extending the bracket to {hi:.6g}"
         )
     r_lo = rate(lo)
-    for _ in range(max_expansions):
+    for _ in range(_ANCHOR_EXPANSIONS):
         if r_lo < target_rate:
             break
         lo -= sigma_step
@@ -256,28 +246,27 @@ class ScoreTable:
 
 
 def build_score_table(ctx: ForecastContext, points: Sequence[int] = DEFAULT_POINT_GRID,
-                      population_logN: np.ndarray | None = None,
-                      target_rate: float = ANCHOR_RATE) -> ScoreTable:
-    a0_x = anchor_mark(ctx, target_rate, population_logN=population_logN)
+                      population_logN: np.ndarray | None = None) -> ScoreTable:
+    a0_x = anchor_mark(ctx, population_logN=population_logN)
     event = ctx.fit.meta.event
     a0_raw = decode_mark(event, a0_x)
     rows = tuple((int(p), mark_for_points(event, a0_raw, p)) for p in sorted(set(points)))
     return ScoreTable(event=event, a0=a0_x, rows=rows, low_data=ctx.fit.meta.n_k < 20)
 
 
-def render_score_tables(tables: Sequence[ScoreTable], delimiter: str = "\t") -> str:
-    """Delimiter-separated table text, one event per line, marks event-native."""
+def render_score_tables(tables: Sequence[ScoreTable]) -> str:
+    """Tab-separated table text, one event per line, marks event-native."""
     if not tables:
         raise ValueError("no score tables to render")
     grids = {tuple(p for p, _ in t.rows) for t in tables}
     if len(grids) != 1:
         raise ValueError("score tables use differing point grids")
     (grid,) = grids
-    lines = [delimiter.join(["event"] + [str(p) for p in grid] + ["flags"])]
+    lines = ["\t".join(["event"] + [str(p) for p in grid] + ["flags"])]
     for t in tables:
         marks = [format_raw_mark(t.event, raw) for _, raw in t.rows]
         flags = "low_data" if t.low_data else ""
-        lines.append(delimiter.join([t.event_id] + marks + [flags]))
+        lines.append("\t".join([t.event_id] + marks + [flags]))
     return "\n".join(lines) + "\n"
 
 

@@ -12,6 +12,7 @@ from tailcast.backtest import (
     BacktestSpec,
     DataMode,
     MissingOutcome,
+    fit_window,
     realized_exceedances,
     realized_improvement,
     render_detail_records,
@@ -52,13 +53,11 @@ def test_spec_validation():
 
 
 def test_spec_windows():
-    allp = BacktestSpec(cutoff_year=CUTOFF)
-    assert allp.fit_window() == DateWindow.before(CUTOFF)
-    assert allp.fit_t_m() is None
+    assert fit_window(DataMode.ALL_PRIOR, CUTOFF) == (DateWindow.before(CUTOFF), None)
+    assert fit_window(DataMode.ALL_PRIOR, None) == (None, None)
+    assert fit_window(DataMode.FIVE_YEARS, CUTOFF) == (DateWindow.years_before(CUTOFF, 5), 5.0)
 
-    five = BacktestSpec(cutoff_year=CUTOFF, data_mode=DataMode.FIVE_YEARS)
-    assert five.fit_window() == DateWindow.years_before(CUTOFF, 5)
-    assert five.fit_t_m() == 5.0
+    allp = BacktestSpec(cutoff_year=CUTOFF)
 
     evaluation = allp.evaluation_window(2)
     assert evaluation.contains(date(2020, 1, 1))

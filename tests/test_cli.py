@@ -150,6 +150,25 @@ def test_tables_missing_mile_partner_warns(workspace, tmp_path, capsys):
     assert "no w1500m fit to borrow" in capsys.readouterr().err
 
 
+def test_tables_mile_partner_of_other_pool_size_warns(workspace, tmp_path, capsys):
+    # The mile borrows one 1500 m population draw per pooled draw, so a
+    # partner fit pooled to another size is passed over like a missing one.
+    data_dir, _ = workspace
+    out = tmp_path / "pools"
+    common = ["--data", str(data_dir), "--out", str(out)]
+    short = ["--prior", "weak", "--chains", "2", "--batches", "40", "--burn-in", "300"]
+    assert main(["fit", *common, "--events", "w1500m", "--pool-size", "60", *short]) == 0
+    assert main(["fit", *common, "--events", "w1mile", "--pool-size", "80", *short]) == 0
+    capsys.readouterr()
+    assert main(["tables", *common]) == 0
+    assert "no w1500m fit with 80 pooled draws to borrow" in capsys.readouterr().err
+    both = (out / "tables.tsv").read_text().splitlines()
+    assert main(["tables", *common, "--events", "w1mile"]) == 0
+    alone = (out / "tables.tsv").read_text().splitlines()
+    assert [line.split("\t")[0] for line in both] == ["event", "w1500m", "w1mile"]
+    assert both[2] == alone[1]
+
+
 def test_forecast_output(workspace):
     data_dir, out_dir = workspace
     code = main(["forecast", "--data", str(data_dir), "--out", str(out_dir),

@@ -1,5 +1,5 @@
-"""Numeric-kernel tests: cdf/quantile accuracy, the tail-mass
-reparametrization, and both log-posterior routes."""
+"""Numeric-kernel tests: cdf accuracy, the tail-mass identity, and the
+log-posterior targets, checked against the reference route in oracles.py."""
 import math
 from types import SimpleNamespace
 
@@ -8,32 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
+from scipy import stats as scipy_stats
 
 from tailcast.distcore import (
-    NormalParams,
-    PopulationParams,
-    ReparamOutOfDomain,
-    exceedance_prob,
-    gaussian_logpdf,
-    log_posterior,
     log_std_normal_cdf,
     make_lane_log_posterior,
     make_log_posterior,
-    population_from_sigma,
-    sigma_from_population,
     std_normal_cdf,
-    std_normal_quantile,
     tail_mass_sigma,
-    truncnorm_logpdf,
 )
 from tailcast.emprior import HyperPrior, Provenance
 
 from conftest import lane_events
+from oracles import gaussian_logpdf, log_posterior, truncnorm_logpdf
 
 # Reference values, frozen from high-precision evaluation (mpmath at 50
 # digits); they are independent of the scipy.special routines under test.
 PHI_MINUS_2 = 0.02275013194817922
-Q_975 = 1.9599639845400532
 Q_1E10 = -6.3613409024040575
 Q_125 = -1.1503493803760083
 LOG_2_PHI0 = -0.22579135264472738  # log(2 * N(0 | 0, 1))
@@ -87,25 +78,22 @@ def test_log_cdf_survives_deep_tail():
 
 
 def test_quantile_reference_points():
-    assert std_normal_quantile(0.5) == 0.0
-    assert std_normal_quantile(0.975) == pytest.approx(Q_975, abs=1e-9)
-    assert std_normal_quantile(1e-10) == pytest.approx(Q_1E10, abs=1e-8)
-    assert std_normal_quantile(0.125) == pytest.approx(Q_125, abs=1e-9)
+    # The quantile inside the tail-mass identity: with mu = 0, w_k = -1 and
+    # n_k/N = q, sigma = -1 / Phi^-1(q).
+    for q, z in ((1e-10, Q_1E10), (0.125, Q_125)):
+        assert tail_mass_sigma(0.0, -math.log(q), 1, -1.0) == pytest.approx(-1.0 / z, rel=5e-10)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.3, 1.7])
 def test_quantile_domain(p):
-    with pytest.raises(ValueError):
-        std_normal_quantile(p)
-    with pytest.raises(ValueError):
-        std_normal_quantile(np.array([0.5, p]))
-
-
-def test_quantile_array_shape():
-    ps = np.array([[0.1, 0.5], [0.9, 0.99]])
-    qs = std_normal_quantile(ps)
-    assert qs.shape == ps.shape
-    assert qs[0, 1] == 0.0
+    # Both targets take Phi^-1(n_k/N) only at tail fractions in (0, 0.5):
+    # n_k/N = p outside it, or a log N that is no number at all, never scores.
+    data = _toy_data([-0.1, -0.05, 0.0])
+    with np.errstate(all="ignore"):
+        y = float(np.log(data.n_k / np.float64(p)))
+        assert make_log_posterior(data, WEAK)((1.0, y)) == -math.inf
+        lp = make_lane_log_posterior([data], [WEAK])(np.array([1.0]), np.array([y]))
+    assert np.isnan(lp[0]) or lp[0] == -math.inf
 
 
 def test_cdf_quantile_roundtrip_grid():
@@ -116,13 +104,13 @@ def test_cdf_quantile_roundtrip_grid():
         1.0 - np.geomspace(1e-15, 0.4, 60),
     ])
     for p in ps:
-        assert abs(std_normal_cdf(std_normal_quantile(float(p))) - p) < 1e-10
+        assert abs(std_normal_cdf(special.ndtri(float(p))) - p) < 1e-10
 
 
 @given(st.floats(-8.0, 5.5))
 @settings(max_examples=200)
 def test_quantile_cdf_roundtrip(z):
-    assert std_normal_quantile(std_normal_cdf(z)) == pytest.approx(z, abs=1e-8)
+    assert special.ndtri(std_normal_cdf(z)) == pytest.approx(z, abs=1e-8)
 
 
 def test_quantile_cdf_roundtrip_upper_tail():
@@ -131,37 +119,18 @@ def test_quantile_cdf_roundtrip_upper_tail():
     # holds exactly there.
     for z in (5.5, 6.0, 7.0, 8.0):
         p = std_normal_cdf(z)
-        assert abs(std_normal_cdf(std_normal_quantile(p)) - p) < 1e-10
-
-
-def test_exceedance_prob():
-    params = NormalParams(mu=2.0, sigma2=4.0)
-    assert exceedance_prob(2.0, params) == 0.5
-    assert exceedance_prob(2.0 - 2.0 * 2.0, params) == pytest.approx(PHI_MINUS_2, abs=1e-15)
-    assert exceedance_prob(-1e6, params) == 0.0
-    grid = np.linspace(-4.0, 8.0, 100)
-    vals = [exceedance_prob(float(a), params) for a in grid]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_normal_params_validation():
-    with pytest.raises(ValueError):
-        NormalParams(mu=0.0, sigma2=0.0)
-    with pytest.raises(ValueError):
-        NormalParams(mu=0.0, sigma2=-1.0)
+        assert abs(std_normal_cdf(special.ndtri(p)) - p) < 1e-10
 
 
 def test_truncnorm_recovers_untruncated():
-    params = NormalParams(mu=1.3, sigma2=0.49)
     for x in (-0.5, 1.0, 1.3):
         full = gaussian_logpdf(x, 1.3, 0.49)
-        assert truncnorm_logpdf(x, params, math.inf) == pytest.approx(full, abs=1e-12)
+        assert truncnorm_logpdf(x, 1.3, 0.7, math.inf) == pytest.approx(full, abs=1e-12)
 
 
 def test_truncnorm_at_mean_cutoff():
-    params = NormalParams(mu=0.0, sigma2=1.0)
-    assert truncnorm_logpdf(0.0, params, 0.0) == pytest.approx(LOG_2_PHI0, abs=1e-13)
-    assert truncnorm_logpdf(0.1, params, 0.0) == -math.inf
+    assert truncnorm_logpdf(0.0, 0.0, 1.0, 0.0) == pytest.approx(LOG_2_PHI0, abs=1e-13)
+    assert truncnorm_logpdf(0.1, 0.0, 1.0, 0.0) == -math.inf
 
 
 def test_truncnorm_normalization_quadrature():
@@ -172,41 +141,31 @@ def test_truncnorm_normalization_quadrature():
         (10.0, 4.0, 22.0),
     ]
     for mu, sigma, c in cases:
-        params = NormalParams(mu=mu, sigma2=sigma * sigma)
         lo = min(mu, c) - 12.0 * sigma
         total, err = integrate.quad(
-            lambda x: math.exp(truncnorm_logpdf(x, params, c)),
+            lambda x: math.exp(truncnorm_logpdf(x, mu, sigma, c)),
             lo, c, limit=200,
         )
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
-def test_sigma_from_population_exact_identity():
+def test_tail_mass_sigma_exact_identity():
     # With tail fraction exactly Phi(-2) the identity gives sigma = (mu - w)/2.
     q = std_normal_cdf(-2.0)
-    p = PopulationParams(mu=0.0, N=91.0 / q, n_k=91, w_k=-2.0, t_m=1.0)
-    assert sigma_from_population(p) == pytest.approx(1.0, abs=1e-9)
-    p2 = PopulationParams(mu=5.0, N=10.0 / q, n_k=10, w_k=4.0, t_m=1.0)
-    assert sigma_from_population(p2) == pytest.approx(0.5, abs=1e-9)
+    assert tail_mass_sigma(0.0, math.log(91.0 / q), 91, -2.0) == pytest.approx(1.0, abs=1e-9)
+    assert tail_mass_sigma(5.0, math.log(10.0 / q), 10, 4.0) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_tail_mass_sigma_matches_scalar_identity():
+    # Per draw, Normal(mu, sigma^2) puts exactly n_k/N of its mass below w_k.
     rng = np.random.default_rng(7)
     mu = rng.uniform(0.5, 3.0, 50)
     log_n_pop = rng.uniform(math.log(250.0), 20.0, 50)
     sigma = tail_mass_sigma(mu, log_n_pop, 100, 0.2)
     for m, y, s in zip(mu, log_n_pop, sigma):
-        p = PopulationParams(mu=float(m), N=math.exp(y), n_k=100, w_k=0.2, t_m=1.0)
-        assert s == pytest.approx(sigma_from_population(p), rel=1e-12)
-
-
-def test_reparam_domain_errors():
-    with pytest.raises(ReparamOutOfDomain):
-        sigma_from_population(PopulationParams(mu=0.0, N=10.0, n_k=5, w_k=-1.0, t_m=1.0))
-    with pytest.raises(ReparamOutOfDomain):
-        sigma_from_population(PopulationParams(mu=0.0, N=100.0, n_k=5, w_k=0.5, t_m=1.0))
-    with pytest.raises(ValueError):
-        PopulationParams(mu=0.0, N=5.0, n_k=5, w_k=-1.0, t_m=1.0)
+        assert s > 0.0
+        tail = scipy_stats.norm.cdf(0.2, loc=m, scale=s)
+        assert tail == pytest.approx(100.0 * math.exp(-y), rel=1e-10)
 
 
 @given(
@@ -217,14 +176,12 @@ def test_reparam_domain_errors():
 )
 @settings(max_examples=300)
 def test_population_sigma_inverse_pair(mu, log_q, n_k, gap):
-    q = math.exp(log_q)
-    p = PopulationParams(mu=mu, N=n_k / q, n_k=n_k, w_k=mu - gap, t_m=1.0)
-    sigma = sigma_from_population(p)
+    n_pop = n_k / math.exp(log_q)
+    w_k = mu - gap
+    sigma = float(tail_mass_sigma(mu, math.log(n_pop), n_k, w_k))
     assert sigma > 0.0
-    back = population_from_sigma(mu, sigma, n_k, mu - gap)
-    assert back == pytest.approx(p.N, rel=1e-6)
-    # Eq-4-style identity in the other direction
-    assert std_normal_cdf((p.w_k - mu) / sigma) * p.N == pytest.approx(n_k, rel=1e-6)
+    # the identity read the other way: N = n_k / Phi((w_k - mu) / sigma)
+    assert n_k / std_normal_cdf((w_k - mu) / sigma) == pytest.approx(n_pop, rel=1e-6)
 
 
 def _toy_data(marks, c_k=None):
@@ -236,12 +193,14 @@ WEAK = HyperPrior.weakly_informative()
 
 
 def test_log_posterior_domain_walls():
-    data = _toy_data([-0.1, -0.05, 0.0])
-    assert log_posterior((1.0, math.log(2.0)), data, WEAK) == -math.inf  # N <= n_k
-    assert log_posterior((1.0, 701.0), data, WEAK) == -math.inf
-    assert log_posterior((1.0, -701.0), data, WEAK) == -math.inf
-    assert log_posterior((-2.0, math.log(1000.0)), data, WEAK) == -math.inf  # w_k >= mu
-    assert math.isfinite(log_posterior((1.0, math.log(1000.0)), data, WEAK))
+    target = make_log_posterior(_toy_data([-0.1, -0.05, 0.0]), WEAK)
+    assert target((1.0, math.log(2.0))) == -math.inf  # N <= n_k
+    assert target((1.0, math.log(5.0))) == -math.inf  # n_k/N >= 0.5
+    assert target((1.0, 701.0)) == -math.inf
+    assert target((1.0, -701.0)) == -math.inf
+    assert target((-2.0, math.log(1000.0))) == -math.inf  # w_k >= mu
+    assert target((0.0, math.log(1000.0))) == -math.inf
+    assert math.isfinite(target((1.0, math.log(1000.0))))
 
 
 def test_log_posterior_permutation_invariant():
@@ -249,10 +208,10 @@ def test_log_posterior_permutation_invariant():
     marks = list(rng.normal(0.0, 0.2, 40))
     data = _toy_data(marks)
     theta = (0.8, math.log(5000.0))
-    base = log_posterior(theta, data, WEAK)
+    base = make_log_posterior(data, WEAK)(theta)
     shuffled = list(marks)
     rng.shuffle(shuffled)
-    assert log_posterior(theta, _toy_data(shuffled, c_k=data.c_k), WEAK) == base
+    assert make_log_posterior(_toy_data(shuffled, c_k=data.c_k), WEAK)(theta) == base
 
 
 def test_log_posterior_single_point_near_boundary():
@@ -263,7 +222,7 @@ def test_log_posterior_single_point_near_boundary():
     data = _toy_data([0.0])
     theta = (delta, math.log(1.0 / q))
     prior_term = gaussian_logpdf(theta[1], WEAK.mu_N, WEAK.sigma2_N)
-    value = log_posterior(theta, data, WEAK)
+    value = make_log_posterior(data, WEAK)(theta)
     assert value - prior_term == pytest.approx(LOG_2_PHI0, abs=1e-5)
 
 
@@ -272,8 +231,8 @@ def test_log_posterior_doubling_data():
     data = _toy_data(marks)
     doubled = _toy_data(marks * 2)
     mu, n_pop = 0.9, 3000.0
-    lp1 = log_posterior((mu, math.log(n_pop)), data, WEAK)
-    lp2 = log_posterior((mu, math.log(2.0 * n_pop)), doubled, WEAK)
+    lp1 = make_log_posterior(data, WEAK)((mu, math.log(n_pop)))
+    lp2 = make_log_posterior(doubled, WEAK)((mu, math.log(2.0 * n_pop)))
     term1 = lp1 - gaussian_logpdf(math.log(n_pop), WEAK.mu_N, WEAK.sigma2_N)
     term2 = lp2 - gaussian_logpdf(math.log(2.0 * n_pop), WEAK.mu_N, WEAK.sigma2_N)
     assert term2 == pytest.approx(2.0 * term1, rel=1e-12)

@@ -77,8 +77,13 @@ def test_min_subset_variance_validation():
         min_subset_variance([1.0, 2.0, 3.0], 4)
 
 
+def _named(estimates):
+    """event_id -> estimate, the ids sorting in the order given."""
+    return {f"ev{i:02d}": value for i, value in enumerate(estimates)}
+
+
 def test_robust_hyperprior_known_values():
-    prior = robust_hyperprior([math.e, math.e**2, math.e**3, math.e**4])
+    prior = robust_hyperprior(_named([math.e, math.e**2, math.e**3, math.e**4]))
     assert prior.mu_N == pytest.approx(2.5)
     # tightest 75% window of {1,2,3,4} has 3 elements, variance 1.0 either way
     assert prior.sigma2_N == pytest.approx(1.0)
@@ -87,7 +92,7 @@ def test_robust_hyperprior_known_values():
 
 
 def test_robust_hyperprior_variance_floor():
-    prior = robust_hyperprior([50.0] * 6)
+    prior = robust_hyperprior(_named([50.0] * 6))
     assert prior.sigma2_N == VARIANCE_FLOOR
     assert prior.mu_N == pytest.approx(math.log(50.0))
 
@@ -98,7 +103,7 @@ def test_robust_hyperprior_ignores_extreme_outlier():
     logs = [8.0 + 0.05 * i for i in range(19)]
     logs[10] = logs[9]
     sane = [math.exp(v) for v in logs]
-    prior = robust_hyperprior(sane + [2.71e16])
+    prior = robust_hyperprior(_named(sane + [2.71e16]))
 
     assert prior.mu_N == (logs[9] + logs[10]) / 2.0 == logs[9]
     window = math.ceil(0.75 * 20)
@@ -121,7 +126,7 @@ def test_robust_hyperprior_discards_unusable():
 
 def test_robust_hyperprior_needs_four():
     with pytest.raises(InsufficientEvents):
-        robust_hyperprior([10.0, 20.0, 30.0])
+        robust_hyperprior(_named([10.0, 20.0, 30.0]))
 
 
 def test_event_seed_properties():
@@ -164,7 +169,7 @@ TINY = SamplerConfig(
 def test_two_pass_needs_four_lists():
     lists = _corpus(n_events=3)
     with pytest.raises(InsufficientEvents):
-        two_pass_fit(lists, TINY, t_m=1.0)
+        two_pass_fit(list(lists.values()), TINY, t_m=1.0)
 
 
 def test_fit_corpus_fit_does_not_depend_on_co_batched_events():
@@ -183,30 +188,9 @@ def test_fit_corpus_fit_does_not_depend_on_co_batched_events():
     assert dumps(abc["ev2"]) == dumps(ca["ev2"])
 
 
-def test_two_pass_weak_second_prior_reproduces_pass_one():
-    lists = _corpus()
-    res = two_pass_fit(
-        lists, TINY, t_m=1.0, second_prior=HyperPrior.weakly_informative()
-    )
-    assert res.prior.provenance is Provenance.WEAKLY_INFORMATIVE
-    for eid in lists:
-        assert np.array_equal(res.fits[eid].pooled_mu, res.pass1_fits[eid].pooled_mu)
-        assert np.array_equal(res.fits[eid].pooled_logN, res.pass1_fits[eid].pooled_logN)
-        assert res.fits[eid].mpsrf == res.pass1_fits[eid].mpsrf
-
-
-def test_two_pass_accepts_iterable_of_lists():
-    lists = _corpus()
-    by_map = two_pass_fit(lists, TINY, t_m=1.0)
-    as_iter = two_pass_fit(list(lists.values()), TINY, t_m=1.0)
-    assert by_map.prior == as_iter.prior
-    for eid in lists:
-        assert np.array_equal(by_map.fits[eid].pooled_mu, as_iter.fits[eid].pooled_mu)
-
-
 def test_two_pass_wires_prior_and_estimates():
     lists = _corpus()
-    res = two_pass_fit(lists, TINY, t_m=1.0)
+    res = two_pass_fit(list(lists.values()), TINY, t_m=1.0)
     assert res.prior.provenance is Provenance.EMPIRICAL
     assert set(res.prior.contributing_events) == set(lists)
     assert set(res.pass1_estimates) == set(lists)
@@ -214,6 +198,13 @@ def test_two_pass_wires_prior_and_estimates():
         assert res.fits[eid].meta.prior is res.prior
         assert res.pass1_fits[eid].meta.prior.provenance is Provenance.WEAKLY_INFORMATIVE
     assert res.failures == {}
+    # Each pass is a fit_corpus run with the one config and per-event seeds,
+    # so refitting under that pass's prior reproduces its fits.
+    for prior, fits in ((HyperPrior.weakly_informative(), res.pass1_fits),
+                        (res.prior, res.fits)):
+        again, failures = fit_corpus(list(lists.values()), prior, TINY, t_m=1.0)
+        assert failures == {}
+        assert {e: dumps(f) for e, f in again.items()} == {e: dumps(f) for e, f in fits.items()}
 
 
 def test_two_pass_shrinks_pathological_event():
@@ -234,7 +225,7 @@ def test_two_pass_shrinks_pathological_event():
     config = SamplerConfig(
         burn_in_steps=400, batches=200, batch_len=10, chains=3, pool_size=400, seed=17
     )
-    res = two_pass_fit(lists, config, t_m=1.0)
+    res = two_pass_fit(list(lists.values()), config, t_m=1.0)
     assert res.failures == {}
 
     pass1 = res.pass1_estimates

@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtri
 
-from tailcast.distcore import std_normal_cdf, std_normal_quantile
+from tailcast.distcore import std_normal_cdf
 from tailcast.ingest import EventSpec, RawMark, build_performance_list
 from tailcast.stats import (
     ANCHOR_RATE,
     AnchorNotFound,
     ForecastContext,
-    NotConverged,
     ReferenceMark,
     UndefinedCorrelation,
     anchor_mark,
@@ -38,7 +37,7 @@ MU = math.log(11.28)
 SIG = 0.033
 N_K = 300
 N_POP = 20_000
-W_K = MU + SIG * std_normal_quantile(N_K / N_POP)
+W_K = MU + SIG * ndtri(N_K / N_POP)
 
 # expected minimum of M i.i.d. standard normals, frozen from a quadrature
 # evaluation of the order-statistic integral in a scratch session
@@ -54,28 +53,26 @@ def event_ctx(t_f=1.0, **kwargs):
     defaults = dict(n_k=N_K, w_k=W_K, best_x=MU - 0.15)
     defaults.update(kwargs)
     fit = point_mass_fit(MU, SIG, math.log(N_POP), **defaults)
-    return ForecastContext(fit, t_f=t_f, t_m=1.0)
+    return ForecastContext(fit, t_f=t_f)
 
 
 def unit_ctx(M, t_f=1.0):
     fit = point_mass_fit(0.0, 1.0, math.log(M), n_k=10, w_k=-0.5, best_x=-4.0)
-    return ForecastContext(fit, t_f=t_f, t_m=1.0)
+    return ForecastContext(fit, t_f=t_f)
 
 
 def test_context_validation():
     good = point_mass_fit(MU, SIG, 9.0, n_k=N_K, w_k=W_K, t_m=2.5)
-    assert ForecastContext(good, t_f=1.0).t_m == 2.5  # falls back to the fit
-    assert ForecastContext(good, t_f=1.0, t_m=4.0).t_m == 4.0
+    assert ForecastContext(good, t_f=1.0).fit is good
     with pytest.raises(ValueError):
         ForecastContext(good, t_f=-1.0)
-    with pytest.raises(ValueError):
-        ForecastContext(good, t_f=1.0, t_m=0.0)
+    for t_m in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ForecastContext(point_mass_fit(MU, SIG, 9.0, t_m=t_m), t_f=1.0)
 
+    # an unconverged fit still forecasts; warning about it is the caller's job
     bad = point_mass_fit(MU, SIG, 9.0, n_k=N_K, w_k=W_K, mpsrf=2.0)
-    with pytest.raises(NotConverged):
-        ForecastContext(bad, t_f=1.0)
-    forced = ForecastContext(bad, t_f=1.0, force=True)
-    assert forced.fit is bad
+    assert ForecastContext(bad, t_f=1.0).fit is bad
 
 
 def test_exceedances_point_mass_analytic():
@@ -90,7 +87,7 @@ def test_exceedances_tail_mass_identity_at_worst_mark():
     # reproduce n_k/t_m to numerical precision
     ctx = event_ctx()
     assert expected_exceedances(ctx, W_K) == pytest.approx(N_K, rel=1e-12)
-    half = ForecastContext(ctx.fit, t_f=1.0, t_m=2.0)
+    half = event_ctx(t_m=2.0)
     assert expected_exceedances(half, W_K) == pytest.approx(N_K / 2.0, rel=1e-12)
 
 
@@ -107,7 +104,7 @@ def test_exceedances_match_simulated_seasons():
     # independent oracle: draw whole seasons of performances and count them
     pop, a = 500, -2.5
     fit = point_mass_fit(0.0, 1.0, math.log(pop), n_k=10, w_k=-2.0, best_x=-4.0)
-    ctx = ForecastContext(fit, t_f=1.0, t_m=1.0)
+    ctx = ForecastContext(fit, t_f=1.0)
 
     rng = np.random.default_rng(91)
     seasons, chunk, total = 200_000, 2_000, 0
@@ -140,10 +137,10 @@ def test_record_probability_closed_form():
     # tail mass 1e-6 per draw, one million future performances
     M = 1e6
     fit = point_mass_fit(0.0, 1.0, math.log(M), n_k=10, w_k=-0.5)
-    ctx = ForecastContext(fit, t_f=1.0, t_m=1.0)
-    a = std_normal_quantile(1e-6)
+    ctx = ForecastContext(fit, t_f=1.0)
+    a = ndtri(1e-6)
     assert record_probability(ctx, a) == pytest.approx(ONE_MINUS_INV_E_ISH, abs=1e-6)
-    assert record_probability(ForecastContext(fit, t_f=0.0, t_m=1.0), a) == 0.0
+    assert record_probability(ForecastContext(fit, t_f=0.0), a) == 0.0
 
 
 def test_record_probability_dense_tail_is_likely():
@@ -151,8 +148,8 @@ def test_record_probability_dense_tail_is_likely():
     # three expected exceedances per year make a new record odds-on
     pop = 5e5
     fit = point_mass_fit(0.0, 1.0, math.log(pop), n_k=50, w_k=-2.0, best_x=-4.5)
-    ctx = ForecastContext(fit, t_f=1.0, t_m=1.0)
-    a = std_normal_quantile(3.0 / pop)
+    ctx = ForecastContext(fit, t_f=1.0)
+    a = ndtri(3.0 / pop)
     assert record_probability(ctx, a) > 0.5
 
 
@@ -210,7 +207,7 @@ def test_expected_best_bimodal_density_is_component_mean():
         w_k=9.0,
         best_x=-1.5,
     )
-    ctx = ForecastContext(fit, t_f=1.0, t_m=1.0)
+    ctx = ForecastContext(fit, t_f=1.0)
     oracles = [mu_c + 0.5 * EXPECTED_MIN[10] for mu_c in component_mu]
     assert expected_best(ctx).x == pytest.approx(np.mean(oracles), abs=1e-10)
 
@@ -299,7 +296,7 @@ def test_improvement_values():
 def test_anchor_mark_point_mass_analytic():
     ctx = event_ctx()
     got = anchor_mark(ctx)
-    want = MU + SIG * std_normal_quantile(ANCHOR_RATE / N_POP)
+    want = MU + SIG * ndtri(ANCHOR_RATE / N_POP)
     assert got == pytest.approx(want, abs=1e-4)
     residual = expected_exceedances(ctx, got)
     assert abs(residual - ANCHOR_RATE) <= 1e-3 * ANCHOR_RATE
@@ -324,7 +321,7 @@ def test_substituted_sigma_draws_recomputes_identity():
     borrowed = np.full(ctx.fit.pooled_size, math.log(4.0 * N_POP))
     mu, sigma, logN = substituted_sigma_draws(ctx, borrowed)
     assert len(mu) == len(sigma) == len(logN) == ctx.fit.pooled_size
-    z = std_normal_quantile(N_K / (4.0 * N_POP))
+    z = ndtri(N_K / (4.0 * N_POP))
     assert sigma == pytest.approx((W_K - MU) / z, rel=1e-12)
 
     with pytest.raises(ValueError):
@@ -427,7 +424,7 @@ def test_statistics_stable_under_pool_size(rng):
     n_big = 4000
     mu = rng.normal(MU, 0.01, n_big)
     logN = rng.normal(math.log(N_POP), 0.15, n_big)
-    z = std_normal_quantile(N_K * np.exp(-logN))
+    z = ndtri(N_K * np.exp(-logN))
     sigma = (W_K - mu) / z
     fits = {
         n: make_fit(mu[:n], logN[:n], sigma[:n], n_k=N_K, w_k=W_K, best_x=MU - 0.15)
@@ -436,7 +433,7 @@ def test_statistics_stable_under_pool_size(rng):
     probe = W_K - 0.05
 
     def rel_gap(fn):
-        small, big = (fn(ForecastContext(fits[n], t_f=1.0, t_m=1.0)) for n in (1000, n_big))
+        small, big = (fn(ForecastContext(fits[n], t_f=1.0)) for n in (1000, n_big))
         return abs(small - big) / abs(big)
 
     assert rel_gap(lambda c: expected_exceedances(c, probe)) < 0.02
