@@ -198,13 +198,27 @@ def test_two_pass_wires_prior_and_estimates():
         assert res.fits[eid].meta.prior is res.prior
         assert res.pass1_fits[eid].meta.prior.provenance is Provenance.WEAKLY_INFORMATIVE
     assert res.failures == {}
-    # Each pass is a fit_corpus run with the one config and per-event seeds,
-    # so refitting under that pass's prior reproduces its fits.
-    for prior, fits in ((HyperPrior.weakly_informative(), res.pass1_fits),
-                        (res.prior, res.fits)):
-        again, failures = fit_corpus(list(lists.values()), prior, TINY, t_m=1.0)
-        assert failures == {}
-        assert {e: dumps(f) for e, f in again.items()} == {e: dumps(f) for e, f in fits.items()}
+    # Pass two is a fit_corpus run with the one config and per-event seeds,
+    # so refitting under the empirical prior reproduces its fits.
+    again, failures = fit_corpus(list(lists.values()), res.prior, TINY, t_m=1.0)
+    assert failures == {}
+    assert {e: dumps(f) for e, f in again.items()} == {e: dumps(f) for e, f in res.fits.items()}
+
+
+def test_two_pass_weak_second_prior_reproduces_pass_one():
+    # A second pass run under the weak prior is fit_corpus with the same
+    # config and per-event seeds as pass one, so it reproduces pass one.
+    lists = _corpus()
+    res = two_pass_fit(list(lists.values()), TINY, t_m=1.0)
+    weak = HyperPrior.weakly_informative()
+    again, failures = fit_corpus(list(lists.values()), weak, TINY, t_m=1.0)
+    assert failures == {}
+    for eid in lists:
+        assert again[eid].meta.prior.provenance is Provenance.WEAKLY_INFORMATIVE
+        assert np.array_equal(again[eid].pooled_mu, res.pass1_fits[eid].pooled_mu)
+        assert np.array_equal(again[eid].pooled_logN, res.pass1_fits[eid].pooled_logN)
+        assert again[eid].mpsrf == res.pass1_fits[eid].mpsrf
+        assert dumps(again[eid]) == dumps(res.pass1_fits[eid])
 
 
 def test_two_pass_shrinks_pathological_event():
