@@ -4,9 +4,9 @@ The standard normal cdf and log-cdf are scipy.special's ndtr and log_ndtr,
 and take floats or numpy arrays alike. On top of them: the tail-mass
 identity linking population size N to the spread sigma (`tail_mass_sigma`,
 over posterior draws), and the model log-posterior over theta = (mu, log N)
-in the two forms the sampler runs: one chain at a time for burn-in
-(`make_log_posterior`) and many chains as numpy lanes for retained sampling
-(`make_lane_log_posterior`).
+in two forms: one chain at a time (`make_log_posterior`), for chain
+initialization and the scalar reference sampler, and many chains as numpy
+lanes (`make_lane_log_posterior`), for burn-in and retained sampling.
 """
 from __future__ import annotations
 
@@ -16,8 +16,6 @@ import numpy as np
 from scipy import special
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_SQRT2 = math.sqrt(2.0)
-_SQRT_HALF = math.sqrt(0.5)
 
 
 def std_normal_cdf(z):
@@ -93,15 +91,19 @@ def make_log_posterior(data, prior):
 
 def make_lane_log_posterior(lists, priors):
     """The log-posterior of many chains at once: lane i scores lists[i]
-    under priors[i], and target(mu, log_n_pop) maps two arrays over the
-    lanes to an array of log-posteriors.
+    under priors[i], and target(mu, log_n_pop, out=None) maps two arrays
+    over the lanes to an array of log-posteriors, written into `out` when
+    one is given.
 
     The sufficient statistics are held per lane with the constants folded,
     and each lane's value is an elementwise function of its own list, prior
     and point, never of the other lanes. The order of operations differs
-    from make_log_posterior, so the two agree to round-off. Every lane
-    outside the domain comes out nan or -inf: log(mu - w_k) is nan below
-    w_k, and log(-ndtri(q)) is nan or -inf for q = n_k/N >= 0.5. Only
+    from make_log_posterior, so the two agree to round-off. The target works
+    in k = min(Phi^-1(q), 0)/(w_k - mu) with q = n_k/N, which is 1/sigma
+    inside the domain. Every lane outside it comes out nan or -inf: k is
+    negative, zero, infinite or nan wherever mu <= w_k, q >= 0.5 or q > 1,
+    and the target takes log(k), never log(k*k). The clamp at 0 matters
+    below w_k with 0.5 < q < 1, where both factors of k change sign. Only
     log N >= 700 needs an explicit guard: the scalar target rejects it, but
     there q is a tiny positive number that the quantile maps to a finite value.
     """
@@ -113,14 +115,12 @@ def make_lane_log_posterior(lists, priors):
                       ((marks - mean_x) ** 2).sum() / data.n_k,
                       prior.mu_N, prior.sigma2_N))
     n, w_k, c_k, mean_x, var_x, mu_n, sigma2_n = np.array(stats, dtype=float).T
-    # Per mark, with d = mu - w_k, r = -ndtri(q)/sqrt(2) (so sigma = d/(r sqrt 2))
-    # and y = log N, the log-posterior is
-    #   log(r/d) - (var_x + (mean_x - mu)^2) (r/d)^2 - log_tail + y (a - b y) + const,
+    # Per mark, with k = 1/sigma and y = log N, the log-posterior is
+    #   log(k) - (var_x + (mean_x - mu)^2) k^2 / 2 - log_tail + y (a - b y) + const,
     # where y (a - b y) - b mu_N^2 is the prior's -(y - mu_N)^2 / (2 sigma2_N n_k).
     b = 0.5 / (sigma2_n * n)
     a = 2.0 * b * mu_n
-    const = (0.5 * math.log(2.0) - 0.5 * _LOG_2PI - b * mu_n * mu_n
-             - 0.5 * np.log(2.0 * math.pi * sigma2_n) / n)
+    const = -0.5 * _LOG_2PI - b * mu_n * mu_n - 0.5 * np.log(2.0 * math.pi * sigma2_n) / n
     log_n = np.log(n)
     # Truncation mass: at c_k == w_k it is exactly q, so -log_tail = y - log n_k.
     # Lanes truncated further out (c_k > w_k) take log_ndtr instead.
@@ -129,19 +129,34 @@ def make_lane_log_posterior(lists, priors):
     const -= np.where(cut, 0.0, log_n)
     any_cut = bool(cut.any())
     # Array operands: a Python float operand is converted again on every call.
-    cap = np.full(len(n), 700.0)
-    reject = np.full(len(n), -math.inf)
+    lanes = len(n)
+    zero, half = np.zeros(lanes), np.full(lanes, 0.5)
+    cap, reject = np.full(lanes, 700.0), np.full(lanes, -math.inf)
+    q, k, s = np.empty(lanes), np.empty(lanes), np.empty(lanes)
     log_ndtr, ndtri = special.log_ndtr, special.ndtri
 
-    def target(mu, log_n_pop):
-        r = ndtri(np.exp(log_n - log_n_pop)) * -_SQRT_HALF
-        d = mu - w_k
-        r_d = r / d
-        dev = mean_x - mu
-        per_mark = np.log(r) - np.log(d) - (var_x + dev * dev) * (r_d * r_d)
+    def target(mu, log_n_pop, out=None):
+        # The closure's scratch arrays take explicit out= calls: an augmented
+        # assignment would make them local names.
+        np.exp(np.subtract(log_n, log_n_pop, out=q), out=q)
+        np.minimum(ndtri(q, out=q), zero, out=q)
+        np.divide(q, np.subtract(w_k, mu, out=k), out=k)
+        np.subtract(mean_x, mu, out=s)
+        np.multiply(s, s, out=s)
+        np.add(s, var_x, out=s)
+        np.multiply(s, np.multiply(k, k, out=q), out=s)
+        np.multiply(s, half, out=s)
+        out = np.log(k, out=out)
+        out -= s
         if any_cut:
-            per_mark -= np.where(cut, log_ndtr((c_k - mu) * r_d * _SQRT2), 0.0)
-        lp = n * (per_mark + log_n_pop * (a - b * log_n_pop) + const)
-        return np.where(log_n_pop < cap, lp, reject)
+            out -= np.where(cut, log_ndtr((c_k - mu) * k), 0.0)
+        np.multiply(b, log_n_pop, out=q)
+        np.subtract(a, q, out=q)
+        np.multiply(q, log_n_pop, out=q)
+        np.add(q, const, out=q)
+        out += q
+        out *= n
+        np.copyto(out, reject, where=log_n_pop >= cap)
+        return out
 
     return target

@@ -5,6 +5,11 @@ burn-ins that double or halve the proposal scale until the acceptance
 rate lands in [0.2, 0.4], then samples in batches, retaining the final
 state of each batch. Convergence across chains is assessed with the
 multivariate potential scale reduction factor.
+
+tune_burn_in and run_chain run one chain on Python floats; they are the
+reference the pipeline must match bit for bit. fit_events runs every chain
+of every event as numpy lanes instead: tune_lanes runs each chain's next
+retune rounds side by side, and sample_lanes steps the tuned chains together.
 """
 from __future__ import annotations
 
@@ -20,6 +25,13 @@ from .errors import TailcastError
 if TYPE_CHECKING:
     from .emprior import HyperPrior
     from .ingest import EventSpec
+
+# Retune rounds each chain still tuning runs at once in a burn-in wave, along
+# its current doubling or halving path. Speed only: the draws never depend on it.
+_SPECULATION = 8
+# Steps per block of generator draws in a burn-in wave, so the draw arrays hold
+# lanes x _CHUNK x 3 doubles instead of whole rounds.
+_CHUNK = 100
 
 
 class TuningFailed(TailcastError):
@@ -54,6 +66,13 @@ class SamplerConfig:
         for name in ("burn_in_steps", "batches", "batch_len", "chains", "pool_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        # A round's rate is accepted/burn_in_steps; with too few steps no count lands
+        # in the band, and every chain would run out its retunes. The first count at
+        # or above accept_lo is within one of ceil(accept_lo * steps).
+        n, first = self.burn_in_steps, math.ceil(self.accept_lo * self.burn_in_steps)
+        if not any(self.accept_lo <= a / n <= self.accept_hi for a in (first - 1, first, first + 1)):
+            raise ValueError(f"burn_in_steps {n} gives no acceptance rate in "
+                             f"[{self.accept_lo}, {self.accept_hi}]")
         # A zero or non-finite scale never moves a chain, however often it is retuned.
         if not (math.isfinite(self.step_scale) and self.step_scale > 0.0):
             raise ValueError(f"step_scale must be positive and finite, got {self.step_scale}")
@@ -168,7 +187,11 @@ def tune_burn_in(target, config: SamplerConfig, init, rng=None) -> TunedState:
         if config.accept_lo <= rate <= config.accept_hi:
             return TunedState(step_scale=scale, state=state, accept_rate=rate)
         scale = scale * 2.0 if rate > config.accept_hi else scale * 0.5
-    raise TuningFailed(
+    raise _tuning_failed(config, rate)
+
+
+def _tuning_failed(config: SamplerConfig, rate: float) -> TuningFailed:
+    return TuningFailed(
         f"no acceptance rate in [{config.accept_lo}, {config.accept_hi}] after "
         f"{config.max_retunes} retunes (last rate {rate:.3f})",
         last_rate=rate,
@@ -196,6 +219,41 @@ def run_chain(target, config: SamplerConfig, tuned: TunedState, rng=None,
                           accept_rate=rate, step_scale=tuned.step_scale)
 
 
+def _step_lanes(target, state, scales, n_steps, normals, uniforms, accepted):
+    """Advance every lane of `state` n_steps in place; the one Metropolis
+    step of sample_lanes and the burn-in waves of tune_lanes.
+
+    `state` is (3, lanes): mu, log N and lp. Lane i draws its (n_steps, 2)
+    increments from normals[i], then its n_steps uniforms from uniforms[i],
+    which is _run_steps' order when the two are one generator, and adds its
+    accepted-step count to accepted[i]. The caller holds np.errstate.
+    """
+    lanes = state.shape[1]
+    incs = np.empty((lanes, n_steps, 2))
+    us = np.empty((lanes, n_steps))
+    for inc, u, normal_rng, uniform_rng in zip(incs, us, normals, uniforms):
+        normal_rng.standard_normal(out=inc)
+        uniform_rng.random(out=u)
+    # Row t of steps holds step t of every lane, mu block then log N block,
+    # laid out like state[:2], so one flat add moves every lane.
+    steps = np.multiply(incs.transpose(1, 2, 0), scales, order="C").reshape(n_steps, -1)
+    # np.log over one contiguous block, as in _run_steps: a strided or scalar
+    # log can differ in the last ulp.
+    log_us = np.ascontiguousarray(np.log(us).T)
+    accepts = np.empty((n_steps, lanes), dtype=bool)
+    cand = np.empty_like(state)
+    # Views and buffers made once: each slice or temporary costs a call per step.
+    pos, lp, cand_pos = state[:2].reshape(-1), state[2], cand[:2].reshape(-1)
+    cand_mu, cand_y, cand_lp = cand
+    gain = np.empty(lanes)
+    for step, log_u, accept in zip(steps, log_us, accepts):
+        np.add(pos, step, out=cand_pos)
+        target(cand_mu, cand_y, out=cand_lp)
+        np.less(log_u, np.subtract(cand_lp, lp, out=gain), out=accept)
+        np.copyto(state, cand, where=accept)
+    accepted += accepts.sum(axis=0)
+
+
 def sample_lanes(target, config: SamplerConfig, tuned, rngs):
     """run_chain for many chains at once, stepped together as numpy lanes.
 
@@ -208,35 +266,91 @@ def sample_lanes(target, config: SamplerConfig, tuned, rngs):
     near-exact tie. Returns (mu, logN, accepted): (lanes, batches) arrays
     of retained states and each lane's accepted-step count.
     """
-    lanes, n = len(tuned), config.batch_len
+    lanes = len(tuned)
     scales = np.array([t.step_scale for t in tuned])
     state = np.empty((3, lanes))  # mu, log N and lp of every lane
     state[:2] = np.array([t.state for t in tuned], dtype=float).T
-    cand = np.empty((3, lanes))
-    incs = np.empty((lanes, n, 2))
-    us = np.empty((lanes, n))
     mu_draws = np.empty((lanes, config.batches))
     y_draws = np.empty((lanes, config.batches))
     accepted = np.zeros(lanes, dtype=np.int64)
     with np.errstate(all="ignore"):
-        state[2] = target(state[0], state[1])
+        target(state[0], state[1], out=state[2])
         for b in range(config.batches):
-            for inc, u, rng in zip(incs, us, rngs):
-                rng.standard_normal(out=inc)
-                rng.random(out=u)
-            steps = incs.transpose(1, 2, 0) * scales
-            # np.log over one contiguous block, as in _run_steps: a strided or
-            # scalar log can differ in the last ulp.
-            log_us = np.log(us).T
-            for step, log_u in zip(steps, log_us):
-                np.add(state[:2], step, out=cand[:2])
-                cand[2] = target(cand[0], cand[1])
-                accept = log_u < cand[2] - state[2]
-                np.copyto(state, cand, where=accept)
-                accepted += accept
+            _step_lanes(target, state, scales, config.batch_len, rngs, rngs, accepted)
             mu_draws[:, b] = state[0]
             y_draws[:, b] = state[1]
     return mu_draws, y_draws, accepted
+
+
+def _clone(rng: np.random.Generator) -> np.random.Generator:
+    """An independent generator at rng's position."""
+    copy = np.random.Generator(type(rng.bit_generator)(0))
+    copy.bit_generator.state = rng.bit_generator.state
+    return copy
+
+
+def tune_lanes(lists, priors, config: SamplerConfig, inits, rngs) -> list:
+    """tune_burn_in for many chains at once, each retune round one numpy lane.
+
+    Chain i scores lists[i] under priors[i], starts every round from
+    inits[i] and draws from rngs[i], which it leaves where tune_burn_in
+    would: after the last round the chain used. A round's outcome depends
+    only on its scale and its own block of the chain's draws. So burn-in
+    runs in waves: every chain still tuning speculates that its next rounds
+    retune the way its last one did (doubling before any round) and runs up
+    to _SPECULATION of them at once, lane j on the normals and uniforms of
+    round r + j, drawn from two generators placed at that round's blocks.
+    Reading each chain's lanes in order under tune_burn_in's rule then gives
+    tune_burn_in's result: the first rate in the band tunes the chain, a
+    retune the other way starts its next wave, and a miss at round
+    max_retunes fails it. Returns each chain's TunedState or TuningFailed.
+    """
+    n, lo, hi = config.burn_in_steps, config.accept_lo, config.accept_hi
+    results: list = [None] * len(inits)
+    pending = [(i, 0, config.step_scale, 2.0) for i in range(len(inits))]
+    while pending:
+        lanes, groups = [], []  # lanes: (chain, round, scale, normals rng, uniforms rng)
+        for i, first, scale, factor in pending:
+            start = len(lanes)
+            for r in range(first, min(first + _SPECULATION, config.max_retunes + 1)):
+                normal_rng = _clone(rngs[i])
+                rngs[i].standard_normal((n, 2))
+                uniform_rng = _clone(rngs[i])
+                rngs[i].random(n)
+                lanes.append((i, r, scale, normal_rng, uniform_rng))
+                scale *= factor
+            groups.append((i, factor, range(start, len(lanes))))
+        chain, rounds, scales, normals, uniforms = zip(*lanes)
+        target = make_lane_log_posterior([lists[i] for i in chain], [priors[i] for i in chain])
+        state = np.empty((3, len(lanes)))
+        state[:2] = np.array([inits[i] for i in chain], dtype=float).T
+        step_scales = np.array(scales)
+        accepted = np.zeros(len(lanes), dtype=np.int64)
+        with np.errstate(all="ignore"):
+            target(state[0], state[1], out=state[2])
+            if not np.isfinite(state[2]).all():
+                raise ValueError("burn-in requires an initialization with finite log-posterior")
+            for done in range(0, n, _CHUNK):
+                _step_lanes(target, state, step_scales, min(_CHUNK, n - done),
+                            normals, uniforms, accepted)
+        pending = []
+        for i, factor, chain_lanes in groups:
+            for lane in chain_lanes:
+                rate = int(accepted[lane]) / n
+                retune = 2.0 if rate > hi else 0.5
+                if lo <= rate <= hi:
+                    results[i] = TunedState(step_scale=scales[lane], accept_rate=rate,
+                                            state=(float(state[0, lane]), float(state[1, lane])))
+                elif rounds[lane] == config.max_retunes:
+                    results[i] = _tuning_failed(config, rate)
+                elif retune != factor or lane == chain_lanes[-1]:
+                    pending.append((i, rounds[lane] + 1, scales[lane] * retune, retune))
+                else:
+                    continue
+                # The chain's generator moves on to just after the round it used.
+                rngs[i].bit_generator.state = uniforms[lane].bit_generator.state
+                break
+    return results
 
 
 def gelman_rubin_mpsrf(chains) -> float:
@@ -320,25 +434,52 @@ class _TunedEvent:
 
 
 def fit_events(events, config: SamplerConfig) -> list:
-    """Fit several events, sampling all their chains in one lane loop.
+    """Fit several events, burning in and sampling all their chains as lanes.
 
     `events` holds one (data, prior, seed, t_m) per event; t_m None is
-    derived as in fit_event. Each event's chains are initialized and burned
-    in one after another, chain c on its own default_rng(seed ^ c). Every
-    tuned chain of every event that can still succeed then becomes one lane
-    of sample_lanes. So an event's fit depends on its own data, prior, seed
-    and t_m, never on the events fitted with it. Returns each event's
-    FitResult, or the FitFailed that ended it, in order.
+    derived as in fit_event. Each event's chains are initialized one after
+    another, chain c on its own default_rng(seed ^ c). tune_lanes then burns
+    in every chain of every event at once, and every tuned chain of every
+    event that can still succeed becomes one lane of sample_lanes. So an
+    event's fit depends on its own data, prior, seed and t_m, never on the
+    events fitted with it. Returns each event's FitResult, or the FitFailed
+    that ended it, in order.
     """
     if config.chains < 2:
         raise ValueError("fitting needs at least 2 chains for the convergence diagnostic")
-    results: list = []
+    started = []  # per event: (data, prior, config, t_m, [(chain_id, init, rng)])
     for data, prior, seed, t_m in events:
-        try:
-            results.append(_burn_in_event(data, prior, replace(config, seed=seed),
-                                          _derive_t_m(data) if t_m is None else t_m))
-        except FitFailed as exc:
-            results.append(exc)
+        event_config = replace(config, seed=seed)
+        target = make_log_posterior(data, prior)
+        chains = []
+        for chain_id in range(config.chains):
+            rng = np.random.default_rng(seed ^ chain_id)
+            chains.append((chain_id, _draw_init(target, data, prior, rng), rng))
+        started.append((data, prior, event_config, _derive_t_m(data) if t_m is None else t_m,
+                        chains))
+    burning = [(data, prior, init, rng) for data, prior, _, _, chains in started
+               for _, init, rng in chains if init is not None]
+    outcomes = iter(tune_lanes([b[0] for b in burning], [b[1] for b in burning], config,
+                               [b[2] for b in burning], [b[3] for b in burning]))
+    results: list = []
+    for data, prior, event_config, t_m, chains in started:
+        tuned, failed, notes = [], [], []
+        for chain_id, init, rng in chains:
+            outcome = None if init is None else next(outcomes)
+            if isinstance(outcome, TunedState):
+                tuned.append((chain_id, outcome, rng))
+                continue
+            failed.append(chain_id)
+            notes.append(f"chain {chain_id}: no finite-posterior initialization found"
+                         if outcome is None else f"chain {chain_id}: {outcome}")
+        event_id = data.event.event_id
+        if not tuned:
+            results.append(FitFailed(f"{event_id}: all {config.chains} chains failed tuning"))
+        elif len(failed) * 2 >= config.chains:
+            results.append(FitFailed(f"{event_id}: {len(failed)} of {config.chains} chains failed"))
+        else:
+            results.append(_TunedEvent(data, prior, event_config, t_m, tuple(tuned),
+                                       tuple(failed), tuple(notes)))
     lanes = [(ev, tuned, rng) for ev in results if isinstance(ev, _TunedEvent)
              for _, tuned, rng in ev.tuned]
     if not lanes:
@@ -354,33 +495,6 @@ def fit_events(events, config: SamplerConfig) -> list:
             results[i] = _finish_event(ev, mu[lane], y[lane], accepted[lane])
             first = lane.stop
     return results
-
-
-def _burn_in_event(data, prior, config: SamplerConfig, t_m: float) -> _TunedEvent:
-    """Initialize and burn in every chain of one event, scalar and in order."""
-    target = make_log_posterior(data, prior)
-    tuned = []
-    failed = []
-    notes = []
-    for chain_id in range(config.chains):
-        rng = np.random.default_rng(config.seed ^ chain_id)
-        init = _draw_init(target, data, prior, rng)
-        if init is None:
-            failed.append(chain_id)
-            notes.append(f"chain {chain_id}: no finite-posterior initialization found")
-            continue
-        try:
-            tuned.append((chain_id, tune_burn_in(target, config, init, rng), rng))
-        except TuningFailed as exc:
-            failed.append(chain_id)
-            notes.append(f"chain {chain_id}: {exc}")
-    if not tuned:
-        raise FitFailed(f"{data.event.event_id}: all {config.chains} chains failed tuning")
-    if len(failed) * 2 >= config.chains:
-        raise FitFailed(
-            f"{data.event.event_id}: {len(failed)} of {config.chains} chains failed"
-        )
-    return _TunedEvent(data, prior, config, t_m, tuple(tuned), tuple(failed), tuple(notes))
 
 
 def _finish_event(ev: _TunedEvent, mu, y, accepted) -> FitResult:

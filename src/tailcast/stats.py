@@ -63,10 +63,6 @@ class ForecastContext:
         if not (math.isfinite(t_m) and t_m > 0.0):
             raise ValueError(f"t_m must be a positive number of years, got {t_m}")
 
-    @property
-    def event(self) -> EventSpec:
-        return self.fit.meta.event
-
 
 def expected_exceedances(ctx: ForecastContext, a: float) -> float:
     """Posterior-expected number of marks better than `a` per calendar year."""

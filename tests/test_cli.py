@@ -279,6 +279,7 @@ def test_usage_errors(workspace, tmp_path, capsys):
     ("backtest", ["--cutoff", "2015", "--ranks", "7"], ""),
     ("forecast", ["--tf", "nan"], ""),
     ("forecast", ["--tf", "inf"], ""),
+    ("fit", ["--burn-in", "2"], ""),
 ])
 def test_bad_values_are_usage_errors(workspace, tmp_path, capsys, command, extra, config):
     data_dir, out_dir = workspace

@@ -275,6 +275,9 @@ def test_lane_target_matches_scalar_target(with_cut):
         for excess in (1.0, 2.5, 5.0):
             mu, y = w_k + gap, log_n + excess
             got = lane(mu, y)
+            out = np.empty(len(lists))
+            assert lane(mu, y, out=out) is out
+            assert np.array_equal(out, got)
             for i, target in enumerate(scalar):
                 want = target((float(mu[i]), float(y[i])))
                 assert math.isfinite(want)
@@ -297,6 +300,8 @@ def test_lane_target_never_finite_outside_domain(with_cut):
         (w_k + 0.05, log_n),                      # N == n_k
         (w_k + 0.05, log_n - 3.0),
         (w_k - 0.01, log_n - 3.0),                # both at once: r/d alone would be finite
+        (w_k - 0.01, log_n + 0.3),                # both at once with n_k < N < 2 n_k:
+                                                  # Phi^-1(q)/(w_k - mu) alone is positive
         (w_k + 0.05, 700.0 * ones),               # log N >= 700
         (w_k + 0.05, 720.0 * ones),
         (w_k + 0.05, 1e4 * ones),

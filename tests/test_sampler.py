@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tailcast import fitfile
+from tailcast import fitfile, sampler
 from tailcast.distcore import make_lane_log_posterior, make_log_posterior
 from tailcast.emprior import HyperPrior, Provenance
 from tailcast.ingest import EventSpec
@@ -16,10 +16,12 @@ from tailcast.sampler import (
     TunedState,
     TuningFailed,
     fit_event,
+    fit_events,
     gelman_rubin_mpsrf,
     run_chain,
     sample_lanes,
     tune_burn_in,
+    tune_lanes,
     _derive_t_m,
     _draw_init,
     _pool_draws,
@@ -167,6 +169,86 @@ def test_sample_lanes_matches_run_chain(batch_len, with_cut):
         assert np.array_equal(logN[i], chain.logN)
         assert int(accepted[i]) / steps == chain.accept_rate
         assert 0 < accepted[i] < steps
+
+
+# Burn-in settings that drive tune_lanes down every path of tune_burn_in's
+# rule: the default doubling path; a large scale that must halve; a retune
+# budget too small to reach the band; and a band that holds two accept
+# counts of 50, so rounds overshoot it both ways and waves restart.
+TUNING_CASES = {
+    "doubling": dict(),
+    "halving": dict(step_scale=1.0),
+    "exhausted": dict(max_retunes=2),
+    "narrow_band": dict(burn_in_steps=50, accept_lo=0.3, accept_hi=0.32, max_retunes=12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TUNING_CASES))
+def test_tune_lanes_matches_tune_burn_in(case, monkeypatch):
+    config = small_config(**TUNING_CASES[case])
+    lists, priors, inits, lane_rngs, reference = [], [], [], [], []
+    scales_seen = []
+
+    def recording_run_steps(target, state, lp, n_steps, scales, rng):
+        scales_seen[-1].append(scales[0])
+        return _run_steps(target, state, lp, n_steps, scales, rng)
+
+    monkeypatch.setattr(sampler, "_run_steps", recording_run_steps)
+    for data in lane_events(with_cut=True):
+        for prior in (HyperPrior.weakly_informative(), INFORMATIVE):
+            target = make_log_posterior(data, prior)
+            for seed in (3, 4, 5):
+                rng = np.random.default_rng(seed)
+                init = _draw_init(target, data, prior, rng)
+                lists.append(data)
+                priors.append(prior)
+                inits.append(init)
+                lane_rngs.append(copy.deepcopy(rng))
+                scales_seen.append([])
+                try:
+                    outcome = tune_burn_in(target, config, init, rng)
+                except TuningFailed as exc:
+                    outcome = exc
+                reference.append((outcome, rng.bit_generator.state))
+    monkeypatch.undo()
+    outcomes = tune_lanes(lists, priors, config, inits, lane_rngs)
+    assert len(outcomes) == len(reference)
+    for got, rng, (want, want_rng_state) in zip(outcomes, lane_rngs, reference):
+        assert type(got) is type(want)
+        if isinstance(want, TuningFailed):
+            assert str(got) == str(want)
+            assert got.last_rate == want.last_rate
+        else:
+            assert got == want  # scale, final state and rate, bit for bit
+        assert rng.bit_generator.state == want_rng_state
+    # Each case reaches the path it is named for.
+    kinds = [type(want) for want, _ in reference]
+    if case == "exhausted":
+        assert TuningFailed in kinds
+    else:
+        assert TunedState in kinds
+    if case == "halving":
+        assert any(isinstance(want, TunedState) and want.step_scale < config.step_scale
+                   for want, _ in reference)
+    if case == "narrow_band":
+        # some chain retuned against its last direction, which ends a wave
+        assert any(len(set(np.sign(np.diff(np.log2(seen))))) > 1 for seen in scales_seen)
+        assert any(len(seen) > sampler._SPECULATION for seen in scales_seen)
+
+
+def test_speculation_depth_never_changes_fits(monkeypatch):
+    config = small_config(batches=40)
+    events = [(data, prior, 20 + i, 1.0)
+              for i, data in enumerate(lane_events(with_cut=True))
+              for prior in (HyperPrior.weakly_informative(), INFORMATIVE)]
+
+    def dumps(fits):
+        return [fitfile.dumps(fit) if not isinstance(fit, FitFailed) else str(fit)
+                for fit in fits]
+
+    default = dumps(fit_events(events, config))
+    monkeypatch.setattr(sampler, "_SPECULATION", 1)
+    assert dumps(fit_events(events, config)) == default
 
 
 # sha256 of the fit file below; it moves only with a deliberate change to
@@ -335,6 +417,14 @@ def test_sampler_config_validation():
         SamplerConfig(accept_lo=0.5, accept_hi=0.4)
     with pytest.raises(ValueError):
         SamplerConfig(batches=0)
+    # no accept count of 1 or 2 steps lands in [0.2, 0.4]; 1 of 3 and 1 of 5 do
+    for bad in (1, 2):
+        with pytest.raises(ValueError, match="no acceptance rate"):
+            SamplerConfig(burn_in_steps=bad)
+    for good in (3, 5):
+        assert SamplerConfig(burn_in_steps=good).burn_in_steps == good
+    with pytest.raises(ValueError, match="no acceptance rate"):
+        SamplerConfig(burn_in_steps=10, accept_lo=0.31, accept_hi=0.39)
     for bad in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             SamplerConfig(step_scale=bad)
