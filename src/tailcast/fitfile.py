@@ -1,21 +1,26 @@
-"""Persistence for fitted posteriors: the tailcast-fit/2 text format.
+"""Persistence for fitted posteriors: the tailcast-fit/3 text format.
 
 A fit file is self-describing and deterministic. Line 1 names the format,
-line 2 carries a JSON metadata object, line 3 names the draw columns, and
-every following line is one tab-separated posterior draw. The metadata is
+line 2 is `#meta ` and a JSON metadata object, line 3 is the draws header
+`#draws <draws per chain> mu logN sigma`, and line 4 is the base64 of a
+little-endian float64 array of shape (chains, 3, draws per chain), the
+chains in the order of the metadata's `chains` list. The metadata is
 `dataclasses.asdict(FitMetadata)`, enums as their values, plus each chain's
-acceptance rate and step scale, mpsrf and converged; it is read back by
+id, acceptance rate and step scale, mpsrf and converged; it is read back by
 reflecting on the same dataclasses, so a new metadata field needs no change
-here. Re-saving a loaded fit reproduces the file byte for byte.
+here. Re-saving a loaded fit reproduces the file byte for byte. Files of the
+older text-table formats /1 and /2 are not read.
 """
 from __future__ import annotations
 
+import base64
 import dataclasses
 import enum
 import functools
 import json
 import math
 import os
+import re
 import tempfile
 import typing
 from pathlib import Path
@@ -27,15 +32,16 @@ from .errors import TailcastError
 from .ingest import EventSpec
 from .sampler import FitMetadata, FitResult, PosteriorChain, _pool_draws
 
-FORMAT_LINE = "#tailcast-fit/2"
-COLUMNS = ("chain_id", "draw_index", "mu", "logN", "sigma")
+FORMAT_LINE = "#tailcast-fit/3"
+_DRAWS_HEADER = re.compile(r"#draws ([1-9][0-9]*) mu logN sigma")
+_DRAWS_DTYPE = "<f8"  # explicit byte order, so the bytes match on every platform
 # FitMetadata's annotations name these by string only: sampler imports them
 # just for type checking, so get_type_hints is told where they live.
 _META_TYPES = {"EventSpec": EventSpec, "HyperPrior": HyperPrior}
 
 
 class FitFileError(TailcastError):
-    """The file is not a readable tailcast-fit/2 document."""
+    """The file is not a readable tailcast-fit/3 document."""
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -64,19 +70,13 @@ def _meta_payload(fit: FitResult) -> dict:
 
 
 def dumps(fit: FitResult) -> str:
-    meta = json.dumps(_meta_payload(fit), sort_keys=True, default=lambda e: e.value)
-    lines = [FORMAT_LINE, "#meta " + meta]
-    lines.append("#columns " + "\t".join(COLUMNS))
     for chain in fit.chains:
-        sigma = chain.sigma
-        if sigma is None:
+        if chain.sigma is None:
             raise FitFileError(f"chain {chain.chain_id} has no sigma draws to save")
-        for i in range(len(chain)):
-            lines.append(
-                f"{chain.chain_id}\t{i}\t{float(chain.mu[i])!r}"
-                f"\t{float(chain.logN[i])!r}\t{float(sigma[i])!r}"
-            )
-    return "\n".join(lines) + "\n"
+    block = np.array([(c.mu, c.logN, c.sigma) for c in fit.chains], dtype=_DRAWS_DTYPE)
+    meta = json.dumps(_meta_payload(fit), sort_keys=True, default=lambda e: e.value)
+    draws = base64.b64encode(block.tobytes()).decode("ascii")
+    return f"{FORMAT_LINE}\n#meta {meta}\n#draws {block.shape[2]} mu logN sigma\n{draws}\n"
 
 
 def save_fit(fit: FitResult, path: Path) -> None:
@@ -101,7 +101,7 @@ def _revive(hint, value):
 
 
 def _parse_meta(line: str):
-    """(FitMetadata, {chain_id: (accept_rate, step_scale)}, mpsrf, converged)."""
+    """(FitMetadata, [(chain_id, accept_rate, step_scale)], mpsrf, converged)."""
     if not line.startswith("#meta "):
         raise FitFileError("second line must be the #meta JSON object")
     try:
@@ -111,13 +111,16 @@ def _parse_meta(line: str):
     if not isinstance(payload, dict):
         raise FitFileError("metadata must be a JSON object")
     try:
-        chains = {c["chain_id"]: (c["accept_rate"], c["step_scale"])
-                  for c in payload.pop("chains")}
+        chains = [(c["chain_id"], c["accept_rate"], c["step_scale"])
+                  for c in payload.pop("chains")]
         mpsrf = float(payload.pop("mpsrf"))
         converged = bool(payload.pop("converged"))
         meta = _revive(FitMetadata, payload)
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise FitFileError(f"metadata is missing or malformed: {exc}") from exc
+    ids = [chain_id for chain_id, _, _ in chains]
+    if not all(type(i) is int for i in ids) or len(set(ids)) != len(ids):
+        raise FitFileError(f"metadata chain ids must be distinct integers, got {ids}")
     return meta, chains, mpsrf, converged
 
 
@@ -127,45 +130,37 @@ def loads(text: str) -> FitResult:
         raise FitFileError(f"first line must be {FORMAT_LINE!r}; "
                            "refit files of an older format with `tailcast fit`")
     if len(lines) < 3:
-        raise FitFileError("file ends before the column header")
+        raise FitFileError("file ends before the draws header")
     meta, chain_info, mpsrf, converged = _parse_meta(lines[1])
-    if lines[2] != "#columns " + "\t".join(COLUMNS):
-        raise FitFileError("unexpected column header")
-
-    rows = lines[3:]
-    if not any(rows):
+    header = _DRAWS_HEADER.fullmatch(lines[2])
+    if header is None:
+        raise FitFileError("third line must be '#draws <draws per chain> mu logN sigma' "
+                           "with a positive whole number of draws")
+    payload = lines[3:]
+    if not any(payload):
         raise FitFileError("file contains no posterior draws")
+    if len(payload) != 1:
+        raise FitFileError("the draws block must be a single line of base64")
     try:
-        table = np.loadtxt(rows, delimiter="\t", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise FitFileError(f"draw lines: {exc}") from exc
-    if table.shape[1] != len(COLUMNS):
-        raise FitFileError(f"draw lines: expected {len(COLUMNS)} columns, got {table.shape[1]}")
-    ids = table[:, :2]
-    if not np.all(np.isfinite(ids) & (ids == np.floor(ids))):
-        raise FitFileError("draw lines: chain_id and draw_index must be integers")
+        raw = base64.b64decode(payload[0], validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise FitFileError(f"draws block is not base64: {exc}") from exc
+    shape = (len(chain_info), 3, int(header[1]))
+    if len(raw) != math.prod(shape) * 8:
+        raise FitFileError(f"draws block holds {len(raw)} bytes; {shape[0]} chains of "
+                           f"{shape[2]} draws need {math.prod(shape) * 8}")
 
-    # a stable sort keeps each chain's draws in file order
-    table = table[np.argsort(table[:, 0], kind="stable")]
-    chain_ids, starts = np.unique(table[:, 0], return_index=True)
-    chains = []
-    for chain_id, draws in zip(map(int, chain_ids), np.split(table, starts[1:])):
-        if not np.array_equal(draws[:, 1], np.arange(len(draws))):
-            raise FitFileError(f"chain {chain_id}: draw indices are not 0..{len(draws) - 1}")
-        accept_rate, step_scale = chain_info.get(chain_id, (math.nan, math.nan))
-        chains.append(PosteriorChain(
-            chain_id=chain_id,
-            mu=draws[:, 2],
-            logN=draws[:, 3],
-            accept_rate=accept_rate,
-            step_scale=step_scale,
-            sigma=draws[:, 4],
-        ))
-
+    # astype copies the read-only frombuffer view into a writable native array
+    block = np.frombuffer(raw, dtype=_DRAWS_DTYPE).astype(np.float64).reshape(shape)
+    chains = tuple(
+        PosteriorChain(chain_id=chain_id, mu=mu, logN=logN, accept_rate=accept_rate,
+                       step_scale=step_scale, sigma=sigma)
+        for (chain_id, accept_rate, step_scale), (mu, logN, sigma) in zip(chain_info, block)
+    )
     pooled_mu, pooled_logN, pooled_sigma = _pool_draws(chains, meta.config.pool_size)
     return FitResult(
         event_id=meta.event.event_id,
-        chains=tuple(chains),
+        chains=chains,
         pooled_mu=pooled_mu,
         pooled_logN=pooled_logN,
         pooled_sigma=pooled_sigma,
@@ -179,6 +174,9 @@ def load_fit(path: Path) -> FitResult:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FitFileError(f"cannot read {path}: {exc}") from exc
-    return loads(text)
+    try:
+        return loads(text)
+    except FitFileError as exc:
+        raise FitFileError(f"{path}: {exc}") from exc

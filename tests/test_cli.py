@@ -150,6 +150,20 @@ def test_tables_missing_mile_partner_warns(workspace, tmp_path, capsys):
     assert "no w1500m fit to borrow" in capsys.readouterr().err
 
 
+def test_tables_names_the_stale_fit_file(workspace, tmp_path, capsys):
+    data_dir, out_dir = workspace
+    out = tmp_path / "stale"
+    (out / "fits").mkdir(parents=True)
+    for path in (out_dir / "fits").glob("*.fit"):
+        (out / "fits" / path.name).write_bytes(path.read_bytes())
+    stale = out / "fits" / "m0400.fit"
+    lines = stale.read_text().splitlines()
+    stale.write_text("\n".join(["#tailcast-fit/2", lines[1], "#columns chain_id"]) + "\n")
+    capsys.readouterr()
+    assert main(["tables", "--data", str(data_dir), "--out", str(out)]) == 1
+    assert f"error: {stale}: first line must be '#tailcast-fit/3'" in capsys.readouterr().err
+
+
 def test_tables_mile_partner_of_other_pool_size_warns(workspace, tmp_path, capsys):
     # The mile borrows one 1500 m population draw per pooled draw, so a
     # partner fit pooled to another size is passed over like a missing one.

@@ -1,15 +1,18 @@
-"""Round-trip and validation tests for the tailcast-fit/2 text format.
+"""Round-trip and validation tests for the tailcast-fit/3 text format.
 
 The metadata line is written from and read back into the FitMetadata,
 EventSpec, HyperPrior and SamplerConfig dataclasses by reflection; the
 round trips below pin that every field of them survives.
 """
+import base64
 import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailcast.emprior import HyperPrior, Provenance
 from tailcast.fitfile import (
@@ -140,6 +143,20 @@ def test_save_and_load(tmp_path):
     assert not list(tmp_path.glob("*.tmp*"))
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"#tailcast-fit/2\n", "first line must be"),
+    (b"#tailcast-fit/3\n\xff\n", "cannot read"),
+    (None, "cannot read"),
+], ids=["old-format", "not-utf8", "missing"])
+def test_load_fit_names_the_file(tmp_path, content, message):
+    path = tmp_path / "ev.fit"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(FitFileError, match=message) as err:
+        load_fit(path)
+    assert str(path) in str(err.value)
+
+
 def test_atomic_write_overwrites(tmp_path):
     path = tmp_path / "out.txt"
     atomic_write_text(path, "first")
@@ -153,9 +170,10 @@ def test_loads_rejects_wrong_format_line():
         loads("#something-else/9\n")
 
 
-def test_loads_rejects_format_1():
+@pytest.mark.parametrize("version", [1, 2])
+def test_loads_rejects_old_format(version):
     lines = dumps(sample_fit()).splitlines()
-    lines[0] = "#tailcast-fit/1"
+    lines[0] = f"#tailcast-fit/{version}"
     with pytest.raises(FitFileError, match="refit .* with `tailcast fit`"):
         loads("\n".join(lines) + "\n")
 
@@ -166,47 +184,66 @@ def test_loads_rejects_truncated():
 
 
 def test_loads_rejects_bad_meta_json():
-    text = FORMAT_LINE + "\n#meta {not json\n#columns chain_id\n"
-    with pytest.raises(FitFileError):
+    text = FORMAT_LINE + "\n#meta {not json\n#draws 1 mu logN sigma\nAAAAAAAAAAA=\n"
+    with pytest.raises(FitFileError, match="not valid JSON"):
         loads(text)
 
 
 def test_loads_rejects_wrong_columns():
-    fit = sample_fit()
-    text = dumps(fit).replace("draw_index", "step")
-    with pytest.raises(FitFileError):
+    text = dumps(sample_fit()).replace(" mu logN sigma\n", " mu sigma logN\n")
+    with pytest.raises(FitFileError, match="third line"):
         loads(text)
 
 
-def test_loads_rejects_short_row():
-    fit = sample_fit()
-    lines = dumps(fit).splitlines()
-    lines[3] = "\t".join(lines[3].split("\t")[:3])
-    with pytest.raises(FitFileError):
-        loads("\n".join(lines) + "\n")
-
-
-def test_loads_rejects_gap_in_draw_indices():
-    fit = sample_fit()
-    lines = dumps(fit).splitlines()
-    del lines[4]  # removes one draw from the middle of chain 0
-    with pytest.raises(FitFileError):
-        loads("\n".join(lines) + "\n")
-
-
-@pytest.mark.parametrize("column, text", [
-    (0, "0.5"),   # fractional chain_id
-    (1, "1.5"),   # fractional draw_index
-    (2, "fast"),  # not a number
+@pytest.mark.parametrize("field, text", [
+    (0, "0.5"),   # not the #draws keyword
+    (1, "1.5"),   # fractional draw count
+    (1, "0"),     # no draws per chain
+    (2, "fast"),  # not a draw column
     (0, "#"),     # a stray comment marker
 ])
-def test_loads_rejects_malformed_draw_line(column, text):
+def test_loads_rejects_malformed_draw_line(field, text):
     lines = dumps(sample_fit()).splitlines()
-    fields = lines[4].split("\t")
-    fields[column] = text
-    lines[4] = "\t".join(fields)
-    with pytest.raises(FitFileError):
+    fields = lines[2].split(" ")
+    fields[field] = text
+    lines[2] = " ".join(fields)
+    with pytest.raises(FitFileError, match="third line"):
         loads("\n".join(lines) + "\n")
+
+
+def _reencode(lines, edit):
+    """lines with the draws block decoded, passed through edit(bytes), encoded again."""
+    raw = edit(base64.b64decode(lines[3]))
+    return lines[:3] + [base64.b64encode(raw).decode("ascii")]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:2] + lines[3:], "third line"),
+    (lambda lines: lines[:3] + ["*" + lines[3][1:]], "not base64"),
+    (lambda lines: lines[:3] + [lines[3][:-1]], "not base64"),
+    (lambda lines: lines[:3] + [lines[3] + " "], "not base64"),
+    (lambda lines: lines[:3] + ["é" + lines[3][1:]], "not base64"),
+    (lambda lines: _reencode(lines, lambda raw: raw[:-8]), "bytes"),
+    (lambda lines: [*lines[:2], lines[2].replace("100", "99"), lines[3]], "bytes"),
+    (lambda lines: lines + ["AAAA"], "single line"),
+], ids=["no-draws-header", "not-base64", "truncated", "trailing-space", "not-ascii",
+        "one-draw-short", "header-disagrees", "extra-line"])
+def test_loads_rejects_bad_draws_block(edit, message):
+    lines = dumps(sample_fit()).splitlines()
+    assert lines[2] == "#draws 100 mu logN sigma"
+    with pytest.raises(FitFileError, match=message):
+        loads("\n".join(edit(lines)) + "\n")
+
+
+@pytest.mark.parametrize("chain_ids", [[0, 0], [0, "1"], [0, 1.0], [0, True]],
+                         ids=["duplicate", "string", "float", "bool"])
+def test_loads_rejects_bad_chain_ids(chain_ids):
+    def edit(payload):
+        for chain, chain_id in zip(payload["chains"], chain_ids):
+            chain["chain_id"] = chain_id
+
+    with pytest.raises(FitFileError, match="distinct integers"):
+        loads(_edit_meta(edit))
 
 
 def test_loads_rejects_header_only():
@@ -215,13 +252,36 @@ def test_loads_rejects_header_only():
         loads("\n".join(header) + "\n\n")
 
 
-def test_loads_groups_interleaved_chains_in_file_order():
+def test_loads_keeps_chains_in_meta_order():
     fit = sample_fit()
-    lines = dumps(fit).splitlines()
-    body = lines[3:]
-    half = len(body) // 2
-    interleaved = [row for pair in zip(body[:half], body[half:]) for row in pair]
-    assert dumps(loads("\n".join(lines[:3] + interleaved) + "\n")) == dumps(fit)
+    chains = tuple(dataclasses.replace(chain, chain_id=chain_id)
+                   for chain, chain_id in zip(fit.chains, (7, 2)))
+    fit = dataclasses.replace(fit, chains=chains)
+    back = loads(dumps(fit))
+    assert [chain.chain_id for chain in back.chains] == [7, 2]
+    for ours, theirs in zip(fit.chains, back.chains):
+        assert np.array_equal(ours.mu, theirs.mu)
+        assert np.array_equal(ours.sigma, theirs.sigma)
+
+
+SPECIAL_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+                  5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.lists(
+    st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), min_size=6 * n, max_size=6 * n)))
+def test_round_trip_keeps_every_float64_bit(draws):
+    mu, logN, sigma = np.array(draws, dtype=np.float64).reshape(3, -1)
+    fit = make_fit(mu=mu, logN=logN, sigma=sigma, best_x=0.0)
+    text = dumps(fit)
+    back = loads(text)
+    assert dumps(back) == text
+    for ours, theirs in zip(fit.chains, back.chains):
+        for a, b in ((ours.mu, theirs.mu), (ours.logN, theirs.logN),
+                     (ours.sigma, theirs.sigma)):
+            assert b.dtype == np.float64 and b.flags.writeable
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_dumps_requires_sigma():
