@@ -1,6 +1,6 @@
 """Command-line pipeline: ingest data, fit posteriors, emit reports.
 
-Subcommands compose through the filesystem: `fit` persists one tailcast-fit/3
+Subcommands compose through the filesystem: `fit` persists one tailcast-fit/4
 file per event plus a manifest, and `tables`, `forecast` read those fits back
 instead of refitting. All outputs are deterministic for a fixed seed; no
 command writes timestamps.
@@ -216,14 +216,30 @@ def _data_files(cfg: RunConfig) -> list[Path]:
     return [by_stem[e] for e in cfg.events]
 
 
+def _duplicate_event(data, path: Path, seen: dict[str, Path]) -> str | None:
+    """Why `data`, read from `path`, clashes with an earlier file, or None;
+    records its event id in `seen` (event id -> file) otherwise."""
+    event_id = data.event.event_id
+    if event_id in seen:
+        return f"event id {event_id!r} is declared by both {seen[event_id]} and {path}"
+    seen[event_id] = path
+    return None
+
+
 def _load_corpus(cfg: RunConfig, window: DateWindow | None):
     lists = []
     skipped: dict[str, str] = {}
+    seen: dict[str, Path] = {}
     for path in _data_files(cfg):
         try:
-            lists.append(load_performance_list(path, window=window))
+            data = load_performance_list(path, window=window)
         except TailcastError as exc:
             skipped[path.stem] = str(exc)
+            continue
+        clash = _duplicate_event(data, path, seen)
+        if clash is not None:
+            raise UsageError(clash)
+        lists.append(data)
     return lists, skipped
 
 
@@ -415,11 +431,16 @@ def cmd_backtest(cfg: RunConfig) -> int:
 def cmd_validate_data(cfg: RunConfig) -> int:
     window, _ = fit_window(cfg.mode, cfg.cutoff)
     failures = 0
+    seen: dict[str, Path] = {}
     for path in _data_files(cfg):
         try:
             data = load_performance_list(path, window=window)
         except TailcastError as exc:
-            print(f"{path.stem}\tERROR\t{exc}")
+            error = str(exc)
+        else:
+            error = _duplicate_event(data, path, seen)
+        if error is not None:
+            print(f"{path.stem}\tERROR\t{error}")
             failures += 1
             continue
         event = data.event

@@ -1,4 +1,4 @@
-"""Persistence for fitted posteriors: the tailcast-fit/3 text format.
+"""Persistence for fitted posteriors: the tailcast-fit/4 text format.
 
 A fit file is self-describing and deterministic. Line 1 names the format,
 line 2 is `#meta ` and a JSON metadata object, line 3 is the draws header
@@ -9,7 +9,8 @@ chains in the order of the metadata's `chains` list. The metadata is
 id, acceptance rate and step scale, mpsrf and converged; it is read back by
 reflecting on the same dataclasses, so a new metadata field needs no change
 here. Re-saving a loaded fit reproduces the file byte for byte. Files of the
-older text-table formats /1 and /2 are not read.
+older formats /1 to /3 are not read: /1 and /2 held the draws as text
+tables, and /3's metadata held a truncation-point field that /4 dropped.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .errors import TailcastError
 from .ingest import EventSpec
 from .sampler import FitMetadata, FitResult, PosteriorChain, _pool_draws
 
-FORMAT_LINE = "#tailcast-fit/3"
+FORMAT_LINE = "#tailcast-fit/4"
 _DRAWS_HEADER = re.compile(r"#draws ([1-9][0-9]*) mu logN sigma")
 _DRAWS_DTYPE = "<f8"  # explicit byte order, so the bytes match on every platform
 # FitMetadata's annotations name these by string only: sampler imports them
@@ -41,15 +42,22 @@ _META_TYPES = {"EventSpec": EventSpec, "HyperPrior": HyperPrior}
 
 
 class FitFileError(TailcastError):
-    """The file is not a readable tailcast-fit/3 document."""
+    """The file is not a readable tailcast-fit/4 document."""
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
+    """Write via a sibling temp file and rename, so readers never see a torn file.
+
+    The file gets the mode a plain open() would give it under the current
+    umask, not mkstemp's 0600.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    umask = os.umask(0)  # os.umask reads the mask only by setting it; put it back
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            os.fchmod(fd, 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

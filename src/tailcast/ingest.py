@@ -3,7 +3,9 @@
 Marks are normalized into a transformed space where lower is always
 better: x = ln(seconds) for running events, x = -ln(centimeters) for
 field events. Every downstream module works in that space and only
-decodes back to raw units at the presentation edge.
+decodes back to raw units at the presentation edge. A PerformanceList's
+worst retained mark w_k is the tail model's truncation point; the list
+carries no other.
 """
 from __future__ import annotations
 
@@ -180,13 +182,12 @@ def decode_mark(event: EventSpec, x: TransformedMark) -> float:
 @dataclass(frozen=True)
 class PerformanceList:
     """One event's observed tail. Records and transformed marks are kept
-    aligned and sorted best (smallest x) first; c_k is the truncation
-    point, normally the worst retained mark."""
+    aligned and sorted best (smallest x) first; the worst retained mark
+    w_k is the truncation point of the tail model."""
 
     event: EventSpec
     records: tuple[RawMark, ...]
     marks: tuple[TransformedMark, ...]
-    c_k: float
     window: DateWindow | None = None
 
     @property
@@ -210,13 +211,10 @@ def build_performance_list(
     event: EventSpec,
     records: list[RawMark],
     window: DateWindow | None = None,
-    c_k: float | None = None,
 ) -> PerformanceList:
     """Window, encode and order records into a PerformanceList.
 
     Ties are kept as repeated values (they are real, especially in sprints).
-    c_k defaults to the worst retained mark; an override may only move the
-    truncation point further out.
     """
     kept = [r for r in records if window is None or window.contains(r.date)]
     if not kept:
@@ -225,14 +223,7 @@ def build_performance_list(
         kept, key=lambda r: (encode_mark(event, r.value), r.date, r.athlete or "")
     )
     marks = tuple(encode_mark(event, r.value) for r in decorated)
-    worst = marks[-1]
-    if c_k is None:
-        c_k = worst
-    elif c_k < worst:
-        raise ValueError(f"c_k override {c_k} is below the worst retained mark {worst}")
-    return PerformanceList(
-        event=event, records=tuple(decorated), marks=marks, c_k=c_k, window=window
-    )
+    return PerformanceList(event=event, records=tuple(decorated), marks=marks, window=window)
 
 
 _UNIT_TOKENS = {

@@ -6,9 +6,10 @@ rate lands in [0.2, 0.4], then samples in batches, retaining the final
 state of each batch. Convergence across chains is assessed with the
 multivariate potential scale reduction factor.
 
-tune_burn_in and run_chain run one chain on Python floats; they are the
-reference the pipeline must match bit for bit. fit_events runs every chain
-of every event as numpy lanes instead: tune_lanes runs each chain's next
+tune_burn_in and run_chain run one chain on Python floats, through the
+one-lane view of the log-posterior kernel; they are the reference the
+pipeline must match bit for bit. fit_events runs every chain of every event
+as numpy lanes of the same kernel instead: tune_lanes runs each chain's next
 retune rounds side by side, and sample_lanes steps the tuned chains together.
 """
 from __future__ import annotations
@@ -32,6 +33,8 @@ _SPECULATION = 8
 # Steps per block of generator draws in a burn-in wave, so the draw arrays hold
 # lanes x _CHUNK x 3 doubles instead of whole rounds.
 _CHUNK = 100
+# Initial points a chain tries before _draw_init gives up on it.
+_INIT_TRIES = 500
 
 
 class TuningFailed(TailcastError):
@@ -110,7 +113,6 @@ class FitMetadata:
     t_m: float
     n_k: int
     w_k: float
-    c_k: float
     best_x: float
     prior: "HyperPrior"
     config: SamplerConfig
@@ -262,8 +264,8 @@ def sample_lanes(target, config: SamplerConfig, tuned, rngs):
     posterior. Each lane draws its batch of increments and uniforms from its
     own generator in run_chain's order, and a chain's states depend only on
     those draws and its accept decisions. So lane i reproduces run_chain's
-    chain bit for bit, unless the two targets' round-off splits a
-    near-exact tie. Returns (mu, logN, accepted): (lanes, batches) arrays
+    chain bit for bit: make_log_posterior is the one-lane view of the same
+    kernel. Returns (mu, logN, accepted): (lanes, batches) arrays
     of retained states and each lane's accepted-step count.
     """
     lanes = len(tuned)
@@ -383,7 +385,7 @@ def gelman_rubin_mpsrf(chains) -> float:
     return math.sqrt(psrf2)
 
 
-def _draw_init(target, data, prior, rng, max_tries=500):
+def _draw_init(target, data, prior, rng):
     """Random initialization with finite target log-posterior, or None.
 
     mu starts near the list median; log N near the prior location with its
@@ -396,7 +398,7 @@ def _draw_init(target, data, prior, rng, max_tries=500):
     loc = prior.mu_N
     sc = min(math.sqrt(prior.sigma2_N), 1.5)
     floor_y = math.log(2.0 * data.n_k)
-    for _ in range(max_tries):
+    for _ in range(_INIT_TRIES):
         mu = center + spread * rng.standard_normal()
         y = loc + sc * rng.standard_normal()
         if y <= floor_y:
@@ -514,7 +516,6 @@ def _finish_event(ev: _TunedEvent, mu, y, accepted) -> FitResult:
         t_m=float(ev.t_m),
         n_k=data.n_k,
         w_k=data.w_k,
-        c_k=data.c_k,
         best_x=data.best,
         prior=ev.prior,
         config=config,

@@ -6,7 +6,6 @@ builders here assemble structurally complete FitResults from arrays.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -35,7 +34,6 @@ def make_fit(
     t_m: float = 1.0,
     n_k: int = 100,
     w_k: float = 0.0,
-    c_k: float | None = None,
     best_x: float | None = None,
     mpsrf: float = 1.0,
     config: SamplerConfig | None = None,
@@ -68,7 +66,6 @@ def make_fit(
         t_m=t_m,
         n_k=n_k,
         w_k=w_k,
-        c_k=w_k if c_k is None else c_k,
         best_x=(w_k - 6.0 * float(np.mean(sigma))) if best_x is None else best_x,
         prior=prior,
         config=config,
@@ -103,17 +100,13 @@ def point_mass_fit(
     )
 
 
-def lane_events(with_cut: bool) -> list[PerformanceList]:
-    """Synthetic events of 400, 25 and 120 marks for the lane-sampler tests.
-    With with_cut the last one is truncated above its worst mark, so its
-    lanes take the lane target's log_ndtr branch."""
+def lane_events() -> list[PerformanceList]:
+    """Synthetic events of 400, 25 and 120 marks for the lane-sampler tests."""
     lists = []
     for seed, keep in ((55, 400), (61, 25), (62, 120)):
         tail = sample_tail(seed, math.log(11.28), 0.033, 20_000, keep)
         lists.append(tail_performance_list(EventSpec.running(f"lane{seed}"), tail,
                                            2001, 2020, seed=seed + 1))
-    if with_cut:
-        lists[-1] = dataclasses.replace(lists[-1], c_k=lists[-1].w_k + 0.004)
     return lists
 
 

@@ -2,7 +2,7 @@
 
 `log_posterior` scores theta = (mu, log N) the long way: the tail-mass
 identity in scalar form, then the truncated-normal log-density mark by mark,
-summed exactly with math.fsum. It shares no code with distcore's closures
+summed exactly with math.fsum. It shares no code with distcore's kernel
 beyond scipy's normal functions.
 """
 import math
@@ -31,8 +31,8 @@ def log_posterior(theta: tuple[float, float], data, prior) -> float:
     The sum of truncated-normal log-densities over the list plus the Gaussian
     prior on log N; the improper uniform prior on mu adds nothing. A theta
     outside the domain of the tail-mass identity (w_k < mu, 0 < n_k/N < 0.5)
-    scores -inf. Only .marks/.n_k/.c_k of `data` and .mu_N/.sigma2_N of
-    `prior` are read.
+    scores -inf. The tail is truncated at its worst mark w_k. Only
+    .marks/.n_k of `data` and .mu_N/.sigma2_N of `prior` are read.
     """
     mu, log_n_pop = theta
     if not -700.0 < log_n_pop < 700.0:
@@ -42,7 +42,7 @@ def log_posterior(theta: tuple[float, float], data, prior) -> float:
     if not (0.0 < q < 0.5 and w_k < mu):
         return -math.inf
     sigma = (w_k - mu) / float(special.ndtri(q))
-    data_term = math.fsum(truncnorm_logpdf(x, mu, sigma, data.c_k) for x in data.marks)
+    data_term = math.fsum(truncnorm_logpdf(x, mu, sigma, w_k) for x in data.marks)
     if math.isnan(data_term):
         return -math.inf
     return data_term + gaussian_logpdf(log_n_pop, prior.mu_N, prior.sigma2_N)

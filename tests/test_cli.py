@@ -161,7 +161,7 @@ def test_tables_names_the_stale_fit_file(workspace, tmp_path, capsys):
     stale.write_text("\n".join(["#tailcast-fit/2", lines[1], "#columns chain_id"]) + "\n")
     capsys.readouterr()
     assert main(["tables", "--data", str(data_dir), "--out", str(out)]) == 1
-    assert f"error: {stale}: first line must be '#tailcast-fit/3'" in capsys.readouterr().err
+    assert f"error: {stale}: first line must be '#tailcast-fit/4'" in capsys.readouterr().err
 
 
 def test_tables_mile_partner_of_other_pool_size_warns(workspace, tmp_path, capsys):
@@ -270,6 +270,29 @@ def test_validate_data(workspace, tmp_path, capsys):
     (bad_dir / "broken.tsv").write_text("# unit=s\n9.58\t2009-08-16\n")
     assert main(["validate-data", "--data", str(bad_dir)]) == 1
     assert "ERROR" in capsys.readouterr().out
+
+
+def test_duplicate_event_ids_are_refused(tmp_path, capsys):
+    # Two files declaring one event id: fit and backtest refuse to pick one,
+    # and validate-data flags the second file.
+    tail = sample_tail(600, MU_STAR, SIGMA_STAR, 20_000, 40)
+    data_dir = tmp_path / "data"
+    (path,) = write_corpus(data_dir, [tail_performance_list(EventSpec.running("same"), tail,
+                                                            2006, 2020, seed=650)])
+    a, b = data_dir / "a.tsv", data_dir / "b.tsv"
+    path.rename(a)
+    b.write_bytes(a.read_bytes())
+    for command in (["fit", "--prior", "weak"], ["backtest", "--cutoff", "2015"]):
+        out_dir = tmp_path / command[0]
+        assert main([*command, "--data", str(data_dir), "--out", str(out_dir), *SPEED]) == 2
+        err = capsys.readouterr().err
+        assert "event id 'same' is declared by both" in err
+        assert str(a) in err and str(b) in err
+        assert not out_dir.exists()
+    assert main(["validate-data", "--data", str(data_dir)]) == 1
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert [row[:2] for row in rows] == [["a", "OK"], ["b", "ERROR"]]
+    assert str(a) in rows[1][2]
 
 
 def test_usage_errors(workspace, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Numeric-kernel tests: cdf accuracy, the tail-mass identity, and the
-log-posterior targets, checked against the reference route in oracles.py."""
+log-posterior kernel and its one-lane view, checked against the reference
+route in oracles.py."""
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -184,9 +186,9 @@ def test_population_sigma_inverse_pair(mu, log_q, n_k, gap):
     assert n_k / std_normal_cdf((w_k - mu) / sigma) == pytest.approx(n_pop, rel=1e-6)
 
 
-def _toy_data(marks, c_k=None):
+def _toy_data(marks):
     marks = tuple(marks)
-    return SimpleNamespace(marks=marks, n_k=len(marks), c_k=max(marks) if c_k is None else c_k)
+    return SimpleNamespace(marks=marks, n_k=len(marks))
 
 
 WEAK = HyperPrior.weakly_informative()
@@ -211,11 +213,11 @@ def test_log_posterior_permutation_invariant():
     base = make_log_posterior(data, WEAK)(theta)
     shuffled = list(marks)
     rng.shuffle(shuffled)
-    assert make_log_posterior(_toy_data(shuffled, c_k=data.c_k), WEAK)(theta) == base
+    assert make_log_posterior(_toy_data(shuffled), WEAK)(theta) == base
 
 
 def test_log_posterior_single_point_near_boundary():
-    # One mark at x = c_k with mu a hair above it and N chosen so sigma = 1:
+    # One mark at x = w_k with mu a hair above it and N chosen so sigma = 1:
     # the data term approaches log(2 * N(0|0,1)) as the gap closes.
     delta = 1e-6
     q = std_normal_cdf(-delta)
@@ -257,18 +259,16 @@ def test_log_posterior_two_routes_agree(mu, y, seed):
         assert fast == pytest.approx(reference, rel=1e-9, abs=1e-9)
 
 
-def _lanes(with_cut):
+def _lanes():
     """lane_events under a weak and an informative prior, two lanes each."""
     informative = HyperPrior(math.log(20_000.0), 0.25, Provenance.EMPIRICAL)
-    lists = lane_events(with_cut)
+    lists = lane_events()
     return [d for d in lists for _ in range(2)], [WEAK, informative] * len(lists)
 
 
-@pytest.mark.parametrize("with_cut", [False, True])
-def test_lane_target_matches_scalar_target(with_cut):
-    lists, priors = _lanes(with_cut)
+def test_lane_target_matches_oracle():
+    lists, priors = _lanes()
     lane = make_lane_log_posterior(lists, priors)
-    scalar = [make_log_posterior(d, p) for d, p in zip(lists, priors)]
     w_k = np.array([d.w_k for d in lists])
     log_n = np.log([d.n_k for d in lists])
     for gap in (0.01, 0.03, 0.08):
@@ -278,16 +278,19 @@ def test_lane_target_matches_scalar_target(with_cut):
             out = np.empty(len(lists))
             assert lane(mu, y, out=out) is out
             assert np.array_equal(out, got)
-            for i, target in enumerate(scalar):
-                want = target((float(mu[i]), float(y[i])))
+            for i, (data, prior) in enumerate(zip(lists, priors)):
+                want = log_posterior((float(mu[i]), float(y[i])), data, prior)
                 assert math.isfinite(want)
                 assert got[i] == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("with_cut", [False, True])
-def test_lane_target_never_finite_outside_domain(with_cut):
-    lists, priors = _lanes(with_cut)
+@pytest.mark.parametrize("one_lane_view", [False, True])
+def test_lane_target_never_finite_outside_domain(one_lane_view):
+    """The lane kernel scores every point outside the domain nan or -inf; its
+    one-lane view turns each into a Python float -inf, without a warning."""
+    lists, priors = _lanes()
     lane = make_lane_log_posterior(lists, priors)
+    scalar = [make_log_posterior(d, p) for d, p in zip(lists, priors)]
     w_k = np.array([d.w_k for d in lists])
     log_n = np.log([d.n_k for d in lists])
     ones = np.ones(len(lists))
@@ -308,7 +311,14 @@ def test_lane_target_never_finite_outside_domain(with_cut):
         (w_k + 0.05, -700.0 * ones),              # log N <= -700
         (w_k + 0.05, -1e4 * ones),
     ]
-    with np.errstate(all="ignore"):
-        for mu, y in cases:
-            lp = lane(mu, y)
+    for mu, y in cases:
+        if not one_lane_view:
+            with np.errstate(all="ignore"):
+                lp = lane(mu, y)
             assert np.all(np.isnan(lp) | (lp == -math.inf)), (mu - w_k, y - log_n, lp)
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i, target in enumerate(scalar):
+                value = target((float(mu[i]), float(y[i])))
+                assert type(value) is float and value == -math.inf, (i, mu[i], y[i], value)

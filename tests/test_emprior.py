@@ -174,9 +174,7 @@ def test_two_pass_needs_four_lists():
 
 def test_fit_corpus_fit_does_not_depend_on_co_batched_events():
     lists = _corpus(n_events=3)
-    a, c = lists["ev0"], lists["ev2"]
-    # Truncated above its worst mark, b puts its lanes on the log_ndtr branch.
-    b = dataclasses.replace(lists["ev1"], c_k=lists["ev1"].w_k + 0.004)
+    a, b, c = lists["ev0"], lists["ev1"], lists["ev2"]
     weak = HyperPrior.weakly_informative()
     abc, failures_abc = fit_corpus([a, b, c], weak, TINY, t_m=1.0)
     ca, failures_ca = fit_corpus([c, a], weak, TINY, t_m=1.0)

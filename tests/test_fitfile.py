@@ -1,4 +1,4 @@
-"""Round-trip and validation tests for the tailcast-fit/3 text format.
+"""Round-trip and validation tests for the tailcast-fit/4 text format.
 
 The metadata line is written from and read back into the FitMetadata,
 EventSpec, HyperPrior and SamplerConfig dataclasses by reflection; the
@@ -8,6 +8,7 @@ import base64
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -67,7 +68,6 @@ def test_round_trip_preserves_fields():
     assert back.meta.t_m == fit.meta.t_m
     assert back.meta.n_k == fit.meta.n_k
     assert back.meta.w_k == fit.meta.w_k
-    assert back.meta.c_k == fit.meta.c_k
     assert back.meta.best_x == fit.meta.best_x
     assert back.meta.prior == fit.meta.prior
     assert back.meta.config == fit.meta.config
@@ -99,7 +99,7 @@ def test_round_trip_every_metadata_field():
     for obj in (config, prior, event):
         assert all(getattr(obj, f.name) != f.default for f in dataclasses.fields(obj)), obj
     fit = sample_fit()
-    meta = dataclasses.replace(fit.meta, event=event, prior=prior, config=config, c_k=2.5,
+    meta = dataclasses.replace(fit.meta, event=event, prior=prior, config=config,
                                failed_chains=(2, 3), notes=("chain 2: failed",))
     fit = dataclasses.replace(fit, event_id=event.event_id, meta=meta)
     text = dumps(fit)
@@ -145,7 +145,7 @@ def test_save_and_load(tmp_path):
 
 @pytest.mark.parametrize("content, message", [
     (b"#tailcast-fit/2\n", "first line must be"),
-    (b"#tailcast-fit/3\n\xff\n", "cannot read"),
+    (b"#tailcast-fit/4\n\xff\n", "cannot read"),
     (None, "cannot read"),
 ], ids=["old-format", "not-utf8", "missing"])
 def test_load_fit_names_the_file(tmp_path, content, message):
@@ -165,12 +165,23 @@ def test_atomic_write_overwrites(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_atomic_write_follows_umask(tmp_path, umask, mode):
+    path = tmp_path / "out.txt"
+    old = os.umask(umask)
+    try:
+        atomic_write_text(path, "text")
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == mode
+
+
 def test_loads_rejects_wrong_format_line():
     with pytest.raises(FitFileError):
         loads("#something-else/9\n")
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_loads_rejects_old_format(version):
     lines = dumps(sample_fit()).splitlines()
     lines[0] = f"#tailcast-fit/{version}"

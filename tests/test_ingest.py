@@ -133,7 +133,6 @@ def test_build_performance_list_ordering():
     assert data.n_k == 3
     assert [r.value for r in data.records] == [9.58, 9.69, 9.72]
     assert data.marks == tuple(math.log(v) for v in (9.58, 9.69, 9.72))
-    assert data.c_k == math.log(9.72)
     assert data.w_k == math.log(9.72)
     assert data.best == math.log(9.58)
 
@@ -145,7 +144,7 @@ def test_build_performance_list_field_ordering():
         jump, [RawMark(890.0, d(1991, 8, 30)), RawMark(895.0, d(1991, 8, 30))]
     )
     assert data.marks == (-math.log(895.0), -math.log(890.0))
-    assert data.c_k == -math.log(890.0)
+    assert data.w_k == -math.log(890.0)
 
 
 def test_build_performance_list_ties_kept():
@@ -169,14 +168,6 @@ def test_build_performance_list_windowing():
         build_performance_list(run, _sprint_records(), window=DateWindow.calendar_years(1999, 2000))
 
 
-def test_c_k_override():
-    run = EventSpec.running("m100")
-    data = build_performance_list(run, _sprint_records(), c_k=math.log(9.80))
-    assert data.c_k == math.log(9.80)
-    with pytest.raises(ValueError):
-        build_performance_list(run, _sprint_records(), c_k=math.log(9.60))
-
-
 def test_list_file_roundtrip(tmp_path):
     run = EventSpec.running("m100", display_name="100 m")
     path = tmp_path / "m100.tsv"
@@ -197,7 +188,6 @@ def test_load_performance_list_matches_manual(tmp_path):
     loaded = load_performance_list(path)
     manual = build_performance_list(run, _sprint_records())
     assert loaded.marks == manual.marks
-    assert loaded.c_k == manual.c_k
     with pytest.raises(EmptyListError):
         load_performance_list(path, window=DateWindow.calendar_years(1990, 1991))
 
@@ -239,4 +229,3 @@ def test_reserialization_idempotent(tmp_path):
     second = load_performance_list(path)
     assert second.marks == first.marks
     assert second.records == first.records
-    assert second.c_k == first.c_k

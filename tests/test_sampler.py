@@ -144,12 +144,12 @@ def test_run_steps_matches_reference_loop(case):
     assert 0 < accepted < 1077
 
 
-@pytest.mark.parametrize("with_cut", [False, True])
+@pytest.mark.parametrize("reverse_lanes", [False, True])
 @pytest.mark.parametrize("batch_len", [1, 7, 50])
-def test_sample_lanes_matches_run_chain(batch_len, with_cut):
+def test_sample_lanes_matches_run_chain(batch_len, reverse_lanes):
     config = small_config(batches=30, batch_len=batch_len)
     lists, priors, tuned, rngs = [], [], [], []
-    for data in lane_events(with_cut):
+    for data in lane_events():
         for prior in (HyperPrior.weakly_informative(), INFORMATIVE):
             target = make_log_posterior(data, prior)
             for chain_id in range(2):
@@ -159,16 +159,20 @@ def test_sample_lanes_matches_run_chain(batch_len, with_cut):
                 priors.append(prior)
                 tuned.append(tune_burn_in(target, config, init, rng))
                 rngs.append(rng)
-    mu, logN, accepted = sample_lanes(make_lane_log_posterior(lists, priors), config,
-                                      tuned, [copy.deepcopy(rng) for rng in rngs])
+    # Lane j runs chain order[j]. Reversed, every chain sits elsewhere in the
+    # lane block, and its draws must not depend on where.
+    order = range(len(tuned))[::-1] if reverse_lanes else range(len(tuned))
+    target = make_lane_log_posterior([lists[i] for i in order], [priors[i] for i in order])
+    mu, logN, accepted = sample_lanes(target, config, [tuned[i] for i in order],
+                                      [copy.deepcopy(rngs[i]) for i in order])
     steps = config.batches * config.batch_len
     assert mu.shape == logN.shape == (len(tuned), config.batches)
-    for i, (data, prior) in enumerate(zip(lists, priors)):
-        chain = run_chain(make_log_posterior(data, prior), config, tuned[i], rngs[i])
-        assert np.array_equal(mu[i], chain.mu)
-        assert np.array_equal(logN[i], chain.logN)
-        assert int(accepted[i]) / steps == chain.accept_rate
-        assert 0 < accepted[i] < steps
+    for lane, i in enumerate(order):
+        chain = run_chain(make_log_posterior(lists[i], priors[i]), config, tuned[i], rngs[i])
+        assert np.array_equal(mu[lane], chain.mu)
+        assert np.array_equal(logN[lane], chain.logN)
+        assert int(accepted[lane]) / steps == chain.accept_rate
+        assert 0 < accepted[lane] < steps
 
 
 # Burn-in settings that drive tune_lanes down every path of tune_burn_in's
@@ -194,7 +198,7 @@ def test_tune_lanes_matches_tune_burn_in(case, monkeypatch):
         return _run_steps(target, state, lp, n_steps, scales, rng)
 
     monkeypatch.setattr(sampler, "_run_steps", recording_run_steps)
-    for data in lane_events(with_cut=True):
+    for data in lane_events():
         for prior in (HyperPrior.weakly_informative(), INFORMATIVE):
             target = make_log_posterior(data, prior)
             for seed in (3, 4, 5):
@@ -239,7 +243,7 @@ def test_tune_lanes_matches_tune_burn_in(case, monkeypatch):
 def test_speculation_depth_never_changes_fits(monkeypatch):
     config = small_config(batches=40)
     events = [(data, prior, 20 + i, 1.0)
-              for i, data in enumerate(lane_events(with_cut=True))
+              for i, data in enumerate(lane_events())
               for prior in (HyperPrior.weakly_informative(), INFORMATIVE)]
 
     def dumps(fits):
@@ -255,7 +259,7 @@ def test_speculation_depth_never_changes_fits(monkeypatch):
 # moves only with a deliberate change to the sampler's draws.
 DRAWS_SHA256 = "e6a3c8a974e4ad37ac9aa9c1c28b98de7eb102fb48ec9bf23f3dc7ef49a45872"
 # sha256 of the fit file itself; it also moves with the fit-file format.
-FIT_FILE_SHA256 = "59acfba9e7c53a52655d7bcc678464ac7982072e7ca6852972ef50eff40da0c4"
+FIT_FILE_SHA256 = "dde4ea714787c042d68926151a8c649d43a78f84752876d9a0fe8d10a2ec1bc7"
 
 
 def _draws_digest(fit):
