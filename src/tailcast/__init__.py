@@ -10,9 +10,6 @@ from .backtest import (
     BacktestReport,
     BacktestSpec,
     DataMode,
-    MissingOutcome,
-    realized_exceedances,
-    realized_improvement,
     run_backtest,
 )
 from .distcore import std_normal_cdf
@@ -51,7 +48,6 @@ from .sampler import (
 from .stats import (
     AnchorNotFound,
     ForecastContext,
-    ReferenceMark,
     ScoreTable,
     UndefinedCorrelation,
     anchor_mark,
@@ -62,7 +58,6 @@ from .stats import (
     mark_for_points,
     pearson,
     record_probability,
-    reference_mark,
     score,
 )
 
@@ -83,11 +78,9 @@ __all__ = [
     "ForecastContext",
     "HyperPrior",
     "InsufficientEvents",
-    "MissingOutcome",
     "PerformanceList",
     "PosteriorChain",
     "RawMark",
-    "ReferenceMark",
     "SamplerConfig",
     "ScoreTable",
     "TailcastError",
@@ -110,10 +103,7 @@ __all__ = [
     "load_performance_list",
     "mark_for_points",
     "pearson",
-    "realized_exceedances",
-    "realized_improvement",
     "record_probability",
-    "reference_mark",
     "robust_hyperprior",
     "run_backtest",
     "save_fit",

@@ -4,34 +4,30 @@ Each event is refitted using only data dated before the cutoff year, in one
 of two modes (all prior data, or exactly the prior five years). Predictions
 for held-out evaluation windows are then correlated with realized outcomes:
 exceedance counts over reference marks, improvements of the window best over
-those references, and record-breaking indicators.
+those references, and record-breaking indicators. Every outcome of an event
+and window comes from one list, the event's marks inside that window, which
+is sorted best first like the PerformanceList it is read from.
 """
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
 
 from .emprior import HyperPrior, InsufficientEvents, two_pass_fit
-from .errors import TailcastError
 from .ingest import DateWindow, EmptyListError, PerformanceList, build_performance_list
 from .sampler import SamplerConfig
 from .stats import (
     ForecastContext,
-    ReferenceMark,
     UndefinedCorrelation,
     expected_best,
     expected_exceedances,
     pearson,
     record_probability,
-    reference_mark,
 )
 
 ALLOWED_RANKS = (10, 25, 50, 100)
-
-
-class MissingOutcome(TailcastError):
-    """The evaluation window holds no marks, so no realized value exists."""
 
 
 class DataMode(enum.Enum):
@@ -77,40 +73,6 @@ class BacktestSpec:
 
     def evaluation_window(self, length: int) -> DateWindow:
         return DateWindow.calendar_years(self.cutoff_year, self.cutoff_year + length - 1)
-
-
-def realized_exceedances(data: PerformanceList, reference: ReferenceMark,
-                         window: DateWindow) -> int:
-    """Marks inside the window strictly better than the reference."""
-    if data.event.event_id != reference.event_id:
-        raise ValueError(
-            f"reference is for {reference.event_id}, data is {data.event.event_id}"
-        )
-    return sum(
-        1
-        for record, x in zip(data.records, data.marks)
-        if window.contains(record.date) and x < reference.mark
-    )
-
-
-def realized_improvement(data: PerformanceList, reference: ReferenceMark,
-                         window: DateWindow) -> float:
-    """Improvement of the window's best mark over the reference.
-
-    Negative when nothing in the window beats the reference; an empty window
-    has no outcome at all and raises MissingOutcome.
-    """
-    if data.event.event_id != reference.event_id:
-        raise ValueError(
-            f"reference is for {reference.event_id}, data is {data.event.event_id}"
-        )
-    in_window = [x for record, x in zip(data.records, data.marks)
-                 if window.contains(record.date)]
-    if not in_window:
-        raise MissingOutcome(
-            f"{data.event.event_id}: no marks in [{window.start}, {window.end})"
-        )
-    return reference.mark - min(in_window)
 
 
 @dataclass(frozen=True)
@@ -179,15 +141,23 @@ def _add_note(notes: dict[str, str], event_id: str, message: str) -> None:
         notes[event_id] = message
 
 
+def _marks_in(data: PerformanceList, window: DateWindow) -> list[float]:
+    """The list's marks dated inside the window, best first."""
+    return [x for record, x in zip(data.records, data.marks) if window.contains(record.date)]
+
+
 def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestReport:
     """Fit pre-cutoff data for every event, then correlate forecasts with reality.
 
-    `corpus` is an iterable of full-history PerformanceLists. Events whose
-    pre-cutoff slice is empty or whose fit fails are dropped with a note;
-    forecasting proceeds even on unconverged fits (noted per event).
+    `corpus` is an iterable of full-history PerformanceLists with distinct
+    event ids. Events whose pre-cutoff slice is empty or whose fit fails are
+    dropped with a note; forecasting proceeds even on unconverged fits
+    (noted per event).
     """
     full: dict[str, PerformanceList] = {}
     for data in corpus:
+        if data.event.event_id in full:
+            raise ValueError(f"two lists have event id {data.event.event_id!r}")
         full[data.event.event_id] = data
     notes: dict[str, str] = {}
 
@@ -220,23 +190,20 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
         if not fit.converged:
             _add_note(notes, event_id, f"forecast from unconverged fit (mpsrf={fit.mpsrf:.3f})")
 
-    references: dict[tuple[str, int], ReferenceMark] = {}
+    # The rank-r reference is the r-th best mark before the cutoff, whatever
+    # the data mode fitted on.
+    before_cutoff = DateWindow.before(spec.cutoff_year)
+    references: dict[str, list[float]] = {}
     for event_id in result.fits:
-        missing_rank = None
-        for rank in sorted(spec.reference_ranks):
-            try:
-                references[(event_id, rank)] = reference_mark(
-                    full[event_id], rank, spec.cutoff_date
-                )
-            except ValueError:
-                if missing_rank is None:
-                    missing_rank = rank
-        if missing_rank is not None:
-            _add_note(notes, event_id, f"fewer than {missing_rank} marks before cutoff")
+        references[event_id] = _marks_in(full[event_id], before_cutoff)
+        too_deep = [r for r in sorted(spec.reference_ranks) if r > len(references[event_id])]
+        if too_deep:
+            _add_note(notes, event_id, f"fewer than {too_deep[0]} marks before cutoff")
 
     cells: list[BacktestCell] = []
     for length in spec.windows:
         window = spec.evaluation_window(length)
+        held_out = {event_id: _marks_in(full[event_id], window) for event_id in result.fits}
         expected_best_x = {
             event_id: expected_best(ctx).x for event_id, ctx in contexts[length].items()
         }
@@ -244,31 +211,25 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
             exceed_rows: list[tuple[str, float, float]] = []
             improv_rows: list[tuple[str, float, float]] = []
             for event_id, ctx in contexts[length].items():
-                ref = references.get((event_id, rank))
-                if ref is None:
+                if rank > len(references[event_id]):
                     continue
-                data = full[event_id]
-                predicted_count = float(length) * expected_exceedances(ctx, ref.mark)
-                exceed_rows.append(
-                    (event_id, predicted_count,
-                     float(realized_exceedances(data, ref, window)))
-                )
-                try:
-                    actual_impr = realized_improvement(data, ref, window)
-                except MissingOutcome:
-                    continue
-                improv_rows.append((event_id, ref.mark - expected_best_x[event_id], actual_impr))
+                ref = references[event_id][rank - 1]
+                marks = held_out[event_id]
+                predicted_count = float(length) * expected_exceedances(ctx, ref)
+                # strictly better than the reference: ties do not count
+                exceed_rows.append((event_id, predicted_count, float(bisect_left(marks, ref))))
+                if marks:
+                    improv_rows.append(
+                        (event_id, ref - expected_best_x[event_id], ref - marks[0])
+                    )
             cells.append(_correlate("exceedances", length, rank, exceed_rows))
             cells.append(_correlate("improvement", length, rank, improv_rows))
 
         record_rows: list[tuple[str, float, float]] = []
         for event_id, ctx in contexts[length].items():
-            data = full[event_id]
             record_mark = ctx.fit.meta.best_x
-            occurred = any(
-                window.contains(record.date) and x < record_mark
-                for record, x in zip(data.records, data.marks)
-            )
+            marks = held_out[event_id]
+            occurred = bool(marks) and marks[0] < record_mark
             record_rows.append(
                 (event_id, record_probability(ctx, record_mark), float(occurred))
             )

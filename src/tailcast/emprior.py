@@ -127,10 +127,14 @@ def fit_corpus(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | Non
     `t_m` is as for two_pass_fit. All events are sampled together (see
     sampler.fit_events), and each fit is the one fit_event would give with
     that seed. Returns (fits, failures): event_id -> FitResult, and
-    event_id -> the message of the FitFailed that ended that event.
+    event_id -> the message of the FitFailed that ended that event. Two
+    lists with one event id are refused.
     """
     lists = list(lists)
     ids = [data.event.event_id for data in lists]
+    for i, event_id in enumerate(ids):
+        if event_id in ids[:i]:
+            raise ValueError(f"two lists have event id {event_id!r}")
     events = [(data, prior, event_seed(config.seed, event_id), t_m)
               for data, event_id in zip(lists, ids)]
     fits: dict[str, FitResult] = {}

@@ -267,7 +267,8 @@ def read_list_file(path: str | Path) -> tuple[EventSpec, list[RawMark]]:
     """
     path = Path(path)
     header: dict[str, str] = {}
-    rows: list[tuple[str, str, str | None]] = []
+    header_lines: dict[str, int] = {}
+    rows: list[tuple[int, str, str, str | None]] = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = line.rstrip("\n")
         if not line.strip():
@@ -277,12 +278,13 @@ def read_list_file(path: str | Path) -> tuple[EventSpec, list[RawMark]]:
             if "=" in body:
                 key, _, value = body.partition("=")
                 header[key.strip()] = value.strip()
+                header_lines[key.strip()] = lineno
             continue
         cells = line.split("\t")
         if len(cells) < 2:
             raise MarkParseError(f"{path.name}:{lineno}: expected value<TAB>date, got {line!r}")
         athlete = cells[2].strip() if len(cells) > 2 and cells[2].strip() else None
-        rows.append((cells[0].strip(), cells[1].strip(), athlete))
+        rows.append((lineno, cells[0].strip(), cells[1].strip(), athlete))
 
     try:
         direction = _DIRECTION_TOKENS[header.get("direction", "").lower()]
@@ -293,12 +295,20 @@ def read_list_file(path: str | Path) -> tuple[EventSpec, list[RawMark]]:
         raise MarkParseError(f"{path.name}: header must declare unit= one of {sorted(_UNIT_TOKENS)}")
     unit, scale = _UNIT_TOKENS[unit_token]
     event_id = header.get("event", path.stem)
-    event = EventSpec(event_id, direction, unit, header.get("display_name", ""))
+    try:
+        event = EventSpec(event_id, direction, unit, header.get("display_name", ""))
+    except ValueError as exc:
+        # name the last of the header lines that declare the event
+        lineno = max(header_lines[k] for k in ("event", "unit", "direction") if k in header_lines)
+        raise MarkParseError(f"{path.name}:{lineno}: {exc}") from None
 
     records = []
-    for value_text, date_text, athlete in rows:
-        value = _parse_value(value_text, unit, scale)
-        records.append(RawMark(value=value, date=_parse_iso_date(date_text), athlete=athlete))
+    for lineno, value_text, date_text, athlete in rows:
+        try:
+            value = _parse_value(value_text, unit, scale)
+            records.append(RawMark(value=value, date=_parse_iso_date(date_text), athlete=athlete))
+        except (MarkParseError, ValueError) as exc:
+            raise MarkParseError(f"{path.name}:{lineno}: {exc}") from None
     return event, records
 
 

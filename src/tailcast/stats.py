@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -17,7 +16,7 @@ from scipy.special import ndtri_exp
 
 from .distcore import log_std_normal_cdf, std_normal_cdf, tail_mass_sigma
 from .errors import TailcastError
-from .ingest import EventSpec, PerformanceList, decode_mark, encode_mark, format_raw_mark
+from .ingest import EventSpec, decode_mark, encode_mark, format_raw_mark
 from .sampler import FitResult
 
 LN2 = math.log(2.0)
@@ -282,32 +281,3 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise UndefinedCorrelation("a list with zero variance has no correlation")
     r = float(np.sum(xd * yd) / (sx * sy))
     return max(-1.0, min(1.0, r))
-
-
-@dataclass(frozen=True)
-class ReferenceMark:
-    """The rank-th best all-time mark strictly before a date."""
-
-    event_id: str
-    rank: int
-    mark: float
-    as_of: date
-
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-
-
-def reference_mark(data: PerformanceList, rank: int, as_of: date) -> ReferenceMark:
-    """Extract the rank-th best mark among records dated strictly before as_of."""
-    marks = sorted(
-        x for r, x in zip(data.records, data.marks) if r.date < as_of
-    )
-    if len(marks) < rank:
-        raise ValueError(
-            f"{data.event.event_id}: only {len(marks)} marks before {as_of}, "
-            f"need rank {rank}"
-        )
-    return ReferenceMark(
-        event_id=data.event.event_id, rank=rank, mark=marks[rank - 1], as_of=as_of
-    )

@@ -11,10 +11,7 @@ from tailcast.backtest import (
     BacktestReport,
     BacktestSpec,
     DataMode,
-    MissingOutcome,
     fit_window,
-    realized_exceedances,
-    realized_improvement,
     render_detail_records,
     render_report_table,
     render_summary_records,
@@ -23,10 +20,8 @@ from tailcast.backtest import (
 from tailcast.emprior import InsufficientEvents, Provenance
 from tailcast.ingest import DateWindow, EventSpec, RawMark, build_performance_list
 from tailcast.sampler import SamplerConfig
-from tailcast.stats import ReferenceMark, pearson, reference_mark
+from tailcast.stats import pearson
 from tailcast.synth import sample_tail, tail_performance_list
-
-from conftest import running_event
 
 MU_STAR = math.log(11.28)
 SIGMA_STAR = 0.033
@@ -64,60 +59,6 @@ def test_spec_windows():
     assert evaluation.contains(date(2021, 12, 31))
     assert not evaluation.contains(date(2019, 12, 31))
     assert not evaluation.contains(date(2022, 1, 1))
-
-
-def _hand_list():
-    spec = running_event()
-    records = [
-        RawMark(9.58, date(2020, 8, 16)),
-        RawMark(9.69, date(2020, 6, 16)),
-        RawMark(9.72, date(2019, 5, 31)),
-        RawMark(9.72, date(2020, 7, 1)),  # exact tie with the reference
-        RawMark(9.80, date(2020, 9, 1)),
-        RawMark(9.90, date(2018, 9, 1)),
-    ]
-    return build_performance_list(spec, records)
-
-
-def test_realized_exceedances_strict():
-    data = _hand_list()
-    window = DateWindow.calendar_years(2020, 2021)
-    ref = ReferenceMark("ev100m", rank=1, mark=math.log(9.72), as_of=date(2020, 1, 1))
-    # 9.58 and 9.69 beat the reference; the tie at 9.72 must not count
-    assert realized_exceedances(data, ref, window) == 2
-
-    unreachable = ReferenceMark("ev100m", 1, math.log(9.00), as_of=date(2020, 1, 1))
-    assert realized_exceedances(data, unreachable, window) == 0
-
-    worst = ReferenceMark("ev100m", 1, math.log(9.80), as_of=date(2020, 1, 1))
-    in_window = [9.58, 9.69, 9.72, 9.80]
-    assert realized_exceedances(data, worst, window) == len(in_window) - 1
-
-    stranger = ReferenceMark("other", 1, math.log(9.72), as_of=date(2020, 1, 1))
-    with pytest.raises(ValueError):
-        realized_exceedances(data, stranger, window)
-
-
-def test_realized_improvement_values():
-    data = _hand_list()
-    window = DateWindow.calendar_years(2020, 2021)
-    ref = ReferenceMark("ev100m", 1, math.log(9.72), as_of=date(2020, 1, 1))
-    got = realized_improvement(data, ref, window)
-    assert got == pytest.approx(-math.log(9.58 / 9.72), rel=1e-12)
-    assert got == pytest.approx(0.01451, abs=1e-5)
-
-    equal = ReferenceMark("ev100m", 1, math.log(9.58), as_of=date(2020, 1, 1))
-    assert realized_improvement(data, equal, window) == pytest.approx(0.0, abs=1e-15)
-
-    better = ReferenceMark("ev100m", 1, math.log(9.40), as_of=date(2020, 1, 1))
-    assert realized_improvement(data, better, window) < 0.0
-
-    with pytest.raises(MissingOutcome):
-        realized_improvement(data, ref, DateWindow.calendar_years(1930, 1931))
-    with pytest.raises(ValueError):
-        realized_improvement(
-            data, ReferenceMark("other", 1, 2.0, as_of=date(2020, 1, 1)), window
-        )
 
 
 def test_report_cell_lookup():
@@ -228,6 +169,13 @@ def test_run_backtest_needs_four_pre_cutoff_events():
         run_backtest(corpus, spec, CONFIG)
 
 
+def test_run_backtest_refuses_a_repeated_event_id():
+    corpus = varied_span_corpus()
+    spec = BacktestSpec(cutoff_year=CUTOFF, windows=(1,), reference_ranks=(10,))
+    with pytest.raises(ValueError, match="'run08'"):
+        run_backtest(corpus + [corpus[1]], spec, CONFIG)
+
+
 def test_run_backtest_flags_degenerate_outcomes():
     # every future mark is worse than the rank-10 reference, so the actual
     # exceedance vector is identically zero and the correlation is undefined
@@ -271,3 +219,133 @@ def test_renders(small_report):
     cell0 = small_report.cells[0]
     assert first[3] == cell0.event_ids[0]
     assert float(first[4]) == cell0.predicted[0]
+
+
+OUTCOME_SPEC = dict(cutoff_year=CUTOFF, windows=(1, 2), reference_ranks=(10, 50))
+
+
+def outcome_corpus():
+    """Four events whose held-out years exercise each outcome rule.
+
+    - `wide`: 120 marks dated 2000-2021, an ordinary event.
+    - `tie`: 120 marks before the cutoff; its only 2020 mark equals its
+      rank-10 reference, and its 2021 mark equals its rank-3 mark.
+    - `slow`: 30 marks before the cutoff, fewer than rank 50; its 2020 and
+      2021 marks are slower than anything before.
+    - `quiet`: 120 marks before the cutoff, none in 2020, and one in 2021
+      that ties its best mark, so no record.
+    """
+    def synthetic(i, event_id, n, first_year, last_year):
+        tail = sample_tail(900 + i, MU_STAR, SIGMA_STAR, 20_000, n)
+        return tail_performance_list(EventSpec.running(event_id), tail,
+                                     first_year, last_year, seed=950 + i)
+
+    def with_marks(data, extra):
+        return build_performance_list(data.event, list(data.records) + extra)
+
+    wide = synthetic(0, "wide", 120, 2000, 2021)
+    tie = synthetic(1, "tie", 120, 2000, 2019)
+    tie = with_marks(tie, [RawMark(tie.records[9].value, date(2020, 5, 1)),
+                           RawMark(tie.records[2].value, date(2021, 5, 1))])
+    slow = synthetic(2, "slow", 30, 2012, 2019)
+    worst = slow.records[-1].value
+    slow = with_marks(slow, [RawMark(worst * 1.01, date(2020, 7, 1)),
+                             RawMark(worst * 1.02, date(2021, 7, 1))])
+    quiet = synthetic(3, "quiet", 120, 2000, 2019)
+    quiet = with_marks(quiet, [RawMark(quiet.records[0].value, date(2021, 3, 1))])
+    return [wide, tie, slow, quiet]
+
+
+def brute_force_actual(data, spec, statistic, length, rank):
+    """One cell's realized value for one event by a plain loop over the
+    records, or None when the event has no row in that cell."""
+    first_fit_year = CUTOFF - 5 if spec.data_mode is DataMode.FIVE_YEARS else 1
+    before, held, fitted = [], [], []
+    for record, x in zip(data.records, data.marks):
+        year = record.date.year
+        if year < CUTOFF:
+            before.append(x)
+            if year >= first_fit_year:
+                fitted.append(x)
+        elif year < CUTOFF + length:
+            held.append(x)
+    if statistic == "record":
+        return float(any(x < min(fitted) for x in held))
+    if len(before) < rank:
+        return None
+    reference = sorted(before)[rank - 1]
+    if statistic == "exceedances":
+        return float(sum(1 for x in held if x < reference))
+    return reference - min(held) if held else None
+
+
+@pytest.fixture(scope="module", params=list(DataMode), ids=lambda m: m.value)
+def outcome_report(request):
+    spec = BacktestSpec(data_mode=request.param, **OUTCOME_SPEC)
+    return run_backtest(outcome_corpus(), spec, CONFIG)
+
+
+def test_run_backtest_actuals_match_brute_force(outcome_report):
+    assert "fit failed" not in str(outcome_report.event_notes)
+    corpus = outcome_corpus()
+    assert len(outcome_report.cells) == 2 * (2 * 2 + 1)
+    for cell in outcome_report.cells:
+        expected = []
+        for data in sorted(corpus, key=lambda d: d.event.event_id):
+            actual = brute_force_actual(data, outcome_report.spec, cell.statistic,
+                                        cell.window_years, cell.rank)
+            if actual is not None:
+                expected.append((data.event.event_id, actual))
+        assert list(zip(cell.event_ids, cell.actual)) == expected, cell
+
+
+def test_run_backtest_ties_are_not_exceedances(outcome_report):
+    (tie,) = [d for d in outcome_corpus() if d.event.event_id == "tie"]
+    before = [x for r, x in zip(tie.records, tie.marks) if r.date.year < CUTOFF]
+    (in_2020,) = [x for r, x in zip(tie.records, tie.marks) if r.date.year == CUTOFF]
+    assert in_2020 == before[9]  # the 2020 mark ties the rank-10 reference
+    exceed = outcome_report.cell("exceedances", 1, 10)
+    assert exceed.actual[exceed.event_ids.index("tie")] == 0.0
+    improvement = outcome_report.cell("improvement", 1, 10)
+    assert improvement.actual[improvement.event_ids.index("tie")] == 0.0
+    two_years = outcome_report.cell("exceedances", 2, 10)
+    assert two_years.actual[two_years.event_ids.index("tie")] == 1.0  # the rank-3 tie
+
+
+def test_run_backtest_negative_improvement(outcome_report):
+    for length in (1, 2):
+        cell = outcome_report.cell("improvement", length, 10)
+        assert cell.actual[cell.event_ids.index("slow")] < 0.0
+
+
+def test_run_backtest_empty_window_keeps_a_zero_exceedance(outcome_report):
+    for rank in (10, 50):
+        exceed = outcome_report.cell("exceedances", 1, rank)
+        assert exceed.actual[exceed.event_ids.index("quiet")] == 0.0
+        assert "quiet" not in outcome_report.cell("improvement", 1, rank).event_ids
+        assert "quiet" in outcome_report.cell("improvement", 2, rank).event_ids
+    record = outcome_report.cell("record", 1)
+    assert record.actual[record.event_ids.index("quiet")] == 0.0
+
+
+def test_run_backtest_notes_a_rank_deeper_than_the_list(outcome_report):
+    notes = dict(outcome_report.event_notes)
+    assert "fewer than 50 marks before cutoff" in notes["slow"]
+    assert all("fewer than" not in notes.get(e, "") for e in ("wide", "tie", "quiet"))
+    for statistic in ("exceedances", "improvement"):
+        for length in (1, 2):
+            assert "slow" in outcome_report.cell(statistic, length, 10).event_ids
+            assert "slow" not in outcome_report.cell(statistic, length, 50).event_ids
+
+
+def test_run_backtest_references_use_all_prior_data(outcome_report):
+    # A five-year fit sees 2015-2019 only, but in both modes the reference is
+    # the rank-th best mark of all the data before the cutoff.
+    (wide,) = [d for d in outcome_corpus() if d.event.event_id == "wide"]
+    recent = build_performance_list(wide.event, list(wide.records),
+                                    window=DateWindow.years_before(CUTOFF, 5))
+    all_prior = [x for r, x in zip(wide.records, wide.marks) if r.date.year < CUTOFF]
+    assert recent.marks[9] != all_prior[9]
+    held = [x for r, x in zip(wide.records, wide.marks) if r.date.year == CUTOFF]
+    cell = outcome_report.cell("improvement", 1, 10)
+    assert cell.actual[cell.event_ids.index("wide")] == all_prior[9] - min(held)

@@ -295,6 +295,42 @@ def test_duplicate_event_ids_are_refused(tmp_path, capsys):
     assert str(a) in rows[1][2]
 
 
+@pytest.mark.parametrize("command", ["validate-data", "fit"])
+def test_malformed_data_files_are_reported_not_raised(tmp_path, capsys, command):
+    # A header pairing seconds with higher-is-better, and non-positive or
+    # non-finite marks, are data errors naming file:line, not tracebacks.
+    tail = sample_tail(600, MU_STAR, SIGMA_STAR, 20_000, 40)
+    data_dir = tmp_path / "data"
+    write_corpus(data_dir, [tail_performance_list(EventSpec.running("good"), tail,
+                                                  2006, 2020, seed=650)])
+    (data_dir / "hdr.tsv").write_text("# event=hdr\n# unit=s\n# direction=higher\n"
+                                      "9.58\t2009-08-16\n")
+    bad = {"hdr": "hdr.tsv:3:"}
+    for name, value in (("zero", "0"), ("neg", "-5"), ("nan", "nan"), ("inf", "inf")):
+        (data_dir / f"{name}.tsv").write_text(
+            f"# event={name}\n# unit=cm\n# direction=higher\n"
+            f"812\t2009-08-16\n{value}\t2010-06-01\n"
+        )
+        bad[name] = f"{name}.tsv:5:"
+    out_dir = tmp_path / "out"
+    code = main([command, "--data", str(data_dir), "--out", str(out_dir),
+                 "--prior", "weak", *SPEED] if command == "fit"
+                else [command, "--data", str(data_dir)])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    if command == "validate-data":
+        assert code == 1
+        rows = {row.split("\t")[0]: row.split("\t")[1:] for row in out.splitlines()}
+        assert rows["good"][0] == "OK"
+        for name, where in bad.items():
+            assert rows[name][0] == "ERROR" and rows[name][1].startswith(where)
+    else:
+        assert code == 0
+        assert [p.name for p in (out_dir / "fits").glob("*.fit")] == ["good.fit"]
+        for name, where in bad.items():
+            assert f"warning: skipping {name}: {where}" in err
+
+
 def test_usage_errors(workspace, tmp_path, capsys):
     data_dir, out_dir = workspace
     assert main(["fit", "--data", str(tmp_path / "nowhere")]) == 2

@@ -186,6 +186,13 @@ def test_fit_corpus_fit_does_not_depend_on_co_batched_events():
     assert dumps(abc["ev2"]) == dumps(ca["ev2"])
 
 
+def test_fit_corpus_refuses_a_repeated_event_id():
+    lists = _corpus(n_events=2)
+    twin = lists["ev1"]
+    with pytest.raises(ValueError, match="'ev1'"):
+        fit_corpus([lists["ev0"], twin, twin], HyperPrior.weakly_informative(), TINY, t_m=1.0)
+
+
 def test_two_pass_wires_prior_and_estimates():
     lists = _corpus()
     res = two_pass_fit(list(lists.values()), TINY, t_m=1.0)

@@ -1,6 +1,5 @@
 """Forecast statistics: exceedance rates, record probabilities, scoring."""
 import math
-from datetime import date
 
 import numpy as np
 import pytest
@@ -10,12 +9,11 @@ from scipy import integrate
 from scipy.special import log_ndtr, ndtri
 
 from tailcast.distcore import std_normal_cdf
-from tailcast.ingest import EventSpec, RawMark, build_performance_list
+from tailcast.ingest import EventSpec
 from tailcast.stats import (
     ANCHOR_RATE,
     AnchorNotFound,
     ForecastContext,
-    ReferenceMark,
     UndefinedCorrelation,
     anchor_mark,
     build_score_table,
@@ -25,7 +23,6 @@ from tailcast.stats import (
     mark_for_points,
     pearson,
     record_probability,
-    reference_mark,
     render_score_tables,
     score,
     substituted_sigma_draws,
@@ -395,29 +392,6 @@ def test_pearson_reference_values(rng):
         pearson([1.0, 2.0], [3.0, 4.0])
     with pytest.raises(ValueError):
         pearson([1.0, 2.0, 3.0], [1.0, 2.0])
-
-
-def test_reference_mark_rank_and_cutoff():
-    spec = running_event()
-    records = [
-        RawMark(9.58, date(2009, 8, 16)),
-        RawMark(9.69, date(2008, 8, 16)),
-        RawMark(9.72, date(2008, 5, 31)),
-        RawMark(9.63, date(2012, 8, 5)),
-    ]
-    data = build_performance_list(spec, records)
-    ref = reference_mark(data, rank=2, as_of=date(2010, 1, 1))
-    assert ref.mark == pytest.approx(math.log(9.69))
-    assert ref.rank == 2 and ref.event_id == spec.event_id
-
-    # the 2012 run is visible only to a later cutoff
-    later = reference_mark(data, rank=2, as_of=date(2013, 1, 1))
-    assert later.mark == pytest.approx(math.log(9.63))
-
-    with pytest.raises(ValueError):
-        reference_mark(data, rank=5, as_of=date(2013, 1, 1))
-    with pytest.raises(ValueError):
-        ReferenceMark(event_id="x", rank=0, mark=1.0, as_of=date(2013, 1, 1))
 
 
 def test_statistics_stable_under_pool_size(rng):
