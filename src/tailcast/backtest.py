@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import date
 
 from .emprior import HyperPrior, InsufficientEvents, two_pass_fit
 from .ingest import DateWindow, EmptyListError, PerformanceList, build_performance_list
@@ -66,10 +65,6 @@ class BacktestSpec:
         bad = [r for r in self.reference_ranks if r not in ALLOWED_RANKS]
         if bad or not self.reference_ranks:
             raise ValueError(f"reference_ranks must be a nonempty subset of {ALLOWED_RANKS}")
-
-    @property
-    def cutoff_date(self) -> date:
-        return date(self.cutoff_year, 1, 1)
 
     def evaluation_window(self, length: int) -> DateWindow:
         return DateWindow.calendar_years(self.cutoff_year, self.cutoff_year + length - 1)
@@ -190,8 +185,8 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
         if not fit.converged:
             _add_note(notes, event_id, f"forecast from unconverged fit (mpsrf={fit.mpsrf:.3f})")
 
-    # The rank-r reference is the r-th best mark before the cutoff, whatever
-    # the data mode fitted on.
+    # The rank-r reference is the r-th best mark before the cutoff, and the
+    # record to break is the best one, whatever the data mode fitted on.
     before_cutoff = DateWindow.before(spec.cutoff_year)
     references: dict[str, list[float]] = {}
     for event_id in result.fits:
@@ -227,7 +222,7 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
 
         record_rows: list[tuple[str, float, float]] = []
         for event_id, ctx in contexts[length].items():
-            record_mark = ctx.fit.meta.best_x
+            record_mark = references[event_id][0]
             marks = held_out[event_id]
             occurred = bool(marks) and marks[0] < record_mark
             record_rows.append(

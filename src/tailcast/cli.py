@@ -1,6 +1,6 @@
 """Command-line pipeline: ingest data, fit posteriors, emit reports.
 
-Subcommands compose through the filesystem: `fit` persists one tailcast-fit/4
+Subcommands compose through the filesystem: `fit` persists one tailcast-fit/5
 file per event plus a manifest, and `tables`, `forecast` read those fits back
 instead of refitting. All outputs are deterministic for a fixed seed; no
 command writes timestamps.
@@ -399,6 +399,8 @@ def cmd_forecast(cfg: RunConfig) -> int:
 def cmd_backtest(cfg: RunConfig) -> int:
     if cfg.cutoff is None:
         raise UsageError("backtest needs --cutoff")
+    if cfg.prior != "empirical":
+        raise UsageError(f"backtest fits with the empirical prior only, not --prior {cfg.prior}")
     try:
         spec = BacktestSpec(
             cutoff_year=cfg.cutoff,

@@ -1,4 +1,4 @@
-"""Persistence for fitted posteriors: the tailcast-fit/4 text format.
+"""Persistence for fitted posteriors: the tailcast-fit/5 text format.
 
 A fit file is self-describing and deterministic. Line 1 names the format,
 line 2 is `#meta ` and a JSON metadata object, line 3 is the draws header
@@ -6,11 +6,12 @@ line 2 is `#meta ` and a JSON metadata object, line 3 is the draws header
 little-endian float64 array of shape (chains, 3, draws per chain), the
 chains in the order of the metadata's `chains` list. The metadata is
 `dataclasses.asdict(FitMetadata)`, enums as their values, plus each chain's
-id, acceptance rate and step scale, mpsrf and converged; it is read back by
-reflecting on the same dataclasses, so a new metadata field needs no change
-here. Re-saving a loaded fit reproduces the file byte for byte. Files of the
-older formats /1 to /3 are not read: /1 and /2 held the draws as text
-tables, and /3's metadata held a truncation-point field that /4 dropped.
+id, acceptance rate and step scale, and mpsrf; it is read back by reflecting
+on the same dataclasses, so a new metadata field needs no change here.
+Re-saving a loaded fit reproduces the file byte for byte. Files of the older
+formats /1 to /4 are not read: /1 and /2 held the draws as text tables, /3's
+metadata held a truncation-point field that /4 dropped, and /4's held the
+convergence flag and the sampler's acceptance band and retune budget.
 """
 from __future__ import annotations
 
@@ -31,9 +32,9 @@ import numpy as np
 from .emprior import HyperPrior
 from .errors import TailcastError
 from .ingest import EventSpec
-from .sampler import FitMetadata, FitResult, PosteriorChain, _pool_draws
+from .sampler import FitMetadata, FitResult, PosteriorChain
 
-FORMAT_LINE = "#tailcast-fit/4"
+FORMAT_LINE = "#tailcast-fit/5"
 _DRAWS_HEADER = re.compile(r"#draws ([1-9][0-9]*) mu logN sigma")
 _DRAWS_DTYPE = "<f8"  # explicit byte order, so the bytes match on every platform
 # FitMetadata's annotations name these by string only: sampler imports them
@@ -42,7 +43,7 @@ _META_TYPES = {"EventSpec": EventSpec, "HyperPrior": HyperPrior}
 
 
 class FitFileError(TailcastError):
-    """The file is not a readable tailcast-fit/4 document."""
+    """The file is not a readable tailcast-fit/5 document."""
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -73,14 +74,10 @@ def _meta_payload(fit: FitResult) -> dict:
         for c in fit.chains
     ]
     payload["mpsrf"] = fit.mpsrf if math.isfinite(fit.mpsrf) else "inf"
-    payload["converged"] = fit.converged
     return payload
 
 
 def dumps(fit: FitResult) -> str:
-    for chain in fit.chains:
-        if chain.sigma is None:
-            raise FitFileError(f"chain {chain.chain_id} has no sigma draws to save")
     block = np.array([(c.mu, c.logN, c.sigma) for c in fit.chains], dtype=_DRAWS_DTYPE)
     meta = json.dumps(_meta_payload(fit), sort_keys=True, default=lambda e: e.value)
     draws = base64.b64encode(block.tobytes()).decode("ascii")
@@ -109,7 +106,7 @@ def _revive(hint, value):
 
 
 def _parse_meta(line: str):
-    """(FitMetadata, [(chain_id, accept_rate, step_scale)], mpsrf, converged)."""
+    """(FitMetadata, [(chain_id, accept_rate, step_scale)], mpsrf)."""
     if not line.startswith("#meta "):
         raise FitFileError("second line must be the #meta JSON object")
     try:
@@ -122,14 +119,13 @@ def _parse_meta(line: str):
         chains = [(c["chain_id"], c["accept_rate"], c["step_scale"])
                   for c in payload.pop("chains")]
         mpsrf = float(payload.pop("mpsrf"))
-        converged = bool(payload.pop("converged"))
         meta = _revive(FitMetadata, payload)
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise FitFileError(f"metadata is missing or malformed: {exc}") from exc
     ids = [chain_id for chain_id, _, _ in chains]
     if not all(type(i) is int for i in ids) or len(set(ids)) != len(ids):
         raise FitFileError(f"metadata chain ids must be distinct integers, got {ids}")
-    return meta, chains, mpsrf, converged
+    return meta, chains, mpsrf
 
 
 def loads(text: str) -> FitResult:
@@ -139,7 +135,7 @@ def loads(text: str) -> FitResult:
                            "refit files of an older format with `tailcast fit`")
     if len(lines) < 3:
         raise FitFileError("file ends before the draws header")
-    meta, chain_info, mpsrf, converged = _parse_meta(lines[1])
+    meta, chain_info, mpsrf = _parse_meta(lines[1])
     header = _DRAWS_HEADER.fullmatch(lines[2])
     if header is None:
         raise FitFileError("third line must be '#draws <draws per chain> mu logN sigma' "
@@ -165,17 +161,7 @@ def loads(text: str) -> FitResult:
                        step_scale=step_scale, sigma=sigma)
         for (chain_id, accept_rate, step_scale), (mu, logN, sigma) in zip(chain_info, block)
     )
-    pooled_mu, pooled_logN, pooled_sigma = _pool_draws(chains, meta.config.pool_size)
-    return FitResult(
-        event_id=meta.event.event_id,
-        chains=chains,
-        pooled_mu=pooled_mu,
-        pooled_logN=pooled_logN,
-        pooled_sigma=pooled_sigma,
-        mpsrf=mpsrf,
-        converged=converged,
-        meta=meta,
-    )
+    return FitResult(chains, mpsrf, meta)
 
 
 def load_fit(path: Path) -> FitResult:

@@ -15,7 +15,7 @@ retune rounds side by side, and sample_lanes steps the tuned chains together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,10 +35,15 @@ _SPECULATION = 8
 _CHUNK = 100
 # Initial points a chain tries before _draw_init gives up on it.
 _INIT_TRIES = 500
+# The tuning rule: a burn-in round's acceptance rate must land in
+# [_ACCEPT_LO, _ACCEPT_HI], and a chain fails after _MAX_RETUNES retunes.
+_ACCEPT_LO = 0.2
+_ACCEPT_HI = 0.4
+_MAX_RETUNES = 25
 
 
 class TuningFailed(TailcastError):
-    """Burn-in retuning exhausted max_retunes without reaching the
+    """Burn-in retuning exhausted _MAX_RETUNES without reaching the
     acceptance band."""
 
     def __init__(self, message: str, last_rate: float):
@@ -53,34 +58,27 @@ class FitFailed(TailcastError):
 @dataclass(frozen=True)
 class SamplerConfig:
     burn_in_steps: int = 1000
-    accept_lo: float = 0.2
-    accept_hi: float = 0.4
     batches: int = 1000
     batch_len: int = 50
     chains: int = 10
     step_scale: float = 0.001
-    max_retunes: int = 25
     seed: int = 0
     pool_size: int = 1000
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.accept_lo < self.accept_hi < 1.0:
-            raise ValueError("need 0 < accept_lo < accept_hi < 1")
         for name in ("burn_in_steps", "batches", "batch_len", "chains", "pool_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         # A round's rate is accepted/burn_in_steps; with too few steps no count lands
         # in the band, and every chain would run out its retunes. The first count at
-        # or above accept_lo is within one of ceil(accept_lo * steps).
-        n, first = self.burn_in_steps, math.ceil(self.accept_lo * self.burn_in_steps)
-        if not any(self.accept_lo <= a / n <= self.accept_hi for a in (first - 1, first, first + 1)):
+        # or above _ACCEPT_LO is within one of ceil(_ACCEPT_LO * steps).
+        n, first = self.burn_in_steps, math.ceil(_ACCEPT_LO * self.burn_in_steps)
+        if not any(_ACCEPT_LO <= a / n <= _ACCEPT_HI for a in (first - 1, first, first + 1)):
             raise ValueError(f"burn_in_steps {n} gives no acceptance rate in "
-                             f"[{self.accept_lo}, {self.accept_hi}]")
+                             f"[{_ACCEPT_LO}, {_ACCEPT_HI}]")
         # A zero or non-finite scale never moves a chain, however often it is retuned.
         if not (math.isfinite(self.step_scale) and self.step_scale > 0.0):
             raise ValueError(f"step_scale must be positive and finite, got {self.step_scale}")
-        if self.max_retunes < 0:
-            raise ValueError("max_retunes must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -126,14 +124,30 @@ class FitMetadata:
 
 @dataclass(frozen=True)
 class FitResult:
-    event_id: str
+    """What sampling produced for one event; the pooled draws follow from it."""
+
     chains: tuple[PosteriorChain, ...]
-    pooled_mu: np.ndarray
-    pooled_logN: np.ndarray
-    pooled_sigma: np.ndarray
     mpsrf: float
-    converged: bool
     meta: FitMetadata
+    pooled_mu: np.ndarray = field(init=False)
+    pooled_logN: np.ndarray = field(init=False)
+    pooled_sigma: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        missing = [c.chain_id for c in self.chains if c.sigma is None]
+        if missing:
+            raise ValueError(f"chains {missing} have no sigma draws")
+        pooled = _pool_draws(self.chains, self.meta.config.pool_size)
+        for name, draws in zip(("pooled_mu", "pooled_logN", "pooled_sigma"), pooled):
+            object.__setattr__(self, name, draws)
+
+    @property
+    def event_id(self) -> str:
+        return self.meta.event_id
+
+    @property
+    def converged(self) -> bool:
+        return self.mpsrf < 1.1
 
     @property
     def pooled_size(self) -> int:
@@ -167,7 +181,7 @@ def _run_steps(target, state, lp, n_steps, scales, rng):
 
 def tune_burn_in(target, config: SamplerConfig, init, rng=None) -> TunedState:
     """Burn in, retuning the proposal scale geometrically until the
-    acceptance rate falls inside [accept_lo, accept_hi].
+    acceptance rate falls inside [_ACCEPT_LO, _ACCEPT_HI].
 
     A rejected round is re-done from the same initialization with the
     adjusted scale, so every acceptance measurement refers to the same
@@ -182,20 +196,20 @@ def tune_burn_in(target, config: SamplerConfig, init, rng=None) -> TunedState:
         raise ValueError("burn-in requires an initialization with finite log-posterior")
     scale = config.step_scale
     rate = math.nan
-    for _ in range(config.max_retunes + 1):
+    for _ in range(_MAX_RETUNES + 1):
         state, _, accepted = _run_steps(target, start, lp0, config.burn_in_steps,
                                         (scale, scale), rng)
         rate = accepted / config.burn_in_steps
-        if config.accept_lo <= rate <= config.accept_hi:
+        if _ACCEPT_LO <= rate <= _ACCEPT_HI:
             return TunedState(step_scale=scale, state=state, accept_rate=rate)
-        scale = scale * 2.0 if rate > config.accept_hi else scale * 0.5
-    raise _tuning_failed(config, rate)
+        scale = scale * 2.0 if rate > _ACCEPT_HI else scale * 0.5
+    raise _tuning_failed(rate)
 
 
-def _tuning_failed(config: SamplerConfig, rate: float) -> TuningFailed:
+def _tuning_failed(rate: float) -> TuningFailed:
     return TuningFailed(
-        f"no acceptance rate in [{config.accept_lo}, {config.accept_hi}] after "
-        f"{config.max_retunes} retunes (last rate {rate:.3f})",
+        f"no acceptance rate in [{_ACCEPT_LO}, {_ACCEPT_HI}] after "
+        f"{_MAX_RETUNES} retunes (last rate {rate:.3f})",
         last_rate=rate,
     )
 
@@ -305,16 +319,16 @@ def tune_lanes(lists, priors, config: SamplerConfig, inits, rngs) -> list:
     Reading each chain's lanes in order under tune_burn_in's rule then gives
     tune_burn_in's result: the first rate in the band tunes the chain, a
     retune the other way starts its next wave, and a miss at round
-    max_retunes fails it. Returns each chain's TunedState or TuningFailed.
+    _MAX_RETUNES fails it. Returns each chain's TunedState or TuningFailed.
     """
-    n, lo, hi = config.burn_in_steps, config.accept_lo, config.accept_hi
+    n = config.burn_in_steps
     results: list = [None] * len(inits)
     pending = [(i, 0, config.step_scale, 2.0) for i in range(len(inits))]
     while pending:
         lanes, groups = [], []  # lanes: (chain, round, scale, normals rng, uniforms rng)
         for i, first, scale, factor in pending:
             start = len(lanes)
-            for r in range(first, min(first + _SPECULATION, config.max_retunes + 1)):
+            for r in range(first, min(first + _SPECULATION, _MAX_RETUNES + 1)):
                 normal_rng = _clone(rngs[i])
                 rngs[i].standard_normal((n, 2))
                 uniform_rng = _clone(rngs[i])
@@ -339,12 +353,12 @@ def tune_lanes(lists, priors, config: SamplerConfig, inits, rngs) -> list:
         for i, factor, chain_lanes in groups:
             for lane in chain_lanes:
                 rate = int(accepted[lane]) / n
-                retune = 2.0 if rate > hi else 0.5
-                if lo <= rate <= hi:
+                retune = 2.0 if rate > _ACCEPT_HI else 0.5
+                if _ACCEPT_LO <= rate <= _ACCEPT_HI:
                     results[i] = TunedState(step_scale=scales[lane], accept_rate=rate,
                                             state=(float(state[0, lane]), float(state[1, lane])))
-                elif rounds[lane] == config.max_retunes:
-                    results[i] = _tuning_failed(config, rate)
+                elif rounds[lane] == _MAX_RETUNES:
+                    results[i] = _tuning_failed(rate)
                 elif retune != factor or lane == chain_lanes[-1]:
                     pending.append((i, rounds[lane] + 1, scales[lane] * retune, retune))
                 else:
@@ -356,12 +370,11 @@ def tune_lanes(lists, priors, config: SamplerConfig, inits, rngs) -> list:
 
 
 def gelman_rubin_mpsrf(chains) -> float:
-    """Multivariate potential scale reduction factor over (mu, log N).
-
-    Accepts PosteriorChain objects or (n, 2) arrays. Returns inf when the
-    pooled within-chain covariance is singular (nothing moved).
+    """Multivariate potential scale reduction factor over (mu, log N), from
+    each chain's (n, 2) array of draws. Returns inf when the pooled
+    within-chain covariance is singular (nothing moved).
     """
-    arrays = [c.draws() if hasattr(c, "draws") else np.asarray(c, dtype=float) for c in chains]
+    arrays = [np.asarray(c, dtype=float) for c in chains]
     if len(arrays) < 2:
         raise ValueError("need at least 2 chains")
     n = len(arrays[0])
@@ -509,8 +522,6 @@ def _finish_event(ev: _TunedEvent, mu, y, accepted) -> FitResult:
                        sigma=tail_mass_sigma(m, lg, data.n_k, data.w_k))
         for (chain_id, tuned, _), m, lg, acc in zip(ev.tuned, mu, y, accepted)
     ]
-    mpsrf = gelman_rubin_mpsrf(chains)
-    pooled_mu, pooled_y, pooled_sigma = _pool_draws(chains, config.pool_size)
     meta = FitMetadata(
         event=data.event,
         t_m=float(ev.t_m),
@@ -522,16 +533,7 @@ def _finish_event(ev: _TunedEvent, mu, y, accepted) -> FitResult:
         failed_chains=ev.failed,
         notes=ev.notes,
     )
-    return FitResult(
-        event_id=data.event.event_id,
-        chains=tuple(chains),
-        pooled_mu=pooled_mu,
-        pooled_logN=pooled_y,
-        pooled_sigma=pooled_sigma,
-        mpsrf=mpsrf,
-        converged=mpsrf < 1.1,
-        meta=meta,
-    )
+    return FitResult(tuple(chains), gelman_rubin_mpsrf([c.draws() for c in chains]), meta)
 
 
 def _derive_t_m(data) -> float:

@@ -160,16 +160,13 @@ def substituted_sigma_draws(ctx: ForecastContext, population_logN: np.ndarray):
     return mu, tail_mass_sigma(mu, logN, fit.meta.n_k, fit.meta.w_k), logN
 
 
-def anchor_mark(ctx: ForecastContext, target_rate: float = ANCHOR_RATE,
-                population_logN: np.ndarray | None = None) -> float:
-    """Transformed mark whose expected exceedance rate equals target_rate.
+def anchor_mark(ctx: ForecastContext, population_logN: np.ndarray | None = None) -> float:
+    """Transformed mark whose expected exceedance rate equals ANCHOR_RATE.
 
     Solved by bisection on the event's posterior rate curve. When
     population_logN is given (mile events borrowing their 1500 m population),
     sigma is recomputed per draw from the borrowed population before solving.
     """
-    if not target_rate > 0.0:
-        raise ValueError("target_rate must be positive")
     fit = ctx.fit
     if population_logN is None:
         mu, sigma, logN = fit.pooled_mu, fit.pooled_sigma, fit.pooled_logN
@@ -181,7 +178,7 @@ def anchor_mark(ctx: ForecastContext, target_rate: float = ANCHOR_RATE,
         return float(np.mean(pop_per_year * std_normal_cdf((a - mu) / sigma)))
 
     def solved(value: float) -> bool:
-        return abs(value - target_rate) <= _ANCHOR_REL_TOL * target_rate
+        return abs(value - ANCHOR_RATE) <= _ANCHOR_REL_TOL * ANCHOR_RATE
 
     sigma_step = float(np.mean(sigma))
     lo = fit.meta.best_x - 5.0 * sigma_step
@@ -190,24 +187,24 @@ def anchor_mark(ctx: ForecastContext, target_rate: float = ANCHOR_RATE,
     if solved(r_hi):
         return hi
     for _ in range(_ANCHOR_EXPANSIONS):
-        if r_hi > target_rate:
+        if r_hi > ANCHOR_RATE:
             break
         hi += sigma_step
         r_hi = rate(hi)
     else:
         raise AnchorNotFound(
-            f"{fit.event_id}: rate only reaches {r_hi:.6g} < {target_rate} "
+            f"{fit.event_id}: rate only reaches {r_hi:.6g} < {ANCHOR_RATE} "
             f"after extending the bracket to {hi:.6g}"
         )
     r_lo = rate(lo)
     for _ in range(_ANCHOR_EXPANSIONS):
-        if r_lo < target_rate:
+        if r_lo < ANCHOR_RATE:
             break
         lo -= sigma_step
         r_lo = rate(lo)
     else:
         raise AnchorNotFound(
-            f"{fit.event_id}: rate already {r_lo:.6g} >= {target_rate} at the "
+            f"{fit.event_id}: rate already {r_lo:.6g} >= {ANCHOR_RATE} at the "
             f"extended lower bracket {lo:.6g}"
         )
     for _ in range(500):
@@ -215,7 +212,7 @@ def anchor_mark(ctx: ForecastContext, target_rate: float = ANCHOR_RATE,
         r_mid = rate(mid)
         if solved(r_mid):
             return mid
-        if r_mid < target_rate:
+        if r_mid < ANCHOR_RATE:
             lo = mid
         else:
             hi = mid

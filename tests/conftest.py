@@ -40,14 +40,18 @@ def make_fit(
     prior: HyperPrior | None = None,
     notes: tuple[str, ...] = (),
 ) -> FitResult:
-    """FitResult from explicit draw arrays, split into two equal chains."""
+    """FitResult from explicit draw arrays, split into two equal chains.
+
+    The default config pools every draw, so the pooled draws are the arrays.
+    """
     mu = np.asarray(mu, dtype=float)
     logN = np.asarray(logN, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     assert mu.shape == logN.shape == sigma.shape and mu.ndim == 1
     assert len(mu) >= 2 and len(mu) % 2 == 0
     event = event if event is not None else running_event()
-    config = config if config is not None else SamplerConfig(chains=2, seed=0)
+    config = config if config is not None else SamplerConfig(chains=2, seed=0,
+                                                             pool_size=len(mu))
     prior = prior if prior is not None else HyperPrior.weakly_informative()
     half = len(mu) // 2
     chains = tuple(
@@ -71,16 +75,7 @@ def make_fit(
         config=config,
         notes=notes,
     )
-    return FitResult(
-        event_id=event.event_id,
-        chains=chains,
-        pooled_mu=mu,
-        pooled_logN=logN,
-        pooled_sigma=sigma,
-        mpsrf=mpsrf,
-        converged=mpsrf < 1.1,
-        meta=meta,
-    )
+    return FitResult(chains, mpsrf, meta)
 
 
 def point_mass_fit(

@@ -36,7 +36,6 @@ def test_spec_validation():
     spec = BacktestSpec(cutoff_year=CUTOFF)
     assert spec.windows == (1, 2, 5, 12)
     assert spec.reference_ranks == ALLOWED_RANKS
-    assert spec.cutoff_date == date(CUTOFF, 1, 1)
     with pytest.raises(ValueError):
         BacktestSpec(cutoff_year=CUTOFF, windows=())
     with pytest.raises(ValueError):
@@ -225,7 +224,7 @@ OUTCOME_SPEC = dict(cutoff_year=CUTOFF, windows=(1, 2), reference_ranks=(10, 50)
 
 
 def outcome_corpus():
-    """Four events whose held-out years exercise each outcome rule.
+    """Five events whose held-out years exercise each outcome rule.
 
     - `wide`: 120 marks dated 2000-2021, an ordinary event.
     - `tie`: 120 marks before the cutoff; its only 2020 mark equals its
@@ -234,6 +233,9 @@ def outcome_corpus():
       2021 marks are slower than anything before.
     - `quiet`: 120 marks before the cutoff, none in 2020, and one in 2021
       that ties its best mark, so no record.
+    - `old`: 120 marks dated 2000-2019 and a best mark from 2005. Its 2020
+      mark beats every mark of 2015-2019 but not the 2005 one, so no record
+      in either data mode.
     """
     def synthetic(i, event_id, n, first_year, last_year):
         tail = sample_tail(900 + i, MU_STAR, SIGMA_STAR, 20_000, n)
@@ -253,24 +255,25 @@ def outcome_corpus():
                              RawMark(worst * 1.02, date(2021, 7, 1))])
     quiet = synthetic(3, "quiet", 120, 2000, 2019)
     quiet = with_marks(quiet, [RawMark(quiet.records[0].value, date(2021, 3, 1))])
-    return [wide, tie, slow, quiet]
+    old = synthetic(4, "old", 120, 2000, 2019)
+    best = old.records[0].value
+    old = with_marks(old, [RawMark(best * 0.98, date(2005, 6, 1)),
+                           RawMark(best * 0.99, date(2020, 6, 1))])
+    return [wide, tie, slow, quiet, old]
 
 
-def brute_force_actual(data, spec, statistic, length, rank):
+def brute_force_actual(data, statistic, length, rank):
     """One cell's realized value for one event by a plain loop over the
     records, or None when the event has no row in that cell."""
-    first_fit_year = CUTOFF - 5 if spec.data_mode is DataMode.FIVE_YEARS else 1
-    before, held, fitted = [], [], []
+    before, held = [], []
     for record, x in zip(data.records, data.marks):
         year = record.date.year
         if year < CUTOFF:
             before.append(x)
-            if year >= first_fit_year:
-                fitted.append(x)
         elif year < CUTOFF + length:
             held.append(x)
     if statistic == "record":
-        return float(any(x < min(fitted) for x in held))
+        return float(any(x < min(before) for x in held))
     if len(before) < rank:
         return None
     reference = sorted(before)[rank - 1]
@@ -292,8 +295,7 @@ def test_run_backtest_actuals_match_brute_force(outcome_report):
     for cell in outcome_report.cells:
         expected = []
         for data in sorted(corpus, key=lambda d: d.event.event_id):
-            actual = brute_force_actual(data, outcome_report.spec, cell.statistic,
-                                        cell.window_years, cell.rank)
+            actual = brute_force_actual(data, cell.statistic, cell.window_years, cell.rank)
             if actual is not None:
                 expected.append((data.event.event_id, actual))
         assert list(zip(cell.event_ids, cell.actual)) == expected, cell
@@ -326,6 +328,19 @@ def test_run_backtest_empty_window_keeps_a_zero_exceedance(outcome_report):
         assert "quiet" in outcome_report.cell("improvement", 2, rank).event_ids
     record = outcome_report.cell("record", 1)
     assert record.actual[record.event_ids.index("quiet")] == 0.0
+
+
+def test_run_backtest_record_is_the_best_mark_before_the_cutoff(outcome_report):
+    # `old`'s 2020 mark beats its five-year best but not its 2005 best, which
+    # is the record to break in both data modes.
+    (old,) = [d for d in outcome_corpus() if d.event.event_id == "old"]
+    recent = build_performance_list(old.event, list(old.records),
+                                    window=DateWindow.years_before(CUTOFF, 5))
+    (in_2020,) = [x for r, x in zip(old.records, old.marks) if r.date.year == CUTOFF]
+    assert old.marks[0] < in_2020 < recent.marks[0]
+    for length in (1, 2):
+        record = outcome_report.cell("record", length)
+        assert record.actual[record.event_ids.index("old")] == 0.0
 
 
 def test_run_backtest_notes_a_rank_deeper_than_the_list(outcome_report):

@@ -1,12 +1,14 @@
 """End-to-end command tests: fit, tables, forecast, backtest, validate-data."""
+import dataclasses
 import json
 import math
 import re
 
 import pytest
 
-from tailcast.cli import DATA_ENV, UsageError, _parse_points, main, mile_partner
+from tailcast.cli import _SAMPLER_KEYS, DATA_ENV, UsageError, _parse_points, main, mile_partner
 from tailcast.ingest import EventSpec
+from tailcast.sampler import SamplerConfig
 from tailcast.stats import DEFAULT_POINT_GRID
 from tailcast.synth import sample_tail, tail_performance_list, write_corpus
 
@@ -161,7 +163,7 @@ def test_tables_names_the_stale_fit_file(workspace, tmp_path, capsys):
     stale.write_text("\n".join(["#tailcast-fit/2", lines[1], "#columns chain_id"]) + "\n")
     capsys.readouterr()
     assert main(["tables", "--data", str(data_dir), "--out", str(out)]) == 1
-    assert f"error: {stale}: first line must be '#tailcast-fit/4'" in capsys.readouterr().err
+    assert f"error: {stale}: first line must be '#tailcast-fit/5'" in capsys.readouterr().err
 
 
 def test_tables_mile_partner_of_other_pool_size_warns(workspace, tmp_path, capsys):
@@ -255,6 +257,18 @@ def test_backtest_too_few_pre_cutoff_events(tmp_path, capsys):
 def test_backtest_needs_cutoff(workspace):
     data_dir, _ = workspace
     assert main(["backtest", "--data", str(data_dir), "--out", "unused"]) == 2
+
+
+def test_backtest_refuses_the_weak_prior(workspace, tmp_path, capsys):
+    # backtest always fits with the empirical prior, so asking for another
+    # is a usage error rather than a setting it would ignore
+    data_dir, _ = workspace
+    out = tmp_path / "bt"
+    assert main(["backtest", "--data", str(data_dir), "--out", str(out),
+                 "--cutoff", "2018", "--prior", "weak", *SPEED]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "--prior weak" in line
+    assert not out.exists()
 
 
 def test_validate_data(workspace, tmp_path, capsys):
@@ -423,6 +437,12 @@ def test_parse_points():
         _parse_points("1:2:3:4")
     with pytest.raises(UsageError):
         _parse_points("100:50:10")
+
+
+def test_every_sampler_setting_has_a_config_key():
+    # a SamplerConfig field that no key, flag or seed sets is a knob nothing uses
+    fields = {f.name for f in dataclasses.fields(SamplerConfig)}
+    assert fields == {field for field, _ in _SAMPLER_KEYS.values()} | {"seed"}
 
 
 def test_mile_partner_mapping():

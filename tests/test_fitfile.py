@@ -1,4 +1,4 @@
-"""Round-trip and validation tests for the tailcast-fit/4 text format.
+"""Round-trip and validation tests for the tailcast-fit/5 text format.
 
 The metadata line is written from and read back into the FitMetadata,
 EventSpec, HyperPrior and SamplerConfig dataclasses by reflection; the
@@ -89,9 +89,8 @@ def test_round_trip_preserves_fields():
 
 def test_round_trip_every_metadata_field():
     # every field off its default, so a field the format drops cannot hide
-    config = SamplerConfig(burn_in_steps=700, accept_lo=0.15, accept_hi=0.45, batches=90,
-                           batch_len=7, chains=4, step_scale=0.03, max_retunes=9,
-                           seed=123, pool_size=60)
+    config = SamplerConfig(burn_in_steps=700, batches=90, batch_len=7, chains=4,
+                           step_scale=0.03, seed=123, pool_size=60)
     prior = HyperPrior(mu_N=8.5, sigma2_N=1.7, provenance=Provenance.EMPIRICAL,
                        contributing_events=("m0100", "m0200"))
     event = EventSpec("wHJ", Direction.HIGHER_IS_BETTER, Unit.CENTIMETERS,
@@ -101,10 +100,13 @@ def test_round_trip_every_metadata_field():
     fit = sample_fit()
     meta = dataclasses.replace(fit.meta, event=event, prior=prior, config=config,
                                failed_chains=(2, 3), notes=("chain 2: failed",))
-    fit = dataclasses.replace(fit, event_id=event.event_id, meta=meta)
+    fit = dataclasses.replace(fit, meta=meta)
+    assert fit.event_id == event.event_id
+    assert fit.pooled_size == 60
     text = dumps(fit)
     back = loads(text)
     assert back.meta == fit.meta
+    assert np.array_equal(back.pooled_mu, fit.pooled_mu)
     assert dumps(back) == text
 
 
@@ -119,10 +121,9 @@ def _edit_meta(edit):
 
 @pytest.mark.parametrize("edit", [
     lambda payload: payload.pop("mpsrf"),
-    lambda payload: payload.pop("converged"),
     lambda payload: payload["chains"][0].pop("chain_id"),
     lambda payload: payload["config"].update(no_such_setting=1.0),
-], ids=["no-mpsrf", "no-converged", "no-chain_id", "unknown-config-field"])
+], ids=["no-mpsrf", "no-chain_id", "unknown-config-field"])
 def test_loads_rejects_bad_meta_keys(edit):
     with pytest.raises(FitFileError, match="missing or malformed"):
         loads(_edit_meta(edit))
@@ -145,7 +146,7 @@ def test_save_and_load(tmp_path):
 
 @pytest.mark.parametrize("content, message", [
     (b"#tailcast-fit/2\n", "first line must be"),
-    (b"#tailcast-fit/4\n\xff\n", "cannot read"),
+    (b"#tailcast-fit/5\n\xff\n", "cannot read"),
     (None, "cannot read"),
 ], ids=["old-format", "not-utf8", "missing"])
 def test_load_fit_names_the_file(tmp_path, content, message):
@@ -181,7 +182,7 @@ def test_loads_rejects_wrong_format_line():
         loads("#something-else/9\n")
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_loads_rejects_old_format(version):
     lines = dumps(sample_fit()).splitlines()
     lines[0] = f"#tailcast-fit/{version}"
@@ -295,7 +296,8 @@ def test_round_trip_keeps_every_float64_bit(draws):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def test_dumps_requires_sigma():
+def test_fit_result_requires_sigma():
+    # a fit pools sigma draws, so one without them cannot be built, let alone saved
     fit = sample_fit()
     bare = PosteriorChain(
         chain_id=0,
@@ -305,6 +307,5 @@ def test_dumps_requires_sigma():
         step_scale=0.1,
         sigma=None,
     )
-    broken = dataclasses.replace(fit, chains=(bare,) + fit.chains[1:])
-    with pytest.raises(FitFileError):
-        dumps(broken)
+    with pytest.raises(ValueError, match=r"chains \[0\] have no sigma draws"):
+        dataclasses.replace(fit, chains=(bare,) + fit.chains[1:])

@@ -43,7 +43,7 @@ def std_normal_2d(theta):
 def small_config(**kw):
     base = dict(
         burn_in_steps=400, batches=200, batch_len=10, chains=3,
-        pool_size=400, seed=11, max_retunes=25,
+        pool_size=400, seed=11,
     )
     base.update(kw)
     return SamplerConfig(**base)
@@ -63,7 +63,7 @@ INFORMATIVE = HyperPrior(
 def test_tuner_reaches_band():
     config = small_config(burn_in_steps=1000)
     tuned = tune_burn_in(std_normal_2d, config, (0.0, 0.0), np.random.default_rng(1))
-    assert config.accept_lo <= tuned.accept_rate <= config.accept_hi
+    assert sampler._ACCEPT_LO <= tuned.accept_rate <= sampler._ACCEPT_HI
     assert tuned.step_scale > config.step_scale  # had to grow from 0.001
     assert math.isfinite(std_normal_2d(tuned.state))
 
@@ -80,11 +80,12 @@ def test_tuner_keeps_already_good_scale():
     assert retuned.step_scale == first.step_scale
 
 
-def test_tuner_gives_up():
+def test_tuner_gives_up(monkeypatch):
     def spike(theta):
         return 0.0 if theta == (0.0, 0.0) else -math.inf
 
-    config = small_config(max_retunes=3, burn_in_steps=100)
+    monkeypatch.setattr(sampler, "_MAX_RETUNES", 3)
+    config = small_config(burn_in_steps=100)
     with pytest.raises(TuningFailed) as err:
         tune_burn_in(spike, config, (0.0, 0.0), np.random.default_rng(0))
     assert err.value.last_rate == 0.0
@@ -175,21 +176,26 @@ def test_sample_lanes_matches_run_chain(batch_len, reverse_lanes):
         assert 0 < accepted[lane] < steps
 
 
-# Burn-in settings that drive tune_lanes down every path of tune_burn_in's
-# rule: the default doubling path; a large scale that must halve; a retune
-# budget too small to reach the band; and a band that holds two accept
-# counts of 50, so rounds overshoot it both ways and waves restart.
+# Burn-in settings, and tuning-rule constants patched into the sampler, that
+# drive tune_lanes down every path of tune_burn_in's rule: the default
+# doubling path; a large scale that must halve; a retune budget too small to
+# reach the band; and a band that holds two accept counts of 50, so rounds
+# overshoot it both ways and waves restart.
 TUNING_CASES = {
-    "doubling": dict(),
-    "halving": dict(step_scale=1.0),
-    "exhausted": dict(max_retunes=2),
-    "narrow_band": dict(burn_in_steps=50, accept_lo=0.3, accept_hi=0.32, max_retunes=12),
+    "doubling": (dict(), dict()),
+    "halving": (dict(step_scale=1.0), dict()),
+    "exhausted": (dict(), dict(_MAX_RETUNES=2)),
+    "narrow_band": (dict(burn_in_steps=50),
+                    dict(_ACCEPT_LO=0.3, _ACCEPT_HI=0.32, _MAX_RETUNES=12)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TUNING_CASES))
 def test_tune_lanes_matches_tune_burn_in(case, monkeypatch):
-    config = small_config(**TUNING_CASES[case])
+    settings, constants = TUNING_CASES[case]
+    for name, value in constants.items():
+        monkeypatch.setattr(sampler, name, value)
+    config = small_config(**settings)
     lists, priors, inits, lane_rngs, reference = [], [], [], [], []
     scales_seen = []
 
@@ -214,7 +220,7 @@ def test_tune_lanes_matches_tune_burn_in(case, monkeypatch):
                 except TuningFailed as exc:
                     outcome = exc
                 reference.append((outcome, rng.bit_generator.state))
-    monkeypatch.undo()
+    monkeypatch.setattr(sampler, "_run_steps", _run_steps)  # the constants stay patched
     outcomes = tune_lanes(lists, priors, config, inits, lane_rngs)
     assert len(outcomes) == len(reference)
     for got, rng, (want, want_rng_state) in zip(outcomes, lane_rngs, reference):
@@ -259,7 +265,7 @@ def test_speculation_depth_never_changes_fits(monkeypatch):
 # moves only with a deliberate change to the sampler's draws.
 DRAWS_SHA256 = "e6a3c8a974e4ad37ac9aa9c1c28b98de7eb102fb48ec9bf23f3dc7ef49a45872"
 # sha256 of the fit file itself; it also moves with the fit-file format.
-FIT_FILE_SHA256 = "dde4ea714787c042d68926151a8c649d43a78f84752876d9a0fe8d10a2ec1bc7"
+FIT_FILE_SHA256 = "8098ed4f5dea9729da17d0191e647f0ee9c13a154c51219886ceb34163188c4b"
 
 
 def _draws_digest(fit):
@@ -392,9 +398,10 @@ def test_fit_event_needs_two_chains():
         fit_event(data, INFORMATIVE, small_config(chains=1))
 
 
-def test_fit_event_all_chains_failing():
+def test_fit_event_all_chains_failing(monkeypatch):
     data = synthetic_event()
-    config = small_config(max_retunes=0, step_scale=1e9)
+    monkeypatch.setattr(sampler, "_MAX_RETUNES", 0)
+    config = small_config(step_scale=1e9)
     with pytest.raises(FitFailed):
         fit_event(data, INFORMATIVE, config, t_m=1.0)
 
@@ -428,9 +435,7 @@ def test_pool_draws_stride():
     assert np.array_equal(mu2, np.arange(100, dtype=float))
 
 
-def test_sampler_config_validation():
-    with pytest.raises(ValueError):
-        SamplerConfig(accept_lo=0.5, accept_hi=0.4)
+def test_sampler_config_validation(monkeypatch):
     with pytest.raises(ValueError):
         SamplerConfig(batches=0)
     # no accept count of 1 or 2 steps lands in [0.2, 0.4]; 1 of 3 and 1 of 5 do
@@ -439,8 +444,11 @@ def test_sampler_config_validation():
             SamplerConfig(burn_in_steps=bad)
     for good in (3, 5):
         assert SamplerConfig(burn_in_steps=good).burn_in_steps == good
-    with pytest.raises(ValueError, match="no acceptance rate"):
-        SamplerConfig(burn_in_steps=10, accept_lo=0.31, accept_hi=0.39)
     for bad in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             SamplerConfig(step_scale=bad)
+    # the check reads the tuning rule's band: no count of 10 lands in [0.31, 0.39]
+    monkeypatch.setattr(sampler, "_ACCEPT_LO", 0.31)
+    monkeypatch.setattr(sampler, "_ACCEPT_HI", 0.39)
+    with pytest.raises(ValueError, match="no acceptance rate"):
+        SamplerConfig(burn_in_steps=10)

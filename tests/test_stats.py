@@ -300,17 +300,16 @@ def test_anchor_mark_point_mass_analytic():
 
 
 def test_anchor_mark_boundary_target():
-    ctx = event_ctx()
-    at_worst = expected_exceedances(ctx, W_K)
-    assert anchor_mark(ctx, target_rate=at_worst) == W_K
+    # over this span the worst mark's exceedance rate, N_K / t_m, is the target
+    ctx = event_ctx(t_m=N_K / ANCHOR_RATE)
+    assert anchor_mark(ctx) == W_K
 
 
 def test_anchor_mark_unreachable_target():
-    ctx = event_ctx()
+    # over this span no mark's rate exceeds a tenth of the target
+    ctx = event_ctx(t_m=10.0 * N_POP / ANCHOR_RATE)
     with pytest.raises(AnchorNotFound):
-        anchor_mark(ctx, target_rate=10.0 * N_POP)
-    with pytest.raises(ValueError):
-        anchor_mark(ctx, target_rate=0.0)
+        anchor_mark(ctx)
 
 
 def test_substituted_sigma_draws_recomputes_identity():
