@@ -84,13 +84,18 @@ def make_lane_log_posterior(lists, priors):
     change sign. Only log N >= 700 needs an explicit guard: there q is a
     tiny positive number that the quantile maps to a finite value.
     """
-    stats = []
-    for data, prior in zip(lists, priors):
-        marks = np.asarray(data.marks, dtype=float)
-        mean_x = marks.mean()
-        stats.append((data.n_k, marks.max(), mean_x,
-                      ((marks - mean_x) ** 2).sum() / data.n_k,
-                      prior.mu_N, prior.sigma2_N))
+    # A burn-in wave repeats each (list, prior) pair over its speculated
+    # rounds, so each distinct pair's row is built once.
+    keys = [(id(data), id(prior)) for data, prior in zip(lists, priors)]
+    rows = {}
+    for key, data, prior in zip(keys, lists, priors):
+        if key not in rows:
+            marks = np.asarray(data.marks, dtype=float)
+            mean_x = marks.mean()
+            rows[key] = (data.n_k, marks.max(), mean_x,
+                         ((marks - mean_x) ** 2).sum() / data.n_k,
+                         prior.mu_N, prior.sigma2_N)
+    stats = [rows[key] for key in keys]
     n, w_k, mean_x, var_x, mu_n, sigma2_n = np.array(stats, dtype=float).T
     # Per mark, with k = 1/sigma and y = log N, the log-posterior is
     #   log(k) - (var_x + (mean_x - mu)^2) k^2 / 2 - log_tail + y (a - b y) + const,

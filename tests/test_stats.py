@@ -27,6 +27,7 @@ from tailcast.stats import (
     score,
     substituted_sigma_draws,
 )
+from tailcast.stats import _CHEB_NODES, _expected_max, _panel_expected_max
 
 from conftest import field_event, make_fit, point_mass_fit, running_event
 
@@ -216,6 +217,43 @@ def test_expected_best_record_probability_band():
         ctx = unit_ctx(M)
         p = record_probability(ctx, expected_best(ctx).x)
         assert 0.3 <= p <= 0.8
+
+
+def test_panel_expected_max_matches_direct_rule_on_a_dense_grid():
+    # 20 001 points of log M over [log 0.05, log 1e200], about 90 per panel
+    M = np.exp(np.linspace(math.log(0.05), math.log(1e200), 20_001))
+    M = M[M >= 0.05]
+    assert np.max(np.abs(_panel_expected_max(M) - _expected_max(M))) <= 5e-14
+
+
+def test_panel_expected_max_keeps_the_direct_rule_below_range():
+    M = np.exp(np.linspace(math.log(1e-6), math.log(0.05), 500))
+    M = M[M < 0.05]
+    np.testing.assert_array_equal(_panel_expected_max(M), _expected_max(M))
+
+
+def test_panel_expected_max_on_a_node_is_the_node_value():
+    # the panel [12, 16] of log M: a draw exactly on a node must not divide 0/0
+    nodes = 4.0 * (3.0 + 0.5 * (1.0 + _CHEB_NODES))
+    M = np.exp(nodes)
+    assert np.array_equal(np.log(M), nodes)
+    got = _panel_expected_max(M)
+    assert np.isfinite(got).all()
+    np.testing.assert_array_equal(got, _expected_max(M))
+
+
+def test_expected_best_panels_match_per_draw_rule_over_a_wide_posterior():
+    # pooled log N from about 4 to 155 over 38 panels: the shape of a
+    # weak-prior fit of a short list
+    rng = np.random.default_rng(5)
+    n = 4000
+    logN = np.concatenate([[4.0, 155.0], rng.uniform(4.0, 155.0, n - 2)])
+    mu = rng.normal(MU, 0.01, n)
+    sigma = rng.uniform(0.01, 0.05, n)
+    fit = make_fit(mu=mu, logN=logN, sigma=sigma, n_k=10, w_k=MU + 1.0, best_x=MU - 0.1)
+    ctx = ForecastContext(fit, t_f=1.0)
+    per_draw = np.mean(mu - sigma * _expected_max(np.exp(logN)))
+    assert expected_best(ctx).x == pytest.approx(per_draw, abs=1e-12)
 
 
 def test_score_anchor_and_reference_pairs():
