@@ -1,6 +1,6 @@
 """Command-line pipeline: ingest data, fit posteriors, emit reports.
 
-Subcommands compose through the filesystem: `fit` persists one tailcast-fit/5
+Subcommands compose through the filesystem: `fit` persists one tailcast-fit/6
 file per event plus a manifest, and `tables`, `forecast` read those fits back
 instead of refitting. All outputs are deterministic for a fixed seed; no
 command writes timestamps.
@@ -376,7 +376,7 @@ def cmd_forecast(cfg: RunConfig) -> int:
     for event_id in sorted(fits):
         fit = fits[event_id]
         ctx = _context(fit, cfg.t_f)
-        record_x = fit.meta.best_x
+        record_x = fit.meta.record_x
         p = record_probability(ctx, record_x)
         if cfg.t_f > 0.0:
             best = expected_best(ctx)

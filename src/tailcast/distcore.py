@@ -4,10 +4,11 @@ The standard normal cdf and log-cdf are scipy.special's ndtr and log_ndtr,
 and take floats or numpy arrays alike. On top of them: the tail-mass
 identity linking population size N to the spread sigma (`tail_mass_sigma`,
 over posterior draws), and the model log-posterior over theta = (mu, log N),
-computed in one place: many chains as numpy lanes
-(`make_lane_log_posterior`), for burn-in and retained sampling.
-`make_log_posterior` is its one-lane view on Python floats, for chain
-initialization and the scalar reference sampler.
+computed in one place (`make_lane_log_posterior`): many chains as numpy
+lanes, for burn-in and retained sampling, or one list over a block of
+points, for the pass-1 quadrature grid. `make_log_posterior` is its
+one-lane view on Python floats, for chain initialization and the scalar
+reference sampler.
 """
 from __future__ import annotations
 
@@ -65,6 +66,14 @@ def make_lane_log_posterior(lists, priors):
     over the lanes to an array of log-posteriors, written into `out` when
     one is given.
 
+    The lanes are the last axis, and mu and log N broadcast against each
+    other and against it. So one list's target scores a whole block of
+    points: mu of shape (rows, 1) and log N of shape (columns,) give a
+    (rows, columns) block, with the terms of log N alone (the quantile
+    among them) computed once per column and those of mu alone once per
+    row. Every point gets the same operations in the same order whatever
+    the shapes, so each value is bit for bit what a lane at that point gets.
+
     The package's one implementation of the model: the sum of
     truncated-normal log-densities over the list, truncated at its worst
     mark w_k, plus the log-normal prior on N taken in the sampled coordinate
@@ -111,27 +120,36 @@ def make_lane_log_posterior(lists, priors):
     lanes = len(n)
     zero, half = np.zeros(lanes), np.full(lanes, 0.5)
     cap, reject = np.full(lanes, 700.0), np.full(lanes, -math.inf)
-    q, k, s = np.empty(lanes), np.empty(lanes), np.empty(lanes)
     ndtri = special.ndtri
+    # Scratch arrays per (mu shape, log N shape), made on first use: the terms
+    # of log N alone, of mu alone, and of both.
+    scratch = {}
 
     def target(mu, log_n_pop, out=None):
-        # The closure's scratch arrays take explicit out= calls: an augmented
-        # assignment would make them local names.
+        key = (np.shape(mu), np.shape(log_n_pop))
+        buffers = scratch.get(key)
+        if buffers is None:
+            col = np.broadcast_shapes(key[1], (lanes,))
+            row = np.broadcast_shapes(key[0], (lanes,))
+            full = np.broadcast_shapes(col, row)
+            buffers = scratch[key] = tuple(map(np.empty, (col, col, row, row, full, full)))
+        q, p, d, s, k, t = buffers
         np.exp(np.subtract(log_n, log_n_pop, out=q), out=q)
         np.minimum(ndtri(q, out=q), zero, out=q)
-        np.divide(q, np.subtract(w_k, mu, out=k), out=k)
+        np.multiply(b, log_n_pop, out=p)
+        np.subtract(a, p, out=p)
+        np.multiply(p, log_n_pop, out=p)
+        np.add(p, const, out=p)
+        np.subtract(w_k, mu, out=d)
         np.subtract(mean_x, mu, out=s)
         np.multiply(s, s, out=s)
         np.add(s, var_x, out=s)
-        np.multiply(s, np.multiply(k, k, out=q), out=s)
-        np.multiply(s, half, out=s)
+        np.divide(q, d, out=k)
+        np.multiply(s, np.multiply(k, k, out=t), out=t)
+        np.multiply(t, half, out=t)
         out = np.log(k, out=out)
-        out -= s
-        np.multiply(b, log_n_pop, out=q)
-        np.subtract(a, q, out=q)
-        np.multiply(q, log_n_pop, out=q)
-        np.add(q, const, out=q)
-        out += q
+        out -= t
+        out += p
         out *= n
         np.copyto(out, reject, where=log_n_pop >= cap)
         return out

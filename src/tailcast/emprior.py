@@ -1,33 +1,50 @@
 """Two-pass empirical-Bayes construction of the population-size prior.
 
-Pass 1 fits every event under a deliberately near-flat prior; the
-posterior-mean population sizes of all events then define a shared
-log-normal prior (robust location from the median, robust scale from the
-tightest 75% subset) under which pass 2 refits everything.
+Pass 1 takes every event's posterior mean of log N under a proper weak prior
+(log N ~ Normal(log 1e4, 2^2)) by quadrature on a fixed grid; nothing is
+sampled. The pass-1 means of all events then define a shared log-normal
+prior (robust location from their median, robust scale from the tightest
+75% subset) under which pass 2 samples every event.
 """
 from __future__ import annotations
 
 import enum
 import math
 import warnings
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .distcore import make_lane_log_posterior
 from .errors import TailcastError
 from .sampler import FitFailed, FitResult, SamplerConfig, fit_events
 # Not called here: perfbench/tracing.py wraps fit_event under this name.
 from .sampler import fit_event  # noqa: F401
 
 WEAK_MU_N = math.log(10_000.0)
-WEAK_SIGMA2_N = math.exp(20.0)
+WEAK_SIGMA2_N = 4.0
 VARIANCE_FLOOR = 1e-4
 SUBSET_FRACTION = 0.75
+# The grid of pass1_estimate: u = log(mu - w_k) over _U_RANGE and log N over
+# (log 2 n_k, _LOG_N_MAX], each cut into equal cells and taken at the cells'
+# midpoints. _GRID_BLOCK u-rows (a divisor of the row count) are scored at a
+# time, so the grid's working set is one block. A cut edge's cells may hold
+# at most EDGE_MASS of the posterior mass; log N = log 2 n_k (n_k/N = 0.5) is
+# the domain's own boundary, not a cut, and is not checked.
+_U_RANGE = (-14.0, 1.0)
+_LOG_N_MAX = 30.0
+_GRID_SHAPE = (400, 400)
+_GRID_BLOCK = 25
+EDGE_MASS = 1e-3
 
 
 class InsufficientEvents(TailcastError):
     """The empirical prior needs at least four usable events."""
+
+
+class GridEdgeMass(TailcastError):
+    """A posterior puts more than EDGE_MASS of its mass on a cut edge of the
+    pass-1 grid, so the grid cannot give its mean."""
 
 
 class Provenance(enum.Enum):
@@ -75,14 +92,14 @@ def min_subset_variance(values, subset_size: int) -> float:
 
 
 def robust_hyperprior(point_estimates) -> HyperPrior:
-    """Empirical prior from a mapping event_id -> posterior-mean population E[N].
+    """Empirical prior from a mapping event_id -> posterior mean of log N.
 
-    Location is the median of the logs; scale is the minimum variance over
+    Location is the median of the means; scale is the minimum variance over
     the tightest ~75% contiguous subset, floored so the prior stays proper.
     """
     usable = []
     for event_id, value in sorted(point_estimates.items()):
-        if math.isfinite(value) and value > 0.0:
+        if math.isfinite(value):
             usable.append((event_id, value))
         else:
             warnings.warn(f"{event_id}: discarding unusable population estimate {value!r}")
@@ -90,11 +107,11 @@ def robust_hyperprior(point_estimates) -> HyperPrior:
         raise InsufficientEvents(
             f"empirical prior needs >= 4 events with usable estimates, have {len(usable)}"
         )
-    logs = np.log([v for _, v in usable])
-    subset = math.ceil(SUBSET_FRACTION * len(logs))
-    sigma2 = max(min_subset_variance(logs, subset), VARIANCE_FLOOR)
+    means = np.array([v for _, v in usable])
+    subset = math.ceil(SUBSET_FRACTION * len(means))
+    sigma2 = max(min_subset_variance(means, subset), VARIANCE_FLOOR)
     return HyperPrior(
-        mu_N=float(np.median(logs)),
+        mu_N=float(np.median(means)),
         sigma2_N=sigma2,
         provenance=Provenance.EMPIRICAL,
         contributing_events=tuple(e for e, _ in usable),
@@ -107,39 +124,81 @@ def expected_population(fit: FitResult) -> float:
         return float(np.mean(np.exp(fit.pooled_logN)))
 
 
-def event_seed(base_seed: int, event_id: str) -> int:
-    """Stable per-event seed, independent of event ordering."""
-    return (base_seed ^ zlib.crc32(event_id.encode("utf-8"))) & 0x7FFFFFFF
+def _midpoints(lo: float, hi: float, cells: int) -> np.ndarray:
+    return lo + (np.arange(cells) + 0.5) * ((hi - lo) / cells)
+
+
+def pass1_estimate(data) -> float:
+    """Posterior mean of log N for one list under the weak prior, by the
+    midpoint rule on the fixed grid over (u, log N), u = log(mu - w_k).
+
+    The grid scores the model's one kernel (distcore.make_lane_log_posterior),
+    weighted by the Jacobian e^u of mu = w_k + e^u. Raises GridEdgeMass when
+    the first or last u-row, or the log N = _LOG_N_MAX column, holds more
+    than EDGE_MASS of the mass.
+    """
+    n_u, n_y = _GRID_SHAPE
+    u = _midpoints(*_U_RANGE, n_u)
+    y = _midpoints(math.log(2.0 * data.n_k), _LOG_N_MAX, n_y)
+    target = make_lane_log_posterior([data], [HyperPrior.weakly_informative()])
+    # Mass per u-row and per log N column, relative to exp(peak), the largest
+    # weight so far: each block of rows rescales what came before it.
+    by_u, by_y, peak = np.zeros(n_u), np.zeros(n_y), -math.inf
+    weight = np.empty((_GRID_BLOCK, n_y))
+    with np.errstate(all="ignore"):
+        for first in range(0, n_u, _GRID_BLOCK):
+            rows = u[first:first + _GRID_BLOCK, None]
+            target(data.w_k + np.exp(rows), y, out=weight)
+            weight += rows
+            top = weight.max()
+            if top > peak:
+                by_u *= math.exp(peak - top)
+                by_y *= math.exp(peak - top)
+                peak = top
+            np.exp(np.subtract(weight, peak, out=weight), out=weight)
+            by_u[first:first + _GRID_BLOCK] = weight.sum(axis=1)
+            by_y += weight.sum(axis=0)
+    total = float(by_u.sum())
+    edges = ((f"u = {_U_RANGE[0]:g}", by_u[0]), (f"u = {_U_RANGE[1]:g}", by_u[-1]),
+             (f"log N = {_LOG_N_MAX:g}", by_y[-1]))
+    for edge, mass in edges:
+        if mass > EDGE_MASS * total:
+            raise GridEdgeMass(f"{data.event.event_id}: {mass / total:.3g} of the pass-1 "
+                               f"posterior mass lies on the grid edge {edge}")
+    return float(by_y @ y) / total
 
 
 @dataclass(frozen=True)
 class TwoPassResult:
     prior: HyperPrior
     fits: dict[str, FitResult]
-    pass1_fits: dict[str, FitResult]
     pass1_estimates: dict[str, float]
     failures: dict[str, str]
 
 
-def fit_corpus(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | None = None):
-    """Fit every list under one prior, each event with its own event_seed.
-
-    `t_m` is as for two_pass_fit. All events are sampled together (see
-    sampler.fit_events), and each fit is the one fit_event would give with
-    that seed. Returns (fits, failures): event_id -> FitResult, and
-    event_id -> the message of the FitFailed that ended that event. Two
-    lists with one event id are refused.
-    """
-    lists = list(lists)
+def _event_ids(lists) -> list[str]:
+    """The lists' event ids, in order; two lists with one id are refused."""
     ids = [data.event.event_id for data in lists]
     for i, event_id in enumerate(ids):
         if event_id in ids[:i]:
             raise ValueError(f"two lists have event id {event_id!r}")
-    events = [(data, prior, event_seed(config.seed, event_id), t_m)
-              for data, event_id in zip(lists, ids)]
+    return ids
+
+
+def fit_corpus(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | None = None):
+    """Fit every list under one prior.
+
+    `t_m` is as for two_pass_fit. All events are sampled together (see
+    sampler.fit_events), and each fit is the one fit_event would give it.
+    Returns (fits, failures): event_id -> FitResult, and event_id -> the
+    message of the FitFailed that ended that event. Two lists with one event
+    id are refused.
+    """
+    lists = list(lists)
+    ids = _event_ids(lists)
     fits: dict[str, FitResult] = {}
     failures: dict[str, str] = {}
-    for event_id, result in zip(ids, fit_events(events, config)):
+    for event_id, result in zip(ids, fit_events([(data, prior, t_m) for data in lists], config)):
         if isinstance(result, FitFailed):
             failures[event_id] = str(result)
         else:
@@ -148,27 +207,26 @@ def fit_corpus(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | Non
 
 
 def two_pass_fit(lists, config: SamplerConfig, t_m: float | None = None) -> TwoPassResult:
-    """Fit every list twice: weak prior, then the prior learned from pass 1.
+    """Pass 1: each list's grid E[log N] under the weak prior. Pass 2: sample
+    every list under the prior those means define.
 
     `t_m` is one span in years for every event, or None to derive it per
-    event from its data. Both passes are fit_corpus runs with the same
-    SamplerConfig, so each event keeps its seed across them.
+    event from its data. Pass 1 samples nothing, so the prior does not depend
+    on `config`. An event whose pass-1 grid fails its edge check is left out
+    of the prior, noted in `failures`, and still fitted in pass 2.
     """
     lists = list(lists)
     if len(lists) < 4:
         raise InsufficientEvents(f"two-pass fitting needs >= 4 events, have {len(lists)}")
-    weak = HyperPrior.weakly_informative()
-    pass1_fits, failures1 = fit_corpus(lists, weak, config, t_m)
-    estimates = {event_id: expected_population(fit) for event_id, fit in pass1_fits.items()}
+    estimates: dict[str, float] = {}
+    failures: dict[str, str] = {}
+    for event_id, data in zip(_event_ids(lists), lists):
+        try:
+            estimates[event_id] = pass1_estimate(data)
+        except GridEdgeMass as exc:
+            failures[event_id] = str(exc)
     prior = robust_hyperprior(estimates)
-    pass2_fits, failures2 = fit_corpus(lists, prior, config, t_m)
-    failures = dict(failures1)
+    fits, failures2 = fit_corpus(lists, prior, config, t_m)
     for event_id, msg in failures2.items():
         failures[event_id] = f"{failures.get(event_id, '')}; pass 2: {msg}".lstrip("; ")
-    return TwoPassResult(
-        prior=prior,
-        fits=pass2_fits,
-        pass1_fits=pass1_fits,
-        pass1_estimates=estimates,
-        failures=failures,
-    )
+    return TwoPassResult(prior=prior, fits=fits, pass1_estimates=estimates, failures=failures)

@@ -1,4 +1,4 @@
-"""Persistence for fitted posteriors: the tailcast-fit/5 text format.
+"""Persistence for fitted posteriors: the tailcast-fit/6 text format.
 
 A fit file is self-describing and deterministic. Line 1 names the format,
 line 2 is `#meta ` and a JSON metadata object, line 3 is the draws header
@@ -9,9 +9,10 @@ chains in the order of the metadata's `chains` list. The metadata is
 id, acceptance rate and step scale, and mpsrf; it is read back by reflecting
 on the same dataclasses, so a new metadata field needs no change here.
 Re-saving a loaded fit reproduces the file byte for byte. Files of the older
-formats /1 to /4 are not read: /1 and /2 held the draws as text tables, /3's
-metadata held a truncation-point field that /4 dropped, and /4's held the
-convergence flag and the sampler's acceptance band and retune budget.
+formats /1 to /5 are not read: /1 and /2 held the draws as text tables, /3's
+metadata held a truncation-point field that /4 dropped, /4's held the
+convergence flag and the sampler's acceptance band and retune budget, and
+/5's lacked the event's record (`record_x`).
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .errors import TailcastError
 from .ingest import EventSpec
 from .sampler import FitMetadata, FitResult, PosteriorChain
 
-FORMAT_LINE = "#tailcast-fit/5"
+FORMAT_LINE = "#tailcast-fit/6"
 _DRAWS_HEADER = re.compile(r"#draws ([1-9][0-9]*) mu logN sigma")
 _DRAWS_DTYPE = "<f8"  # explicit byte order, so the bytes match on every platform
 # FitMetadata's annotations name these by string only: sampler imports them
@@ -43,7 +44,7 @@ _META_TYPES = {"EventSpec": EventSpec, "HyperPrior": HyperPrior}
 
 
 class FitFileError(TailcastError):
-    """The file is not a readable tailcast-fit/5 document."""
+    """The file is not a readable tailcast-fit/6 document."""
 
 
 def atomic_write_text(path: Path, text: str) -> None:

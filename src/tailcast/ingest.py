@@ -183,11 +183,14 @@ def decode_mark(event: EventSpec, x: TransformedMark) -> float:
 class PerformanceList:
     """One event's observed tail. Records and transformed marks are kept
     aligned and sorted best (smallest x) first; the worst retained mark
-    w_k is the truncation point of the tail model."""
+    w_k is the truncation point of the tail model. `record` is the event's
+    record as of the window's end: the best mark dated before it, inside
+    the window or not."""
 
     event: EventSpec
     records: tuple[RawMark, ...]
     marks: tuple[TransformedMark, ...]
+    record: TransformedMark
     window: DateWindow | None = None
 
     @property
@@ -215,6 +218,8 @@ def build_performance_list(
     """Window, encode and order records into a PerformanceList.
 
     Ties are kept as repeated values (they are real, especially in sprints).
+    The list's record is taken over every given record dated before the
+    window's end.
     """
     kept = [r for r in records if window is None or window.contains(r.date)]
     if not kept:
@@ -223,7 +228,11 @@ def build_performance_list(
         kept, key=lambda r: (encode_mark(event, r.value), r.date, r.athlete or "")
     )
     marks = tuple(encode_mark(event, r.value) for r in decorated)
-    return PerformanceList(event=event, records=tuple(decorated), marks=marks, window=window)
+    earlier = [] if window is None or window.start is None else [
+        encode_mark(event, r.value) for r in records if r.date < window.start]
+    record = min([marks[0], *earlier])
+    return PerformanceList(event=event, records=tuple(decorated), marks=marks, record=record,
+                           window=window)
 
 
 _UNIT_TOKENS = {

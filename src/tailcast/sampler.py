@@ -15,7 +15,8 @@ retune rounds side by side, and sample_lanes steps the tuned chains together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import zlib
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -76,6 +77,9 @@ class SamplerConfig:
         if not any(_ACCEPT_LO <= a / n <= _ACCEPT_HI for a in (first - 1, first, first + 1)):
             raise ValueError(f"burn_in_steps {n} gives no acceptance rate in "
                              f"[{_ACCEPT_LO}, {_ACCEPT_HI}]")
+        # Chain streams hash the seed with numpy's SeedSequence, which takes no negative.
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # A zero or non-finite scale never moves a chain, however often it is retuned.
         if not (math.isfinite(self.step_scale) and self.step_scale > 0.0):
             raise ValueError(f"step_scale must be positive and finite, got {self.step_scale}")
@@ -107,11 +111,15 @@ class PosteriorChain:
 
 @dataclass(frozen=True)
 class FitMetadata:
+    """What a fit was made from. best_x is the best fitted mark; record_x is
+    the event's record as of the end of the fit's window, fitted or not."""
+
     event: "EventSpec"
     t_m: float
     n_k: int
     w_k: float
     best_x: float
+    record_x: float
     prior: "HyperPrior"
     config: SamplerConfig
     failed_chains: tuple[int, ...] = ()
@@ -401,9 +409,9 @@ def gelman_rubin_mpsrf(chains) -> float:
 def _draw_init(target, data, prior, rng):
     """Random initialization with finite target log-posterior, or None.
 
-    mu starts near the list median; log N near the prior location with its
-    spread clamped to something searchable (the weakly-informative prior is
-    deliberately near-flat, so literal prior draws would be useless).
+    mu starts near the list median; log N near the prior location, with the
+    prior's spread capped at 1.5 so that a broad prior still starts chains
+    close to where the posterior can be.
     """
     marks = np.asarray(data.marks)
     center = float(np.median(marks))
@@ -425,14 +433,21 @@ def _draw_init(target, data, prior, rng):
 def fit_event(data, prior, config: SamplerConfig, t_m: float | None = None) -> FitResult:
     """Full fit of one event: chains, tuning, sampling, diagnostics, pooling.
 
-    The one-event case of fit_events, seeded with config.seed. t_m defaults
-    to the ingestion window span when the window is bounded, else to the
-    record-date span of the list (floored at one year).
+    The one-event case of fit_events. t_m defaults to the ingestion window
+    span when the window is bounded, else to the record-date span of the
+    list (floored at one year).
     """
-    (result,) = fit_events([(data, prior, config.seed, t_m)], config)
+    (result,) = fit_events([(data, prior, t_m)], config)
     if isinstance(result, FitFailed):
         raise result
     return result
+
+
+def chain_rng(seed: int, event_id: str, chain_id: int) -> np.random.Generator:
+    """The generator of one chain: its own stream, hashed by SeedSequence
+    from (base seed, crc32 of the event id, chain id), so nearby seeds,
+    events and chains get unrelated streams."""
+    return np.random.default_rng([seed, zlib.crc32(event_id.encode("utf-8")), chain_id])
 
 
 @dataclass(frozen=True)
@@ -441,7 +456,6 @@ class _TunedEvent:
 
     data: object
     prior: "HyperPrior"
-    config: SamplerConfig
     t_m: float
     tuned: tuple[tuple[int, TunedState, np.random.Generator], ...]
     failed: tuple[int, ...]
@@ -451,33 +465,31 @@ class _TunedEvent:
 def fit_events(events, config: SamplerConfig) -> list:
     """Fit several events, burning in and sampling all their chains as lanes.
 
-    `events` holds one (data, prior, seed, t_m) per event; t_m None is
-    derived as in fit_event. Each event's chains are initialized one after
-    another, chain c on its own default_rng(seed ^ c). tune_lanes then burns
-    in every chain of every event at once, and every tuned chain of every
-    event that can still succeed becomes one lane of sample_lanes. So an
-    event's fit depends on its own data, prior, seed and t_m, never on the
-    events fitted with it. Returns each event's FitResult, or the FitFailed
-    that ended it, in order.
+    `events` holds one (data, prior, t_m) per event; t_m None is derived as
+    in fit_event. Each event's chains are initialized one after another,
+    chain c on chain_rng(config.seed, event id, c). tune_lanes then burns in
+    every chain of every event at once, and every tuned chain of every event
+    that can still succeed becomes one lane of sample_lanes. So an event's
+    fit depends on its own data, prior, t_m and id and on the config, never
+    on the events fitted with it. Returns each event's FitResult, or the
+    FitFailed that ended it, in order.
     """
     if config.chains < 2:
         raise ValueError("fitting needs at least 2 chains for the convergence diagnostic")
-    started = []  # per event: (data, prior, config, t_m, [(chain_id, init, rng)])
-    for data, prior, seed, t_m in events:
-        event_config = replace(config, seed=seed)
+    started = []  # per event: (data, prior, t_m, [(chain_id, init, rng)])
+    for data, prior, t_m in events:
         target = make_log_posterior(data, prior)
         chains = []
         for chain_id in range(config.chains):
-            rng = np.random.default_rng(seed ^ chain_id)
+            rng = chain_rng(config.seed, data.event.event_id, chain_id)
             chains.append((chain_id, _draw_init(target, data, prior, rng), rng))
-        started.append((data, prior, event_config, _derive_t_m(data) if t_m is None else t_m,
-                        chains))
-    burning = [(data, prior, init, rng) for data, prior, _, _, chains in started
+        started.append((data, prior, _derive_t_m(data) if t_m is None else t_m, chains))
+    burning = [(data, prior, init, rng) for data, prior, _, chains in started
                for _, init, rng in chains if init is not None]
     outcomes = iter(tune_lanes([b[0] for b in burning], [b[1] for b in burning], config,
                                [b[2] for b in burning], [b[3] for b in burning]))
     results: list = []
-    for data, prior, event_config, t_m, chains in started:
+    for data, prior, t_m, chains in started:
         tuned, failed, notes = [], [], []
         for chain_id, init, rng in chains:
             outcome = None if init is None else next(outcomes)
@@ -493,8 +505,8 @@ def fit_events(events, config: SamplerConfig) -> list:
         elif len(failed) * 2 >= config.chains:
             results.append(FitFailed(f"{event_id}: {len(failed)} of {config.chains} chains failed"))
         else:
-            results.append(_TunedEvent(data, prior, event_config, t_m, tuple(tuned),
-                                       tuple(failed), tuple(notes)))
+            results.append(_TunedEvent(data, prior, t_m, tuple(tuned), tuple(failed),
+                                       tuple(notes)))
     lanes = [(ev, tuned, rng) for ev in results if isinstance(ev, _TunedEvent)
              for _, tuned, rng in ev.tuned]
     if not lanes:
@@ -507,14 +519,14 @@ def fit_events(events, config: SamplerConfig) -> list:
     for i, ev in enumerate(results):
         if isinstance(ev, _TunedEvent):
             lane = slice(first, first + len(ev.tuned))
-            results[i] = _finish_event(ev, mu[lane], y[lane], accepted[lane])
+            results[i] = _finish_event(ev, config, mu[lane], y[lane], accepted[lane])
             first = lane.stop
     return results
 
 
-def _finish_event(ev: _TunedEvent, mu, y, accepted) -> FitResult:
+def _finish_event(ev: _TunedEvent, config: SamplerConfig, mu, y, accepted) -> FitResult:
     """Diagnostics and pooling over one event's sampled lanes."""
-    data, config = ev.data, ev.config
+    data = ev.data
     steps = config.batches * config.batch_len
     chains = [
         PosteriorChain(chain_id=chain_id, mu=m, logN=lg,
@@ -528,6 +540,7 @@ def _finish_event(ev: _TunedEvent, mu, y, accepted) -> FitResult:
         n_k=data.n_k,
         w_k=data.w_k,
         best_x=data.best,
+        record_x=data.record,
         prior=ev.prior,
         config=config,
         failed_chains=ev.failed,

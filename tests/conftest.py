@@ -35,6 +35,7 @@ def make_fit(
     n_k: int = 100,
     w_k: float = 0.0,
     best_x: float | None = None,
+    record_x: float | None = None,
     mpsrf: float = 1.0,
     config: SamplerConfig | None = None,
     prior: HyperPrior | None = None,
@@ -50,6 +51,7 @@ def make_fit(
     assert mu.shape == logN.shape == sigma.shape and mu.ndim == 1
     assert len(mu) >= 2 and len(mu) % 2 == 0
     event = event if event is not None else running_event()
+    best_x = (w_k - 6.0 * float(np.mean(sigma))) if best_x is None else best_x
     config = config if config is not None else SamplerConfig(chains=2, seed=0,
                                                              pool_size=len(mu))
     prior = prior if prior is not None else HyperPrior.weakly_informative()
@@ -70,7 +72,8 @@ def make_fit(
         t_m=t_m,
         n_k=n_k,
         w_k=w_k,
-        best_x=(w_k - 6.0 * float(np.mean(sigma))) if best_x is None else best_x,
+        best_x=best_x,
+        record_x=best_x if record_x is None else record_x,
         prior=prior,
         config=config,
         notes=notes,

@@ -250,7 +250,7 @@ def test_criterion_08_min_variance_window_vs_exhaustive():
     # robustness of the hyperprior to one wildly diverged population estimate
     estimates = [math.exp(8.0 + 0.05 * i) for i in range(19)] + [2.71e16]
     logs = sorted(math.log(e) for e in estimates)
-    prior = robust_hyperprior({f"ev{i:02d}": e for i, e in enumerate(estimates)})
+    prior = robust_hyperprior({f"ev{i:02d}": math.log(e) for i, e in enumerate(estimates)})
     ok = ok and prior.mu_N == pytest.approx((logs[9] + logs[10]) / 2.0, abs=1e-12)
     ok = ok and prior.sigma2_N == min_subset_variance(logs, 15)
     ok = ok and prior.sigma2_N < 1.0

@@ -1,5 +1,6 @@
 """End-to-end command tests: fit, tables, forecast, backtest, validate-data."""
 import dataclasses
+import datetime
 import json
 import math
 import re
@@ -7,7 +8,8 @@ import re
 import pytest
 
 from tailcast.cli import _SAMPLER_KEYS, DATA_ENV, UsageError, _parse_points, main, mile_partner
-from tailcast.ingest import EventSpec
+from tailcast.fitfile import load_fit
+from tailcast.ingest import EventSpec, RawMark, format_raw_mark, write_list_file
 from tailcast.sampler import SamplerConfig
 from tailcast.stats import DEFAULT_POINT_GRID
 from tailcast.synth import sample_tail, tail_performance_list, write_corpus
@@ -91,6 +93,44 @@ def test_fit_five_years_mode(workspace, tmp_path):
     assert all(value == 5.0 for value in manifest["t_m"].values())
 
 
+def test_five_year_forecast_breaks_the_older_record(tmp_path):
+    # The event's record, set in 2005, is older than the five years
+    # 2013-2017 that a five-year fit with cutoff 2018 reads.
+    spec = EventSpec.running("m1500")
+    tail = sample_tail(610, MU_STAR, SIGMA_STAR, 20_000, 130)
+    records = list(tail_performance_list(spec, tail, 2006, 2020, seed=660).records)
+    record = RawMark(value=records[0].value * 0.98, date=datetime.date(2005, 6, 1))
+    (tmp_path / "data").mkdir()
+    write_list_file(tmp_path / "data" / "m1500.tsv", spec, [record, *records])
+    common = ["--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
+    assert main(["fit", *common, "--mode", "five-years", "--cutoff", "2018",
+                 "--prior", "weak", *SPEED]) == 0
+    assert main(["forecast", *common]) == 0
+    header, row = (tmp_path / "out" / "forecast.tsv").read_text().splitlines()
+    assert header.split("\t")[1] == "record"
+    recent = min(r.value for r in records if 2013 <= r.date.year <= 2017)
+    assert format_raw_mark(spec, recent) != format_raw_mark(spec, record.value)
+    assert row.split("\t")[1] == format_raw_mark(spec, record.value)
+
+
+def test_weak_prior_bounds_a_fifteen_mark_fit(tmp_path, capsys):
+    # Fifteen marks barely identify N. Under the old near-flat weak prior
+    # (variance e^20) this list's fit ran out to log N = 155 with mpsrf 1.61;
+    # the sd-2 weak prior must hold it. Bounds fixed before the first run.
+    spec = EventSpec.running("w10000m")
+    tail = sample_tail(7105, math.log(2100.0), 0.050, 3_000, 15)
+    write_corpus(tmp_path / "data", [tail_performance_list(spec, tail, 2012, 2020, seed=7155)])
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(tmp_path / "data"), "--out", str(out),
+                 "--prior", "weak", "--seed", "12"]) == 0
+    fit = load_fit(out / "fits" / "w10000m.fit")
+    with capsys.disabled():
+        print(f"\n15-mark weak-prior fit: mpsrf {fit.mpsrf:.3f}, pooled log N "
+              f"{fit.pooled_logN.min():.2f} to {fit.pooled_logN.max():.2f}")
+    assert fit.mpsrf < 1.1
+    assert fit.pooled_logN.max() <= 20.0
+
+
 def test_fit_empirical_needs_four_events(workspace, tmp_path, capsys):
     data_dir, _ = workspace
     code = main(["fit", "--data", str(data_dir), "--out", str(tmp_path / "o"),
@@ -163,7 +203,7 @@ def test_tables_names_the_stale_fit_file(workspace, tmp_path, capsys):
     stale.write_text("\n".join(["#tailcast-fit/2", lines[1], "#columns chain_id"]) + "\n")
     capsys.readouterr()
     assert main(["tables", "--data", str(data_dir), "--out", str(out)]) == 1
-    assert f"error: {stale}: first line must be '#tailcast-fit/5'" in capsys.readouterr().err
+    assert f"error: {stale}: first line must be '#tailcast-fit/6'" in capsys.readouterr().err
 
 
 def test_tables_mile_partner_of_other_pool_size_warns(workspace, tmp_path, capsys):
@@ -367,6 +407,7 @@ def test_usage_errors(workspace, tmp_path, capsys):
     ("forecast", ["--tf", "nan"], ""),
     ("forecast", ["--tf", "inf"], ""),
     ("fit", ["--burn-in", "2"], ""),
+    ("fit", ["--seed", "-1"], ""),
 ])
 def test_bad_values_are_usage_errors(workspace, tmp_path, capsys, command, extra, config):
     data_dir, out_dir = workspace

@@ -1,4 +1,4 @@
-"""Round-trip and validation tests for the tailcast-fit/5 text format.
+"""Round-trip and validation tests for the tailcast-fit/6 text format.
 
 The metadata line is written from and read back into the FitMetadata,
 EventSpec, HyperPrior and SamplerConfig dataclasses by reflection; the
@@ -69,6 +69,7 @@ def test_round_trip_preserves_fields():
     assert back.meta.n_k == fit.meta.n_k
     assert back.meta.w_k == fit.meta.w_k
     assert back.meta.best_x == fit.meta.best_x
+    assert back.meta.record_x == fit.meta.record_x
     assert back.meta.prior == fit.meta.prior
     assert back.meta.config == fit.meta.config
     assert back.meta.notes == fit.meta.notes
@@ -99,7 +100,8 @@ def test_round_trip_every_metadata_field():
         assert all(getattr(obj, f.name) != f.default for f in dataclasses.fields(obj)), obj
     fit = sample_fit()
     meta = dataclasses.replace(fit.meta, event=event, prior=prior, config=config,
-                               failed_chains=(2, 3), notes=("chain 2: failed",))
+                               record_x=fit.meta.best_x - 0.01, failed_chains=(2, 3),
+                               notes=("chain 2: failed",))
     fit = dataclasses.replace(fit, meta=meta)
     assert fit.event_id == event.event_id
     assert fit.pooled_size == 60
@@ -146,7 +148,7 @@ def test_save_and_load(tmp_path):
 
 @pytest.mark.parametrize("content, message", [
     (b"#tailcast-fit/2\n", "first line must be"),
-    (b"#tailcast-fit/5\n\xff\n", "cannot read"),
+    (b"#tailcast-fit/6\n\xff\n", "cannot read"),
     (None, "cannot read"),
 ], ids=["old-format", "not-utf8", "missing"])
 def test_load_fit_names_the_file(tmp_path, content, message):
@@ -182,7 +184,7 @@ def test_loads_rejects_wrong_format_line():
         loads("#something-else/9\n")
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_loads_rejects_old_format(version):
     lines = dumps(sample_fit()).splitlines()
     lines[0] = f"#tailcast-fit/{version}"

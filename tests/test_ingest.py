@@ -179,6 +179,25 @@ def test_build_performance_list_windowing():
         build_performance_list(run, _sprint_records(), window=DateWindow.calendar_years(1999, 2000))
 
 
+def test_build_performance_list_record_is_the_best_before_the_window_end():
+    run = EventSpec.running("m100")
+    d = dt.date
+    records = [*_sprint_records(), RawMark(9.50, d(2005, 6, 1)), RawMark(9.40, d(2012, 6, 1))]
+    # all data: the record is the best mark
+    assert build_performance_list(run, records).record == math.log(9.40)
+    # 2008 only: the 2005 mark is older than the window and still the record
+    # then; the 2012 mark comes after it
+    only_2008 = build_performance_list(run, records, window=DateWindow.calendar_years(2008, 2008))
+    assert only_2008.best == math.log(9.69)
+    assert only_2008.record == math.log(9.50)
+    # before 2009: nothing left out of the window is older
+    before = build_performance_list(run, records, window=DateWindow.before(2009))
+    assert before.record == before.best == math.log(9.50)
+    # the best mark of the window is the record when nothing earlier beats it
+    late = build_performance_list(run, records, window=DateWindow.calendar_years(2009, 2012))
+    assert late.record == late.best == math.log(9.40)
+
+
 def test_list_file_roundtrip(tmp_path):
     run = EventSpec.running("m100", display_name="100 m")
     path = tmp_path / "m100.tsv"

@@ -15,6 +15,7 @@ from tailcast.sampler import (
     SamplerConfig,
     TunedState,
     TuningFailed,
+    chain_rng,
     fit_event,
     fit_events,
     gelman_rubin_mpsrf,
@@ -248,8 +249,7 @@ def test_tune_lanes_matches_tune_burn_in(case, monkeypatch):
 
 def test_speculation_depth_never_changes_fits(monkeypatch):
     config = small_config(batches=40)
-    events = [(data, prior, 20 + i, 1.0)
-              for i, data in enumerate(lane_events())
+    events = [(data, prior, 1.0) for data in lane_events()
               for prior in (HyperPrior.weakly_informative(), INFORMATIVE)]
 
     def dumps(fits):
@@ -263,9 +263,9 @@ def test_speculation_depth_never_changes_fits(monkeypatch):
 
 # sha256 of the draws of the fit below, read back through the fit file: it
 # moves only with a deliberate change to the sampler's draws.
-DRAWS_SHA256 = "e6a3c8a974e4ad37ac9aa9c1c28b98de7eb102fb48ec9bf23f3dc7ef49a45872"
+DRAWS_SHA256 = "a78dd9fdf4b45398df0bfc0884c1808b726f371e9d0f02998402cbedfec15ccc"
 # sha256 of the fit file itself; it also moves with the fit-file format.
-FIT_FILE_SHA256 = "8098ed4f5dea9729da17d0191e647f0ee9c13a154c51219886ceb34163188c4b"
+FIT_FILE_SHA256 = "6c0d9928b92ee39afa2636823be196983b273dc3212cc1f7405b1f73a74913a0"
 
 
 def _draws_digest(fit):
@@ -282,6 +282,38 @@ def test_fit_event_bytes_are_frozen():
     text = fitfile.dumps(fit)
     assert _draws_digest(fitfile.loads(text)) == DRAWS_SHA256
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FIT_FILE_SHA256
+
+
+def test_adjacent_base_seeds_share_no_chain():
+    # Seeds s and s ^ 1 once gave one event the same chains in another order.
+    data = synthetic_event()
+    for seed in (8, 11):
+        a = fit_event(data, INFORMATIVE, small_config(seed=seed, batches=20), t_m=1.0)
+        b = fit_event(data, INFORMATIVE, small_config(seed=seed ^ 1, batches=20), t_m=1.0)
+        for chain_a in a.chains:
+            for chain_b in b.chains:
+                assert not np.array_equal(chain_a.mu, chain_b.mu)
+                assert not np.array_equal(chain_a.logN, chain_b.logN)
+
+
+def test_chain_streams_share_no_first_draw():
+    firsts = [chain_rng(seed, "mens100m", chain_id).random()
+              for seed in range(16) for chain_id in range(10)]
+    assert len(set(firsts)) == len(firsts)
+
+
+def test_fit_events_draws_each_chain_from_its_stream():
+    # Chain c of an event starts where _draw_init, fed chain_rng(seed, id, c),
+    # puts it, whatever other events are fitted alongside.
+    data, other = synthetic_event(), synthetic_event(seed=61, keep=25)
+    config = small_config(batches=20)
+    fit = fit_events([(other, INFORMATIVE, 1.0), (data, INFORMATIVE, 1.0)], config)[1]
+    target = make_log_posterior(data, INFORMATIVE)
+    for chain in fit.chains:
+        rng = chain_rng(config.seed, data.event.event_id, chain.chain_id)
+        init = _draw_init(target, data, INFORMATIVE, rng)
+        tuned = tune_burn_in(target, config, init, rng)
+        assert np.array_equal(run_chain(target, config, tuned, rng).mu, chain.mu)
 
 
 def test_run_chain_deterministic():
@@ -447,6 +479,9 @@ def test_sampler_config_validation(monkeypatch):
     for bad in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             SamplerConfig(step_scale=bad)
+    # chain streams are SeedSequence hashes, which take no negative seed
+    with pytest.raises(ValueError, match="seed"):
+        SamplerConfig(seed=-1)
     # the check reads the tuning rule's band: no count of 10 lands in [0.31, 0.39]
     monkeypatch.setattr(sampler, "_ACCEPT_LO", 0.31)
     monkeypatch.setattr(sampler, "_ACCEPT_HI", 0.39)
