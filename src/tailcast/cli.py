@@ -1,6 +1,6 @@
 """Command-line pipeline: ingest data, fit posteriors, emit reports.
 
-Subcommands compose through the filesystem: `fit` persists one tailcast-fit/6
+Subcommands compose through the filesystem: `fit` persists one tailcast-fit/7
 file per event plus a manifest, and `tables`, `forecast` read those fits back
 instead of refitting. All outputs are deterministic for a fixed seed; no
 command writes timestamps.
@@ -457,49 +457,50 @@ def cmd_validate_data(cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The options every subcommand takes, defined once and shared as a parent.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat key=value config file")
+    common.add_argument("--data", help=f"data directory (default: ${DATA_ENV})")
+    common.add_argument("--out", help="output directory (default: ./out)")
+    common.add_argument("--events", help="comma-separated event ids, or 'all'")
+    common.add_argument("--mode", choices=["all", "five-years"], help="ingestion window mode")
+    common.add_argument("--cutoff", type=int, help="cutoff year (data strictly before)")
+    common.add_argument("--tf", type=float, help="forecast horizon in years")
+    common.add_argument("--seed", type=int, help="base RNG seed")
+    common.add_argument("--prior", choices=["weak", "empirical"], help="population prior")
+    base = SamplerConfig()
+    for key, (field, text) in _SAMPLER_KEYS.items():
+        if text is not None:
+            common.add_argument("--" + key.replace("_", "-"), dest=key,
+                                type=type(getattr(base, field)), help=text)
+
     parser = argparse.ArgumentParser(
         prog="tailcast",
         description="Fit performance-list tails and forecast records and scores.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--data", help=f"data directory (default: ${DATA_ENV})")
-        p.add_argument("--out", help="output directory (default: ./out)")
-        p.add_argument("--events", help="comma-separated event ids, or 'all'")
-        p.add_argument("--mode", choices=["all", "five-years"], help="ingestion window mode")
-        p.add_argument("--cutoff", type=int, help="cutoff year (data strictly before)")
-        p.add_argument("--tf", type=float, help="forecast horizon in years")
-        p.add_argument("--seed", type=int, help="base RNG seed")
-        p.add_argument("--prior", choices=["weak", "empirical"], help="population prior")
-        base = SamplerConfig()
-        for key, (field, text) in _SAMPLER_KEYS.items():
-            if text is not None:
-                p.add_argument("--" + key.replace("_", "-"), dest=key,
-                               type=type(getattr(base, field)), help=text)
-
-    p_fit = sub.add_parser("fit", help="fit every event and persist the posteriors")
-    add_common(p_fit)
+    p_fit = sub.add_parser("fit", parents=[common],
+                           help="fit every event and persist the posteriors")
     p_fit.set_defaults(handler=cmd_fit)
 
-    p_tables = sub.add_parser("tables", help="emit scoring tables from persisted fits")
-    add_common(p_tables)
+    p_tables = sub.add_parser("tables", parents=[common],
+                              help="emit scoring tables from persisted fits")
     p_tables.add_argument("--points", help="point grid, lo:hi:step or comma list")
     p_tables.set_defaults(handler=cmd_tables)
 
-    p_forecast = sub.add_parser("forecast", help="record probabilities and expected bests")
-    add_common(p_forecast)
+    p_forecast = sub.add_parser("forecast", parents=[common],
+                                help="record probabilities and expected bests")
     p_forecast.set_defaults(handler=cmd_forecast)
 
-    p_backtest = sub.add_parser("backtest", help="fit before a cutoff and score forecasts")
-    add_common(p_backtest)
+    p_backtest = sub.add_parser("backtest", parents=[common],
+                                help="fit before a cutoff and score forecasts")
     p_backtest.add_argument("--windows", help="evaluation window lengths, e.g. 1,2,5,12")
     p_backtest.add_argument("--ranks", help="reference ranks, subset of 10,25,50,100")
     p_backtest.set_defaults(handler=cmd_backtest)
 
-    p_validate = sub.add_parser("validate-data", help="parse and summarize the data files")
-    add_common(p_validate)
+    p_validate = sub.add_parser("validate-data", parents=[common],
+                                help="parse and summarize the data files")
     p_validate.set_defaults(handler=cmd_validate_data)
 
     return parser

@@ -1,22 +1,26 @@
-"""Persistence for fitted posteriors: the tailcast-fit/6 text format.
+"""Persistence for fitted posteriors: the tailcast-fit/7 text format.
 
 A fit file is self-describing and deterministic. Line 1 names the format,
 line 2 is `#meta ` and a JSON metadata object, line 3 is the draws header
-`#draws <draws per chain> mu logN sigma`, and line 4 is the base64 of a
-little-endian float64 array of shape (chains, 3, draws per chain), the
-chains in the order of the metadata's `chains` list. The metadata is
+`#draws <draws per chain> mu logN`, and line 4 is the base64 of a
+little-endian float64 array of shape (chains, 2, draws per chain), the
+chains in the order of the metadata's `chains` list. The file holds only
+what the sampler samples: each pooled draw's sigma follows from its
+(mu, log N) by the tail-mass identity when the fit is rebuilt, so `loads`
+refuses draws outside the identity's domain. The metadata is
 `dataclasses.asdict(FitMetadata)`, enums as their values, plus each chain's
 id, acceptance rate and step scale, and mpsrf; it is read back by reflecting
 on the same dataclasses, so a new metadata field needs no change here.
 Re-saving a loaded fit reproduces the file byte for byte. Files of the older
-formats /1 to /5 are not read: /1 and /2 held the draws as text tables, /3's
+formats /1 to /6 are not read: /1 and /2 held the draws as text tables, /3's
 metadata held a truncation-point field that /4 dropped, /4's held the
-convergence flag and the sampler's acceptance band and retune budget, and
-/5's lacked the event's record (`record_x`).
+convergence flag and the sampler's acceptance band and retune budget, /5's
+lacked the event's record (`record_x`), and /6 also stored a sigma for every
+draw, which the identity already fixes.
 """
 from __future__ import annotations
 
-import base64
+import binascii
 import dataclasses
 import enum
 import functools
@@ -35,8 +39,8 @@ from .errors import TailcastError
 from .ingest import EventSpec
 from .sampler import FitMetadata, FitResult, PosteriorChain
 
-FORMAT_LINE = "#tailcast-fit/6"
-_DRAWS_HEADER = re.compile(r"#draws ([1-9][0-9]*) mu logN sigma")
+FORMAT_LINE = "#tailcast-fit/7"
+_DRAWS_HEADER = re.compile(r"#draws ([1-9][0-9]*) mu logN")
 _DRAWS_DTYPE = "<f8"  # explicit byte order, so the bytes match on every platform
 # FitMetadata's annotations name these by string only: sampler imports them
 # just for type checking, so get_type_hints is told where they live.
@@ -44,7 +48,7 @@ _META_TYPES = {"EventSpec": EventSpec, "HyperPrior": HyperPrior}
 
 
 class FitFileError(TailcastError):
-    """The file is not a readable tailcast-fit/6 document."""
+    """The file is not a readable tailcast-fit/7 document."""
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -79,10 +83,10 @@ def _meta_payload(fit: FitResult) -> dict:
 
 
 def dumps(fit: FitResult) -> str:
-    block = np.array([(c.mu, c.logN, c.sigma) for c in fit.chains], dtype=_DRAWS_DTYPE)
+    block = np.array([(c.mu, c.logN) for c in fit.chains], dtype=_DRAWS_DTYPE)
     meta = json.dumps(_meta_payload(fit), sort_keys=True, default=lambda e: e.value)
-    draws = base64.b64encode(block.tobytes()).decode("ascii")
-    return f"{FORMAT_LINE}\n#meta {meta}\n#draws {block.shape[2]} mu logN sigma\n{draws}\n"
+    draws = binascii.b2a_base64(block.tobytes(), newline=False).decode("ascii")
+    return f"{FORMAT_LINE}\n#meta {meta}\n#draws {block.shape[2]} mu logN\n{draws}\n"
 
 
 def save_fit(fit: FitResult, path: Path) -> None:
@@ -129,38 +133,67 @@ def _parse_meta(line: str):
     return meta, chains, mpsrf
 
 
+def _check_domain(block: np.ndarray, meta: FitMetadata, chain_ids) -> None:
+    """Refuse draws the tail-mass identity cannot turn into a positive, finite
+    sigma: a non-finite draw, mu <= w_k, or n_k/N outside (0, 0.5).
+
+    Each test reads only a chain's extremes: a nan is both, and n_k/N falls
+    as log N rises.
+    """
+    lo, hi = block.min(axis=2), block.max(axis=2)  # (chains, [mu, log N])
+    with np.errstate(over="ignore"):
+        widest, narrowest = meta.n_k * np.exp(-lo[:, 1]), meta.n_k * np.exp(-hi[:, 1])
+    bad = np.array([
+        ~(np.isfinite(lo) & np.isfinite(hi)).all(axis=1),
+        lo[:, 0] <= meta.w_k,
+        (widest >= 0.5) | (narrowest <= 0.0),
+    ])
+    if bad.any():
+        chain = bad.any(axis=0).argmax()
+        problem = ("a draw that is not finite", f"a draw with mu <= w_k = {meta.w_k!r}",
+                   f"a draw with n_k/N outside (0, 0.5) for n_k = {meta.n_k}")
+        raise FitFileError(f"chain {chain_ids[chain]} has {problem[bad[:, chain].argmax()]}")
+
+
 def loads(text: str) -> FitResult:
-    lines = text.splitlines()
-    if not lines or lines[0] != FORMAT_LINE:
+    # Split at the first four newlines only: the base64 line is scanned and
+    # copied once, with no newline left to strip, and any lines after it
+    # stay one string.
+    lines = text.split("\n", 4)
+    if lines[0] != FORMAT_LINE:
         raise FitFileError(f"first line must be {FORMAT_LINE!r}; "
                            "refit files of an older format with `tailcast fit`")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the file starts no line
     if len(lines) < 3:
         raise FitFileError("file ends before the draws header")
     meta, chain_info, mpsrf = _parse_meta(lines[1])
     header = _DRAWS_HEADER.fullmatch(lines[2])
     if header is None:
-        raise FitFileError("third line must be '#draws <draws per chain> mu logN sigma' "
+        raise FitFileError("third line must be '#draws <draws per chain> mu logN' "
                            "with a positive whole number of draws")
     payload = lines[3:]
-    if not any(payload):
+    if not any(line.strip("\n") for line in payload):
         raise FitFileError("file contains no posterior draws")
     if len(payload) != 1:
         raise FitFileError("the draws block must be a single line of base64")
     try:
-        raw = base64.b64decode(payload[0], validate=True)
+        # a2b_base64 reads an ASCII str in place, where b64decode copies it to bytes
+        raw = binascii.a2b_base64(payload[0], strict_mode=True)
     except ValueError as exc:  # binascii.Error, or a character outside ASCII
         raise FitFileError(f"draws block is not base64: {exc}") from exc
-    shape = (len(chain_info), 3, int(header[1]))
+    shape = (len(chain_info), 2, int(header[1]))
     if len(raw) != math.prod(shape) * 8:
         raise FitFileError(f"draws block holds {len(raw)} bytes; {shape[0]} chains of "
                            f"{shape[2]} draws need {math.prod(shape) * 8}")
 
     # astype copies the read-only frombuffer view into a writable native array
     block = np.frombuffer(raw, dtype=_DRAWS_DTYPE).astype(np.float64).reshape(shape)
+    _check_domain(block, meta, [chain_id for chain_id, _, _ in chain_info])
     chains = tuple(
         PosteriorChain(chain_id=chain_id, mu=mu, logN=logN, accept_rate=accept_rate,
-                       step_scale=step_scale, sigma=sigma)
-        for (chain_id, accept_rate, step_scale), (mu, logN, sigma) in zip(chain_info, block)
+                       step_scale=step_scale)
+        for (chain_id, accept_rate, step_scale), (mu, logN) in zip(chain_info, block)
     )
     return FitResult(chains, mpsrf, meta)
 

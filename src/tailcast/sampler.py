@@ -99,7 +99,6 @@ class PosteriorChain:
     logN: np.ndarray
     accept_rate: float
     step_scale: float
-    sigma: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.mu)
@@ -132,7 +131,11 @@ class FitMetadata:
 
 @dataclass(frozen=True)
 class FitResult:
-    """What sampling produced for one event; the pooled draws follow from it."""
+    """What sampling produced for one event; the pooled draws follow from it.
+
+    Chains hold only the sampled (mu, log N) states. Each pooled draw's
+    sigma follows from its (mu, log N) by the tail-mass identity.
+    """
 
     chains: tuple[PosteriorChain, ...]
     mpsrf: float
@@ -142,12 +145,11 @@ class FitResult:
     pooled_sigma: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        missing = [c.chain_id for c in self.chains if c.sigma is None]
-        if missing:
-            raise ValueError(f"chains {missing} have no sigma draws")
-        pooled = _pool_draws(self.chains, self.meta.config.pool_size)
-        for name, draws in zip(("pooled_mu", "pooled_logN", "pooled_sigma"), pooled):
-            object.__setattr__(self, name, draws)
+        mu, logN = _pool_draws(self.chains, self.meta.config.pool_size)
+        object.__setattr__(self, "pooled_mu", mu)
+        object.__setattr__(self, "pooled_logN", logN)
+        object.__setattr__(self, "pooled_sigma",
+                           tail_mass_sigma(mu, logN, self.meta.n_k, self.meta.w_k))
 
     @property
     def event_id(self) -> str:
@@ -530,8 +532,7 @@ def _finish_event(ev: _TunedEvent, config: SamplerConfig, mu, y, accepted) -> Fi
     steps = config.batches * config.batch_len
     chains = [
         PosteriorChain(chain_id=chain_id, mu=m, logN=lg,
-                       accept_rate=int(acc) / steps, step_scale=tuned.step_scale,
-                       sigma=tail_mass_sigma(m, lg, data.n_k, data.w_k))
+                       accept_rate=int(acc) / steps, step_scale=tuned.step_scale)
         for (chain_id, tuned, _), m, lg, acc in zip(ev.tuned, mu, y, accepted)
     ]
     meta = FitMetadata(
@@ -561,9 +562,8 @@ def _pool_draws(chains, pool_size):
     """Deterministic even-stride subsample across the concatenated chains."""
     mu = np.concatenate([c.mu for c in chains])
     y = np.concatenate([c.logN for c in chains])
-    sigma = np.concatenate([c.sigma for c in chains])
     total = len(mu)
     if total <= pool_size:
-        return mu, y, sigma
+        return mu, y
     idx = np.floor(np.linspace(0.0, total, pool_size, endpoint=False)).astype(int)
-    return mu[idx], y[idx], sigma[idx]
+    return mu[idx], y[idx]

@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr, ndtri
 
+from tailcast.distcore import tail_mass_sigma
 from tailcast.emprior import HyperPrior
 from tailcast.ingest import EventSpec, PerformanceList
 from tailcast.sampler import FitMetadata, FitResult, PosteriorChain, SamplerConfig
@@ -27,9 +29,9 @@ def field_event(event_id: str = "evLJ") -> EventSpec:
 
 def make_fit(
     mu,
-    logN,
-    sigma,
+    logN=None,
     *,
+    sigma=None,
     event: EventSpec | None = None,
     t_m: float = 1.0,
     n_k: int = 100,
@@ -43,15 +45,19 @@ def make_fit(
 ) -> FitResult:
     """FitResult from explicit draw arrays, split into two equal chains.
 
+    Pass either logN or sigma; the other follows from the tail-mass identity
+    sigma = (w_k - mu) / Phi^-1(n_k/N), as the fit's own pooled sigma does.
     The default config pools every draw, so the pooled draws are the arrays.
     """
+    assert (logN is None) != (sigma is None), "pass exactly one of logN and sigma"
     mu = np.asarray(mu, dtype=float)
+    if logN is None:
+        # n_k/N = Phi((w_k - mu) / sigma)
+        logN = math.log(n_k) - log_ndtr((w_k - mu) / np.asarray(sigma, dtype=float))
     logN = np.asarray(logN, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    assert mu.shape == logN.shape == sigma.shape and mu.ndim == 1
+    assert mu.shape == logN.shape and mu.ndim == 1
     assert len(mu) >= 2 and len(mu) % 2 == 0
     event = event if event is not None else running_event()
-    best_x = (w_k - 6.0 * float(np.mean(sigma))) if best_x is None else best_x
     config = config if config is not None else SamplerConfig(chains=2, seed=0,
                                                              pool_size=len(mu))
     prior = prior if prior is not None else HyperPrior.weakly_informative()
@@ -63,10 +69,12 @@ def make_fit(
             logN=logN[i * half:(i + 1) * half].copy(),
             accept_rate=0.3,
             step_scale=0.05,
-            sigma=sigma[i * half:(i + 1) * half].copy(),
         )
         for i in range(2)
     )
+
+    if best_x is None:
+        best_x = w_k - 6.0 * float(np.mean(tail_mass_sigma(mu, logN, n_k, w_k)))
     meta = FitMetadata(
         event=event,
         t_m=t_m,
@@ -87,13 +95,19 @@ def point_mass_fit(
     logN: float,
     *,
     n_draws: int = 1000,
+    n_k: int = 100,
     **kwargs,
 ) -> FitResult:
-    """FitResult whose every pooled draw is the same (mu, logN, sigma)."""
+    """FitResult whose every pooled draw is the same (mu, logN), on the model:
+    the worst listed mark w_k = mu + sigma * Phi^-1(n_k/N) is derived, so the
+    identity gives back sigma (to rounding)."""
+    share = n_k * math.exp(-logN)
+    assert 0.0 < share < 0.5, f"n_k/N = {share} is off the model"
     return make_fit(
         np.full(n_draws, mu),
         np.full(n_draws, logN),
-        np.full(n_draws, sigma),
+        n_k=n_k,
+        w_k=mu + sigma * float(ndtri(share)),
         **kwargs,
     )
 

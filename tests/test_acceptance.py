@@ -210,7 +210,7 @@ def test_criterion_06_expected_best_matches_simulation():
     reps = 1_000_000
     worst = 0.0
     for m in (10, 100, 1000):
-        ctx = ForecastContext(fit=point_mass_fit(0.0, 1.0, math.log(m)), t_f=1.0)
+        ctx = ForecastContext(fit=point_mass_fit(0.0, 1.0, math.log(m), n_k=1), t_f=1.0)
         predicted = expected_best(ctx).x
         total = 0.0
         block = 2000

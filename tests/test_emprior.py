@@ -138,9 +138,7 @@ def test_expected_population_point_mass():
 
 def test_expected_population_overflow_is_inf():
     n = 100
-    fit = make_fit(
-        mu=np.full(n, 2.4), logN=np.full(n, 1000.0), sigma=np.full(n, 0.03)
-    )
+    fit = make_fit(mu=np.full(n, 2.4), logN=np.full(n, 1000.0))
     assert expected_population(fit) == math.inf
 
 

@@ -1,4 +1,4 @@
-"""Round-trip and validation tests for the tailcast-fit/6 text format.
+"""Round-trip and validation tests for the tailcast-fit/7 text format.
 
 The metadata line is written from and read back into the FitMetadata,
 EventSpec, HyperPrior and SamplerConfig dataclasses by reflection; the
@@ -26,9 +26,12 @@ from tailcast.fitfile import (
     save_fit,
 )
 from tailcast.ingest import Direction, EventSpec, Unit
-from tailcast.sampler import PosteriorChain, SamplerConfig
+from tailcast.sampler import SamplerConfig
 
 from conftest import make_fit
+
+
+W_K, N_K = 2.46, 150  # sample_fit's worst mark and list size
 
 
 def sample_fit(mpsrf=1.02, notes=()):
@@ -41,12 +44,11 @@ def sample_fit(mpsrf=1.02, notes=()):
         contributing_events=("a", "b", "c", "d"),
     )
     return make_fit(
-        mu=rng.normal(2.4, 0.01, n),
-        logN=rng.normal(9.9, 0.3, n),
+        mu=rng.normal(2.52, 0.01, n),
         sigma=rng.uniform(0.02, 0.05, n),
         t_m=2.5,
-        n_k=150,
-        w_k=2.46,
+        n_k=N_K,
+        w_k=W_K,
         mpsrf=mpsrf,
         prior=prior,
         notes=notes,
@@ -80,7 +82,6 @@ def test_round_trip_preserves_fields():
         assert ours.chain_id == theirs.chain_id
         assert np.array_equal(ours.mu, theirs.mu)
         assert np.array_equal(ours.logN, theirs.logN)
-        assert np.array_equal(ours.sigma, theirs.sigma)
         assert ours.accept_rate == theirs.accept_rate
         assert ours.step_scale == theirs.step_scale
     assert np.array_equal(back.pooled_mu, fit.pooled_mu)
@@ -148,7 +149,7 @@ def test_save_and_load(tmp_path):
 
 @pytest.mark.parametrize("content, message", [
     (b"#tailcast-fit/2\n", "first line must be"),
-    (b"#tailcast-fit/6\n\xff\n", "cannot read"),
+    (b"#tailcast-fit/7\n\xff\n", "cannot read"),
     (None, "cannot read"),
 ], ids=["old-format", "not-utf8", "missing"])
 def test_load_fit_names_the_file(tmp_path, content, message):
@@ -184,7 +185,7 @@ def test_loads_rejects_wrong_format_line():
         loads("#something-else/9\n")
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 def test_loads_rejects_old_format(version):
     lines = dumps(sample_fit()).splitlines()
     lines[0] = f"#tailcast-fit/{version}"
@@ -198,13 +199,13 @@ def test_loads_rejects_truncated():
 
 
 def test_loads_rejects_bad_meta_json():
-    text = FORMAT_LINE + "\n#meta {not json\n#draws 1 mu logN sigma\nAAAAAAAAAAA=\n"
+    text = FORMAT_LINE + "\n#meta {not json\n#draws 1 mu logN\nAAAAAAAAAAA=\n"
     with pytest.raises(FitFileError, match="not valid JSON"):
         loads(text)
 
 
 def test_loads_rejects_wrong_columns():
-    text = dumps(sample_fit()).replace(" mu logN sigma\n", " mu sigma logN\n")
+    text = dumps(sample_fit()).replace(" mu logN\n", " logN mu\n")
     with pytest.raises(FitFileError, match="third line"):
         loads(text)
 
@@ -244,7 +245,7 @@ def _reencode(lines, edit):
         "one-draw-short", "header-disagrees", "extra-line"])
 def test_loads_rejects_bad_draws_block(edit, message):
     lines = dumps(sample_fit()).splitlines()
-    assert lines[2] == "#draws 100 mu logN sigma"
+    assert lines[2] == "#draws 100 mu logN"
     with pytest.raises(FitFileError, match=message):
         loads("\n".join(edit(lines)) + "\n")
 
@@ -275,39 +276,70 @@ def test_loads_keeps_chains_in_meta_order():
     assert [chain.chain_id for chain in back.chains] == [7, 2]
     for ours, theirs in zip(fit.chains, back.chains):
         assert np.array_equal(ours.mu, theirs.mu)
-        assert np.array_equal(ours.sigma, theirs.sigma)
+        assert np.array_equal(ours.logN, theirs.logN)
 
 
-SPECIAL_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
-                  5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308]
+def _edit_draws(edits):
+    """A sample fit file with draws[chain, row, i] = value for each edit,
+    row 0 being mu and row 1 log N."""
+    lines = dumps(sample_fit()).splitlines()
+
+    def edit(raw):
+        block = np.frombuffer(raw, dtype="<f8").reshape(2, 2, -1).copy()
+        for chain, row, i, value in edits:
+            block[chain, row, i] = value
+        return block.tobytes()
+
+    return "\n".join(_reencode(lines, edit)) + "\n"
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([(1, 0, 7, math.nan)], "chain 1 has a draw that is not finite"),
+    ([(1, 1, 3, math.inf)], "chain 1 has a draw that is not finite"),
+    ([(0, 0, 5, W_K)], r"chain 0 has a draw with mu <= w_k = 2\.46"),
+    ([(1, 1, 9, math.log(2 * N_K) - 1e-9)], r"chain 1 has a draw with n_k/N outside \(0, 0\.5\)"),
+    ([(0, 1, 9, 800.0)], r"chain 0 has a draw with n_k/N outside \(0, 0\.5\)"),
+    ([(1, 0, 0, math.nan), (0, 0, 99, 0.0)], "chain 0 has a draw with mu <= w_k"),
+], ids=["nan-mu", "infinite-logN", "mu-at-w_k", "half-the-population", "share-underflows",
+        "first-chain-named"])
+def test_loads_rejects_draws_outside_the_model(edits, message):
+    # sigma is derived from (mu, log N), so such a draw would pool a sigma
+    # that is nan, infinite, zero or negative
+    with pytest.raises(FitFileError, match=message):
+        loads(_edit_draws(edits))
+
+
+def test_loads_takes_draws_just_inside_the_model():
+    text = _edit_draws([(0, 0, 5, np.nextafter(W_K, math.inf)),
+                        (1, 1, 9, math.log(2 * N_K) + 1e-9)])
+    fit = loads(text)
+    assert np.all(np.isfinite(fit.pooled_sigma)) and np.all(fit.pooled_sigma > 0.0)
+
+
+# Draws inside the model for make_fit's defaults (w_k = 0, n_k = 100): mu > 0
+# and 100 exp(-log N) in (0, 0.5), bit patterns at the edges included. mu
+# stays at or below 1e100, so that (w_k - mu) / Phi^-1(n_k/N) fits a double
+# even where Phi^-1(n_k/N) is near 0.
+IN_DOMAIN_MU = st.one_of(
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1.0, 1e100]),
+    st.floats(min_value=0.0, max_value=1e100, exclude_min=True))
+IN_DOMAIN_LOGN = st.one_of(
+    st.sampled_from([math.log(200.0) + 1e-12, 700.0]),
+    st.floats(min_value=math.log(200.0) + 1e-12, max_value=700.0))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 10).flatmap(lambda n: st.lists(
-    st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), min_size=6 * n, max_size=6 * n)))
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.lists(IN_DOMAIN_MU, min_size=2 * n, max_size=2 * n),
+    st.lists(IN_DOMAIN_LOGN, min_size=2 * n, max_size=2 * n))))
 def test_round_trip_keeps_every_float64_bit(draws):
-    mu, logN, sigma = np.array(draws, dtype=np.float64).reshape(3, -1)
-    fit = make_fit(mu=mu, logN=logN, sigma=sigma, best_x=0.0)
+    mu, logN = (np.array(d, dtype=np.float64) for d in draws)
+    fit = make_fit(mu=mu, logN=logN, best_x=0.0)
     text = dumps(fit)
     back = loads(text)
     assert dumps(back) == text
     for ours, theirs in zip(fit.chains, back.chains):
-        for a, b in ((ours.mu, theirs.mu), (ours.logN, theirs.logN),
-                     (ours.sigma, theirs.sigma)):
+        for a, b in ((ours.mu, theirs.mu), (ours.logN, theirs.logN)):
             assert b.dtype == np.float64 and b.flags.writeable
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-def test_fit_result_requires_sigma():
-    # a fit pools sigma draws, so one without them cannot be built, let alone saved
-    fit = sample_fit()
-    bare = PosteriorChain(
-        chain_id=0,
-        mu=fit.chains[0].mu,
-        logN=fit.chains[0].logN,
-        accept_rate=0.3,
-        step_scale=0.1,
-        sigma=None,
-    )
-    with pytest.raises(ValueError, match=r"chains \[0\] have no sigma draws"):
-        dataclasses.replace(fit, chains=(bare,) + fit.chains[1:])
+    assert np.array_equal(back.pooled_sigma.view(np.uint64), fit.pooled_sigma.view(np.uint64))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tailcast import fitfile, sampler
-from tailcast.distcore import make_lane_log_posterior, make_log_posterior
+from tailcast.distcore import make_lane_log_posterior, make_log_posterior, tail_mass_sigma
 from tailcast.emprior import HyperPrior, Provenance
 from tailcast.ingest import EventSpec
 from tailcast.sampler import (
@@ -265,14 +265,16 @@ def test_speculation_depth_never_changes_fits(monkeypatch):
 # moves only with a deliberate change to the sampler's draws.
 DRAWS_SHA256 = "a78dd9fdf4b45398df0bfc0884c1808b726f371e9d0f02998402cbedfec15ccc"
 # sha256 of the fit file itself; it also moves with the fit-file format.
-FIT_FILE_SHA256 = "6c0d9928b92ee39afa2636823be196983b273dc3212cc1f7405b1f73a74913a0"
+FIT_FILE_SHA256 = "cacf60f297600243b68163c766216cb1f2cf096f9137d73530e043102476be12"
 
 
 def _draws_digest(fit):
     digest = hashlib.sha256()
     for chain in fit.chains:
         digest.update(np.array(chain.chain_id, dtype="<i8").tobytes())
-        for draws in (chain.mu, chain.logN, chain.sigma):
+        # sigma as the sampler once stored it per chain, by the identity
+        sigma = tail_mass_sigma(chain.mu, chain.logN, fit.meta.n_k, fit.meta.w_k)
+        for draws in (chain.mu, chain.logN, sigma):
             digest.update(np.asarray(draws, dtype="<f8").tobytes())
     return digest.hexdigest()
 
@@ -282,6 +284,21 @@ def test_fit_event_bytes_are_frozen():
     text = fitfile.dumps(fit)
     assert _draws_digest(fitfile.loads(text)) == DRAWS_SHA256
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FIT_FILE_SHA256
+
+
+def test_pooled_sigma_is_the_identity_over_the_pooled_draws():
+    data = synthetic_event()
+    fit = fit_event(data, INFORMATIVE, small_config(), t_m=1.0)
+    assert fit.pooled_size < sum(len(chain) for chain in fit.chains)
+    want = tail_mass_sigma(fit.pooled_mu, fit.pooled_logN, data.n_k, data.w_k)
+    assert np.array_equal(fit.pooled_sigma, want)
+
+
+def test_reloaded_fit_pools_the_same_draws():
+    fit = fit_event(synthetic_event(), INFORMATIVE, small_config(), t_m=1.0)
+    back = fitfile.loads(fitfile.dumps(fit))
+    for name in ("pooled_mu", "pooled_logN", "pooled_sigma"):
+        assert np.array_equal(getattr(back, name), getattr(fit, name)), name
 
 
 def test_adjacent_base_seeds_share_no_chain():
@@ -395,7 +412,6 @@ def test_fit_event_structure_and_determinism():
     assert np.all(np.exp(fit.pooled_logN) > data.n_k)
     for chain in fit.chains:
         assert 0.15 <= chain.accept_rate <= 0.45
-        assert chain.sigma is not None and len(chain.sigma) == len(chain)
     assert fit.meta.t_m == 1.0
     assert fit.meta.n_k == data.n_k
     assert fit.meta.prior is INFORMATIVE
@@ -454,16 +470,14 @@ def test_pool_draws_stride():
         def __init__(self, lo, hi):
             self.mu = np.arange(lo, hi, dtype=float)
             self.logN = self.mu + 1000.0
-            self.sigma = self.mu + 2000.0
 
-    mu, logN, sigma = _pool_draws([Stub(0, 600), Stub(600, 1200)], 400)
+    mu, logN = _pool_draws([Stub(0, 600), Stub(600, 1200)], 400)
     assert len(mu) == 400
     assert mu[0] == 0.0
     assert np.all(np.diff(mu) > 0)
     assert np.array_equal(logN, mu + 1000.0)
-    assert np.array_equal(sigma, mu + 2000.0)
 
-    mu2, _, _ = _pool_draws([Stub(0, 100)], 400)
+    mu2, _ = _pool_draws([Stub(0, 100)], 400)
     assert np.array_equal(mu2, np.arange(100, dtype=float))
 
 

@@ -48,19 +48,22 @@ ONE_MINUS_INV_E_ISH = 0.632120742768355  # 1 - (1 - 1e-6)^1e6
 
 
 def event_ctx(t_f=1.0, **kwargs):
-    defaults = dict(n_k=N_K, w_k=W_K, best_x=MU - 0.15)
+    defaults = dict(n_k=N_K, best_x=MU - 0.15)
     defaults.update(kwargs)
     fit = point_mass_fit(MU, SIG, math.log(N_POP), **defaults)
     return ForecastContext(fit, t_f=t_f)
 
 
 def unit_ctx(M, t_f=1.0):
-    fit = point_mass_fit(0.0, 1.0, math.log(M), n_k=10, w_k=-0.5, best_x=-4.0)
+    # M = t_f N / t_m future marks per unit horizon; a span of 1000 years keeps
+    # one listed mark below half the population for M down to 0.05
+    t_m = 1000.0
+    fit = point_mass_fit(0.0, 1.0, math.log(M * t_m), n_k=1, t_m=t_m, best_x=-4.0)
     return ForecastContext(fit, t_f=t_f)
 
 
 def test_context_validation():
-    good = point_mass_fit(MU, SIG, 9.0, n_k=N_K, w_k=W_K, t_m=2.5)
+    good = point_mass_fit(MU, SIG, 9.0, n_k=N_K, t_m=2.5)
     assert ForecastContext(good, t_f=1.0).fit is good
     with pytest.raises(ValueError):
         ForecastContext(good, t_f=-1.0)
@@ -69,7 +72,7 @@ def test_context_validation():
             ForecastContext(point_mass_fit(MU, SIG, 9.0, t_m=t_m), t_f=1.0)
 
     # an unconverged fit still forecasts; warning about it is the caller's job
-    bad = point_mass_fit(MU, SIG, 9.0, n_k=N_K, w_k=W_K, mpsrf=2.0)
+    bad = point_mass_fit(MU, SIG, 9.0, n_k=N_K, mpsrf=2.0)
     assert ForecastContext(bad, t_f=1.0).fit is bad
 
 
@@ -101,7 +104,7 @@ def test_exceedances_limits_and_monotonicity():
 def test_exceedances_match_simulated_seasons():
     # independent oracle: draw whole seasons of performances and count them
     pop, a = 500, -2.5
-    fit = point_mass_fit(0.0, 1.0, math.log(pop), n_k=10, w_k=-2.0, best_x=-4.0)
+    fit = point_mass_fit(0.0, 1.0, math.log(pop), n_k=10, best_x=-4.0)
     ctx = ForecastContext(fit, t_f=1.0)
 
     rng = np.random.default_rng(91)
@@ -134,7 +137,7 @@ def test_record_probability_union_bound():
 def test_record_probability_closed_form():
     # tail mass 1e-6 per draw, one million future performances
     M = 1e6
-    fit = point_mass_fit(0.0, 1.0, math.log(M), n_k=10, w_k=-0.5)
+    fit = point_mass_fit(0.0, 1.0, math.log(M), n_k=10)
     ctx = ForecastContext(fit, t_f=1.0)
     a = ndtri(1e-6)
     assert record_probability(ctx, a) == pytest.approx(ONE_MINUS_INV_E_ISH, abs=1e-6)
@@ -145,7 +148,7 @@ def test_record_probability_dense_tail_is_likely():
     # a record sitting just ahead of a crowded tail should look fragile:
     # three expected exceedances per year make a new record odds-on
     pop = 5e5
-    fit = point_mass_fit(0.0, 1.0, math.log(pop), n_k=50, w_k=-2.0, best_x=-4.5)
+    fit = point_mass_fit(0.0, 1.0, math.log(pop), n_k=50, best_x=-4.5)
     ctx = ForecastContext(fit, t_f=1.0)
     a = ndtri(3.0 / pop)
     assert record_probability(ctx, a) > 0.5
@@ -193,20 +196,21 @@ def test_expected_best_matches_order_statistic_quadrature(M):
 
 def test_expected_best_bimodal_density_is_component_mean():
     # the expectation is linear in the mixture over draws, so two separated
-    # components give the mean of their point-mass oracles
-    n = 1000
+    # components give the mean of their point-mass oracles; at one N and w_k
+    # each component's sigma is its own (w_k - mu) / Phi^-1(n_k/N)
+    n, w_k = 1000, -1.0
     component_mu = (0.0, 8.0)
     mu = np.repeat(component_mu, n // 2)
     fit = make_fit(
         mu=mu,
         logN=np.full(n, math.log(10.0)),
-        sigma=np.full(n, 0.5),
-        n_k=10,
-        w_k=9.0,
+        n_k=1,
+        w_k=w_k,
         best_x=-1.5,
     )
     ctx = ForecastContext(fit, t_f=1.0)
-    oracles = [mu_c + 0.5 * EXPECTED_MIN[10] for mu_c in component_mu]
+    oracles = [mu_c + (w_k - mu_c) / ndtri(0.1) * EXPECTED_MIN[10]
+               for mu_c in component_mu]
     assert expected_best(ctx).x == pytest.approx(np.mean(oracles), abs=1e-10)
 
 
@@ -249,10 +253,9 @@ def test_expected_best_panels_match_per_draw_rule_over_a_wide_posterior():
     n = 4000
     logN = np.concatenate([[4.0, 155.0], rng.uniform(4.0, 155.0, n - 2)])
     mu = rng.normal(MU, 0.01, n)
-    sigma = rng.uniform(0.01, 0.05, n)
-    fit = make_fit(mu=mu, logN=logN, sigma=sigma, n_k=10, w_k=MU + 1.0, best_x=MU - 0.1)
+    fit = make_fit(mu=mu, logN=logN, n_k=10, w_k=MU - 0.1, best_x=MU - 0.2)
     ctx = ForecastContext(fit, t_f=1.0)
-    per_draw = np.mean(mu - sigma * _expected_max(np.exp(logN)))
+    per_draw = np.mean(mu - fit.pooled_sigma * _expected_max(np.exp(logN)))
     assert expected_best(ctx).x == pytest.approx(per_draw, abs=1e-12)
 
 
@@ -435,10 +438,8 @@ def test_statistics_stable_under_pool_size(rng):
     n_big = 4000
     mu = rng.normal(MU, 0.01, n_big)
     logN = rng.normal(math.log(N_POP), 0.15, n_big)
-    z = ndtri(N_K * np.exp(-logN))
-    sigma = (W_K - mu) / z
     fits = {
-        n: make_fit(mu[:n], logN[:n], sigma[:n], n_k=N_K, w_k=W_K, best_x=MU - 0.15)
+        n: make_fit(mu[:n], logN[:n], n_k=N_K, w_k=W_K, best_x=MU - 0.15)
         for n in (1000, n_big)
     }
     probe = W_K - 0.05
