@@ -33,9 +33,22 @@ def log_std_normal_cdf(z):
 def tail_mass_sigma(mu, log_n_pop, n_k: int, w_k: float):
     """sigma = (w_k - mu) / Phi^-1(n_k/N) elementwise over draws of mu and log N.
 
-    The caller keeps every draw inside the domain (w_k < mu, 0 < n_k/N < 0.5).
+    The caller keeps every draw inside the domain that tail_mass_domain tests.
     """
     return (w_k - mu) / special.ndtri(n_k * np.exp(-log_n_pop))
+
+
+def tail_mass_domain(mu, log_n_pop, n_k: int, w_k: float):
+    """Mask of the draws inside the tail-mass identity's domain: w_k < mu,
+    0 < n_k/N < 0.5, and a sigma that fits a double.
+
+    With w_k < mu, the quotient is positive exactly where 0 < n_k/N < 0.5;
+    it is also tested finite and nonzero, since mu far above w_k overflows
+    it and a gap mu - w_k near the smallest double rounds it to 0.
+    """
+    with np.errstate(all="ignore"):
+        sigma = tail_mass_sigma(mu, log_n_pop, n_k, w_k)
+    return (mu > w_k) & (sigma > 0.0) & (sigma < np.inf)
 
 
 def make_log_posterior(data, prior):

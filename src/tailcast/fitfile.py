@@ -20,7 +20,7 @@ draw, which the identity already fixes.
 """
 from __future__ import annotations
 
-import binascii
+import base64
 import dataclasses
 import enum
 import functools
@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .distcore import tail_mass_domain
 from .emprior import HyperPrior
 from .errors import TailcastError
 from .ingest import EventSpec
@@ -85,7 +86,7 @@ def _meta_payload(fit: FitResult) -> dict:
 def dumps(fit: FitResult) -> str:
     block = np.array([(c.mu, c.logN) for c in fit.chains], dtype=_DRAWS_DTYPE)
     meta = json.dumps(_meta_payload(fit), sort_keys=True, default=lambda e: e.value)
-    draws = binascii.b2a_base64(block.tobytes(), newline=False).decode("ascii")
+    draws = base64.b64encode(block.tobytes()).decode("ascii")
     return f"{FORMAT_LINE}\n#meta {meta}\n#draws {block.shape[2]} mu logN\n{draws}\n"
 
 
@@ -134,25 +135,21 @@ def _parse_meta(line: str):
 
 
 def _check_domain(block: np.ndarray, meta: FitMetadata, chain_ids) -> None:
-    """Refuse draws the tail-mass identity cannot turn into a positive, finite
-    sigma: a non-finite draw, mu <= w_k, or n_k/N outside (0, 0.5).
+    """Refuse a chain with a draw outside the tail-mass identity's domain.
 
-    Each test reads only a chain's extremes: a nan is both, and n_k/N falls
-    as log N rises.
+    sigma rises with mu and falls with log N, so every draw of a chain is in
+    the domain when the corners (least mu, most log N) and (most mu, least
+    log N) of its range are; a nan makes both corners nan.
     """
     lo, hi = block.min(axis=2), block.max(axis=2)  # (chains, [mu, log N])
-    with np.errstate(over="ignore"):
-        widest, narrowest = meta.n_k * np.exp(-lo[:, 1]), meta.n_k * np.exp(-hi[:, 1])
-    bad = np.array([
-        ~(np.isfinite(lo) & np.isfinite(hi)).all(axis=1),
-        lo[:, 0] <= meta.w_k,
-        (widest >= 0.5) | (narrowest <= 0.0),
-    ])
-    if bad.any():
-        chain = bad.any(axis=0).argmax()
-        problem = ("a draw that is not finite", f"a draw with mu <= w_k = {meta.w_k!r}",
-                   f"a draw with n_k/N outside (0, 0.5) for n_k = {meta.n_k}")
-        raise FitFileError(f"chain {chain_ids[chain]} has {problem[bad[:, chain].argmax()]}")
+    corner_mu = np.stack([lo[:, 0], hi[:, 0]], axis=1)
+    corner_logN = np.stack([hi[:, 1], lo[:, 1]], axis=1)
+    inside = tail_mass_domain(corner_mu, corner_logN, meta.n_k, meta.w_k).all(axis=1)
+    if not inside.all():
+        raise FitFileError(
+            f"chain {chain_ids[inside.argmin()]} has a draw outside the tail-mass "
+            f"identity's domain: w_k = {meta.w_k!r} < mu, 0 < n_k/N < 0.5 for "
+            f"n_k = {meta.n_k}, and a positive, finite sigma")
 
 
 def loads(text: str) -> FitResult:
@@ -178,8 +175,7 @@ def loads(text: str) -> FitResult:
     if len(payload) != 1:
         raise FitFileError("the draws block must be a single line of base64")
     try:
-        # a2b_base64 reads an ASCII str in place, where b64decode copies it to bytes
-        raw = binascii.a2b_base64(payload[0], strict_mode=True)
+        raw = base64.b64decode(payload[0], validate=True)
     except ValueError as exc:  # binascii.Error, or a character outside ASCII
         raise FitFileError(f"draws block is not base64: {exc}") from exc
     shape = (len(chain_info), 2, int(header[1]))

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import ndtri_exp
 
-from .distcore import log_std_normal_cdf, std_normal_cdf, tail_mass_sigma
+from .distcore import log_std_normal_cdf, std_normal_cdf, tail_mass_domain, tail_mass_sigma
 from .errors import TailcastError
 from .ingest import EventSpec, decode_mark, encode_mark, format_raw_mark
 from .sampler import FitResult
@@ -197,9 +197,7 @@ def substituted_sigma_draws(ctx: ForecastContext, population_logN: np.ndarray):
             f"need one borrowed population draw per pooled draw "
             f"({mu.shape[0]}), got shape {logN.shape}"
         )
-    with np.errstate(over="ignore"):
-        q = fit.meta.n_k * np.exp(-logN)
-    valid = (q > 0.0) & (q < 0.5) & (mu > fit.meta.w_k) & np.isfinite(q)
+    valid = tail_mass_domain(mu, logN, fit.meta.n_k, fit.meta.w_k)
     if not valid.any():
         raise ValueError(
             f"{fit.event_id}: no borrowed population draw keeps the tail-mass "

@@ -17,6 +17,7 @@ from tailcast.distcore import (
     make_lane_log_posterior,
     make_log_posterior,
     std_normal_cdf,
+    tail_mass_domain,
     tail_mass_sigma,
 )
 from tailcast.emprior import HyperPrior, Provenance
@@ -84,6 +85,20 @@ def test_quantile_reference_points():
     # n_k/N = q, sigma = -1 / Phi^-1(q).
     for q, z in ((1e-10, Q_1E10), (0.125, Q_125)):
         assert tail_mass_sigma(0.0, -math.log(q), 1, -1.0) == pytest.approx(-1.0 / z, rel=5e-10)
+
+
+def test_tail_mass_domain_is_where_sigma_is_the_models():
+    # w_k = 0 and n_k = 1, so n_k/N = exp(-log N). One draw inside, then one
+    # per way out: mu at w_k, n_k/N of 0.5 and 0, a nan, mu below w_k with
+    # n_k/N above 0.5 (a positive quotient all the same), and sigma
+    # overflowing or rounding to 0.
+    mu = np.array([1.0, 0.0, 1.0, 1.0, np.nan, -1.0, 1e308, 5e-324])
+    log_n_pop = np.array([3.0, 3.0, math.log(2.0), np.inf, 3.0, 0.1,
+                          math.log(2.0) + 1e-12, 700.0])
+    expected = [True] + [False] * 7
+    assert tail_mass_domain(mu, log_n_pop, 1, 0.0).tolist() == expected
+    with np.errstate(all="ignore"):
+        assert tail_mass_sigma(mu[5], log_n_pop[5], 1, 0.0) > 0.0
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.3, 1.7])
