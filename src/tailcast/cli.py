@@ -1,6 +1,6 @@
 """Command-line pipeline: ingest data, fit posteriors, emit reports.
 
-Subcommands compose through the filesystem: `fit` persists one tailcast-fit/7
+Subcommands compose through the filesystem: `fit` persists one tailcast-fit/8
 file per event plus a manifest, and `tables`, `forecast` read those fits back
 instead of refitting. All outputs are deterministic for a fixed seed; no
 command writes timestamps.
@@ -96,7 +96,6 @@ _SAMPLER_KEYS = {
     "batch_len": ("batch_len", None),
     "burn_in": ("burn_in_steps", "steps per tuning round"),
     "pool_size": ("pool_size", "pooled draw count"),
-    "step_scale": ("step_scale", "initial proposal scale"),
 }
 _CONFIG_KEYS = {
     "data", "out", "events", "mode", "cutoff", "tf", "seed", "prior",
@@ -351,8 +350,12 @@ def cmd_tables(cfg: RunConfig) -> int:
         population_logN = None
         partner = mile_partner(event_id)
         if partner is not None:
-            # Borrowing takes one partner draw per pooled draw of this fit.
+            # Borrowing takes one partner draw per pooled draw of this fit. The
+            # partner's fit is read even when --events leaves its row out.
             borrowed = fits.get(partner)
+            partner_path = cfg.out_dir / "fits" / f"{partner}.fit"
+            if borrowed is None and partner_path.is_file():
+                borrowed = load_fit(partner_path)
             if borrowed is not None and borrowed.pooled_size == fit.pooled_size:
                 population_logN = borrowed.pooled_logN
             else:

@@ -6,9 +6,9 @@ identity linking population size N to the spread sigma (`tail_mass_sigma`,
 over posterior draws), and the model log-posterior over theta = (mu, log N),
 computed in one place (`make_lane_log_posterior`): many chains as numpy
 lanes, for burn-in and retained sampling, or one list over a block of
-points, for the pass-1 quadrature grid. `make_log_posterior` is its
-one-lane view on Python floats, for chain initialization and the scalar
-reference sampler.
+points, for the quadrature grid of `grid_posterior`. `make_log_posterior`
+is its one-lane view on Python floats, for chain initialization and the
+scalar reference sampler.
 """
 from __future__ import annotations
 
@@ -18,6 +18,14 @@ import numpy as np
 from scipy import special
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# The grid of grid_posterior: u = log(mu - w_k) over _U_RANGE and log N over
+# (log 2 n_k, _LOG_N_MAX], cut into equal cells taken at their midpoints, and
+# scored _GRID_BLOCK u-rows (a divisor of the row count) at a time. Its edges
+# but log N = log 2 n_k (n_k/N = 0.5, the domain's own boundary) are cuts.
+_U_RANGE = (-14.0, 1.0)
+_LOG_N_MAX = 30.0
+_GRID_SHAPE = (400, 400)
+_GRID_BLOCK = 25
 
 
 def std_normal_cdf(z):
@@ -106,8 +114,8 @@ def make_lane_log_posterior(lists, priors):
     change sign. Only log N >= 700 needs an explicit guard: there q is a
     tiny positive number that the quantile maps to a finite value.
     """
-    # A burn-in wave repeats each (list, prior) pair over its speculated
-    # rounds, so each distinct pair's row is built once.
+    # The chains of one event share its (list, prior) pair, so each distinct
+    # pair's row is built once.
     keys = [(id(data), id(prior)) for data, prior in zip(lists, priors)]
     rows = {}
     for key, data, prior in zip(keys, lists, priors):
@@ -168,3 +176,52 @@ def make_lane_log_posterior(lists, priors):
         return out
 
     return target
+
+
+def _midpoints(lo: float, hi: float, cells: int) -> np.ndarray:
+    return lo + (np.arange(cells) + 0.5) * ((hi - lo) / cells)
+
+
+def grid_posterior(data, prior):
+    """Posterior mean and covariance of (d, log N), d = mu - w_k, for one
+    list under `prior`, by the midpoint rule on the fixed grid over
+    (u = log d, log N), scored by the model's one kernel and weighted by the
+    Jacobian e^u. Returns (mean, cov, edge_mass), edge_mass holding each
+    cut edge's share of the mass by its name ("u = 1", ...). Moments taken
+    in d rather than mu spend no digits on w_k.
+    """
+    n_u, n_y = _GRID_SHAPE
+    u = _midpoints(*_U_RANGE, n_u)
+    y = _midpoints(math.log(2.0 * data.n_k), _LOG_N_MAX, n_y)
+    target = make_lane_log_posterior([data], [prior])
+    # Mass and log N moment per u-row and mass per log N column, relative to
+    # exp(peak), the largest weight so far: each block of rows rescales what
+    # came before it.
+    by_u, y_by_u, by_y, peak = np.zeros(n_u), np.zeros(n_u), np.zeros(n_y), -math.inf
+    weight = np.empty((_GRID_BLOCK, n_y))
+    with np.errstate(all="ignore"):
+        for first in range(0, n_u, _GRID_BLOCK):
+            block = slice(first, first + _GRID_BLOCK)
+            rows = u[block, None]
+            target(data.w_k + np.exp(rows), y, out=weight)
+            weight += rows
+            top = weight.max()
+            if top > peak:
+                for sums in (by_u, y_by_u, by_y):
+                    sums *= math.exp(peak - top)
+                peak = top
+            np.exp(np.subtract(weight, peak, out=weight), out=weight)
+            by_u[block] = weight.sum(axis=1)
+            y_by_u[block] = weight @ y
+            by_y += weight.sum(axis=0)
+    total = float(by_u.sum())
+    d = np.exp(u)
+    mean_d, mean_y = float(by_u @ d) / total, float(by_y @ y) / total
+    dev_d, dev_y = d - mean_d, y - mean_y
+    cross = float(dev_d @ (y_by_u - by_u * mean_y)) / total
+    cov = np.array([[float(by_u @ (dev_d * dev_d)) / total, cross],
+                    [cross, float(by_y @ (dev_y * dev_y)) / total]])
+    edge_mass = {f"u = {_U_RANGE[0]:g}": float(by_u[0]) / total,
+                 f"u = {_U_RANGE[1]:g}": float(by_u[-1]) / total,
+                 f"log N = {_LOG_N_MAX:g}": float(by_y[-1]) / total}
+    return (mean_d, mean_y), cov, edge_mass

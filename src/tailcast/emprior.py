@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distcore import make_lane_log_posterior
+from .distcore import grid_posterior
 from .errors import TailcastError
 from .sampler import FitFailed, FitResult, SamplerConfig, fit_events
 # Not called here: perfbench/tracing.py wraps fit_event under this name.
@@ -25,16 +25,8 @@ WEAK_MU_N = math.log(10_000.0)
 WEAK_SIGMA2_N = 4.0
 VARIANCE_FLOOR = 1e-4
 SUBSET_FRACTION = 0.75
-# The grid of pass1_estimate: u = log(mu - w_k) over _U_RANGE and log N over
-# (log 2 n_k, _LOG_N_MAX], each cut into equal cells and taken at the cells'
-# midpoints. _GRID_BLOCK u-rows (a divisor of the row count) are scored at a
-# time, so the grid's working set is one block. A cut edge's cells may hold
-# at most EDGE_MASS of the posterior mass; log N = log 2 n_k (n_k/N = 0.5) is
-# the domain's own boundary, not a cut, and is not checked.
-_U_RANGE = (-14.0, 1.0)
-_LOG_N_MAX = 30.0
-_GRID_SHAPE = (400, 400)
-_GRID_BLOCK = 25
+# A cut edge of the pass-1 grid (distcore.grid_posterior) may hold at most
+# EDGE_MASS of the posterior mass.
 EDGE_MASS = 1e-3
 
 
@@ -124,48 +116,19 @@ def expected_population(fit: FitResult) -> float:
         return float(np.mean(np.exp(fit.pooled_logN)))
 
 
-def _midpoints(lo: float, hi: float, cells: int) -> np.ndarray:
-    return lo + (np.arange(cells) + 0.5) * ((hi - lo) / cells)
-
-
 def pass1_estimate(data) -> float:
-    """Posterior mean of log N for one list under the weak prior, by the
-    midpoint rule on the fixed grid over (u, log N), u = log(mu - w_k).
+    """Posterior mean of log N for one list under the weak prior, from its
+    grid posterior (distcore.grid_posterior).
 
-    The grid scores the model's one kernel (distcore.make_lane_log_posterior),
-    weighted by the Jacobian e^u of mu = w_k + e^u. Raises GridEdgeMass when
-    the first or last u-row, or the log N = _LOG_N_MAX column, holds more
-    than EDGE_MASS of the mass.
+    Raises GridEdgeMass when a cut edge of the grid (the first or last
+    u-row, or the last log N column) holds more than EDGE_MASS of the mass.
     """
-    n_u, n_y = _GRID_SHAPE
-    u = _midpoints(*_U_RANGE, n_u)
-    y = _midpoints(math.log(2.0 * data.n_k), _LOG_N_MAX, n_y)
-    target = make_lane_log_posterior([data], [HyperPrior.weakly_informative()])
-    # Mass per u-row and per log N column, relative to exp(peak), the largest
-    # weight so far: each block of rows rescales what came before it.
-    by_u, by_y, peak = np.zeros(n_u), np.zeros(n_y), -math.inf
-    weight = np.empty((_GRID_BLOCK, n_y))
-    with np.errstate(all="ignore"):
-        for first in range(0, n_u, _GRID_BLOCK):
-            rows = u[first:first + _GRID_BLOCK, None]
-            target(data.w_k + np.exp(rows), y, out=weight)
-            weight += rows
-            top = weight.max()
-            if top > peak:
-                by_u *= math.exp(peak - top)
-                by_y *= math.exp(peak - top)
-                peak = top
-            np.exp(np.subtract(weight, peak, out=weight), out=weight)
-            by_u[first:first + _GRID_BLOCK] = weight.sum(axis=1)
-            by_y += weight.sum(axis=0)
-    total = float(by_u.sum())
-    edges = ((f"u = {_U_RANGE[0]:g}", by_u[0]), (f"u = {_U_RANGE[1]:g}", by_u[-1]),
-             (f"log N = {_LOG_N_MAX:g}", by_y[-1]))
-    for edge, mass in edges:
-        if mass > EDGE_MASS * total:
-            raise GridEdgeMass(f"{data.event.event_id}: {mass / total:.3g} of the pass-1 "
+    mean, _, edge_mass = grid_posterior(data, HyperPrior.weakly_informative())
+    for edge, share in edge_mass.items():
+        if share > EDGE_MASS:
+            raise GridEdgeMass(f"{data.event.event_id}: {share:.3g} of the pass-1 "
                                f"posterior mass lies on the grid edge {edge}")
-    return float(by_y @ y) / total
+    return mean[1]
 
 
 @dataclass(frozen=True)

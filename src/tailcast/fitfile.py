@@ -1,4 +1,4 @@
-"""Persistence for fitted posteriors: the tailcast-fit/7 text format.
+"""Persistence for fitted posteriors: the tailcast-fit/8 text format.
 
 A fit file is self-describing and deterministic. Line 1 names the format,
 line 2 is `#meta ` and a JSON metadata object, line 3 is the draws header
@@ -12,11 +12,12 @@ refuses draws outside the identity's domain. The metadata is
 id, acceptance rate and step scale, and mpsrf; it is read back by reflecting
 on the same dataclasses, so a new metadata field needs no change here.
 Re-saving a loaded fit reproduces the file byte for byte. Files of the older
-formats /1 to /6 are not read: /1 and /2 held the draws as text tables, /3's
+formats /1 to /7 are not read: /1 and /2 held the draws as text tables, /3's
 metadata held a truncation-point field that /4 dropped, /4's held the
 convergence flag and the sampler's acceptance band and retune budget, /5's
-lacked the event's record (`record_x`), and /6 also stored a sigma for every
-draw, which the identity already fixes.
+lacked the event's record (`record_x`), /6 also stored a sigma for every
+draw, which the identity already fixes, and /7's sampler settings held a
+starting proposal scale that is now a constant.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from .errors import TailcastError
 from .ingest import EventSpec
 from .sampler import FitMetadata, FitResult, PosteriorChain
 
-FORMAT_LINE = "#tailcast-fit/7"
+FORMAT_LINE = "#tailcast-fit/8"
 _DRAWS_HEADER = re.compile(r"#draws ([1-9][0-9]*) mu logN")
 _DRAWS_DTYPE = "<f8"  # explicit byte order, so the bytes match on every platform
 # FitMetadata's annotations name these by string only: sampler imports them
@@ -49,7 +50,7 @@ _META_TYPES = {"EventSpec": EventSpec, "HyperPrior": HyperPrior}
 
 
 class FitFileError(TailcastError):
-    """The file is not a readable tailcast-fit/7 document."""
+    """The file is not a readable tailcast-fit/8 document."""
 
 
 def atomic_write_text(path: Path, text: str) -> None:

@@ -1,16 +1,18 @@
 """Adaptive random-walk Metropolis-Hastings over (mu, log N).
 
-Protocol: each chain draws a random initialization, runs 1000-step
-burn-ins that double or halve the proposal scale until the acceptance
-rate lands in [0.2, 0.4], then samples in batches, retaining the final
-state of each batch. Convergence across chains is assessed with the
-multivariate potential scale reduction factor.
+Protocol: each chain of an event proposes s L z, z standard normal and L
+the Cholesky factor of the covariance of the event's grid posterior
+(distcore.grid_posterior). It starts at a random point around the grid
+mean, runs 1000-step burn-ins that double or halve s from _START_SCALE
+until the acceptance rate lands in [0.2, 0.4], then samples in batches,
+retaining the final state of each batch. Convergence across chains is
+assessed with the multivariate potential scale reduction factor.
 
 tune_burn_in and run_chain run one chain on Python floats, through the
 one-lane view of the log-posterior kernel; they are the reference the
 pipeline must match bit for bit. fit_events runs every chain of every event
-as numpy lanes of the same kernel instead: tune_lanes runs each chain's next
-retune rounds side by side, and sample_lanes steps the tuned chains together.
+as numpy lanes of the same kernel instead: tune_lanes runs the next burn-in
+round of every chain still tuning, and sample_lanes steps the tuned chains.
 """
 from __future__ import annotations
 
@@ -21,19 +23,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .distcore import make_lane_log_posterior, make_log_posterior, tail_mass_sigma
+from .distcore import grid_posterior, make_lane_log_posterior, make_log_posterior, tail_mass_sigma
 from .errors import TailcastError
 
 if TYPE_CHECKING:
     from .emprior import HyperPrior
     from .ingest import EventSpec
 
-# Retune rounds each chain still tuning runs at once in a burn-in wave, along
-# its current doubling or halving path. Speed only: the draws never depend on it.
-_SPECULATION = 8
-# Steps per block of generator draws in a burn-in wave, so the draw arrays hold
-# lanes x _CHUNK x 3 doubles instead of whole rounds.
-_CHUNK = 100
+# The s every chain starts burn-in with: 2.38 / sqrt(d) for d = 2, optimal for a
+# proposal shaped like a Gaussian target (Roberts, Gelman & Gilks 1997).
+_START_SCALE = 2.38 / math.sqrt(2.0)
 # Initial points a chain tries before _draw_init gives up on it.
 _INIT_TRIES = 500
 # The tuning rule: a burn-in round's acceptance rate must land in
@@ -62,7 +61,6 @@ class SamplerConfig:
     batches: int = 1000
     batch_len: int = 50
     chains: int = 10
-    step_scale: float = 0.001
     seed: int = 0
     pool_size: int = 1000
 
@@ -80,9 +78,6 @@ class SamplerConfig:
         # Chain streams hash the seed with numpy's SeedSequence, which takes no negative.
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # A zero or non-finite scale never moves a chain, however often it is retuned.
-        if not (math.isfinite(self.step_scale) and self.step_scale > 0.0):
-            raise ValueError(f"step_scale must be positive and finite, got {self.step_scale}")
 
 
 @dataclass(frozen=True)
@@ -90,6 +85,7 @@ class TunedState:
     step_scale: float
     state: tuple[float, float]
     accept_rate: float
+    factor: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -167,20 +163,22 @@ class FitResult:
 def _run_steps(target, state, lp, n_steps, scales, rng):
     """Advance one chain n_steps; returns (state, lp, accepted_count).
 
-    The draws leave numpy once per block via .tolist(), so the state and
-    every target call stay on Python floats: numpy-scalar arithmetic makes
-    the target about 1.5x slower. Scaling each increment in the loop is
-    the same IEEE product as a numpy column multiply, so the chain matches
-    the numpy-indexing reference loop in tests/test_sampler.py bit for bit.
+    `scales` is (a, b, c), the entries of s L, so a step moves (mu, log N)
+    by (a z1, b z1 + c z2). The draws leave numpy once per block via
+    .tolist(), so the state and every target call stay on Python floats:
+    numpy-scalar arithmetic makes the target about 1.5x slower. Each
+    increment is the same IEEE arithmetic as numpy column operations, so the
+    chain matches the numpy-indexing reference loop in tests/test_sampler.py
+    bit for bit.
     """
     incs = rng.standard_normal((n_steps, 2)).tolist()
     # np.log, not math.log: the two can differ in the last ulp.
     log_us = np.log(rng.random(n_steps)).tolist()
-    s_mu, s_y = scales
+    a, b, c = scales
     mu, y = state
     accepted = 0
-    for (d_mu, d_y), log_u in zip(incs, log_us):
-        cand = (mu + d_mu * s_mu, y + d_y * s_y)
+    for (z1, z2), log_u in zip(incs, log_us):
+        cand = (mu + z1 * a, y + (z1 * b + z2 * c))
         lp_new = target(cand)
         if log_u < lp_new - lp:
             mu, y = cand
@@ -189,9 +187,10 @@ def _run_steps(target, state, lp, n_steps, scales, rng):
     return (mu, y), lp, accepted
 
 
-def tune_burn_in(target, config: SamplerConfig, init, rng=None) -> TunedState:
-    """Burn in, retuning the proposal scale geometrically until the
-    acceptance rate falls inside [_ACCEPT_LO, _ACCEPT_HI].
+def tune_burn_in(target, config: SamplerConfig, init, factor, rng=None) -> TunedState:
+    """Burn in, retuning the proposal scale s of s * L z geometrically from
+    _START_SCALE until the acceptance rate falls inside
+    [_ACCEPT_LO, _ACCEPT_HI]. `factor` holds L's entries (l11, l21, l22).
 
     A rejected round is re-done from the same initialization with the
     adjusted scale, so every acceptance measurement refers to the same
@@ -204,16 +203,21 @@ def tune_burn_in(target, config: SamplerConfig, init, rng=None) -> TunedState:
     lp0 = target(start)
     if not math.isfinite(lp0):
         raise ValueError("burn-in requires an initialization with finite log-posterior")
-    scale = config.step_scale
+    scale = _START_SCALE
     rate = math.nan
     for _ in range(_MAX_RETUNES + 1):
         state, _, accepted = _run_steps(target, start, lp0, config.burn_in_steps,
-                                        (scale, scale), rng)
+                                        _scaled(scale, factor), rng)
         rate = accepted / config.burn_in_steps
         if _ACCEPT_LO <= rate <= _ACCEPT_HI:
-            return TunedState(step_scale=scale, state=state, accept_rate=rate)
+            return TunedState(step_scale=scale, state=state, accept_rate=rate, factor=factor)
         scale = scale * 2.0 if rate > _ACCEPT_HI else scale * 0.5
     raise _tuning_failed(rate)
+
+
+def _scaled(scale: float, factor) -> tuple[float, float, float]:
+    """The proposal's (a, b, c) = scale * (l11, l21, l22)."""
+    return tuple(scale * entry for entry in factor)
 
 
 def _tuning_failed(rate: float) -> TuningFailed:
@@ -229,7 +233,7 @@ def run_chain(target, config: SamplerConfig, tuned: TunedState, rng=None,
     """Sample batches x batch_len steps, retaining each batch's final state."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    scales = (tuned.step_scale, tuned.step_scale)
+    scales = _scaled(tuned.step_scale, tuned.factor)
     state = tuned.state
     lp = target(state)
     mu_draws = np.empty(config.batches)
@@ -245,24 +249,27 @@ def run_chain(target, config: SamplerConfig, tuned: TunedState, rng=None,
                           accept_rate=rate, step_scale=tuned.step_scale)
 
 
-def _step_lanes(target, state, scales, n_steps, normals, uniforms, accepted):
+def _step_lanes(target, state, scales, n_steps, rngs, accepted):
     """Advance every lane of `state` n_steps in place; the one Metropolis
-    step of sample_lanes and the burn-in waves of tune_lanes.
+    step of sample_lanes and tune_lanes.
 
-    `state` is (3, lanes): mu, log N and lp. Lane i draws its (n_steps, 2)
-    increments from normals[i], then its n_steps uniforms from uniforms[i],
-    which is _run_steps' order when the two are one generator, and adds its
-    accepted-step count to accepted[i]. The caller holds np.errstate.
+    `state` is (3, lanes): mu, log N and lp; `scales` is (3, lanes): each
+    lane's (a, b, c) as in _run_steps. Lane i draws its (n_steps, 2)
+    increments, then its n_steps uniforms, from rngs[i], which is
+    _run_steps' order, and adds its accepted-step count to accepted[i]. The
+    caller holds np.errstate.
     """
     lanes = state.shape[1]
     incs = np.empty((lanes, n_steps, 2))
     us = np.empty((lanes, n_steps))
-    for inc, u, normal_rng, uniform_rng in zip(incs, us, normals, uniforms):
-        normal_rng.standard_normal(out=inc)
-        uniform_rng.random(out=u)
+    for inc, u, rng in zip(incs, us, rngs):
+        rng.standard_normal(out=inc)
+        rng.random(out=u)
     # Row t of steps holds step t of every lane, mu block then log N block,
     # laid out like state[:2], so one flat add moves every lane.
-    steps = np.multiply(incs.transpose(1, 2, 0), scales, order="C").reshape(n_steps, -1)
+    z1, z2 = incs.transpose(2, 1, 0)
+    a, b, c = scales
+    steps = np.stack((z1 * a, z1 * b + z2 * c), axis=1).reshape(n_steps, -1)
     # np.log over one contiguous block, as in _run_steps: a strided or scalar
     # log can differ in the last ulp.
     log_us = np.ascontiguousarray(np.log(us).T)
@@ -293,7 +300,7 @@ def sample_lanes(target, config: SamplerConfig, tuned, rngs):
     of retained states and each lane's accepted-step count.
     """
     lanes = len(tuned)
-    scales = np.array([t.step_scale for t in tuned])
+    scales = np.array([_scaled(t.step_scale, t.factor) for t in tuned]).T
     state = np.empty((3, lanes))  # mu, log N and lp of every lane
     state[:2] = np.array([t.state for t in tuned], dtype=float).T
     mu_draws = np.empty((lanes, config.batches))
@@ -302,80 +309,49 @@ def sample_lanes(target, config: SamplerConfig, tuned, rngs):
     with np.errstate(all="ignore"):
         target(state[0], state[1], out=state[2])
         for b in range(config.batches):
-            _step_lanes(target, state, scales, config.batch_len, rngs, rngs, accepted)
+            _step_lanes(target, state, scales, config.batch_len, rngs, accepted)
             mu_draws[:, b] = state[0]
             y_draws[:, b] = state[1]
     return mu_draws, y_draws, accepted
 
 
-def _clone(rng: np.random.Generator) -> np.random.Generator:
-    """An independent generator at rng's position."""
-    copy = np.random.Generator(type(rng.bit_generator)(0))
-    copy.bit_generator.state = rng.bit_generator.state
-    return copy
+def tune_lanes(lists, priors, factors, config: SamplerConfig, inits, rngs) -> list:
+    """tune_burn_in for many chains at once, one numpy lane per chain.
 
-
-def tune_lanes(lists, priors, config: SamplerConfig, inits, rngs) -> list:
-    """tune_burn_in for many chains at once, each retune round one numpy lane.
-
-    Chain i scores lists[i] under priors[i], starts every round from
-    inits[i] and draws from rngs[i], which it leaves where tune_burn_in
-    would: after the last round the chain used. A round's outcome depends
-    only on its scale and its own block of the chain's draws. So burn-in
-    runs in waves: every chain still tuning speculates that its next rounds
-    retune the way its last one did (doubling before any round) and runs up
-    to _SPECULATION of them at once, lane j on the normals and uniforms of
-    round r + j, drawn from two generators placed at that round's blocks.
-    Reading each chain's lanes in order under tune_burn_in's rule then gives
-    tune_burn_in's result: the first rate in the band tunes the chain, a
-    retune the other way starts its next wave, and a miss at round
-    _MAX_RETUNES fails it. Returns each chain's TunedState or TuningFailed.
+    Chain i scores lists[i] under priors[i], proposes along factors[i],
+    starts every round from inits[i] and draws from rngs[i] in tune_burn_in's
+    order. Each pass runs the next round of every chain still tuning under
+    tune_burn_in's rule, so every outcome, and where every generator ends,
+    is tune_burn_in's. Returns each chain's TunedState or TuningFailed.
     """
     n = config.burn_in_steps
     results: list = [None] * len(inits)
-    pending = [(i, 0, config.step_scale, 2.0) for i in range(len(inits))]
-    while pending:
-        lanes, groups = [], []  # lanes: (chain, round, scale, normals rng, uniforms rng)
-        for i, first, scale, factor in pending:
-            start = len(lanes)
-            for r in range(first, min(first + _SPECULATION, _MAX_RETUNES + 1)):
-                normal_rng = _clone(rngs[i])
-                rngs[i].standard_normal((n, 2))
-                uniform_rng = _clone(rngs[i])
-                rngs[i].random(n)
-                lanes.append((i, r, scale, normal_rng, uniform_rng))
-                scale *= factor
-            groups.append((i, factor, range(start, len(lanes))))
-        chain, rounds, scales, normals, uniforms = zip(*lanes)
-        target = make_lane_log_posterior([lists[i] for i in chain], [priors[i] for i in chain])
-        state = np.empty((3, len(lanes)))
-        state[:2] = np.array([inits[i] for i in chain], dtype=float).T
-        step_scales = np.array(scales)
-        accepted = np.zeros(len(lanes), dtype=np.int64)
+    scales = [_START_SCALE] * len(inits)
+    pending = list(range(len(inits)))
+    for r in range(_MAX_RETUNES + 1):
+        if not pending:
+            break
+        target = make_lane_log_posterior([lists[i] for i in pending], [priors[i] for i in pending])
+        state = np.empty((3, len(pending)))
+        state[:2] = np.array([inits[i] for i in pending], dtype=float).T
+        steps = np.array([_scaled(scales[i], factors[i]) for i in pending]).T
+        accepted = np.zeros(len(pending), dtype=np.int64)
         with np.errstate(all="ignore"):
             target(state[0], state[1], out=state[2])
             if not np.isfinite(state[2]).all():
                 raise ValueError("burn-in requires an initialization with finite log-posterior")
-            for done in range(0, n, _CHUNK):
-                _step_lanes(target, state, step_scales, min(_CHUNK, n - done),
-                            normals, uniforms, accepted)
-        pending = []
-        for i, factor, chain_lanes in groups:
-            for lane in chain_lanes:
-                rate = int(accepted[lane]) / n
-                retune = 2.0 if rate > _ACCEPT_HI else 0.5
-                if _ACCEPT_LO <= rate <= _ACCEPT_HI:
-                    results[i] = TunedState(step_scale=scales[lane], accept_rate=rate,
-                                            state=(float(state[0, lane]), float(state[1, lane])))
-                elif rounds[lane] == _MAX_RETUNES:
-                    results[i] = _tuning_failed(rate)
-                elif retune != factor or lane == chain_lanes[-1]:
-                    pending.append((i, rounds[lane] + 1, scales[lane] * retune, retune))
-                else:
-                    continue
-                # The chain's generator moves on to just after the round it used.
-                rngs[i].bit_generator.state = uniforms[lane].bit_generator.state
-                break
+            _step_lanes(target, state, steps, n, [rngs[i] for i in pending], accepted)
+        for lane, i in enumerate(pending):
+            rate = int(accepted[lane]) / n
+            if _ACCEPT_LO <= rate <= _ACCEPT_HI:
+                results[i] = TunedState(step_scale=scales[i], accept_rate=rate,
+                                        state=(float(state[0, lane]), float(state[1, lane])),
+                                        factor=factors[i])
+            elif r == _MAX_RETUNES:
+                results[i] = _tuning_failed(rate)
+            else:
+                scales[i] *= 2.0 if rate > _ACCEPT_HI else 0.5
+        pending = [i for i in pending if results[i] is None]
     return results
 
 
@@ -408,28 +384,24 @@ def gelman_rubin_mpsrf(chains) -> float:
     return math.sqrt(psrf2)
 
 
-def _draw_init(target, data, prior, rng):
-    """Random initialization with finite target log-posterior, or None.
-
-    mu starts near the list median; log N near the prior location, with the
-    prior's spread capped at 1.5 so that a broad prior still starts chains
-    close to where the posterior can be.
-    """
-    marks = np.asarray(data.marks)
-    center = float(np.median(marks))
-    spread = max(2.0 * (data.w_k - data.best), 0.02)
-    loc = prior.mu_N
-    sc = min(math.sqrt(prior.sigma2_N), 1.5)
-    floor_y = math.log(2.0 * data.n_k)
+def _draw_init(target, mean, factor, rng):
+    """Random initialization with finite log-posterior, or None: the grid
+    mean plus 2 L z, so the chains start over twice the posterior's spread."""
+    l11, l21, l22 = factor
     for _ in range(_INIT_TRIES):
-        mu = center + spread * rng.standard_normal()
-        y = loc + sc * rng.standard_normal()
-        if y <= floor_y:
-            continue
-        theta = (mu, y)
+        z1, z2 = rng.standard_normal(), rng.standard_normal()
+        theta = (mean[0] + 2.0 * l11 * z1, mean[1] + 2.0 * (l21 * z1 + l22 * z2))
         if math.isfinite(target(theta)):
             return theta
     return None
+
+
+def _grid_proposal(data, prior):
+    """The grid posterior's mean in (mu, log N) and its covariance's
+    Cholesky factor as (l11, l21, l22)."""
+    (mean_d, mean_y), cov, _ = grid_posterior(data, prior)
+    (l11, _), (l21, l22) = np.linalg.cholesky(cov).tolist()
+    return (data.w_k + mean_d, mean_y), (l11, l21, l22)
 
 
 def fit_event(data, prior, config: SamplerConfig, t_m: float | None = None) -> FitResult:
@@ -468,8 +440,8 @@ def fit_events(events, config: SamplerConfig) -> list:
     """Fit several events, burning in and sampling all their chains as lanes.
 
     `events` holds one (data, prior, t_m) per event; t_m None is derived as
-    in fit_event. Each event's chains are initialized one after another,
-    chain c on chain_rng(config.seed, event id, c). tune_lanes then burns in
+    in fit_event. Each event's chains are initialized one after another
+    around its grid posterior, chain c on chain_rng(config.seed, event id, c). tune_lanes then burns in
     every chain of every event at once, and every tuned chain of every event
     that can still succeed becomes one lane of sample_lanes. So an event's
     fit depends on its own data, prior, t_m and id and on the config, never
@@ -479,17 +451,19 @@ def fit_events(events, config: SamplerConfig) -> list:
     if config.chains < 2:
         raise ValueError("fitting needs at least 2 chains for the convergence diagnostic")
     started = []  # per event: (data, prior, t_m, [(chain_id, init, rng)])
+    burning = []  # per chain with an init: (data, prior, factor, init, rng)
     for data, prior, t_m in events:
         target = make_log_posterior(data, prior)
+        mean, factor = _grid_proposal(data, prior)
         chains = []
         for chain_id in range(config.chains):
             rng = chain_rng(config.seed, data.event.event_id, chain_id)
-            chains.append((chain_id, _draw_init(target, data, prior, rng), rng))
+            chains.append((chain_id, _draw_init(target, mean, factor, rng), rng))
         started.append((data, prior, _derive_t_m(data) if t_m is None else t_m, chains))
-    burning = [(data, prior, init, rng) for data, prior, _, chains in started
-               for _, init, rng in chains if init is not None]
-    outcomes = iter(tune_lanes([b[0] for b in burning], [b[1] for b in burning], config,
-                               [b[2] for b in burning], [b[3] for b in burning]))
+        burning += [(data, prior, factor, init, rng) for _, init, rng in chains if init is not None]
+    outcomes = iter(tune_lanes([b[0] for b in burning], [b[1] for b in burning],
+                               [b[2] for b in burning], config,
+                               [b[3] for b in burning], [b[4] for b in burning]))
     results: list = []
     for data, prior, t_m, chains in started:
         tuned, failed, notes = [], [], []

@@ -135,7 +135,7 @@ def test_criterion_04_sampler_calibration():
     for i, corner in enumerate(corners):
         rng = default_rng(404 + i)
         init = (mean[0] + corner[0], mean[1] + corner[1])
-        tuned = tune_burn_in(target, config, init, rng)
+        tuned = tune_burn_in(target, config, init, (1.0, 0.0, 1.0), rng)
         chains.append(run_chain(target, config, tuned, rng, chain_id=i))
 
     rates_ok = all(0.2 <= c.accept_rate <= 0.4 for c in chains)

@@ -65,7 +65,7 @@ def test_fit_artifacts(workspace):
     assert set(manifest["mpsrf"]) == set(manifest["events"])
     assert all(t > 0 for t in manifest["t_m"].values())
     assert set(manifest["sampler"]) == {
-        "burn_in_steps", "batches", "batch_len", "chains", "step_scale", "pool_size",
+        "burn_in_steps", "batches", "batch_len", "chains", "pool_size",
     }
 
 
@@ -192,6 +192,23 @@ def test_tables_missing_mile_partner_warns(workspace, tmp_path, capsys):
     assert "no w1500m fit to borrow" in capsys.readouterr().err
 
 
+def test_tables_mile_row_does_not_depend_on_events(workspace, tmp_path):
+    # The mile borrows its partner's population whether or not --events
+    # selects the partner's row.
+    data_dir, out_dir = workspace
+    out = tmp_path / "select"
+    (out / "fits").mkdir(parents=True)
+    for path in (out_dir / "fits").glob("*.fit"):
+        (out / "fits" / path.name).write_bytes(path.read_bytes())
+    common = ["--data", str(data_dir), "--out", str(out)]
+    assert main(["tables", *common]) == 0
+    every = (out / "tables.tsv").read_text().splitlines()
+    assert main(["tables", *common, "--events", "w1mile"]) == 0
+    alone = (out / "tables.tsv").read_text().splitlines()
+    assert len(alone) == 2 and alone[1].startswith("w1mile\t")
+    assert alone[1] in every
+
+
 def test_tables_names_the_stale_fit_file(workspace, tmp_path, capsys):
     data_dir, out_dir = workspace
     out = tmp_path / "stale"
@@ -203,7 +220,7 @@ def test_tables_names_the_stale_fit_file(workspace, tmp_path, capsys):
     stale.write_text("\n".join(["#tailcast-fit/2", lines[1], "#columns chain_id"]) + "\n")
     capsys.readouterr()
     assert main(["tables", "--data", str(data_dir), "--out", str(out)]) == 1
-    assert f"error: {stale}: first line must be '#tailcast-fit/7'" in capsys.readouterr().err
+    assert f"error: {stale}: first line must be '#tailcast-fit/8'" in capsys.readouterr().err
 
 
 def test_tables_mile_partner_of_other_pool_size_warns(workspace, tmp_path, capsys):
@@ -416,15 +433,6 @@ def test_bad_values_are_usage_errors(workspace, tmp_path, capsys, command, extra
     assert main([command, "--config", str(cfg), "--data", str(data_dir),
                  "--out", str(out_dir), *extra]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-
-
-def test_fit_rejects_unusable_step_scale(workspace, tmp_path, capsys):
-    data_dir, _ = workspace
-    for bad in ("0", "nan", "inf"):
-        assert main(["fit", "--data", str(data_dir), "--out", str(tmp_path / "out"),
-                     "--prior", "weak", "--events", "m0100", "--step-scale", bad]) == 2
-        assert "bad sampler settings" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_and_flag_precedence(workspace, tmp_path):

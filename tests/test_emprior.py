@@ -1,5 +1,6 @@
 """Empirical hyperprior construction and the two-pass fitting orchestrator."""
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from tailcast.distcore import make_lane_log_posterior
+from tailcast.distcore import grid_posterior, make_lane_log_posterior
 from tailcast.emprior import (
     VARIANCE_FLOOR,
     WEAK_MU_N,
@@ -221,8 +222,9 @@ def _fixture_event(i):
     return tail_performance_list(EventSpec.running(f"syn{i}"), tail, 2001, 2020, seed=155 + i)
 
 
-def _oracle_log_n_mean(data, prior):
-    """E[log N] over the pass-1 domain by scipy's adaptive dblquad.
+def _oracle_moments(data, prior):
+    """Posterior mean and covariance of (mu - w_k, log N) over the pass-1
+    domain by scipy's adaptive dblquad.
 
     The integrand is the model's log-posterior summed in closed form over
     the list's count, mean and sum of squares on Python floats, constants
@@ -231,6 +233,7 @@ def _oracle_log_n_mean(data, prior):
     below e^-40 of its peak; dblquad integrates between those spans, widened
     by a scan cell, in (u, log N) with the Jacobian e^u as the package's
     grid does, but with adaptive Gauss-Kronrod rules instead of midpoints.
+    The second moments are taken about the mean.
     """
     n, w_k = data.n_k, data.w_k
     marks = np.asarray(data.marks)
@@ -263,22 +266,51 @@ def _oracle_log_n_mean(data, prior):
         return max(ys[cols[0]] - dy, y_lo), min(ys[cols[-1]] + dy, 30.0)
 
     u_edges = np.linspace(max(us[rows[0]] - du, -14.0), min(us[rows[-1]] + du, 1.0), 5)
-    moments = []
-    for power in (0, 1):
-        moments.append(sum(
-            integrate.dblquad(lambda y, u: y ** power * math.exp(log_f(y, u) - peak),
+
+    def integral(moment):
+        """The integral of moment(d, log N) times the posterior density."""
+        return sum(
+            integrate.dblquad(lambda y, u: moment(math.exp(u), y) * math.exp(log_f(y, u) - peak),
                               u0, u1, lambda u: span(u)[0], lambda u: span(u)[1],
                               epsabs=0.0, epsrel=1e-8)[0]
-            for u0, u1 in zip(u_edges, u_edges[1:])))
-    return moments[1] / moments[0]
+            for u0, u1 in zip(u_edges, u_edges[1:]))
+
+    mass = integral(lambda d, y: 1.0)
+    m_d, m_y = integral(lambda d, y: d) / mass, integral(lambda d, y: y) / mass
+    cross = integral(lambda d, y: (d - m_d) * (y - m_y)) / mass
+    cov = np.array([[integral(lambda d, y: (d - m_d) ** 2) / mass, cross],
+                    [cross, integral(lambda d, y: (y - m_y) ** 2) / mass]])
+    return np.array([m_d, m_y]), cov
+
+
+@functools.cache
+def _fixture_moments(i, prior):
+    return _oracle_moments(_fixture_event(i), prior)
+
+
+# About where pass 1 puts the criterion-5 fixture's empirical prior.
+FIXTURE_PRIOR = HyperPrior(mu_N=10.30, sigma2_N=0.056, provenance=Provenance.EMPIRICAL)
 
 
 @pytest.mark.parametrize("i", [0, 4])
 def test_pass1_estimate_matches_dblquad(i):
     # Tolerance fixed before the first run.
     data = _fixture_event(i)
-    oracle = _oracle_log_n_mean(data, HyperPrior.weakly_informative())
+    oracle = _fixture_moments(i, HyperPrior.weakly_informative())[0][1]
     assert abs(pass1_estimate(data) - oracle) <= 1e-4
+
+
+@pytest.mark.parametrize("prior", [HyperPrior.weakly_informative(), FIXTURE_PRIOR],
+                         ids=["weak", "empirical"])
+@pytest.mark.parametrize("i", [0, 4])
+def test_grid_posterior_matches_dblquad(i, prior):
+    # Tolerance fixed before the first run: each mean within 1e-3 of its
+    # posterior sd, each covariance entry within 1e-3 of sd_i * sd_j.
+    want_mean, want_cov = _fixture_moments(i, prior)
+    mean, cov, _ = grid_posterior(_fixture_event(i), prior)
+    sd = np.sqrt(np.diag(want_cov))
+    assert np.all(np.abs(np.array(mean) - want_mean) <= 1e-3 * sd)
+    assert np.all(np.abs(cov - want_cov) <= 1e-3 * np.outer(sd, sd))
 
 
 def _wide_event():

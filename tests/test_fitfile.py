@@ -1,4 +1,4 @@
-"""Round-trip and validation tests for the tailcast-fit/7 text format.
+"""Round-trip and validation tests for the tailcast-fit/8 text format.
 
 The metadata line is written from and read back into the FitMetadata,
 EventSpec, HyperPrior and SamplerConfig dataclasses by reflection; the
@@ -92,7 +92,7 @@ def test_round_trip_preserves_fields():
 def test_round_trip_every_metadata_field():
     # every field off its default, so a field the format drops cannot hide
     config = SamplerConfig(burn_in_steps=700, batches=90, batch_len=7, chains=4,
-                           step_scale=0.03, seed=123, pool_size=60)
+                           seed=123, pool_size=60)
     prior = HyperPrior(mu_N=8.5, sigma2_N=1.7, provenance=Provenance.EMPIRICAL,
                        contributing_events=("m0100", "m0200"))
     event = EventSpec("wHJ", Direction.HIGHER_IS_BETTER, Unit.CENTIMETERS,
@@ -149,7 +149,7 @@ def test_save_and_load(tmp_path):
 
 @pytest.mark.parametrize("content, message", [
     (b"#tailcast-fit/2\n", "first line must be"),
-    (b"#tailcast-fit/7\n\xff\n", "cannot read"),
+    (b"#tailcast-fit/8\n\xff\n", "cannot read"),
     (None, "cannot read"),
 ], ids=["old-format", "not-utf8", "missing"])
 def test_load_fit_names_the_file(tmp_path, content, message):
@@ -185,7 +185,7 @@ def test_loads_rejects_wrong_format_line():
         loads("#something-else/9\n")
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
 def test_loads_rejects_old_format(version):
     lines = dumps(sample_fit()).splitlines()
     lines[0] = f"#tailcast-fit/{version}"

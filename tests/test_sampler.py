@@ -25,6 +25,7 @@ from tailcast.sampler import (
     tune_lanes,
     _derive_t_m,
     _draw_init,
+    _grid_proposal,
     _pool_draws,
     _run_steps,
 )
@@ -34,6 +35,8 @@ from conftest import lane_events
 
 MU_STAR = math.log(11.28)
 SIGMA_STAR = 0.033
+# The proposal factor of a target whose covariance is the identity.
+IDENTITY = (1.0, 0.0, 1.0)
 
 
 def std_normal_2d(theta):
@@ -61,23 +64,22 @@ INFORMATIVE = HyperPrior(
 )
 
 
-def test_tuner_reaches_band():
+def test_tuner_reaches_band(monkeypatch):
+    monkeypatch.setattr(sampler, "_START_SCALE", 0.001)
     config = small_config(burn_in_steps=1000)
-    tuned = tune_burn_in(std_normal_2d, config, (0.0, 0.0), np.random.default_rng(1))
+    tuned = tune_burn_in(std_normal_2d, config, (0.0, 0.0), IDENTITY, np.random.default_rng(1))
     assert sampler._ACCEPT_LO <= tuned.accept_rate <= sampler._ACCEPT_HI
-    assert tuned.step_scale > config.step_scale  # had to grow from 0.001
+    assert tuned.step_scale > 0.001  # had to grow
     assert math.isfinite(std_normal_2d(tuned.state))
 
 
-def test_tuner_keeps_already_good_scale():
+def test_tuner_keeps_already_good_scale(monkeypatch):
     config = small_config(burn_in_steps=1000)
-    first = tune_burn_in(std_normal_2d, config, (0.0, 0.0), np.random.default_rng(1))
-    retuned = tune_burn_in(
-        std_normal_2d,
-        SamplerConfig(**{**config.__dict__, "step_scale": first.step_scale}),
-        (0.0, 0.0),
-        np.random.default_rng(2),
-    )
+    monkeypatch.setattr(sampler, "_START_SCALE", 0.001)
+    first = tune_burn_in(std_normal_2d, config, (0.0, 0.0), IDENTITY, np.random.default_rng(1))
+    monkeypatch.setattr(sampler, "_START_SCALE", first.step_scale)
+    retuned = tune_burn_in(std_normal_2d, config, (0.0, 0.0), IDENTITY,
+                           np.random.default_rng(2))
     assert retuned.step_scale == first.step_scale
 
 
@@ -88,18 +90,18 @@ def test_tuner_gives_up(monkeypatch):
     monkeypatch.setattr(sampler, "_MAX_RETUNES", 3)
     config = small_config(burn_in_steps=100)
     with pytest.raises(TuningFailed) as err:
-        tune_burn_in(spike, config, (0.0, 0.0), np.random.default_rng(0))
+        tune_burn_in(spike, config, (0.0, 0.0), IDENTITY, np.random.default_rng(0))
     assert err.value.last_rate == 0.0
 
 
 def test_tuner_rejects_bad_init():
     with pytest.raises(ValueError):
-        tune_burn_in(std_normal_2d, small_config(), (math.nan, 0.0))
+        tune_burn_in(std_normal_2d, small_config(), (math.nan, 0.0), IDENTITY)
 
 
 def test_run_chain_zero_scale_degenerate():
     config = small_config(batches=20, batch_len=5)
-    tuned = TunedState(step_scale=0.0, state=(0.7, -0.2), accept_rate=0.3)
+    tuned = TunedState(step_scale=0.0, state=(0.7, -0.2), accept_rate=0.3, factor=IDENTITY)
     chain = run_chain(std_normal_2d, config, tuned, np.random.default_rng(3))
     assert chain.accept_rate == 1.0
     assert np.all(chain.mu == 0.7)
@@ -109,14 +111,15 @@ def test_run_chain_zero_scale_degenerate():
 def _reference_run_steps(target, state, lp, n_steps, scales, rng):
     """The straightforward numpy-indexing step loop that _run_steps must
     reproduce bit for bit."""
-    incs = rng.standard_normal((n_steps, 2))
-    incs[:, 0] *= scales[0]
-    incs[:, 1] *= scales[1]
+    z = rng.standard_normal((n_steps, 2))
+    a, b, c = scales
+    d_mu = z[:, 0] * a
+    d_y = z[:, 0] * b + z[:, 1] * c
     log_us = np.log(rng.random(n_steps))
     mu, y = state
     accepted = 0
     for k in range(n_steps):
-        cand = (mu + incs[k, 0], y + incs[k, 1])
+        cand = (mu + d_mu[k], y + d_y[k])
         lp_new = target(cand)
         if log_us[k] < lp_new - lp:
             mu, y = cand
@@ -131,9 +134,9 @@ def test_run_steps_matches_reference_loop(case):
         data = synthetic_event()
         target = make_log_posterior(data, INFORMATIVE)
         state = (float(max(data.marks)) + 0.05, math.log(20_000.0))
-        scales = (0.01, 0.05)
+        scales = (0.01, 0.04, 0.02)
     else:
-        target, state, scales = std_normal_2d, (0.3, -0.4), (1.5, 0.7)
+        target, state, scales = std_normal_2d, (0.3, -0.4), (1.5, -0.3, 0.7)
     fast_rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
     fast = ref = (state, target(state), 0)
     accepted = 0
@@ -154,12 +157,13 @@ def test_sample_lanes_matches_run_chain(batch_len, reverse_lanes):
     for data in lane_events():
         for prior in (HyperPrior.weakly_informative(), INFORMATIVE):
             target = make_log_posterior(data, prior)
+            mean, factor = _grid_proposal(data, prior)
             for chain_id in range(2):
                 rng = np.random.default_rng(40 + len(rngs))
-                init = _draw_init(target, data, prior, rng)
+                init = _draw_init(target, mean, factor, rng)
                 lists.append(data)
                 priors.append(prior)
-                tuned.append(tune_burn_in(target, config, init, rng))
+                tuned.append(tune_burn_in(target, config, init, factor, rng))
                 rngs.append(rng)
     # Lane j runs chain order[j]. Reversed, every chain sits elsewhere in the
     # lane block, and its draws must not depend on where.
@@ -178,14 +182,16 @@ def test_sample_lanes_matches_run_chain(batch_len, reverse_lanes):
 
 
 # Burn-in settings, and tuning-rule constants patched into the sampler, that
-# drive tune_lanes down every path of tune_burn_in's rule: the default
-# doubling path; a large scale that must halve; a retune budget too small to
-# reach the band; and a band that holds two accept counts of 50, so rounds
-# overshoot it both ways and waves restart.
+# drive tune_lanes down every path of tune_burn_in's rule: the default start,
+# in the band at the first round; a small start scale that must double; a
+# large one that must halve; a retune budget too small to reach the band;
+# and a band that holds two accept counts of 50, so rounds overshoot it
+# both ways.
 TUNING_CASES = {
-    "doubling": (dict(), dict()),
-    "halving": (dict(step_scale=1.0), dict()),
-    "exhausted": (dict(), dict(_MAX_RETUNES=2)),
+    "first_round": (dict(), dict()),
+    "doubling": (dict(), dict(_START_SCALE=0.001)),
+    "halving": (dict(), dict(_START_SCALE=100.0)),
+    "exhausted": (dict(), dict(_START_SCALE=0.001, _MAX_RETUNES=2)),
     "narrow_band": (dict(burn_in_steps=50),
                     dict(_ACCEPT_LO=0.3, _ACCEPT_HI=0.32, _MAX_RETUNES=12)),
 }
@@ -197,32 +203,34 @@ def test_tune_lanes_matches_tune_burn_in(case, monkeypatch):
     for name, value in constants.items():
         monkeypatch.setattr(sampler, name, value)
     config = small_config(**settings)
-    lists, priors, inits, lane_rngs, reference = [], [], [], [], []
+    lists, priors, factors, inits, lane_rngs, reference = [], [], [], [], [], []
     scales_seen = []
 
     def recording_run_steps(target, state, lp, n_steps, scales, rng):
-        scales_seen[-1].append(scales[0])
+        scales_seen[-1].append(scales[0] / factors[-1][0])
         return _run_steps(target, state, lp, n_steps, scales, rng)
 
     monkeypatch.setattr(sampler, "_run_steps", recording_run_steps)
     for data in lane_events():
         for prior in (HyperPrior.weakly_informative(), INFORMATIVE):
             target = make_log_posterior(data, prior)
+            mean, factor = _grid_proposal(data, prior)
             for seed in (3, 4, 5):
                 rng = np.random.default_rng(seed)
-                init = _draw_init(target, data, prior, rng)
+                init = _draw_init(target, mean, factor, rng)
                 lists.append(data)
                 priors.append(prior)
+                factors.append(factor)
                 inits.append(init)
                 lane_rngs.append(copy.deepcopy(rng))
                 scales_seen.append([])
                 try:
-                    outcome = tune_burn_in(target, config, init, rng)
+                    outcome = tune_burn_in(target, config, init, factor, rng)
                 except TuningFailed as exc:
                     outcome = exc
                 reference.append((outcome, rng.bit_generator.state))
     monkeypatch.setattr(sampler, "_run_steps", _run_steps)  # the constants stay patched
-    outcomes = tune_lanes(lists, priors, config, inits, lane_rngs)
+    outcomes = tune_lanes(lists, priors, factors, config, inits, lane_rngs)
     assert len(outcomes) == len(reference)
     for got, rng, (want, want_rng_state) in zip(outcomes, lane_rngs, reference):
         assert type(got) is type(want)
@@ -238,34 +246,43 @@ def test_tune_lanes_matches_tune_burn_in(case, monkeypatch):
         assert TuningFailed in kinds
     else:
         assert TunedState in kinds
+    tuned_scales = [want.step_scale for want, _ in reference if isinstance(want, TunedState)]
+    if case == "first_round":
+        assert any(len(seen) == 1 for seen in scales_seen)
+    if case == "doubling":
+        assert any(scale > sampler._START_SCALE for scale in tuned_scales)
     if case == "halving":
-        assert any(isinstance(want, TunedState) and want.step_scale < config.step_scale
-                   for want, _ in reference)
+        assert any(scale < sampler._START_SCALE for scale in tuned_scales)
     if case == "narrow_band":
-        # some chain retuned against its last direction, which ends a wave
+        # some chain retuned against its last direction
         assert any(len(set(np.sign(np.diff(np.log2(seen))))) > 1 for seen in scales_seen)
-        assert any(len(seen) > sampler._SPECULATION for seen in scales_seen)
 
 
-def test_speculation_depth_never_changes_fits(monkeypatch):
-    config = small_config(batches=40)
-    events = [(data, prior, 1.0) for data in lane_events()
-              for prior in (HyperPrior.weakly_informative(), INFORMATIVE)]
-
-    def dumps(fits):
-        return [fitfile.dumps(fit) if not isinstance(fit, FitFailed) else str(fit)
-                for fit in fits]
-
-    default = dumps(fit_events(events, config))
-    monkeypatch.setattr(sampler, "_SPECULATION", 1)
-    assert dumps(fit_events(events, config)) == default
+@pytest.mark.parametrize("burn_in_steps", [400, 1000])
+def test_grid_proposal_tunes_every_chain_at_the_first_round(burn_in_steps):
+    # With the proposal shaped by the grid covariance, the start scale lands
+    # in the acceptance band at once, so tune_lanes needs one pass.
+    config = small_config(burn_in_steps=burn_in_steps)
+    prior = HyperPrior.weakly_informative()
+    lists, factors, inits, rngs = [], [], [], []
+    for data in lane_events():
+        target = make_log_posterior(data, prior)
+        mean, factor = _grid_proposal(data, prior)
+        for chain_id in range(4):
+            rng = chain_rng(config.seed, data.event.event_id, chain_id)
+            lists.append(data)
+            factors.append(factor)
+            inits.append(_draw_init(target, mean, factor, rng))
+            rngs.append(rng)
+    outcomes = tune_lanes(lists, [prior] * len(lists), factors, config, inits, rngs)
+    assert [o.step_scale for o in outcomes] == [sampler._START_SCALE] * len(lists)
 
 
 # sha256 of the draws of the fit below, read back through the fit file: it
 # moves only with a deliberate change to the sampler's draws.
-DRAWS_SHA256 = "a78dd9fdf4b45398df0bfc0884c1808b726f371e9d0f02998402cbedfec15ccc"
+DRAWS_SHA256 = "8772f0ff6e73c1a8c3e372311ed708088300ada1c7d0bfdb3ef90cd3d54e0ada"
 # sha256 of the fit file itself; it also moves with the fit-file format.
-FIT_FILE_SHA256 = "cacf60f297600243b68163c766216cb1f2cf096f9137d73530e043102476be12"
+FIT_FILE_SHA256 = "1dd50ab88e0957992647bcc937561e4320f78423ffee3fdd49b9dfa618997895"
 
 
 def _draws_digest(fit):
@@ -326,16 +343,17 @@ def test_fit_events_draws_each_chain_from_its_stream():
     config = small_config(batches=20)
     fit = fit_events([(other, INFORMATIVE, 1.0), (data, INFORMATIVE, 1.0)], config)[1]
     target = make_log_posterior(data, INFORMATIVE)
+    mean, factor = _grid_proposal(data, INFORMATIVE)
     for chain in fit.chains:
         rng = chain_rng(config.seed, data.event.event_id, chain.chain_id)
-        init = _draw_init(target, data, INFORMATIVE, rng)
-        tuned = tune_burn_in(target, config, init, rng)
+        init = _draw_init(target, mean, factor, rng)
+        tuned = tune_burn_in(target, config, init, factor, rng)
         assert np.array_equal(run_chain(target, config, tuned, rng).mu, chain.mu)
 
 
 def test_run_chain_deterministic():
     config = small_config()
-    tuned = tune_burn_in(std_normal_2d, config, (0.0, 0.0), np.random.default_rng(5))
+    tuned = tune_burn_in(std_normal_2d, config, (0.0, 0.0), IDENTITY, np.random.default_rng(5))
     a = run_chain(std_normal_2d, config, tuned, np.random.default_rng(7))
     b = run_chain(std_normal_2d, config, tuned, np.random.default_rng(7))
     assert np.array_equal(a.mu, b.mu)
@@ -449,9 +467,9 @@ def test_fit_event_needs_two_chains():
 def test_fit_event_all_chains_failing(monkeypatch):
     data = synthetic_event()
     monkeypatch.setattr(sampler, "_MAX_RETUNES", 0)
-    config = small_config(step_scale=1e9)
+    monkeypatch.setattr(sampler, "_START_SCALE", 1e9)
     with pytest.raises(FitFailed):
-        fit_event(data, INFORMATIVE, config, t_m=1.0)
+        fit_event(data, INFORMATIVE, small_config(), t_m=1.0)
 
 
 def test_derive_t_m():
@@ -490,9 +508,6 @@ def test_sampler_config_validation(monkeypatch):
             SamplerConfig(burn_in_steps=bad)
     for good in (3, 5):
         assert SamplerConfig(burn_in_steps=good).burn_in_steps == good
-    for bad in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            SamplerConfig(step_scale=bad)
     # chain streams are SeedSequence hashes, which take no negative seed
     with pytest.raises(ValueError, match="seed"):
         SamplerConfig(seed=-1)
