@@ -6,13 +6,16 @@ identity linking population size N to the spread sigma (`tail_mass_sigma`,
 over posterior draws), and the model log-posterior over theta = (mu, log N),
 computed in one place (`make_lane_log_posterior`): many chains as numpy
 lanes, for burn-in and retained sampling, or one list over a block of
-points, for the quadrature grid of `grid_posterior`. `make_log_posterior`
-is its one-lane view on Python floats, for chain initialization and the
-scalar reference sampler.
+points, for its quadrature grid. `make_log_posterior` is its one-lane view
+on Python floats, for chain initialization and the scalar reference
+sampler. Each list's grid is scored once, under the weak prior, into
+per-column sums (`grid_columns`) that `grid_posterior` reweights to any
+prior on log N.
 """
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import special
@@ -20,12 +23,19 @@ from scipy import special
 _LOG_2PI = math.log(2.0 * math.pi)
 # The grid of grid_posterior: u = log(mu - w_k) over _U_RANGE and log N over
 # (log 2 n_k, _LOG_N_MAX], cut into equal cells taken at their midpoints, and
-# scored _GRID_BLOCK u-rows (a divisor of the row count) at a time. Its edges
-# but log N = log 2 n_k (n_k/N = 0.5, the domain's own boundary) are cuts.
+# scored _GRID_BLOCK log N columns (a divisor of the column count) at a time.
+# Its edges but log N = log 2 n_k (n_k/N = 0.5, the domain's own boundary)
+# are cuts.
 _U_RANGE = (-14.0, 1.0)
 _LOG_N_MAX = 30.0
 _GRID_SHAPE = (400, 400)
-_GRID_BLOCK = 25
+_GRID_BLOCK = 50
+# The weak prior of pass 1, log N ~ Normal(log 1e4, 2^2): each list's grid is
+# scored under it once (grid_columns), and grid_posterior reweights that grid
+# to any other prior.
+WEAK_MU_N = math.log(10_000.0)
+WEAK_SIGMA2_N = 4.0
+_WEAK_PRIOR = SimpleNamespace(mu_N=WEAK_MU_N, sigma2_N=WEAK_SIGMA2_N)
 
 
 def std_normal_cdf(z):
@@ -182,6 +192,45 @@ def _midpoints(lo: float, hi: float, cells: int) -> np.ndarray:
     return lo + (np.arange(cells) + 0.5) * ((hi - lo) / cells)
 
 
+def _grid_log_n(n_k: int) -> np.ndarray:
+    return _midpoints(math.log(2.0 * n_k), _LOG_N_MAX, _GRID_SHAPE[1])
+
+
+def grid_columns(data) -> np.ndarray:
+    """One list's grid (see grid_posterior) scored once, under the weak
+    prior, and summed over u within each log N column.
+
+    Returns a (6, columns) array. Row 0 is each column's log-scale m, the
+    largest log weight w in it (the Jacobian e^u included). Rows 1 to 5 are,
+    relative to e^m, the column's sums over u of e^w, d e^w and d^2 e^w
+    (d = e^u), and e^w at its first and at its last u-row.
+    """
+    n_u, n_y = _GRID_SHAPE
+    u = _midpoints(*_U_RANGE, n_u)
+    d = np.exp(u)
+    powers = np.stack((np.ones(n_u), d, d * d))
+    mu, u = data.w_k + d[:, None], u[:, None]
+    y = _grid_log_n(data.n_k)
+    target = make_lane_log_posterior([data], [_WEAK_PRIOR])
+    columns = np.empty((6, n_y))
+    weight = np.empty((n_u, _GRID_BLOCK))
+    with np.errstate(all="ignore"):
+        for first in range(0, n_y, _GRID_BLOCK):
+            block = slice(first, first + _GRID_BLOCK)
+            target(mu, y[block], out=weight)
+            weight += u
+            columns[0, block] = top = weight.max(axis=0)
+            # A weight below e^-600 of its column's largest adds nothing a
+            # double holds next to it. Flooring it there keeps exp off its
+            # slow underflow path, and its products with d^2 >= e^-28 off
+            # the subnormals that slow the sums.
+            np.maximum(np.subtract(weight, top, out=weight), -600.0, out=weight)
+            np.exp(weight, out=weight)
+            columns[1:4, block] = powers @ weight
+            columns[4:, block] = weight[[0, -1]]
+    return columns
+
+
 def grid_posterior(data, prior):
     """Posterior mean and covariance of (d, log N), d = mu - w_k, for one
     list under `prior`, by the midpoint rule on the fixed grid over
@@ -189,39 +238,24 @@ def grid_posterior(data, prior):
     Jacobian e^u. Returns (mean, cov, edge_mass), edge_mass holding each
     cut edge's share of the mass by its name ("u = 1", ...). Moments taken
     in d rather than mu spend no digits on w_k.
+
+    The prior depends on log N alone, so the grid under `prior` is the
+    list's weak-prior grid (data.grid_columns, scored once per list) with
+    each log N column reweighted by the log ratio of the two priors.
     """
-    n_u, n_y = _GRID_SHAPE
-    u = _midpoints(*_U_RANGE, n_u)
-    y = _midpoints(math.log(2.0 * data.n_k), _LOG_N_MAX, n_y)
-    target = make_lane_log_posterior([data], [prior])
-    # Mass and log N moment per u-row and mass per log N column, relative to
-    # exp(peak), the largest weight so far: each block of rows rescales what
-    # came before it.
-    by_u, y_by_u, by_y, peak = np.zeros(n_u), np.zeros(n_u), np.zeros(n_y), -math.inf
-    weight = np.empty((_GRID_BLOCK, n_y))
-    with np.errstate(all="ignore"):
-        for first in range(0, n_u, _GRID_BLOCK):
-            block = slice(first, first + _GRID_BLOCK)
-            rows = u[block, None]
-            target(data.w_k + np.exp(rows), y, out=weight)
-            weight += rows
-            top = weight.max()
-            if top > peak:
-                for sums in (by_u, y_by_u, by_y):
-                    sums *= math.exp(peak - top)
-                peak = top
-            np.exp(np.subtract(weight, peak, out=weight), out=weight)
-            by_u[block] = weight.sum(axis=1)
-            y_by_u[block] = weight @ y
-            by_y += weight.sum(axis=0)
-    total = float(by_u.sum())
-    d = np.exp(u)
-    mean_d, mean_y = float(by_u @ d) / total, float(by_y @ y) / total
-    dev_d, dev_y = d - mean_d, y - mean_y
-    cross = float(dev_d @ (y_by_u - by_u * mean_y)) / total
-    cov = np.array([[float(by_u @ (dev_d * dev_d)) / total, cross],
+    log_scale, s0, s1, s2, first_row, last_row = data.grid_columns
+    y = _grid_log_n(data.n_k)
+    log_w = (log_scale + (y - WEAK_MU_N) ** 2 / (2.0 * WEAK_SIGMA2_N)
+             - (y - prior.mu_N) ** 2 / (2.0 * prior.sigma2_N))
+    w = np.exp(log_w - log_w.max())
+    by_y = w * s0
+    total = float(by_y.sum())
+    mean_d, mean_y = float(w @ s1) / total, float(by_y @ y) / total
+    dev_y = y - mean_y
+    cross = float(w @ ((s1 - mean_d * s0) * dev_y)) / total
+    cov = np.array([[float(w @ (s2 - mean_d * (2.0 * s1 - mean_d * s0))) / total, cross],
                     [cross, float(by_y @ (dev_y * dev_y)) / total]])
-    edge_mass = {f"u = {_U_RANGE[0]:g}": float(by_u[0]) / total,
-                 f"u = {_U_RANGE[1]:g}": float(by_u[-1]) / total,
+    edge_mass = {f"u = {_U_RANGE[0]:g}": float(w @ first_row) / total,
+                 f"u = {_U_RANGE[1]:g}": float(w @ last_row) / total,
                  f"log N = {_LOG_N_MAX:g}": float(by_y[-1]) / total}
     return (mean_d, mean_y), cov, edge_mass

@@ -4,7 +4,9 @@ Pass 1 takes every event's posterior mean of log N under a proper weak prior
 (log N ~ Normal(log 1e4, 2^2)) by quadrature on a fixed grid; nothing is
 sampled. The pass-1 means of all events then define a shared log-normal
 prior (robust location from their median, robust scale from the tightest
-75% subset) under which pass 2 samples every event.
+75% subset) under which pass 2 samples every event. Each list's grid is
+scored once (distcore.grid_columns): pass 2 shapes each event's proposal by
+reweighting that grid's log N columns to the empirical prior.
 """
 from __future__ import annotations
 
@@ -15,14 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distcore import grid_posterior
+from .distcore import WEAK_MU_N, WEAK_SIGMA2_N, grid_posterior
 from .errors import TailcastError
 from .sampler import FitFailed, FitResult, SamplerConfig, fit_events
 # Not called here: perfbench/tracing.py wraps fit_event under this name.
 from .sampler import fit_event  # noqa: F401
 
-WEAK_MU_N = math.log(10_000.0)
-WEAK_SIGMA2_N = 4.0
 VARIANCE_FLOOR = 1e-4
 SUBSET_FRACTION = 0.75
 # A cut edge of the pass-1 grid (distcore.grid_posterior) may hold at most

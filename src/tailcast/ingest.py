@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import datetime as dt
 import enum
+import functools
 import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import distcore
 from .errors import TailcastError
 
 TransformedMark = float
@@ -204,6 +206,13 @@ class PerformanceList:
     @property
     def best(self) -> float:
         return self.marks[0]
+
+    @functools.cached_property
+    def grid_columns(self):
+        """The list's weak-prior grid summed per log N column
+        (distcore.grid_columns), scored on first use and kept: pass 1 and
+        the pass-2 proposal both read it through distcore.grid_posterior."""
+        return distcore.grid_columns(self)
 
     def span_years(self) -> float:
         dates = [r.date for r in self.records]

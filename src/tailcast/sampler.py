@@ -2,11 +2,13 @@
 
 Protocol: each chain of an event proposes s L z, z standard normal and L
 the Cholesky factor of the covariance of the event's grid posterior
-(distcore.grid_posterior). It starts at a random point around the grid
-mean, runs 1000-step burn-ins that double or halve s from _START_SCALE
-until the acceptance rate lands in [0.2, 0.4], then samples in batches,
-retaining the final state of each batch. Convergence across chains is
-assessed with the multivariate potential scale reduction factor.
+(distcore.grid_posterior: the list's one weak-prior grid, reweighted to
+the event's prior, so pass 2 scores no grid of its own). It starts at a
+random point around the grid mean, runs 1000-step burn-ins that double or
+halve s from _START_SCALE until the acceptance rate lands in [0.2, 0.4],
+then samples in batches, retaining the final state of each batch.
+Convergence across chains is assessed with the multivariate potential scale
+reduction factor.
 
 tune_burn_in and run_chain run one chain on Python floats, through the
 one-lane view of the log-posterior kernel; they are the reference the
@@ -398,9 +400,14 @@ def _draw_init(target, mean, factor, rng):
 
 def _grid_proposal(data, prior):
     """The grid posterior's mean in (mu, log N) and its covariance's
-    Cholesky factor as (l11, l21, l22)."""
+    Cholesky factor as (l11, l21, l22). Raises FitFailed when the covariance
+    is singular, as it is when the posterior lies within one cell of the grid."""
     (mean_d, mean_y), cov, _ = grid_posterior(data, prior)
-    (l11, _), (l21, l22) = np.linalg.cholesky(cov).tolist()
+    try:
+        (l11, _), (l21, l22) = np.linalg.cholesky(cov).tolist()
+    except np.linalg.LinAlgError:
+        raise FitFailed(f"{data.event.event_id}: the grid posterior's covariance "
+                        f"{cov.tolist()} is not positive definite") from None
     return (data.w_k + mean_d, mean_y), (l11, l21, l22)
 
 
@@ -450,11 +457,15 @@ def fit_events(events, config: SamplerConfig) -> list:
     """
     if config.chains < 2:
         raise ValueError("fitting needs at least 2 chains for the convergence diagnostic")
-    started = []  # per event: (data, prior, t_m, [(chain_id, init, rng)])
+    started = []  # per event: (data, prior, t_m, [(chain_id, init, rng)]), or its FitFailed
     burning = []  # per chain with an init: (data, prior, factor, init, rng)
     for data, prior, t_m in events:
+        try:
+            mean, factor = _grid_proposal(data, prior)
+        except FitFailed as exc:
+            started.append(exc)
+            continue
         target = make_log_posterior(data, prior)
-        mean, factor = _grid_proposal(data, prior)
         chains = []
         for chain_id in range(config.chains):
             rng = chain_rng(config.seed, data.event.event_id, chain_id)
@@ -465,7 +476,11 @@ def fit_events(events, config: SamplerConfig) -> list:
                                [b[2] for b in burning], config,
                                [b[3] for b in burning], [b[4] for b in burning]))
     results: list = []
-    for data, prior, t_m, chains in started:
+    for entry in started:
+        if isinstance(entry, FitFailed):
+            results.append(entry)
+            continue
+        data, prior, t_m, chains = entry
         tuned, failed, notes = [], [], []
         for chain_id, init, rng in chains:
             outcome = None if init is None else next(outcomes)

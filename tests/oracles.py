@@ -4,10 +4,25 @@
 identity in scalar form, then the truncated-normal log-density mark by mark,
 summed exactly with math.fsum. It shares no code with distcore's kernel
 beyond scipy's normal functions.
+
+`grid_posterior` integrates one list's grid the direct way: every cell
+scored under the prior itself, against one running peak over the whole
+grid, with the moments taken from per-row and per-column sums. It is the
+reference for distcore.grid_posterior, which scores each list once and
+reweights its log N columns to the prior.
 """
 import math
 
+import numpy as np
 from scipy import special
+
+from tailcast.distcore import (
+    _GRID_SHAPE,
+    _LOG_N_MAX,
+    _U_RANGE,
+    _midpoints,
+    make_lane_log_posterior,
+)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -46,3 +61,45 @@ def log_posterior(theta: tuple[float, float], data, prior) -> float:
     if math.isnan(data_term):
         return -math.inf
     return data_term + gaussian_logpdf(log_n_pop, prior.mu_N, prior.sigma2_N)
+
+
+def grid_posterior(data, prior):
+    """Posterior mean and covariance of (d, log N), d = mu - w_k, and each
+    cut edge's share of the mass, on distcore's grid under `prior`: the
+    return value of distcore.grid_posterior, computed cell by cell."""
+    n_u, n_y = _GRID_SHAPE
+    u = _midpoints(*_U_RANGE, n_u)
+    y = _midpoints(math.log(2.0 * data.n_k), _LOG_N_MAX, n_y)
+    target = make_lane_log_posterior([data], [prior])
+    # Mass and log N moment per u-row and mass per log N column, relative to
+    # exp(peak), the largest weight so far: each block of rows rescales what
+    # came before it.
+    by_u, y_by_u, by_y, peak = np.zeros(n_u), np.zeros(n_u), np.zeros(n_y), -math.inf
+    block_rows = 25
+    weight = np.empty((block_rows, n_y))
+    with np.errstate(all="ignore"):
+        for first in range(0, n_u, block_rows):
+            block = slice(first, first + block_rows)
+            rows = u[block, None]
+            target(data.w_k + np.exp(rows), y, out=weight)
+            weight += rows
+            top = weight.max()
+            if top > peak:
+                for sums in (by_u, y_by_u, by_y):
+                    sums *= math.exp(peak - top)
+                peak = top
+            np.exp(np.subtract(weight, peak, out=weight), out=weight)
+            by_u[block] = weight.sum(axis=1)
+            y_by_u[block] = weight @ y
+            by_y += weight.sum(axis=0)
+    total = float(by_u.sum())
+    d = np.exp(u)
+    mean_d, mean_y = float(by_u @ d) / total, float(by_y @ y) / total
+    dev_d, dev_y = d - mean_d, y - mean_y
+    cross = float(dev_d @ (y_by_u - by_u * mean_y)) / total
+    cov = np.array([[float(by_u @ (dev_d * dev_d)) / total, cross],
+                    [cross, float(by_y @ (dev_y * dev_y)) / total]])
+    edge_mass = {f"u = {_U_RANGE[0]:g}": float(by_u[0]) / total,
+                 f"u = {_U_RANGE[1]:g}": float(by_u[-1]) / total,
+                 f"log N = {_LOG_N_MAX:g}": float(by_y[-1]) / total}
+    return (mean_d, mean_y), cov, edge_mass

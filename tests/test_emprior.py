@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from tailcast import distcore
 from tailcast.distcore import grid_posterior, make_lane_log_posterior
 from tailcast.emprior import (
     VARIANCE_FLOOR,
@@ -31,6 +32,7 @@ from tailcast.ingest import EventSpec
 from tailcast.sampler import SamplerConfig, fit_event
 from tailcast.synth import sample_tail, tail_performance_list
 
+import oracles
 from conftest import make_fit, point_mass_fit
 
 MU_STAR = math.log(11.28)
@@ -311,6 +313,71 @@ def test_grid_posterior_matches_dblquad(i, prior):
     sd = np.sqrt(np.diag(want_cov))
     assert np.all(np.abs(np.array(mean) - want_mean) <= 1e-3 * sd)
     assert np.all(np.abs(cov - want_cov) <= 1e-3 * np.outer(sd, sd))
+
+
+def _grid_case(keep):
+    """A list of `keep` marks: from a population of 20 000 up to 500 marks,
+    of 200 000 above."""
+    population = 20_000 if keep <= 500 else 200_000
+    tail = sample_tail(70 + keep % 97, MU_STAR, SIGMA_STAR, population, keep)
+    return tail_performance_list(EventSpec.running(f"n{keep}"), tail, 2001, 2020, seed=1)
+
+
+# A 1e-4-variance prior one unit of log N above FIXTURE_PRIOR.
+TIGHT_PRIOR = HyperPrior(mu_N=11.30, sigma2_N=1e-4, provenance=Provenance.EMPIRICAL)
+
+
+@pytest.mark.parametrize("prior", [HyperPrior.weakly_informative(), FIXTURE_PRIOR, TIGHT_PRIOR],
+                         ids=["weak", "empirical", "tight"])
+@pytest.mark.parametrize("keep", [3, 60, 280, 500, 2000, 20_000])
+def test_grid_posterior_matches_the_cell_by_cell_grid(keep, prior):
+    # The columns of the weak-prior grid, reweighted to `prior`, against the
+    # grid scored under `prior` itself. Tolerance fixed before the first run:
+    # each mean within 1e-9 of its posterior sd, each covariance entry within
+    # 1e-9 of sd_i * sd_j, each edge mass within 1e-12. Every case spans more
+    # than one grid cell; a posterior inside one u-cell (100 000 marks under
+    # a 1e-4 prior at log N = 16, say) has a singular covariance either way.
+    data = _grid_case(keep)
+    want_mean, want_cov, want_edges = oracles.grid_posterior(data, prior)
+    mean, cov, edges = grid_posterior(data, prior)
+    sd = np.sqrt(np.diag(want_cov))
+    assert np.all(np.abs(np.array(mean) - want_mean) <= 1e-9 * sd)
+    assert np.all(np.abs(cov - want_cov) <= 1e-9 * np.outer(sd, sd))
+    assert edges.keys() == want_edges.keys()
+    for edge, share in edges.items():
+        assert share == pytest.approx(want_edges[edge], rel=1e-9, abs=1e-12), edge
+
+
+def test_two_pass_scores_each_grid_once(monkeypatch):
+    # Pass 1 and the pass-2 proposals read one scoring of each list's grid.
+    scored = []
+
+    def counting(data):
+        scored.append(data.event.event_id)
+        return columns(data)
+
+    columns = distcore.grid_columns
+    monkeypatch.setattr(distcore, "grid_columns", counting)
+    lists = list(_corpus(n_events=5, base_seed=400).values())
+    two_pass_fit(lists, TINY, t_m=1.0)
+    assert sorted(scored) == [f"ev{i}" for i in range(5)]
+
+
+def test_fit_corpus_fails_only_the_event_with_a_singular_grid_covariance():
+    # Under a prior at log N = 8, all of whose mass lies below log 2 n_k, a
+    # 20 000-mark list's grid posterior sits in the first log N column.
+    prior = HyperPrior(mu_N=8.0, sigma2_N=1e-4, provenance=Provenance.EMPIRICAL)
+    big = tail_performance_list(EventSpec.running("big"),
+                                sample_tail(5, MU_STAR, SIGMA_STAR, 200_000, 20_000),
+                                2001, 2020, seed=6)
+    small = tail_performance_list(EventSpec.running("small"),
+                                  sample_tail(7, MU_STAR, SIGMA_STAR, 3_000, 100),
+                                  2001, 2020, seed=8)
+    fits, failures = fit_corpus([small, big], prior, TINY, t_m=1.0)
+    assert list(fits) == ["small"]
+    assert list(failures) == ["big"]
+    assert failures["big"].startswith("big: the grid posterior's covariance ")
+    assert failures["big"].endswith(" is not positive definite")
 
 
 def _wide_event():

@@ -280,9 +280,9 @@ def test_grid_proposal_tunes_every_chain_at_the_first_round(burn_in_steps):
 
 # sha256 of the draws of the fit below, read back through the fit file: it
 # moves only with a deliberate change to the sampler's draws.
-DRAWS_SHA256 = "8772f0ff6e73c1a8c3e372311ed708088300ada1c7d0bfdb3ef90cd3d54e0ada"
+DRAWS_SHA256 = "d408928502eecba187557bfac83158b9b695c5ba7a3124627a1d2c49af835f99"
 # sha256 of the fit file itself; it also moves with the fit-file format.
-FIT_FILE_SHA256 = "1dd50ab88e0957992647bcc937561e4320f78423ffee3fdd49b9dfa618997895"
+FIT_FILE_SHA256 = "433781e4f5f7e303bbcad4c78028edf660c4761576ab7f5f3e0428e3afc81cce"
 
 
 def _draws_digest(fit):
