@@ -14,6 +14,8 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
 from .emprior import HyperPrior, InsufficientEvents, two_pass_fit
 from .ingest import DateWindow, EmptyListError, PerformanceList, build_performance_list
 from .sampler import SamplerConfig
@@ -136,9 +138,20 @@ def _add_note(notes: dict[str, str], event_id: str, message: str) -> None:
         notes[event_id] = message
 
 
-def _marks_in(data: PerformanceList, window: DateWindow) -> list[float]:
-    """The list's marks dated inside the window, best first."""
-    return [x for record, x in zip(data.records, data.marks) if window.contains(record.date)]
+def _dated_marks(data: PerformanceList) -> tuple[np.ndarray, np.ndarray]:
+    """The list's marks, best first, and their dates as day ordinals."""
+    days = np.fromiter((record.date.toordinal() for record in data.records),
+                       dtype=np.int64, count=len(data.records))
+    return np.array(data.marks, dtype=np.float64), days
+
+
+def _marks_in(dated: tuple[np.ndarray, np.ndarray], window: DateWindow) -> list[float]:
+    """The marks dated inside the half-open window [start, end), best first."""
+    marks, days = dated
+    inside = days < window.end.toordinal()
+    if window.start is not None:
+        inside &= days >= window.start.toordinal()
+    return marks[inside].tolist()
 
 
 def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestReport:
@@ -188,9 +201,10 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
     # The rank-r reference is the r-th best mark before the cutoff, and the
     # record to break is the best one, whatever the data mode fitted on.
     before_cutoff = DateWindow.before(spec.cutoff_year)
+    dated = {event_id: _dated_marks(full[event_id]) for event_id in result.fits}
     references: dict[str, list[float]] = {}
     for event_id in result.fits:
-        references[event_id] = _marks_in(full[event_id], before_cutoff)
+        references[event_id] = _marks_in(dated[event_id], before_cutoff)
         too_deep = [r for r in sorted(spec.reference_ranks) if r > len(references[event_id])]
         if too_deep:
             _add_note(notes, event_id, f"fewer than {too_deep[0]} marks before cutoff")
@@ -198,7 +212,7 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
     cells: list[BacktestCell] = []
     for length in spec.windows:
         window = spec.evaluation_window(length)
-        held_out = {event_id: _marks_in(full[event_id], window) for event_id in result.fits}
+        held_out = {event_id: _marks_in(dated[event_id], window) for event_id in result.fits}
         expected_best_x = {
             event_id: expected_best(ctx).x for event_id, ctx in contexts[length].items()
         }

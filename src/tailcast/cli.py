@@ -1,6 +1,6 @@
 """Command-line pipeline: ingest data, fit posteriors, emit reports.
 
-Subcommands compose through the filesystem: `fit` persists one tailcast-fit/8
+Subcommands compose through the filesystem: `fit` persists one tailcast-fit/9
 file per event plus a manifest, and `tables`, `forecast` read those fits back
 instead of refitting. All outputs are deterministic for a fixed seed; no
 command writes timestamps.

@@ -11,6 +11,8 @@ from tailcast.backtest import (
     BacktestReport,
     BacktestSpec,
     DataMode,
+    _dated_marks,
+    _marks_in,
     fit_window,
     render_detail_records,
     render_report_table,
@@ -286,6 +288,23 @@ def brute_force_actual(data, statistic, length, rank):
 def outcome_report(request):
     spec = BacktestSpec(data_mode=request.param, **OUTCOME_SPEC)
     return run_backtest(outcome_corpus(), spec, CONFIG)
+
+
+@pytest.mark.parametrize("window", [
+    DateWindow.before(2019),
+    DateWindow.calendar_years(2018, 2018),
+    DateWindow.calendar_years(2018, 2020),
+    DateWindow.years_before(2030, 2),
+], ids=["before", "one-year", "three-years", "empty"])
+def test_marks_in_matches_the_date_loop(window):
+    # marks dated on each window edge: the start is inside, the end is not
+    data = outcome_corpus()[0]
+    edges = [RawMark(data.records[i].value, day) for i, day in enumerate(
+        [date(2018, 1, 1), date(2019, 1, 1), date(2017, 12, 31), date(2020, 12, 31),
+         date(2021, 1, 1)])]
+    data = build_performance_list(data.event, list(data.records) + edges)
+    want = [x for record, x in zip(data.records, data.marks) if window.contains(record.date)]
+    assert _marks_in(_dated_marks(data), window) == want
 
 
 def test_run_backtest_actuals_match_brute_force(outcome_report):

@@ -220,7 +220,7 @@ def test_tables_names_the_stale_fit_file(workspace, tmp_path, capsys):
     stale.write_text("\n".join(["#tailcast-fit/2", lines[1], "#columns chain_id"]) + "\n")
     capsys.readouterr()
     assert main(["tables", "--data", str(data_dir), "--out", str(out)]) == 1
-    assert f"error: {stale}: first line must be '#tailcast-fit/8'" in capsys.readouterr().err
+    assert f"error: {stale}: first line must be '#tailcast-fit/9'" in capsys.readouterr().err
 
 
 def test_tables_mile_partner_of_other_pool_size_warns(workspace, tmp_path, capsys):

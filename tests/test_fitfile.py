@@ -1,10 +1,10 @@
-"""Round-trip and validation tests for the tailcast-fit/8 text format.
+"""Round-trip and validation tests for the tailcast-fit/9 text format.
 
 The metadata line is written from and read back into the FitMetadata,
 EventSpec, HyperPrior and SamplerConfig dataclasses by reflection; the
-round trips below pin that every field of them survives.
+round trips below pin that every field of them survives. `loads` and
+`load_fit` share one bytes parser, so the tests through either reach it.
 """
-import base64
 import dataclasses
 import json
 import math
@@ -147,9 +147,31 @@ def test_save_and_load(tmp_path):
     assert not list(tmp_path.glob("*.tmp*"))
 
 
+def test_load_fit_and_loads_agree(tmp_path):
+    path = tmp_path / "ev.fit"
+    save_fit(sample_fit(), path)
+    from_path, from_text = load_fit(path), loads(path.read_text())
+    assert dumps(from_path) == dumps(from_text) == path.read_text()
+    for ours, theirs in zip(from_path.chains, from_text.chains):
+        for a, b in ((ours.mu, theirs.mu), (ours.logN, theirs.logN)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_load_fit_refuses_a_non_ascii_draws_byte_as_not_hex(tmp_path):
+    path = tmp_path / "ev.fit"
+    save_fit(sample_fit(), path)
+    data = path.read_bytes()
+    at = data.rindex(b"\n", 0, -1) + 5  # inside the draws line
+    path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    with pytest.raises(FitFileError, match="not hex") as err:
+        load_fit(path)
+    assert str(path) in str(err.value)
+    assert "cannot read" not in str(err.value)
+
+
 @pytest.mark.parametrize("content, message", [
     (b"#tailcast-fit/2\n", "first line must be"),
-    (b"#tailcast-fit/8\n\xff\n", "cannot read"),
+    (b'#tailcast-fit/9\n#meta {"event": "\xff"}\n#draws 1 mu logN\n00\n', "cannot read"),
     (None, "cannot read"),
 ], ids=["old-format", "not-utf8", "missing"])
 def test_load_fit_names_the_file(tmp_path, content, message):
@@ -185,7 +207,7 @@ def test_loads_rejects_wrong_format_line():
         loads("#something-else/9\n")
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_loads_rejects_old_format(version):
     lines = dumps(sample_fit()).splitlines()
     lines[0] = f"#tailcast-fit/{version}"
@@ -199,7 +221,7 @@ def test_loads_rejects_truncated():
 
 
 def test_loads_rejects_bad_meta_json():
-    text = FORMAT_LINE + "\n#meta {not json\n#draws 1 mu logN\nAAAAAAAAAAA=\n"
+    text = FORMAT_LINE + "\n#meta {not json\n#draws 1 mu logN\n" + "00" * 16 + "\n"
     with pytest.raises(FitFileError, match="not valid JSON"):
         loads(text)
 
@@ -228,21 +250,22 @@ def test_loads_rejects_malformed_draw_line(field, text):
 
 def _reencode(lines, edit):
     """lines with the draws block decoded, passed through edit(bytes), encoded again."""
-    raw = edit(base64.b64decode(lines[3]))
-    return lines[:3] + [base64.b64encode(raw).decode("ascii")]
+    raw = edit(bytes.fromhex(lines[3]))
+    return lines[:3] + [raw.hex()]
 
 
 @pytest.mark.parametrize("edit, message", [
     (lambda lines: lines[:2] + lines[3:], "third line"),
-    (lambda lines: lines[:3] + ["*" + lines[3][1:]], "not base64"),
-    (lambda lines: lines[:3] + [lines[3][:-1]], "not base64"),
-    (lambda lines: lines[:3] + [lines[3] + " "], "not base64"),
-    (lambda lines: lines[:3] + ["é" + lines[3][1:]], "not base64"),
+    (lambda lines: lines[:3] + ["g" + lines[3][1:]], "not hex"),
+    (lambda lines: lines[:3] + [lines[3][:-1]], "not hex"),
+    (lambda lines: lines[:3] + [lines[3] + " "], "not hex"),
+    (lambda lines: lines[:3] + ["é" + lines[3][1:]], "not hex"),
+    (lambda lines: lines[:3] + ["\ud800" + lines[3][1:]], "not hex"),
     (lambda lines: _reencode(lines, lambda raw: raw[:-8]), "bytes"),
     (lambda lines: [*lines[:2], lines[2].replace("100", "99"), lines[3]], "bytes"),
-    (lambda lines: lines + ["AAAA"], "single line"),
-], ids=["no-draws-header", "not-base64", "truncated", "trailing-space", "not-ascii",
-        "one-draw-short", "header-disagrees", "extra-line"])
+    (lambda lines: lines + ["00"], "single line"),
+], ids=["no-draws-header", "not-hex", "truncated", "trailing-space", "not-ascii",
+        "lone-surrogate", "one-draw-short", "header-disagrees", "extra-line"])
 def test_loads_rejects_bad_draws_block(edit, message):
     lines = dumps(sample_fit()).splitlines()
     assert lines[2] == "#draws 100 mu logN"
@@ -335,14 +358,17 @@ IN_DOMAIN_LOGN = st.one_of(
 @given(st.integers(1, 10).flatmap(lambda n: st.tuples(
     st.lists(IN_DOMAIN_MU, min_size=2 * n, max_size=2 * n),
     st.lists(IN_DOMAIN_LOGN, min_size=2 * n, max_size=2 * n))))
-def test_round_trip_keeps_every_float64_bit(draws):
+def test_round_trip_keeps_every_float64_bit(tmp_path_factory, draws):
     mu, logN = (np.array(d, dtype=np.float64) for d in draws)
     fit = make_fit(mu=mu, logN=logN, best_x=0.0)
     text = dumps(fit)
-    back = loads(text)
-    assert dumps(back) == text
-    for ours, theirs in zip(fit.chains, back.chains):
-        for a, b in ((ours.mu, theirs.mu), (ours.logN, theirs.logN)):
-            assert b.dtype == np.float64 and b.flags.writeable
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-    assert np.array_equal(back.pooled_sigma.view(np.uint64), fit.pooled_sigma.view(np.uint64))
+    path = tmp_path_factory.getbasetemp() / "round-trip.fit"
+    save_fit(fit, path)
+    for back in (loads(text), load_fit(path)):
+        assert dumps(back) == text
+        for ours, theirs in zip(fit.chains, back.chains):
+            for a, b in ((ours.mu, theirs.mu), (ours.logN, theirs.logN)):
+                assert b.dtype == np.float64 and b.flags.writeable
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert np.array_equal(back.pooled_sigma.view(np.uint64),
+                              fit.pooled_sigma.view(np.uint64))

@@ -282,7 +282,7 @@ def test_grid_proposal_tunes_every_chain_at_the_first_round(burn_in_steps):
 # moves only with a deliberate change to the sampler's draws.
 DRAWS_SHA256 = "d408928502eecba187557bfac83158b9b695c5ba7a3124627a1d2c49af835f99"
 # sha256 of the fit file itself; it also moves with the fit-file format.
-FIT_FILE_SHA256 = "433781e4f5f7e303bbcad4c78028edf660c4761576ab7f5f3e0428e3afc81cce"
+FIT_FILE_SHA256 = "4fa9b97eae28ff0083e8e27a26e7c3f13d8e1f55b953dc715de330522f07a9b0"
 
 
 def _draws_digest(fit):
