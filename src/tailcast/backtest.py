@@ -258,7 +258,7 @@ def render_report_table(report: BacktestReport) -> str:
     lines = [
         f"backtest cutoff={report.spec.cutoff_year} mode={report.spec.data_mode.value}",
         f"prior: mu_N={report.prior.mu_N:.4f} sigma2_N={report.prior.sigma2_N:.4f} "
-        f"({report.prior.provenance_name})",
+        f"({report.prior.provenance.value})",
         "",
     ]
 

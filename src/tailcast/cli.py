@@ -24,11 +24,11 @@ from .backtest import (
     render_summary_records,
     run_backtest,
 )
-from .emprior import HyperPrior, InsufficientEvents, fit_corpus, two_pass_fit
+from .emprior import HyperPrior, InsufficientEvents, two_pass_fit
 from .errors import TailcastError
 from .fitfile import atomic_write_text, load_fit, save_fit
 from .ingest import DateWindow, decode_mark, format_raw_mark, load_performance_list
-from .sampler import FitResult, SamplerConfig
+from .sampler import FitResult, SamplerConfig, fit_events
 # Not called here: perfbench/tracing.py wraps fit_event under this name.
 from .sampler import fit_event  # noqa: F401
 from .stats import (
@@ -169,7 +169,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if prior not in ("weak", "empirical"):
         raise UsageError(f"--prior must be 'weak' or 'empirical', got {prior!r}")
 
-    points = _parse_points(pick(getattr(args, "points", None), "points", "0:1400:50"))
+    points = pick(getattr(args, "points", None), "points", None)
+    points = DEFAULT_POINT_GRID if points is None else _parse_points(points)
     windows = _parse_int_list("windows", pick(getattr(args, "windows", None), "windows",
                                               "1,2,5,12"))
     ranks = _parse_int_list("ranks", pick(getattr(args, "ranks", None), "ranks",
@@ -258,7 +259,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     notes = dict(skipped)
     if cfg.prior == "weak":
         prior = HyperPrior.weakly_informative()
-        fits, failures = fit_corpus(lists, prior, cfg.sampler, t_m)
+        fits, failures = fit_events(lists, prior, cfg.sampler, t_m)
     else:
         try:
             result = two_pass_fit(lists, cfg.sampler, t_m=t_m)

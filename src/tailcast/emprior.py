@@ -4,9 +4,10 @@ Pass 1 takes every event's posterior mean of log N under a proper weak prior
 (log N ~ Normal(log 1e4, 2^2)) by quadrature on a fixed grid; nothing is
 sampled. The pass-1 means of all events then define a shared log-normal
 prior (robust location from their median, robust scale from the tightest
-75% subset) under which pass 2 samples every event. Each list's grid is
-scored once (distcore.grid_columns): pass 2 shapes each event's proposal by
-reweighting that grid's log N columns to the empirical prior.
+75% subset) under which pass 2 samples every event in one
+sampler.fit_events call. Each list's grid is scored once
+(distcore.grid_columns): pass 2 shapes each event's proposal by reweighting
+that grid's log N columns to the empirical prior.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .distcore import WEAK_MU_N, WEAK_SIGMA2_N, grid_posterior
 from .errors import TailcastError
-from .sampler import FitFailed, FitResult, SamplerConfig, fit_events
+from .sampler import FitResult, SamplerConfig, fit_events
 # Not called here: perfbench/tracing.py wraps fit_event under this name.
 from .sampler import fit_event  # noqa: F401
 
@@ -56,10 +57,6 @@ class HyperPrior:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma2_N) and self.sigma2_N > 0.0):
             raise ValueError("sigma2_N must be positive and finite")
-
-    @property
-    def provenance_name(self) -> str:
-        return self.provenance.value
 
     @staticmethod
     def weakly_informative() -> "HyperPrior":
@@ -139,36 +136,6 @@ class TwoPassResult:
     failures: dict[str, str]
 
 
-def _event_ids(lists) -> list[str]:
-    """The lists' event ids, in order; two lists with one id are refused."""
-    ids = [data.event.event_id for data in lists]
-    for i, event_id in enumerate(ids):
-        if event_id in ids[:i]:
-            raise ValueError(f"two lists have event id {event_id!r}")
-    return ids
-
-
-def fit_corpus(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | None = None):
-    """Fit every list under one prior.
-
-    `t_m` is as for two_pass_fit. All events are sampled together (see
-    sampler.fit_events), and each fit is the one fit_event would give it.
-    Returns (fits, failures): event_id -> FitResult, and event_id -> the
-    message of the FitFailed that ended that event. Two lists with one event
-    id are refused.
-    """
-    lists = list(lists)
-    ids = _event_ids(lists)
-    fits: dict[str, FitResult] = {}
-    failures: dict[str, str] = {}
-    for event_id, result in zip(ids, fit_events([(data, prior, t_m) for data in lists], config)):
-        if isinstance(result, FitFailed):
-            failures[event_id] = str(result)
-        else:
-            fits[event_id] = result
-    return fits, failures
-
-
 def two_pass_fit(lists, config: SamplerConfig, t_m: float | None = None) -> TwoPassResult:
     """Pass 1: each list's grid E[log N] under the weak prior. Pass 2: sample
     every list under the prior those means define.
@@ -176,20 +143,21 @@ def two_pass_fit(lists, config: SamplerConfig, t_m: float | None = None) -> TwoP
     `t_m` is one span in years for every event, or None to derive it per
     event from its data. Pass 1 samples nothing, so the prior does not depend
     on `config`. An event whose pass-1 grid fails its edge check is left out
-    of the prior, noted in `failures`, and still fitted in pass 2.
+    of the prior, noted in `failures`, and still fitted in pass 2. Pass 2
+    (sampler.fit_events) refuses two lists with one event id.
     """
     lists = list(lists)
     if len(lists) < 4:
         raise InsufficientEvents(f"two-pass fitting needs >= 4 events, have {len(lists)}")
     estimates: dict[str, float] = {}
     failures: dict[str, str] = {}
-    for event_id, data in zip(_event_ids(lists), lists):
+    for data in lists:
         try:
-            estimates[event_id] = pass1_estimate(data)
+            estimates[data.event.event_id] = pass1_estimate(data)
         except GridEdgeMass as exc:
-            failures[event_id] = str(exc)
+            failures[data.event.event_id] = str(exc)
     prior = robust_hyperprior(estimates)
-    fits, failures2 = fit_corpus(lists, prior, config, t_m)
+    fits, failures2 = fit_events(lists, prior, config, t_m)
     for event_id, msg in failures2.items():
         failures[event_id] = f"{failures.get(event_id, '')}; pass 2: {msg}".lstrip("; ")
     return TwoPassResult(prior=prior, fits=fits, pass1_estimates=estimates, failures=failures)

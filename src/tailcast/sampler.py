@@ -12,9 +12,11 @@ reduction factor.
 
 tune_burn_in and run_chain run one chain on Python floats, through the
 one-lane view of the log-posterior kernel; they are the reference the
-pipeline must match bit for bit. fit_events runs every chain of every event
+pipeline must match bit for bit. fit_events, the one corpus fitter, fits
+every list of a corpus under one prior and runs every chain of every event
 as numpy lanes of the same kernel instead: tune_lanes runs the next burn-in
 round of every chain still tuning, and sample_lanes steps the tuned chains.
+fit_event is its one-event case.
 """
 from __future__ import annotations
 
@@ -418,10 +420,10 @@ def fit_event(data, prior, config: SamplerConfig, t_m: float | None = None) -> F
     span when the window is bounded, else to the record-date span of the
     list (floored at one year).
     """
-    (result,) = fit_events([(data, prior, t_m)], config)
-    if isinstance(result, FitFailed):
-        raise result
-    return result
+    fits, failures = fit_events([data], prior, config, t_m)
+    if failures:
+        raise FitFailed(failures[data.event.event_id])
+    return fits[data.event.event_id]
 
 
 def chain_rng(seed: int, event_id: str, chain_id: int) -> np.random.Generator:
@@ -431,112 +433,91 @@ def chain_rng(seed: int, event_id: str, chain_id: int) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(event_id.encode("utf-8")), chain_id])
 
 
-@dataclass(frozen=True)
-class _TunedEvent:
-    """One event after burn-in: its tuned chains, ready for the lane loop."""
+def fit_events(lists, prior: "HyperPrior", config: SamplerConfig, t_m: float | None = None):
+    """Fit every list under one prior, sampling all their chains as lanes.
 
-    data: object
-    prior: "HyperPrior"
-    t_m: float
-    tuned: tuple[tuple[int, TunedState, np.random.Generator], ...]
-    failed: tuple[int, ...]
-    notes: tuple[str, ...]
-
-
-def fit_events(events, config: SamplerConfig) -> list:
-    """Fit several events, burning in and sampling all their chains as lanes.
-
-    `events` holds one (data, prior, t_m) per event; t_m None is derived as
-    in fit_event. Each event's chains are initialized one after another
-    around its grid posterior, chain c on chain_rng(config.seed, event id, c). tune_lanes then burns in
-    every chain of every event at once, and every tuned chain of every event
-    that can still succeed becomes one lane of sample_lanes. So an event's
-    fit depends on its own data, prior, t_m and id and on the config, never
-    on the events fitted with it. Returns each event's FitResult, or the
-    FitFailed that ended it, in order.
+    `t_m` is one span in years for every event, or None to derive it per
+    event as in fit_event. Chain c of an event starts around its grid
+    posterior on chain_rng(config.seed, event id, c); tune_lanes burns in
+    every chain at once, and sample_lanes steps every tuned chain of every
+    event that can still succeed. So a fit depends on its own list and id,
+    the prior and the config, never on the events fitted with it. Returns
+    (fits, failures) in list order: event_id -> FitResult, and event_id ->
+    the message of the FitFailed that ended that event. Two lists with one
+    event id are refused.
     """
     if config.chains < 2:
         raise ValueError("fitting needs at least 2 chains for the convergence diagnostic")
-    started = []  # per event: (data, prior, t_m, [(chain_id, init, rng)]), or its FitFailed
-    burning = []  # per chain with an init: (data, prior, factor, init, rng)
-    for data, prior, t_m in events:
+    # Per event: (data, t_m, {chain id: note on its failure}, its sampled
+    # chains), or the message of the FitFailed that ended it.
+    events: dict = {}
+    chains = []  # per chain with an init: (event id, chain id, factor, init, rng)
+    for data in lists:
+        event_id = data.event.event_id
+        if event_id in events:
+            raise ValueError(f"two lists have event id {event_id!r}")
         try:
             mean, factor = _grid_proposal(data, prior)
         except FitFailed as exc:
-            started.append(exc)
+            events[event_id] = str(exc)
             continue
         target = make_log_posterior(data, prior)
-        chains = []
+        notes = {}
         for chain_id in range(config.chains):
-            rng = chain_rng(config.seed, data.event.event_id, chain_id)
-            chains.append((chain_id, _draw_init(target, mean, factor, rng), rng))
-        started.append((data, prior, _derive_t_m(data) if t_m is None else t_m, chains))
-        burning += [(data, prior, factor, init, rng) for _, init, rng in chains if init is not None]
-    outcomes = iter(tune_lanes([b[0] for b in burning], [b[1] for b in burning],
-                               [b[2] for b in burning], config,
-                               [b[3] for b in burning], [b[4] for b in burning]))
-    results: list = []
-    for entry in started:
-        if isinstance(entry, FitFailed):
-            results.append(entry)
+            rng = chain_rng(config.seed, event_id, chain_id)
+            init = _draw_init(target, mean, factor, rng)
+            if init is None:
+                notes[chain_id] = f"chain {chain_id}: no finite-posterior initialization found"
+            else:
+                chains.append((event_id, chain_id, factor, init, rng))
+        events[event_id] = (data, _derive_t_m(data) if t_m is None else t_m, notes, [])
+    outcomes = tune_lanes([events[c[0]][0] for c in chains], [prior] * len(chains),
+                          [c[2] for c in chains], config,
+                          [c[3] for c in chains], [c[4] for c in chains])
+    for (event_id, chain_id, *_), outcome in zip(chains, outcomes):
+        if isinstance(outcome, TuningFailed):
+            events[event_id][2][chain_id] = f"chain {chain_id}: {outcome}"
+    # An event that lost half its chains or more is not sampled.
+    lanes = [(chain, tuned) for chain, tuned in zip(chains, outcomes)
+             if isinstance(tuned, TunedState) and 2 * len(events[chain[0]][2]) < config.chains]
+    if lanes:
+        target = make_lane_log_posterior([events[c[0]][0] for c, _ in lanes],
+                                         [prior] * len(lanes))
+        mu, y, accepted = sample_lanes(target, config, [t for _, t in lanes],
+                                       [c[4] for c, _ in lanes])
+        steps = config.batches * config.batch_len
+        for ((event_id, chain_id, *_), tuned), m, lg, acc in zip(lanes, mu, y, accepted):
+            events[event_id][3].append(PosteriorChain(
+                chain_id=chain_id, mu=m, logN=lg, accept_rate=int(acc) / steps,
+                step_scale=tuned.step_scale))
+    fits: dict[str, FitResult] = {}
+    failures: dict[str, str] = {}
+    for event_id, event in events.items():
+        if isinstance(event, str):
+            failures[event_id] = event
             continue
-        data, prior, t_m, chains = entry
-        tuned, failed, notes = [], [], []
-        for chain_id, init, rng in chains:
-            outcome = None if init is None else next(outcomes)
-            if isinstance(outcome, TunedState):
-                tuned.append((chain_id, outcome, rng))
-                continue
-            failed.append(chain_id)
-            notes.append(f"chain {chain_id}: no finite-posterior initialization found"
-                         if outcome is None else f"chain {chain_id}: {outcome}")
-        event_id = data.event.event_id
-        if not tuned:
-            results.append(FitFailed(f"{event_id}: all {config.chains} chains failed tuning"))
-        elif len(failed) * 2 >= config.chains:
-            results.append(FitFailed(f"{event_id}: {len(failed)} of {config.chains} chains failed"))
-        else:
-            results.append(_TunedEvent(data, prior, t_m, tuple(tuned), tuple(failed),
-                                       tuple(notes)))
-    lanes = [(ev, tuned, rng) for ev in results if isinstance(ev, _TunedEvent)
-             for _, tuned, rng in ev.tuned]
-    if not lanes:
-        return results
-    target = make_lane_log_posterior([ev.data for ev, _, _ in lanes],
-                                     [ev.prior for ev, _, _ in lanes])
-    mu, y, accepted = sample_lanes(target, config, [t for _, t, _ in lanes],
-                                   [rng for _, _, rng in lanes])
-    first = 0
-    for i, ev in enumerate(results):
-        if isinstance(ev, _TunedEvent):
-            lane = slice(first, first + len(ev.tuned))
-            results[i] = _finish_event(ev, config, mu[lane], y[lane], accepted[lane])
-            first = lane.stop
-    return results
-
-
-def _finish_event(ev: _TunedEvent, config: SamplerConfig, mu, y, accepted) -> FitResult:
-    """Diagnostics and pooling over one event's sampled lanes."""
-    data = ev.data
-    steps = config.batches * config.batch_len
-    chains = [
-        PosteriorChain(chain_id=chain_id, mu=m, logN=lg,
-                       accept_rate=int(acc) / steps, step_scale=tuned.step_scale)
-        for (chain_id, tuned, _), m, lg, acc in zip(ev.tuned, mu, y, accepted)
-    ]
-    meta = FitMetadata(
-        event=data.event,
-        t_m=float(ev.t_m),
-        n_k=data.n_k,
-        w_k=data.w_k,
-        best_x=data.best,
-        record_x=data.record,
-        prior=ev.prior,
-        config=config,
-        failed_chains=ev.failed,
-        notes=ev.notes,
-    )
-    return FitResult(tuple(chains), gelman_rubin_mpsrf([c.draws() for c in chains]), meta)
+        data, event_t_m, notes, sampled = event
+        if not sampled:
+            failures[event_id] = (
+                f"{event_id}: all {config.chains} chains failed tuning"
+                if len(notes) == config.chains
+                else f"{event_id}: {len(notes)} of {config.chains} chains failed")
+            continue
+        meta = FitMetadata(
+            event=data.event,
+            t_m=float(event_t_m),
+            n_k=data.n_k,
+            w_k=data.w_k,
+            best_x=data.best,
+            record_x=data.record,
+            prior=prior,
+            config=config,
+            failed_chains=tuple(sorted(notes)),
+            notes=tuple(notes[c] for c in sorted(notes)),
+        )
+        fits[event_id] = FitResult(tuple(sampled),
+                                   gelman_rubin_mpsrf([c.draws() for c in sampled]), meta)
+    return fits, failures
 
 
 def _derive_t_m(data) -> float:

@@ -21,7 +21,6 @@ from tailcast.emprior import (
     InsufficientEvents,
     Provenance,
     expected_population,
-    fit_corpus,
     min_subset_variance,
     pass1_estimate,
     robust_hyperprior,
@@ -29,7 +28,7 @@ from tailcast.emprior import (
 )
 from tailcast.fitfile import dumps
 from tailcast.ingest import EventSpec
-from tailcast.sampler import SamplerConfig, fit_event
+from tailcast.sampler import SamplerConfig, fit_event, fit_events
 from tailcast.synth import sample_tail, tail_performance_list
 
 import oracles
@@ -44,7 +43,7 @@ def test_weak_prior_constants():
     assert prior.mu_N == WEAK_MU_N == pytest.approx(math.log(10_000.0))
     assert prior.sigma2_N == WEAK_SIGMA2_N == 4.0
     assert prior.provenance is Provenance.WEAKLY_INFORMATIVE
-    assert prior.provenance_name == "weak"
+    assert prior.provenance.value == "weak"
     assert prior.contributing_events == ()
 
 
@@ -94,7 +93,7 @@ def test_robust_hyperprior_known_values():
     # tightest 75% window of {1,2,3,4} has 3 elements, variance 1.0 either way
     assert prior.sigma2_N == pytest.approx(1.0)
     assert prior.provenance is Provenance.EMPIRICAL
-    assert prior.provenance_name == "empirical"
+    assert prior.provenance.value == "empirical"
 
 
 def test_robust_hyperprior_variance_floor():
@@ -167,12 +166,12 @@ def test_two_pass_needs_four_lists():
         two_pass_fit(list(lists.values()), TINY, t_m=1.0)
 
 
-def test_fit_corpus_fit_does_not_depend_on_co_batched_events():
+def test_fit_events_fit_does_not_depend_on_co_batched_events():
     lists = _corpus(n_events=3)
     a, b, c = lists["ev0"], lists["ev1"], lists["ev2"]
     weak = HyperPrior.weakly_informative()
-    abc, failures_abc = fit_corpus([a, b, c], weak, TINY, t_m=1.0)
-    ca, failures_ca = fit_corpus([c, a], weak, TINY, t_m=1.0)
+    abc, failures_abc = fit_events([a, b, c], weak, TINY, t_m=1.0)
+    ca, failures_ca = fit_events([c, a], weak, TINY, t_m=1.0)
     alone = fit_event(a, weak, TINY, t_m=1.0)
     assert failures_abc == failures_ca == {}
     assert list(abc) == ["ev0", "ev1", "ev2"] and list(ca) == ["ev2", "ev0"]
@@ -180,11 +179,11 @@ def test_fit_corpus_fit_does_not_depend_on_co_batched_events():
     assert dumps(abc["ev2"]) == dumps(ca["ev2"])
 
 
-def test_fit_corpus_refuses_a_repeated_event_id():
+def test_fit_events_refuses_a_repeated_event_id():
     lists = _corpus(n_events=2)
     twin = lists["ev1"]
     with pytest.raises(ValueError, match="'ev1'"):
-        fit_corpus([lists["ev0"], twin, twin], HyperPrior.weakly_informative(), TINY, t_m=1.0)
+        fit_events([lists["ev0"], twin, twin], HyperPrior.weakly_informative(), TINY, t_m=1.0)
 
 
 def test_two_pass_wires_prior_and_estimates():
@@ -198,9 +197,9 @@ def test_two_pass_wires_prior_and_estimates():
     for eid in lists:
         assert res.fits[eid].meta.prior is res.prior
     assert res.failures == {}
-    # Pass two is a fit_corpus run with the one config, so refitting under
+    # Pass two is a fit_events run with the one config, so refitting under
     # the empirical prior reproduces its fits.
-    again, failures = fit_corpus(list(lists.values()), res.prior, TINY, t_m=1.0)
+    again, failures = fit_events(list(lists.values()), res.prior, TINY, t_m=1.0)
     assert failures == {}
     assert {e: dumps(f) for e, f in again.items()} == {e: dumps(f) for e, f in res.fits.items()}
 
@@ -363,7 +362,7 @@ def test_two_pass_scores_each_grid_once(monkeypatch):
     assert sorted(scored) == [f"ev{i}" for i in range(5)]
 
 
-def test_fit_corpus_fails_only_the_event_with_a_singular_grid_covariance():
+def test_fit_events_fails_only_the_event_with_a_singular_grid_covariance():
     # Under a prior at log N = 8, all of whose mass lies below log 2 n_k, a
     # 20 000-mark list's grid posterior sits in the first log N column.
     prior = HyperPrior(mu_N=8.0, sigma2_N=1e-4, provenance=Provenance.EMPIRICAL)
@@ -373,7 +372,7 @@ def test_fit_corpus_fails_only_the_event_with_a_singular_grid_covariance():
     small = tail_performance_list(EventSpec.running("small"),
                                   sample_tail(7, MU_STAR, SIGMA_STAR, 3_000, 100),
                                   2001, 2020, seed=8)
-    fits, failures = fit_corpus([small, big], prior, TINY, t_m=1.0)
+    fits, failures = fit_events([small, big], prior, TINY, t_m=1.0)
     assert list(fits) == ["small"]
     assert list(failures) == ["big"]
     assert failures["big"].startswith("big: the grid posterior's covariance ")

@@ -2,6 +2,7 @@
 import copy
 import hashlib
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -341,7 +342,7 @@ def test_fit_events_draws_each_chain_from_its_stream():
     # puts it, whatever other events are fitted alongside.
     data, other = synthetic_event(), synthetic_event(seed=61, keep=25)
     config = small_config(batches=20)
-    fit = fit_events([(other, INFORMATIVE, 1.0), (data, INFORMATIVE, 1.0)], config)[1]
+    fit = fit_events([other, data], INFORMATIVE, config, t_m=1.0)[0][data.event.event_id]
     target = make_log_posterior(data, INFORMATIVE)
     mean, factor = _grid_proposal(data, INFORMATIVE)
     for chain in fit.chains:
@@ -349,6 +350,44 @@ def test_fit_events_draws_each_chain_from_its_stream():
         init = _draw_init(target, mean, factor, rng)
         tuned = tune_burn_in(target, config, init, factor, rng)
         assert np.array_equal(run_chain(target, config, tuned, rng).mu, chain.mu)
+
+
+def test_fit_events_keeps_an_event_that_lost_fewer_than_half_its_chains(monkeypatch):
+    # Of 6 chains, `kept` loses 2 and is fitted; `lost` loses half and fails.
+    # Each chain is named by its stream, chain_rng(seed, event id, chain id).
+    kept, lost = synthetic_event(), synthetic_event(seed=61, keep=25)
+    no_init = {(kept.event.event_id, 3), (lost.event.event_id, 0)}
+    no_tuning = {(kept.event.event_id, 1), (lost.event.event_id, 1), (lost.event.event_id, 4)}
+    failure = sampler._tuning_failed(0.9)
+    crc_ids = {zlib.crc32(d.event.event_id.encode("utf-8")): d.event.event_id for d in (kept, lost)}
+
+    def chain_of(rng):
+        _, crc, chain_id = rng.bit_generator.seed_seq.entropy
+        return crc_ids[crc], chain_id
+
+    def draw_init(target, mean, factor, rng):
+        return None if chain_of(rng) in no_init else _draw_init(target, mean, factor, rng)
+
+    def tuning(lists, priors, factors, config, inits, rngs):
+        results = tune_lanes(lists, priors, factors, config, inits, rngs)
+        return [failure if chain_of(rng) in no_tuning else r for r, rng in zip(results, rngs)]
+
+    config = small_config(chains=6, batches=20)
+    clean = fit_event(kept, INFORMATIVE, config, t_m=1.0)
+    monkeypatch.setattr(sampler, "_draw_init", draw_init)
+    monkeypatch.setattr(sampler, "tune_lanes", tuning)
+    fits, failures = fit_events([kept, lost], INFORMATIVE, config, t_m=1.0)
+    assert failures == {lost.event.event_id: f"{lost.event.event_id}: 3 of 6 chains failed"}
+    fit = fits[kept.event.event_id]
+    assert fit.meta.failed_chains == (1, 3)
+    assert fit.meta.notes == (f"chain 1: {failure}",
+                              "chain 3: no finite-posterior initialization found")
+    assert fitfile.dumps(fit) == fitfile.dumps(fit_event(kept, INFORMATIVE, config, t_m=1.0))
+    survivors = {c.chain_id: c for c in clean.chains}
+    assert [c.chain_id for c in fit.chains] == [0, 2, 4, 5]
+    for chain in fit.chains:
+        assert np.array_equal(chain.mu, survivors[chain.chain_id].mu)
+        assert np.array_equal(chain.logN, survivors[chain.chain_id].logN)
 
 
 def test_run_chain_deterministic():
