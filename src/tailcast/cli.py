@@ -55,7 +55,6 @@ class RunConfig:
     mode: DataMode
     cutoff: int | None
     t_f: float
-    seed: int
     prior: str
     points: tuple[int, ...]
     windows: tuple[int, ...]
@@ -194,7 +193,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         mode=mode,
         cutoff=cutoff,
         t_f=t_f,
-        seed=seed,
         prior=prior,
         points=points,
         windows=windows,
@@ -283,7 +281,7 @@ def cmd_fit(cfg: RunConfig) -> int:
 
     manifest = {
         "command": "fit",
-        "seed": cfg.seed,
+        "seed": cfg.sampler.seed,
         "mode": cfg.mode.value,
         "cutoff": cfg.cutoff,
         "prior": {

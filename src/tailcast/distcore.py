@@ -4,18 +4,20 @@ The standard normal cdf and log-cdf are scipy.special's ndtr and log_ndtr,
 and take floats or numpy arrays alike. On top of them: the tail-mass
 identity linking population size N to the spread sigma (`tail_mass_sigma`,
 over posterior draws), and the model log-posterior over theta = (mu, log N),
-computed in one place (`make_lane_log_posterior`): many chains as numpy
-lanes, for burn-in and retained sampling, or one list over a block of
-points, for its quadrature grid. `make_log_posterior` is its one-lane view
-on Python floats, for chain initialization and the scalar reference
-sampler. Each list's grid is scored once, under the weak prior, into
-per-column sums (`grid_columns`) that `grid_posterior` reweights to any
-prior on log N.
+computed in one place (`make_lane_log_posterior`) under one prior on N
+(`HyperPrior`): many chains as numpy lanes, for burn-in and retained
+sampling, or one list over a block of points, for its quadrature grid.
+`make_log_posterior` is its one-lane view on Python floats, for chain
+initialization and the scalar reference sampler. Each list's grid is
+scored once, under the weak prior (`HyperPrior.weakly_informative()`),
+into per-column sums (`grid_columns`) that `grid_posterior` reweights to
+any prior on log N.
 """
 from __future__ import annotations
 
+import enum
 import math
-from types import SimpleNamespace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -30,12 +32,35 @@ _U_RANGE = (-14.0, 1.0)
 _LOG_N_MAX = 30.0
 _GRID_SHAPE = (400, 400)
 _GRID_BLOCK = 50
+
+
+class Provenance(enum.Enum):
+    WEAKLY_INFORMATIVE = "weak"
+    EMPIRICAL = "empirical"
+
+
+@dataclass(frozen=True)
+class HyperPrior:
+    """Log-normal prior on population size: log N ~ Normal(mu_N, sigma2_N)."""
+
+    mu_N: float
+    sigma2_N: float
+    provenance: Provenance
+    contributing_events: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.sigma2_N) and self.sigma2_N > 0.0):
+            raise ValueError("sigma2_N must be positive and finite")
+
+    @staticmethod
+    def weakly_informative() -> HyperPrior:
+        return _WEAK
+
+
 # The weak prior of pass 1, log N ~ Normal(log 1e4, 2^2): each list's grid is
 # scored under it once (grid_columns), and grid_posterior reweights that grid
 # to any other prior.
-WEAK_MU_N = math.log(10_000.0)
-WEAK_SIGMA2_N = 4.0
-_WEAK_PRIOR = SimpleNamespace(mu_N=WEAK_MU_N, sigma2_N=WEAK_SIGMA2_N)
+_WEAK = HyperPrior(math.log(10_000.0), 4.0, Provenance.WEAKLY_INFORMATIVE)
 
 
 def std_normal_cdf(z):
@@ -77,7 +102,7 @@ def make_log_posterior(data, prior):
     target(theta) returns a Python float; any theta outside the domain of
     the tail-mass identity (w_k < mu, 0 < n_k/N < 0.5) scores -inf.
     """
-    lane = make_lane_log_posterior([data], [prior])
+    lane = make_lane_log_posterior([data], prior)
     mu, log_n_pop, out = np.empty(1), np.empty(1), np.empty(1)
 
     def target(theta: tuple[float, float]) -> float:
@@ -91,9 +116,9 @@ def make_log_posterior(data, prior):
     return target
 
 
-def make_lane_log_posterior(lists, priors):
+def make_lane_log_posterior(lists, prior):
     """The log-posterior of many chains at once: lane i scores lists[i]
-    under priors[i], and target(mu, log_n_pop, out=None) maps two arrays
+    under `prior`, and target(mu, log_n_pop, out=None) maps two arrays
     over the lanes to an array of log-posteriors, written into `out` when
     one is given.
 
@@ -112,9 +137,9 @@ def make_lane_log_posterior(lists, priors):
     nothing. The list enters through its sufficient statistics (count, mean,
     centred sum of squares), held per lane with the constants folded, so a
     step costs a handful of array operations instead of a pass over the data.
-    Each lane's value is an elementwise function of its own list, prior and
-    point, never of the other lanes. `data` needs .marks and .n_k, `prior`
-    .mu_N and .sigma2_N.
+    Each lane's value is an elementwise function of its own list, the prior
+    and its point, never of the other lanes. `data` needs .marks and .n_k,
+    `prior` .mu_N and .sigma2_N.
 
     The target works in k = min(Phi^-1(q), 0)/(w_k - mu) with q = n_k/N,
     which is 1/sigma inside the domain. Every lane outside it comes out nan
@@ -124,19 +149,16 @@ def make_lane_log_posterior(lists, priors):
     change sign. Only log N >= 700 needs an explicit guard: there q is a
     tiny positive number that the quantile maps to a finite value.
     """
-    # The chains of one event share its (list, prior) pair, so each distinct
-    # pair's row is built once.
-    keys = [(id(data), id(prior)) for data, prior in zip(lists, priors)]
+    # The chains of one event share its list, so each list's row is built once.
     rows = {}
-    for key, data, prior in zip(keys, lists, priors):
-        if key not in rows:
+    for data in lists:
+        if id(data) not in rows:
             marks = np.asarray(data.marks, dtype=float)
             mean_x = marks.mean()
-            rows[key] = (data.n_k, marks.max(), mean_x,
-                         ((marks - mean_x) ** 2).sum() / data.n_k,
-                         prior.mu_N, prior.sigma2_N)
-    stats = [rows[key] for key in keys]
-    n, w_k, mean_x, var_x, mu_n, sigma2_n = np.array(stats, dtype=float).T
+            rows[id(data)] = (data.n_k, marks.max(), mean_x,
+                              ((marks - mean_x) ** 2).sum() / data.n_k)
+    n, w_k, mean_x, var_x = np.array([rows[id(data)] for data in lists], dtype=float).T
+    mu_n, sigma2_n = prior.mu_N, prior.sigma2_N
     # Per mark, with k = 1/sigma and y = log N, the log-posterior is
     #   log(k) - (var_x + (mean_x - mu)^2) k^2 / 2 - log_tail + y (a - b y) + const,
     # where y (a - b y) - b mu_N^2 is the prior's -(y - mu_N)^2 / (2 sigma2_N n_k).
@@ -211,7 +233,7 @@ def grid_columns(data) -> np.ndarray:
     powers = np.stack((np.ones(n_u), d, d * d))
     mu, u = data.w_k + d[:, None], u[:, None]
     y = _grid_log_n(data.n_k)
-    target = make_lane_log_posterior([data], [_WEAK_PRIOR])
+    target = make_lane_log_posterior([data], _WEAK)
     columns = np.empty((6, n_y))
     weight = np.empty((n_u, _GRID_BLOCK))
     with np.errstate(all="ignore"):
@@ -245,7 +267,7 @@ def grid_posterior(data, prior):
     """
     log_scale, s0, s1, s2, first_row, last_row = data.grid_columns
     y = _grid_log_n(data.n_k)
-    log_w = (log_scale + (y - WEAK_MU_N) ** 2 / (2.0 * WEAK_SIGMA2_N)
+    log_w = (log_scale + (y - _WEAK.mu_N) ** 2 / (2.0 * _WEAK.sigma2_N)
              - (y - prior.mu_N) ** 2 / (2.0 * prior.sigma2_N))
     w = np.exp(log_w - log_w.max())
     by_y = w * s0

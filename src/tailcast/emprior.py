@@ -1,24 +1,24 @@
 """Two-pass empirical-Bayes construction of the population-size prior.
 
-Pass 1 takes every event's posterior mean of log N under a proper weak prior
-(log N ~ Normal(log 1e4, 2^2)) by quadrature on a fixed grid; nothing is
-sampled. The pass-1 means of all events then define a shared log-normal
-prior (robust location from their median, robust scale from the tightest
-75% subset) under which pass 2 samples every event in one
+Pass 1 takes every event's posterior mean of log N under the weak prior
+(distcore.HyperPrior.weakly_informative(): log N ~ Normal(log 1e4, 2^2)) by
+quadrature on a fixed grid; nothing is sampled. The pass-1 means of all
+events then define a shared log-normal prior, a HyperPrior of EMPIRICAL
+provenance (robust location from their median, robust scale from the
+tightest 75% subset), under which pass 2 samples every event in one
 sampler.fit_events call. Each list's grid is scored once
 (distcore.grid_columns): pass 2 shapes each event's proposal by reweighting
 that grid's log N columns to the empirical prior.
 """
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distcore import WEAK_MU_N, WEAK_SIGMA2_N, grid_posterior
+from .distcore import HyperPrior, Provenance, grid_posterior
 from .errors import TailcastError
 from .sampler import FitResult, SamplerConfig, fit_events
 # Not called here: perfbench/tracing.py wraps fit_event under this name.
@@ -38,29 +38,6 @@ class InsufficientEvents(TailcastError):
 class GridEdgeMass(TailcastError):
     """A posterior puts more than EDGE_MASS of its mass on a cut edge of the
     pass-1 grid, so the grid cannot give its mean."""
-
-
-class Provenance(enum.Enum):
-    WEAKLY_INFORMATIVE = "weak"
-    EMPIRICAL = "empirical"
-
-
-@dataclass(frozen=True)
-class HyperPrior:
-    """Log-normal prior on population size: log N ~ Normal(mu_N, sigma2_N)."""
-
-    mu_N: float
-    sigma2_N: float
-    provenance: Provenance
-    contributing_events: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma2_N) and self.sigma2_N > 0.0):
-            raise ValueError("sigma2_N must be positive and finite")
-
-    @staticmethod
-    def weakly_informative() -> "HyperPrior":
-        return HyperPrior(WEAK_MU_N, WEAK_SIGMA2_N, Provenance.WEAKLY_INFORMATIVE)
 
 
 def min_subset_variance(values, subset_size: int) -> float:

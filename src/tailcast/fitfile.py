@@ -41,18 +41,13 @@ from pathlib import Path
 import numpy as np
 
 from .distcore import tail_mass_domain
-from .emprior import HyperPrior
 from .errors import TailcastError
-from .ingest import EventSpec
 from .sampler import FitMetadata, FitResult, PosteriorChain
 
 FORMAT_LINE = "#tailcast-fit/9"
 _FORMAT_BYTES = FORMAT_LINE.encode("ascii")
 _DRAWS_HEADER = re.compile(r"#draws ([1-9][0-9]*) mu logN")
 _DRAWS_DTYPE = "<f8"  # explicit byte order, so the bytes match on every platform
-# FitMetadata's annotations name these by string only: sampler imports them
-# just for type checking, so get_type_hints is told where they live.
-_META_TYPES = {"EventSpec": EventSpec, "HyperPrior": HyperPrior}
 
 
 class FitFileError(TailcastError):
@@ -103,7 +98,7 @@ def save_fit(fit: FitResult, path: Path) -> None:
 
 @functools.cache
 def _field_types(cls) -> dict:
-    return typing.get_type_hints(cls, localns=_META_TYPES)
+    return typing.get_type_hints(cls)
 
 
 def _revive(hint, value):

@@ -13,26 +13,26 @@ reduction factor.
 tune_burn_in and run_chain run one chain on Python floats, through the
 one-lane view of the log-posterior kernel; they are the reference the
 pipeline must match bit for bit. fit_events, the one corpus fitter, fits
-every list of a corpus under one prior and runs every chain of every event
-as numpy lanes of the same kernel instead: tune_lanes runs the next burn-in
-round of every chain still tuning, and sample_lanes steps the tuned chains.
-fit_event is its one-event case.
+every list of a corpus under one prior (a distcore.HyperPrior) and runs
+every chain of every event as numpy lanes of the same kernel instead, one
+lane target scoring every list under that prior: tune_lanes runs the next
+burn-in round of every chain still tuning, and sample_lanes steps the
+tuned chains. An event that lost half its chains or more, at
+initialization or in burn-in, is not sampled and fails as "<id>: k of N
+chains failed". fit_event is its one-event case.
 """
 from __future__ import annotations
 
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .distcore import grid_posterior, make_lane_log_posterior, make_log_posterior, tail_mass_sigma
+from .distcore import (HyperPrior, grid_posterior, make_lane_log_posterior, make_log_posterior,
+                       tail_mass_sigma)
 from .errors import TailcastError
-
-if TYPE_CHECKING:
-    from .emprior import HyperPrior
-    from .ingest import EventSpec
+from .ingest import EventSpec
 
 # The s every chain starts burn-in with: 2.38 / sqrt(d) for d = 2, optimal for a
 # proposal shaped like a Gaussian target (Roberts, Gelman & Gilks 1997).
@@ -113,13 +113,13 @@ class FitMetadata:
     """What a fit was made from. best_x is the best fitted mark; record_x is
     the event's record as of the end of the fit's window, fitted or not."""
 
-    event: "EventSpec"
+    event: EventSpec
     t_m: float
     n_k: int
     w_k: float
     best_x: float
     record_x: float
-    prior: "HyperPrior"
+    prior: HyperPrior
     config: SamplerConfig
     failed_chains: tuple[int, ...] = ()
     notes: tuple[str, ...] = ()
@@ -319,10 +319,10 @@ def sample_lanes(target, config: SamplerConfig, tuned, rngs):
     return mu_draws, y_draws, accepted
 
 
-def tune_lanes(lists, priors, factors, config: SamplerConfig, inits, rngs) -> list:
+def tune_lanes(lists, prior, factors, config: SamplerConfig, inits, rngs) -> list:
     """tune_burn_in for many chains at once, one numpy lane per chain.
 
-    Chain i scores lists[i] under priors[i], proposes along factors[i],
+    Chain i scores lists[i] under `prior`, proposes along factors[i],
     starts every round from inits[i] and draws from rngs[i] in tune_burn_in's
     order. Each pass runs the next round of every chain still tuning under
     tune_burn_in's rule, so every outcome, and where every generator ends,
@@ -335,7 +335,7 @@ def tune_lanes(lists, priors, factors, config: SamplerConfig, inits, rngs) -> li
     for r in range(_MAX_RETUNES + 1):
         if not pending:
             break
-        target = make_lane_log_posterior([lists[i] for i in pending], [priors[i] for i in pending])
+        target = make_lane_log_posterior([lists[i] for i in pending], prior)
         state = np.empty((3, len(pending)))
         state[:2] = np.array([inits[i] for i in pending], dtype=float).T
         steps = np.array([_scaled(scales[i], factors[i]) for i in pending]).T
@@ -433,7 +433,7 @@ def chain_rng(seed: int, event_id: str, chain_id: int) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(event_id.encode("utf-8")), chain_id])
 
 
-def fit_events(lists, prior: "HyperPrior", config: SamplerConfig, t_m: float | None = None):
+def fit_events(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | None = None):
     """Fit every list under one prior, sampling all their chains as lanes.
 
     `t_m` is one span in years for every event, or None to derive it per
@@ -471,9 +471,8 @@ def fit_events(lists, prior: "HyperPrior", config: SamplerConfig, t_m: float | N
             else:
                 chains.append((event_id, chain_id, factor, init, rng))
         events[event_id] = (data, _derive_t_m(data) if t_m is None else t_m, notes, [])
-    outcomes = tune_lanes([events[c[0]][0] for c in chains], [prior] * len(chains),
-                          [c[2] for c in chains], config,
-                          [c[3] for c in chains], [c[4] for c in chains])
+    outcomes = tune_lanes([events[c[0]][0] for c in chains], prior, [c[2] for c in chains],
+                          config, [c[3] for c in chains], [c[4] for c in chains])
     for (event_id, chain_id, *_), outcome in zip(chains, outcomes):
         if isinstance(outcome, TuningFailed):
             events[event_id][2][chain_id] = f"chain {chain_id}: {outcome}"
@@ -481,8 +480,7 @@ def fit_events(lists, prior: "HyperPrior", config: SamplerConfig, t_m: float | N
     lanes = [(chain, tuned) for chain, tuned in zip(chains, outcomes)
              if isinstance(tuned, TunedState) and 2 * len(events[chain[0]][2]) < config.chains]
     if lanes:
-        target = make_lane_log_posterior([events[c[0]][0] for c, _ in lanes],
-                                         [prior] * len(lanes))
+        target = make_lane_log_posterior([events[c[0]][0] for c, _ in lanes], prior)
         mu, y, accepted = sample_lanes(target, config, [t for _, t in lanes],
                                        [c[4] for c, _ in lanes])
         steps = config.batches * config.batch_len
@@ -498,10 +496,7 @@ def fit_events(lists, prior: "HyperPrior", config: SamplerConfig, t_m: float | N
             continue
         data, event_t_m, notes, sampled = event
         if not sampled:
-            failures[event_id] = (
-                f"{event_id}: all {config.chains} chains failed tuning"
-                if len(notes) == config.chains
-                else f"{event_id}: {len(notes)} of {config.chains} chains failed")
+            failures[event_id] = f"{event_id}: {len(notes)} of {config.chains} chains failed"
             continue
         meta = FitMetadata(
             event=data.event,

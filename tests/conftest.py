@@ -7,11 +7,13 @@ builders here assemble structurally complete FitResults from arrays.
 from __future__ import annotations
 
 import math
+import zlib
 
 import numpy as np
 import pytest
 from scipy.special import log_ndtr, ndtri
 
+from tailcast import sampler
 from tailcast.distcore import tail_mass_sigma
 from tailcast.emprior import HyperPrior
 from tailcast.ingest import EventSpec, PerformanceList
@@ -120,6 +122,19 @@ def lane_events() -> list[PerformanceList]:
         lists.append(tail_performance_list(EventSpec.running(f"lane{seed}"), tail,
                                            2001, 2020, seed=seed + 1))
     return lists
+
+
+def fail_every_init(monkeypatch, *event_ids: str) -> None:
+    """Make every chain of the named events find no initialization: a
+    chain's stream, chain_rng(seed, event id, chain id), names its event."""
+    crcs = {zlib.crc32(event_id.encode("utf-8")) for event_id in event_ids}
+    draw_init = sampler._draw_init
+
+    def failing(target, mean, factor, rng):
+        _, crc, _ = rng.bit_generator.seed_seq.entropy
+        return None if crc in crcs else draw_init(target, mean, factor, rng)
+
+    monkeypatch.setattr(sampler, "_draw_init", failing)
 
 
 @pytest.fixture

@@ -70,7 +70,7 @@ def grid_posterior(data, prior):
     n_u, n_y = _GRID_SHAPE
     u = _midpoints(*_U_RANGE, n_u)
     y = _midpoints(math.log(2.0 * data.n_k), _LOG_N_MAX, n_y)
-    target = make_lane_log_posterior([data], [prior])
+    target = make_lane_log_posterior([data], prior)
     # Mass and log N moment per u-row and mass per log N column, relative to
     # exp(peak), the largest weight so far: each block of rows rescales what
     # came before it.

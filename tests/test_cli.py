@@ -14,6 +14,8 @@ from tailcast.sampler import SamplerConfig
 from tailcast.stats import DEFAULT_POINT_GRID
 from tailcast.synth import sample_tail, tail_performance_list, write_corpus
 
+from conftest import fail_every_init
+
 MU_STAR = math.log(11.28)
 SIGMA_STAR = 0.033
 
@@ -78,6 +80,21 @@ def test_fit_rerun_is_byte_identical(workspace, tmp_path):
     assert (twin / "manifest.json").read_bytes() == (out_dir / "manifest.json").read_bytes()
     for path in sorted((out_dir / "fits").glob("*.fit")):
         assert (twin / "fits" / path.name).read_bytes() == path.read_bytes()
+
+
+def test_fit_notes_an_event_that_failed_pass_2(workspace, tmp_path, monkeypatch):
+    # The note is the text perfbench's fit-failure count reads; the other
+    # events fit as they do without the failure.
+    data_dir, out_dir = workspace
+    fail_every_init(monkeypatch, "m0800")
+    out = tmp_path / "failed"
+    assert main(["fit", "--data", str(data_dir), "--out", str(out), "--seed", "5", *SPEED]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["notes"]["m0800"] == "fit failed: pass 2: m0800: 2 of 2 chains failed"
+    assert "m0800" not in manifest["events"]
+    for event_id in manifest["events"]:
+        name = f"{event_id}.fit"
+        assert (out / "fits" / name).read_bytes() == (out_dir / "fits" / name).read_bytes()
 
 
 def test_fit_five_years_mode(workspace, tmp_path):

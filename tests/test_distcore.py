@@ -109,7 +109,7 @@ def test_quantile_domain(p):
     with np.errstate(all="ignore"):
         y = float(np.log(data.n_k / np.float64(p)))
         assert make_log_posterior(data, WEAK)((1.0, y)) == -math.inf
-        lp = make_lane_log_posterior([data], [WEAK])(np.array([1.0]), np.array([y]))
+        lp = make_lane_log_posterior([data], WEAK)(np.array([1.0]), np.array([y]))
     assert np.isnan(lp[0]) or lp[0] == -math.inf
 
 
@@ -274,38 +274,39 @@ def test_log_posterior_two_routes_agree(mu, y, seed):
         assert fast == pytest.approx(reference, rel=1e-9, abs=1e-9)
 
 
+# The lane tests run once under a weak and once under an informative prior.
+PRIORS = (WEAK, HyperPrior(math.log(20_000.0), 0.25, Provenance.EMPIRICAL))
+
+
 def _lanes():
-    """lane_events under a weak and an informative prior, two lanes each."""
-    informative = HyperPrior(math.log(20_000.0), 0.25, Provenance.EMPIRICAL)
-    lists = lane_events()
-    return [d for d in lists for _ in range(2)], [WEAK, informative] * len(lists)
+    """lane_events, two lanes each."""
+    return [d for d in lane_events() for _ in range(2)]
 
 
 def test_lane_target_matches_oracle():
-    lists, priors = _lanes()
-    lane = make_lane_log_posterior(lists, priors)
+    lists = _lanes()
     w_k = np.array([d.w_k for d in lists])
     log_n = np.log([d.n_k for d in lists])
-    for gap in (0.01, 0.03, 0.08):
-        for excess in (1.0, 2.5, 5.0):
-            mu, y = w_k + gap, log_n + excess
-            got = lane(mu, y)
-            out = np.empty(len(lists))
-            assert lane(mu, y, out=out) is out
-            assert np.array_equal(out, got)
-            for i, (data, prior) in enumerate(zip(lists, priors)):
-                want = log_posterior((float(mu[i]), float(y[i])), data, prior)
-                assert math.isfinite(want)
-                assert got[i] == pytest.approx(want, rel=1e-12)
+    for prior in PRIORS:
+        lane = make_lane_log_posterior(lists, prior)
+        for gap in (0.01, 0.03, 0.08):
+            for excess in (1.0, 2.5, 5.0):
+                mu, y = w_k + gap, log_n + excess
+                got = lane(mu, y)
+                out = np.empty(len(lists))
+                assert lane(mu, y, out=out) is out
+                assert np.array_equal(out, got)
+                for i, data in enumerate(lists):
+                    want = log_posterior((float(mu[i]), float(y[i])), data, prior)
+                    assert math.isfinite(want)
+                    assert got[i] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("one_lane_view", [False, True])
 def test_lane_target_never_finite_outside_domain(one_lane_view):
     """The lane kernel scores every point outside the domain nan or -inf; its
     one-lane view turns each into a Python float -inf, without a warning."""
-    lists, priors = _lanes()
-    lane = make_lane_log_posterior(lists, priors)
-    scalar = [make_log_posterior(d, p) for d, p in zip(lists, priors)]
+    lists = _lanes()
     w_k = np.array([d.w_k for d in lists])
     log_n = np.log([d.n_k for d in lists])
     ones = np.ones(len(lists))
@@ -326,14 +327,17 @@ def test_lane_target_never_finite_outside_domain(one_lane_view):
         (w_k + 0.05, -700.0 * ones),              # log N <= -700
         (w_k + 0.05, -1e4 * ones),
     ]
-    for mu, y in cases:
-        if not one_lane_view:
-            with np.errstate(all="ignore"):
-                lp = lane(mu, y)
-            assert np.all(np.isnan(lp) | (lp == -math.inf)), (mu - w_k, y - log_n, lp)
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for i, target in enumerate(scalar):
-                value = target((float(mu[i]), float(y[i])))
-                assert type(value) is float and value == -math.inf, (i, mu[i], y[i], value)
+    for prior in PRIORS:
+        lane = make_lane_log_posterior(lists, prior)
+        scalar = [make_log_posterior(d, prior) for d in lists]
+        for mu, y in cases:
+            if not one_lane_view:
+                with np.errstate(all="ignore"):
+                    lp = lane(mu, y)
+                assert np.all(np.isnan(lp) | (lp == -math.inf)), (mu - w_k, y - log_n, lp)
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for i, target in enumerate(scalar):
+                    value = target((float(mu[i]), float(y[i])))
+                    assert type(value) is float and value == -math.inf, (i, mu[i], y[i], value)

@@ -14,8 +14,6 @@ from tailcast import distcore
 from tailcast.distcore import grid_posterior, make_lane_log_posterior
 from tailcast.emprior import (
     VARIANCE_FLOOR,
-    WEAK_MU_N,
-    WEAK_SIGMA2_N,
     GridEdgeMass,
     HyperPrior,
     InsufficientEvents,
@@ -32,7 +30,7 @@ from tailcast.sampler import SamplerConfig, fit_event, fit_events
 from tailcast.synth import sample_tail, tail_performance_list
 
 import oracles
-from conftest import make_fit, point_mass_fit
+from conftest import fail_every_init, make_fit, point_mass_fit
 
 MU_STAR = math.log(11.28)
 SIGMA_STAR = 0.033
@@ -40,8 +38,8 @@ SIGMA_STAR = 0.033
 
 def test_weak_prior_constants():
     prior = HyperPrior.weakly_informative()
-    assert prior.mu_N == WEAK_MU_N == pytest.approx(math.log(10_000.0))
-    assert prior.sigma2_N == WEAK_SIGMA2_N == 4.0
+    assert prior.mu_N == pytest.approx(math.log(10_000.0))
+    assert prior.sigma2_N == 4.0
     assert prior.provenance is Provenance.WEAKLY_INFORMATIVE
     assert prior.provenance.value == "weak"
     assert prior.contributing_events == ()
@@ -399,6 +397,22 @@ def test_two_pass_leaves_an_edge_event_out_of_the_prior():
     assert "on the grid edge u = 1" in res.failures["wide"].split("; pass 2: ")[0]
 
 
+def test_two_pass_notes_each_pass_2_failure(monkeypatch):
+    # ev1 fails pass 2 alone; wide, already out of the prior, fails it too,
+    # and its note keeps the pass-1 reason first.
+    lists = _corpus()
+    with pytest.raises(GridEdgeMass) as edge:
+        pass1_estimate(_wide_event())
+    fail_every_init(monkeypatch, "ev1", "wide")
+    res = two_pass_fit([*lists.values(), _wide_event()], TINY, t_m=1.0)
+    assert res.failures == {
+        "wide": f"{edge.value}; pass 2: wide: 2 of 2 chains failed",
+        "ev1": "pass 2: ev1: 2 of 2 chains failed",
+    }
+    assert list(res.fits) == ["ev0", "ev2", "ev3"]
+    assert set(res.prior.contributing_events) == set(lists)
+
+
 def _grid_log_n_moments(data, prior):
     """Posterior mean and sd of log N on the pass-1 grid's domain (400 x 400
     midpoints), from the lane kernel scoring the whole block at once."""
@@ -406,7 +420,7 @@ def _grid_log_n_moments(data, prior):
     y_lo = math.log(2.0 * data.n_k)
     y = y_lo + (np.arange(400) + 0.5) * ((30.0 - y_lo) / 400)
     with np.errstate(all="ignore"):
-        lp = make_lane_log_posterior([data], [prior])((data.w_k + np.exp(u))[:, None], y)
+        lp = make_lane_log_posterior([data], prior)((data.w_k + np.exp(u))[:, None], y)
     lp += u[:, None]
     weight = np.exp(lp - lp.max()).sum(axis=0)
     mean = float(weight @ y / weight.sum())

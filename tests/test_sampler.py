@@ -32,7 +32,7 @@ from tailcast.sampler import (
 )
 from tailcast.synth import sample_tail, tail_performance_list
 
-from conftest import lane_events
+from conftest import fail_every_init, lane_events
 
 MU_STAR = math.log(11.28)
 SIGMA_STAR = 0.033
@@ -169,17 +169,20 @@ def test_sample_lanes_matches_run_chain(batch_len, reverse_lanes):
     # Lane j runs chain order[j]. Reversed, every chain sits elsewhere in the
     # lane block, and its draws must not depend on where.
     order = range(len(tuned))[::-1] if reverse_lanes else range(len(tuned))
-    target = make_lane_log_posterior([lists[i] for i in order], [priors[i] for i in order])
-    mu, logN, accepted = sample_lanes(target, config, [tuned[i] for i in order],
-                                      [copy.deepcopy(rngs[i]) for i in order])
     steps = config.batches * config.batch_len
-    assert mu.shape == logN.shape == (len(tuned), config.batches)
-    for lane, i in enumerate(order):
-        chain = run_chain(make_log_posterior(lists[i], priors[i]), config, tuned[i], rngs[i])
-        assert np.array_equal(mu[lane], chain.mu)
-        assert np.array_equal(logN[lane], chain.logN)
-        assert int(accepted[lane]) / steps == chain.accept_rate
-        assert 0 < accepted[lane] < steps
+    # One lane target scores one prior, so each prior's chains run apart.
+    for prior in (HyperPrior.weakly_informative(), INFORMATIVE):
+        lanes = [i for i in order if priors[i] == prior]
+        target = make_lane_log_posterior([lists[i] for i in lanes], prior)
+        mu, logN, accepted = sample_lanes(target, config, [tuned[i] for i in lanes],
+                                          [copy.deepcopy(rngs[i]) for i in lanes])
+        assert mu.shape == logN.shape == (len(lanes), config.batches)
+        for lane, i in enumerate(lanes):
+            chain = run_chain(make_log_posterior(lists[i], prior), config, tuned[i], rngs[i])
+            assert np.array_equal(mu[lane], chain.mu)
+            assert np.array_equal(logN[lane], chain.logN)
+            assert int(accepted[lane]) / steps == chain.accept_rate
+            assert 0 < accepted[lane] < steps
 
 
 # Burn-in settings, and tuning-rule constants patched into the sampler, that
@@ -231,7 +234,14 @@ def test_tune_lanes_matches_tune_burn_in(case, monkeypatch):
                     outcome = exc
                 reference.append((outcome, rng.bit_generator.state))
     monkeypatch.setattr(sampler, "_run_steps", _run_steps)  # the constants stay patched
-    outcomes = tune_lanes(lists, priors, factors, config, inits, lane_rngs)
+    # One lane target scores one prior, so each prior's chains tune apart.
+    outcomes = [None] * len(inits)
+    for prior in (HyperPrior.weakly_informative(), INFORMATIVE):
+        lanes = [i for i, p in enumerate(priors) if p == prior]
+        results = tune_lanes([lists[i] for i in lanes], prior, [factors[i] for i in lanes],
+                             config, [inits[i] for i in lanes], [lane_rngs[i] for i in lanes])
+        for i, result in zip(lanes, results):
+            outcomes[i] = result
     assert len(outcomes) == len(reference)
     for got, rng, (want, want_rng_state) in zip(outcomes, lane_rngs, reference):
         assert type(got) is type(want)
@@ -275,7 +285,7 @@ def test_grid_proposal_tunes_every_chain_at_the_first_round(burn_in_steps):
             factors.append(factor)
             inits.append(_draw_init(target, mean, factor, rng))
             rngs.append(rng)
-    outcomes = tune_lanes(lists, [prior] * len(lists), factors, config, inits, rngs)
+    outcomes = tune_lanes(lists, prior, factors, config, inits, rngs)
     assert [o.step_scale for o in outcomes] == [sampler._START_SCALE] * len(lists)
 
 
@@ -368,8 +378,8 @@ def test_fit_events_keeps_an_event_that_lost_fewer_than_half_its_chains(monkeypa
     def draw_init(target, mean, factor, rng):
         return None if chain_of(rng) in no_init else _draw_init(target, mean, factor, rng)
 
-    def tuning(lists, priors, factors, config, inits, rngs):
-        results = tune_lanes(lists, priors, factors, config, inits, rngs)
+    def tuning(lists, prior, factors, config, inits, rngs):
+        results = tune_lanes(lists, prior, factors, config, inits, rngs)
         return [failure if chain_of(rng) in no_tuning else r for r, rng in zip(results, rngs)]
 
     config = small_config(chains=6, batches=20)
@@ -388,6 +398,16 @@ def test_fit_events_keeps_an_event_that_lost_fewer_than_half_its_chains(monkeypa
     for chain in fit.chains:
         assert np.array_equal(chain.mu, survivors[chain.chain_id].mu)
         assert np.array_equal(chain.logN, survivors[chain.chain_id].logN)
+
+
+def test_fit_events_names_an_event_whose_every_chain_found_no_initialization(monkeypatch):
+    # An event that lost every chain reads like one that lost half of them.
+    kept, lost = synthetic_event(), synthetic_event(seed=61, keep=25)
+    config = small_config(batches=20)
+    fail_every_init(monkeypatch, lost.event.event_id)
+    fits, failures = fit_events([lost, kept], INFORMATIVE, config, t_m=1.0)
+    assert failures == {lost.event.event_id: f"{lost.event.event_id}: 3 of 3 chains failed"}
+    assert list(fits) == [kept.event.event_id]
 
 
 def test_run_chain_deterministic():

@@ -340,6 +340,19 @@ def test_anchor_mark_point_mass_analytic():
     assert abs(residual - ANCHOR_RATE) <= 1e-3 * ANCHOR_RATE
 
 
+def test_anchor_mark_extends_its_lower_bracket():
+    # The search starts its lower bracket at best_x - 5 sigma-bar. A best mark
+    # placed past w_k puts that start above the anchor, where the rate is
+    # still at least the target, so the bracket must step down to it.
+    ctx = event_ctx(best_x=MU + 0.05)
+    start = ctx.fit.meta.best_x - 5.0 * float(np.mean(ctx.fit.pooled_sigma))
+    assert expected_exceedances(ctx, start) >= ANCHOR_RATE
+    got = anchor_mark(ctx)
+    assert got < start
+    assert got == pytest.approx(MU + SIG * ndtri(ANCHOR_RATE / N_POP), abs=1e-4)
+    assert abs(expected_exceedances(ctx, got) - ANCHOR_RATE) <= 1e-3 * ANCHOR_RATE
+
+
 def test_anchor_mark_boundary_target():
     # over this span the worst mark's exceedance rate, N_K / t_m, is the target
     ctx = event_ctx(t_m=N_K / ANCHOR_RATE)
