@@ -17,9 +17,13 @@ every list of a corpus under one prior (a distcore.HyperPrior) and runs
 every chain of every event as numpy lanes of the same kernel instead, one
 lane target scoring every list under that prior: tune_lanes runs the next
 burn-in round of every chain still tuning, and sample_lanes steps the
-tuned chains. An event that lost half its chains or more, at
+tuned chains. A lane takes its draws whole per burn-in round or batch,
+in _run_steps' order, so it keeps its chain's stream; everything built
+from them is built per block of _STEP_BLOCK steps, so only the draws
+grow with the round. An event that lost half its chains or more, at
 initialization or in burn-in, is not sampled and fails as "<id>: k of N
-chains failed". fit_event is its one-event case.
+chains failed". fit_event is its one-event case. SamplerConfig refuses
+fewer than 2 chains or 10 batches, which the diagnostic cannot judge.
 """
 from __future__ import annotations
 
@@ -44,6 +48,9 @@ _INIT_TRIES = 500
 _ACCEPT_LO = 0.2
 _ACCEPT_HI = 0.4
 _MAX_RETUNES = 25
+# Steps whose increments, log-uniforms and accept flags _step_lanes builds at
+# once: the default batch_len, so sampling builds one block per batch.
+_STEP_BLOCK = 50
 
 
 class TuningFailed(TailcastError):
@@ -72,6 +79,14 @@ class SamplerConfig:
         for name in ("burn_in_steps", "batches", "batch_len", "chains", "pool_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        # Every fit ends in gelman_rubin_mpsrf, which compares two chains or more
+        # of ten retained draws or more.
+        if self.chains < 2:
+            raise ValueError(f"chains must be at least 2 for the convergence "
+                             f"diagnostic, got {self.chains}")
+        if self.batches < 10:
+            raise ValueError(f"batches must be at least 10 for the convergence "
+                             f"diagnostic, got {self.batches}")
         # A round's rate is accepted/burn_in_steps; with too few steps no count lands
         # in the band, and every chain would run out its retunes. The first count at
         # or above _ACCEPT_LO is within one of ceil(_ACCEPT_LO * steps).
@@ -261,7 +276,11 @@ def _step_lanes(target, state, scales, n_steps, rngs, accepted):
     lane's (a, b, c) as in _run_steps. Lane i draws its (n_steps, 2)
     increments, then its n_steps uniforms, from rngs[i], which is
     _run_steps' order, and adds its accepted-step count to accepted[i]. The
-    caller holds np.errstate.
+    draws are taken whole, so each lane keeps its chain's stream; the steps,
+    log-uniforms and accept flags built from them are built _STEP_BLOCK
+    steps at a time, so a burn-in round holds 24 bytes of draws per
+    lane-step and only one block of what follows from them. The caller
+    holds np.errstate.
     """
     lanes = state.shape[1]
     incs = np.empty((lanes, n_steps, 2))
@@ -269,26 +288,28 @@ def _step_lanes(target, state, scales, n_steps, rngs, accepted):
     for inc, u, rng in zip(incs, us, rngs):
         rng.standard_normal(out=inc)
         rng.random(out=u)
-    # Row t of steps holds step t of every lane, mu block then log N block,
-    # laid out like state[:2], so one flat add moves every lane.
-    z1, z2 = incs.transpose(2, 1, 0)
     a, b, c = scales
-    steps = np.stack((z1 * a, z1 * b + z2 * c), axis=1).reshape(n_steps, -1)
-    # np.log over one contiguous block, as in _run_steps: a strided or scalar
-    # log can differ in the last ulp.
-    log_us = np.ascontiguousarray(np.log(us).T)
-    accepts = np.empty((n_steps, lanes), dtype=bool)
     cand = np.empty_like(state)
     # Views and buffers made once: each slice or temporary costs a call per step.
     pos, lp, cand_pos = state[:2].reshape(-1), state[2], cand[:2].reshape(-1)
     cand_mu, cand_y, cand_lp = cand
     gain = np.empty(lanes)
-    for step, log_u, accept in zip(steps, log_us, accepts):
-        np.add(pos, step, out=cand_pos)
-        target(cand_mu, cand_y, out=cand_lp)
-        np.less(log_u, np.subtract(cand_lp, lp, out=gain), out=accept)
-        np.copyto(state, cand, where=accept)
-    accepted += accepts.sum(axis=0)
+    for start in range(0, n_steps, _STEP_BLOCK):
+        block = slice(start, start + _STEP_BLOCK)
+        # Row t of steps holds step t of every lane, mu block then log N block,
+        # laid out like state[:2], so one flat add moves every lane.
+        z1, z2 = incs[:, block].transpose(2, 1, 0)
+        steps = np.stack((z1 * a, z1 * b + z2 * c), axis=1).reshape(len(z1), -1)
+        # np.log over one contiguous block, as in _run_steps: a strided or scalar
+        # log can differ in the last ulp.
+        log_us = np.log(np.ascontiguousarray(us[:, block].T))
+        accepts = np.empty((len(steps), lanes), dtype=bool)
+        for step, log_u, accept in zip(steps, log_us, accepts):
+            np.add(pos, step, out=cand_pos)
+            target(cand_mu, cand_y, out=cand_lp)
+            np.less(log_u, np.subtract(cand_lp, lp, out=gain), out=accept)
+            np.copyto(state, cand, where=accept)
+        accepted += accepts.sum(axis=0)
 
 
 def sample_lanes(target, config: SamplerConfig, tuned, rngs):
@@ -446,8 +467,6 @@ def fit_events(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | Non
     the message of the FitFailed that ended that event. Two lists with one
     event id are refused.
     """
-    if config.chains < 2:
-        raise ValueError("fitting needs at least 2 chains for the convergence diagnostic")
     # Per event: (data, t_m, {chain id: note on its failure}, its sampled
     # chains), or the message of the FitFailed that ended it.
     events: dict = {}

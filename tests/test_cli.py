@@ -442,6 +442,8 @@ def test_usage_errors(workspace, tmp_path, capsys):
     ("forecast", ["--tf", "inf"], ""),
     ("fit", ["--burn-in", "2"], ""),
     ("fit", ["--seed", "-1"], ""),
+    ("fit", ["--chains", "1"], ""),
+    ("fit", ["--batches", "9"], ""),
 ])
 def test_bad_values_are_usage_errors(workspace, tmp_path, capsys, command, extra, config):
     data_dir, out_dir = workspace

@@ -2,6 +2,7 @@
 import copy
 import hashlib
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -151,7 +152,7 @@ def test_run_steps_matches_reference_loop(case):
 
 
 @pytest.mark.parametrize("reverse_lanes", [False, True])
-@pytest.mark.parametrize("batch_len", [1, 7, 50])
+@pytest.mark.parametrize("batch_len", [1, 7, 50, 120])
 def test_sample_lanes_matches_run_chain(batch_len, reverse_lanes):
     config = small_config(batches=30, batch_len=batch_len)
     lists, priors, tuned, rngs = [], [], [], []
@@ -189,10 +190,11 @@ def test_sample_lanes_matches_run_chain(batch_len, reverse_lanes):
 # drive tune_lanes down every path of tune_burn_in's rule: the default start,
 # in the band at the first round; a small start scale that must double; a
 # large one that must halve; a retune budget too small to reach the band;
-# and a band that holds two accept counts of 50, so rounds overshoot it
-# both ways.
+# a band that holds two accept counts of 50, so rounds overshoot it both
+# ways; and a round of two whole step blocks and a ragged one.
 TUNING_CASES = {
     "first_round": (dict(), dict()),
+    "ragged_block": (dict(burn_in_steps=137), dict()),
     "doubling": (dict(), dict(_START_SCALE=0.001)),
     "halving": (dict(), dict(_START_SCALE=100.0)),
     "exhausted": (dict(), dict(_START_SCALE=0.001, _MAX_RETUNES=2)),
@@ -267,6 +269,26 @@ def test_tune_lanes_matches_tune_burn_in(case, monkeypatch):
     if case == "narrow_band":
         # some chain retuned against its last direction
         assert any(len(set(np.sign(np.diff(np.log2(seen))))) > 1 for seen in scales_seen)
+
+
+def test_tune_lanes_memory_is_bounded_by_the_block():
+    # The draws of a round are 24 bytes per lane-step (two normals and one
+    # uniform); everything built from them is built one block at a time.
+    data, prior = synthetic_event(), HyperPrior.weakly_informative()
+    config = small_config(burn_in_steps=4000)
+    target = make_log_posterior(data, prior)
+    mean, factor = _grid_proposal(data, prior)
+    rngs = [chain_rng(config.seed, data.event.event_id, c) for c in range(40)]
+    inits = [_draw_init(target, mean, factor, rng) for rng in rngs]
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        outcomes = tune_lanes([data] * 40, prior, [factor] * 40, config, inits, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(o, TunedState) for o in outcomes)
+    assert (peak - entry) / (40 * config.burn_in_steps) <= 32.0
 
 
 @pytest.mark.parametrize("burn_in_steps", [400, 1000])
@@ -561,6 +583,12 @@ def test_pool_draws_stride():
 def test_sampler_config_validation(monkeypatch):
     with pytest.raises(ValueError):
         SamplerConfig(batches=0)
+    # the convergence diagnostic needs two chains of ten retained draws
+    with pytest.raises(ValueError, match="chains"):
+        SamplerConfig(chains=1)
+    with pytest.raises(ValueError, match="batches"):
+        SamplerConfig(batches=9)
+    assert SamplerConfig(batches=10).batches == 10
     # no accept count of 1 or 2 steps lands in [0.2, 0.4]; 1 of 3 and 1 of 5 do
     for bad in (1, 2):
         with pytest.raises(ValueError, match="no acceptance rate"):
