@@ -36,18 +36,18 @@ class DataMode(enum.Enum):
     FIVE_YEARS = "five-years"
 
 
-def fit_window(mode: DataMode, cutoff_year: int | None) -> tuple[DateWindow | None, float | None]:
-    """Ingestion window and t_m of a fit on the data before cutoff_year.
+def fit_window(mode: DataMode, cutoff_year: int | None) -> DateWindow | None:
+    """Ingestion window of a fit on the data before cutoff_year.
 
-    Five-year mode takes exactly the five years before the cutoff, t_m 5.0;
-    otherwise all data before the cutoff (all data, without one) and t_m
-    None, which lets each event's data span decide.
+    Five-year mode takes exactly the five years before the cutoff, so its
+    lists span 5 years (PerformanceList.t_m); otherwise all data before the
+    cutoff (all data, without one), and each list's data span decides.
     """
     if mode is DataMode.FIVE_YEARS:
-        return DateWindow.years_before(cutoff_year, 5), 5.0
+        return DateWindow.years_before(cutoff_year, 5)
     if cutoff_year is None:
-        return None, None
-    return DateWindow.before(cutoff_year), None
+        return None
+    return DateWindow.before(cutoff_year)
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
         full[data.event.event_id] = data
     notes: dict[str, str] = {}
 
-    window, t_m = fit_window(spec.data_mode, spec.cutoff_year)
+    window = fit_window(spec.data_mode, spec.cutoff_year)
     pre_lists = []
     for event_id in sorted(full):
         data = full[event_id]
@@ -184,7 +184,7 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
             f"backtest needs >= 4 events with pre-cutoff data, have {len(pre_lists)}"
         )
 
-    result = two_pass_fit(pre_lists, config, t_m=t_m)
+    result = two_pass_fit(pre_lists, config)
     for event_id, msg in sorted(result.failures.items()):
         _add_note(notes, event_id, f"fit failed: {msg}")
 

@@ -104,7 +104,7 @@ _CONFIG_KEYS = {
 
 def _read_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -246,8 +246,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_fit(cfg: RunConfig) -> int:
-    window, t_m = fit_window(cfg.mode, cfg.cutoff)
-    lists, skipped = _load_corpus(cfg, window)
+    lists, skipped = _load_corpus(cfg, fit_window(cfg.mode, cfg.cutoff))
     for event_id, reason in sorted(skipped.items()):
         print(f"warning: skipping {event_id}: {reason}", file=sys.stderr)
     if not lists:
@@ -257,10 +256,10 @@ def cmd_fit(cfg: RunConfig) -> int:
     notes = dict(skipped)
     if cfg.prior == "weak":
         prior = HyperPrior.weakly_informative()
-        fits, failures = fit_events(lists, prior, cfg.sampler, t_m)
+        fits, failures = fit_events(lists, prior, cfg.sampler)
     else:
         try:
-            result = two_pass_fit(lists, cfg.sampler, t_m=t_m)
+            result = two_pass_fit(lists, cfg.sampler)
         except InsufficientEvents as exc:
             print(f"error: {exc}", file=sys.stderr)
             print("hint: rerun with --prior weak to fit without the empirical prior",
@@ -433,7 +432,7 @@ def cmd_backtest(cfg: RunConfig) -> int:
 
 
 def cmd_validate_data(cfg: RunConfig) -> int:
-    window, _ = fit_window(cfg.mode, cfg.cutoff)
+    window = fit_window(cfg.mode, cfg.cutoff)
     failures = 0
     seen: dict[str, Path] = {}
     for path in _data_files(cfg):

@@ -117,11 +117,11 @@ def two_pass_fit(lists, config: SamplerConfig, t_m: float | None = None) -> TwoP
     """Pass 1: each list's grid E[log N] under the weak prior. Pass 2: sample
     every list under the prior those means define.
 
-    `t_m` is one span in years for every event, or None to derive it per
-    event from its data. Pass 1 samples nothing, so the prior does not depend
-    on `config`. An event whose pass-1 grid fails its edge check is left out
-    of the prior, noted in `failures`, and still fitted in pass 2. Pass 2
-    (sampler.fit_events) refuses two lists with one event id.
+    `t_m` is one span in years for every event, or None for each list's
+    own span, PerformanceList.t_m. Pass 1 samples nothing, so the prior does
+    not depend on `config`. An event whose pass-1 grid fails its edge check
+    is left out of the prior, noted in `failures`, and still fitted in pass
+    2. Pass 2 (sampler.fit_events) refuses two lists with one event id.
     """
     lists = list(lists)
     if len(lists) < 4:

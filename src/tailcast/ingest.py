@@ -85,10 +85,15 @@ class RawMark:
 
 @dataclass(frozen=True)
 class DateWindow:
-    """Half-open date interval [start, end); start=None means unbounded."""
+    """Half-open interval [start, end) of whole calendar years: both bounds
+    fall on January 1. start=None means unbounded."""
 
     start: dt.date | None
     end: dt.date
+
+    def __post_init__(self) -> None:
+        if any(b is not None and (b.month, b.day) != (1, 1) for b in (self.start, self.end)):
+            raise ValueError(f"window bounds must fall on January 1, got {self}")
 
     def contains(self, day: dt.date) -> bool:
         if self.start is not None and day < self.start:
@@ -110,11 +115,6 @@ class DateWindow:
     @staticmethod
     def before(cutoff_year: int) -> "DateWindow":
         return DateWindow(None, dt.date(cutoff_year, 1, 1))
-
-    def span_years(self) -> float | None:
-        if self.start is None:
-            return None
-        return (self.end - self.start).days / 365.25
 
 
 def parse_time(text: str) -> float:
@@ -218,6 +218,14 @@ class PerformanceList:
         dates = [r.date for r in self.records]
         return (max(dates) - min(dates)).days / 365.25
 
+    @property
+    def t_m(self) -> float:
+        """Years the list spans: its window's whole years if the window has a
+        start, else the span of its record dates, floored at one year."""
+        if self.window is not None and self.window.start is not None:
+            return float(self.window.end.year - self.window.start.year)
+        return max(self.span_years(), 1.0)
+
 
 def build_performance_list(
     event: EventSpec,
@@ -233,15 +241,15 @@ def build_performance_list(
     kept = [r for r in records if window is None or window.contains(r.date)]
     if not kept:
         raise EmptyListError(f"{event.event_id}: no records inside the requested window")
-    decorated = sorted(
-        kept, key=lambda r: (encode_mark(event, r.value), r.date, r.athlete or "")
-    )
-    marks = tuple(encode_mark(event, r.value) for r in decorated)
+    # i keeps full ties in input order, as a stable sort would
+    decorated = sorted((encode_mark(event, r.value), r.date, r.athlete or "", i)
+                       for i, r in enumerate(kept))
+    marks = tuple(d[0] for d in decorated)
     earlier = [] if window is None or window.start is None else [
         encode_mark(event, r.value) for r in records if r.date < window.start]
     record = min([marks[0], *earlier])
-    return PerformanceList(event=event, records=tuple(decorated), marks=marks, record=record,
-                           window=window)
+    return PerformanceList(event=event, records=tuple(kept[d[3]] for d in decorated),
+                           marks=marks, record=record, window=window)
 
 
 _UNIT_TOKENS = {
@@ -287,7 +295,7 @@ def read_list_file(path: str | Path) -> tuple[EventSpec, list[RawMark]]:
     header: dict[str, str] = {}
     header_lines: dict[str, int] = {}
     rows: list[tuple[int, str, str, str | None]] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = line.rstrip("\n")
         if not line.strip():
             continue

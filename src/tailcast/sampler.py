@@ -437,9 +437,8 @@ def _grid_proposal(data, prior):
 def fit_event(data, prior, config: SamplerConfig, t_m: float | None = None) -> FitResult:
     """Full fit of one event: chains, tuning, sampling, diagnostics, pooling.
 
-    The one-event case of fit_events. t_m defaults to the ingestion window
-    span when the window is bounded, else to the record-date span of the
-    list (floored at one year).
+    The one-event case of fit_events. t_m defaults to the list's own span,
+    PerformanceList.t_m.
     """
     fits, failures = fit_events([data], prior, config, t_m)
     if failures:
@@ -457,8 +456,8 @@ def chain_rng(seed: int, event_id: str, chain_id: int) -> np.random.Generator:
 def fit_events(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | None = None):
     """Fit every list under one prior, sampling all their chains as lanes.
 
-    `t_m` is one span in years for every event, or None to derive it per
-    event as in fit_event. Chain c of an event starts around its grid
+    `t_m` is one span in years for every event, or None for each list's
+    own span, PerformanceList.t_m. Chain c of an event starts around its grid
     posterior on chain_rng(config.seed, event id, c); tune_lanes burns in
     every chain at once, and sample_lanes steps every tuned chain of every
     event that can still succeed. So a fit depends on its own list and id,
@@ -489,7 +488,7 @@ def fit_events(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | Non
                 notes[chain_id] = f"chain {chain_id}: no finite-posterior initialization found"
             else:
                 chains.append((event_id, chain_id, factor, init, rng))
-        events[event_id] = (data, _derive_t_m(data) if t_m is None else t_m, notes, [])
+        events[event_id] = (data, data.t_m if t_m is None else t_m, notes, [])
     outcomes = tune_lanes([events[c[0]][0] for c in chains], prior, [c[2] for c in chains],
                           config, [c[3] for c in chains], [c[4] for c in chains])
     for (event_id, chain_id, *_), outcome in zip(chains, outcomes):
@@ -532,14 +531,6 @@ def fit_events(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | Non
         fits[event_id] = FitResult(tuple(sampled),
                                    gelman_rubin_mpsrf([c.draws() for c in sampled]), meta)
     return fits, failures
-
-
-def _derive_t_m(data) -> float:
-    if data.window is not None:
-        span = data.window.span_years()
-        if span is not None:
-            return span
-    return max(data.span_years(), 1.0)
 
 
 def _pool_draws(chains, pool_size):

@@ -49,9 +49,9 @@ def test_spec_validation():
 
 
 def test_spec_windows():
-    assert fit_window(DataMode.ALL_PRIOR, CUTOFF) == (DateWindow.before(CUTOFF), None)
-    assert fit_window(DataMode.ALL_PRIOR, None) == (None, None)
-    assert fit_window(DataMode.FIVE_YEARS, CUTOFF) == (DateWindow.years_before(CUTOFF, 5), 5.0)
+    assert fit_window(DataMode.ALL_PRIOR, CUTOFF) == DateWindow.before(CUTOFF)
+    assert fit_window(DataMode.ALL_PRIOR, None) is None
+    assert fit_window(DataMode.FIVE_YEARS, CUTOFF) == DateWindow.years_before(CUTOFF, 5)
 
     allp = BacktestSpec(cutoff_year=CUTOFF)
 

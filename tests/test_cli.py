@@ -475,6 +475,15 @@ def test_config_file_and_flag_precedence(workspace, tmp_path):
     assert main(["fit", "--config", str(bad), "--data", str(data_dir)]) == 2
 
 
+def test_config_file_with_a_byte_order_mark(workspace, tmp_path, capsys):
+    # spreadsheet exports often start with one; the first key still resolves
+    data_dir, _ = workspace
+    config = tmp_path / "bom.cfg"
+    config.write_text(f"\ufeffdata = {data_dir}\n", encoding="utf-8")
+    assert main(["validate-data", "--config", str(config)]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 6
+
+
 def test_config_file_batch_len(workspace, tmp_path):
     data_dir, _ = workspace
     config = tmp_path / "run.cfg"

@@ -113,20 +113,42 @@ def test_date_window():
     assert w.contains(dt.date(2003, 12, 31))
     assert not w.contains(dt.date(2004, 1, 1))
     assert not w.contains(dt.date(2000, 12, 31))
-    assert w.span_years() == pytest.approx(3.0, abs=0.01)
 
     before = DateWindow.before(2008)
     assert before.contains(dt.date(1950, 3, 1))
     assert not before.contains(dt.date(2008, 1, 1))
-    assert before.span_years() is None
 
     five = DateWindow.years_before(2008, 5)
     assert five.start == dt.date(2003, 1, 1)
     assert five.end == dt.date(2008, 1, 1)
-    assert five.span_years() == pytest.approx(5.0, abs=0.01)
 
     with pytest.raises(ValueError):
         DateWindow.calendar_years(2005, 2004)
+    # a window holds whole calendar years
+    with pytest.raises(ValueError):
+        DateWindow(dt.date(2015, 6, 1), dt.date(2020, 1, 1))
+    with pytest.raises(ValueError):
+        DateWindow(None, dt.date(2020, 1, 2))
+
+
+def test_performance_list_t_m():
+    run = EventSpec.running("m100")
+    d = dt.date
+    records = [RawMark(10.0 + i / 100.0, d(2009 + i, 3 + i, 1)) for i in range(10)]
+    # a window with a start: its whole calendar years, not its days / 365.25
+    five = build_performance_list(run, records, window=DateWindow.years_before(2019, 5))
+    assert five.t_m == 5.0
+    three = build_performance_list(run, records, window=DateWindow.calendar_years(2018, 2020))
+    assert three.t_m == 3.0
+    # no start: the span of the record dates
+    before = build_performance_list(run, records, window=DateWindow.before(2019))
+    assert before.t_m == before.span_years() == (d(2018, 12, 1) - d(2009, 3, 1)).days / 365.25
+    unbounded = build_performance_list(run, records)
+    assert unbounded.t_m == unbounded.span_years()
+    # floored at one year for a list dated within one year
+    within = build_performance_list(run, [RawMark(10.0, d(2012, 2, 1)),
+                                          RawMark(10.1, d(2012, 9, 1))])
+    assert within.t_m == 1.0
 
 
 def _sprint_records():
@@ -167,6 +189,13 @@ def test_build_performance_list_ties_kept():
     assert data.marks[0] == data.marks[1]
     # date breaks the tie in record ordering
     assert [r.athlete for r in data.records] == ["a", "b"]
+    # on one mark and date the athlete decides, then the input order
+    day = d(2016, 8, 14)
+    tied = [RawMark(9.81, day, "z"), RawMark(9.81, day, "c"), RawMark(9.81, day),
+            RawMark(9.81, day, "c"), RawMark(9.80, day, "q")]
+    data = build_performance_list(run, tied)
+    assert data.records == (tied[4], tied[2], tied[1], tied[3], tied[0])
+    assert data.marks == tuple(math.log(r.value) for r in data.records)
 
 
 def test_build_performance_list_windowing():
@@ -220,6 +249,17 @@ def test_load_performance_list_matches_manual(tmp_path):
     assert loaded.marks == manual.marks
     with pytest.raises(EmptyListError):
         load_performance_list(path, window=DateWindow.calendar_years(1990, 1991))
+
+
+def test_list_file_with_a_byte_order_mark(tmp_path):
+    # spreadsheet exports often start with one; it is not part of the header
+    run = EventSpec.running("m100")
+    plain = tmp_path / "m100.tsv"
+    write_list_file(plain, run, _sprint_records())
+    bom = tmp_path / "bom.tsv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_list_file(bom) == read_list_file(plain)
+    assert load_performance_list(bom) == load_performance_list(plain)
 
 
 def test_read_list_file_meters_scaled(tmp_path):

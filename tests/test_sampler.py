@@ -11,7 +11,7 @@ import pytest
 from tailcast import fitfile, sampler
 from tailcast.distcore import make_lane_log_posterior, make_log_posterior, tail_mass_sigma
 from tailcast.emprior import HyperPrior, Provenance
-from tailcast.ingest import EventSpec
+from tailcast.ingest import DateWindow, EventSpec, build_performance_list
 from tailcast.sampler import (
     FitFailed,
     SamplerConfig,
@@ -25,7 +25,6 @@ from tailcast.sampler import (
     sample_lanes,
     tune_burn_in,
     tune_lanes,
-    _derive_t_m,
     _draw_init,
     _grid_proposal,
     _pool_draws,
@@ -556,12 +555,14 @@ def test_fit_event_all_chains_failing(monkeypatch):
 def test_derive_t_m():
     spec = EventSpec.running("span")
     tail = sample_tail(9, MU_STAR, SIGMA_STAR, 5_000, 50)
-    data = tail_performance_list(spec, tail, 2001, 2010, seed=10)
-    # bounded ingestion window wins
+    data = tail_performance_list(spec, tail, 2010, 2020, seed=10)
+    # no window: the list's record-date span
     assert data.window is None
-    derived = _derive_t_m(data)
-    assert derived == pytest.approx(data.span_years())
-    assert derived >= 1.0
+    assert fit_event(data, INFORMATIVE, small_config()).meta.t_m == data.span_years() >= 1.0
+    # a bounded ingestion window wins with its whole years, the 5.0 that
+    # `tailcast fit --mode five-years` records in its manifest
+    five = build_performance_list(spec, list(data.records), window=DateWindow.years_before(2019, 5))
+    assert fit_event(five, INFORMATIVE, small_config()).meta.t_m == 5.0
 
 
 def test_pool_draws_stride():
