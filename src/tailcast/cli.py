@@ -1,6 +1,6 @@
 """Command-line pipeline: ingest data, fit posteriors, emit reports.
 
-Subcommands compose through the filesystem: `fit` persists one tailcast-fit/9
+Subcommands compose through the filesystem: `fit` persists one tailcast-fit/10
 file per event plus a manifest, and `tables`, `forecast` read those fits back
 instead of refitting. All outputs are deterministic for a fixed seed; no
 command writes timestamps.
@@ -451,7 +451,7 @@ def cmd_validate_data(cfg: RunConfig) -> int:
             f"{path.stem}\tOK\tn={data.n_k}"
             f"\tbest={format_raw_mark(event, data.records[0].value)}"
             f"\tworst={format_raw_mark(event, data.records[-1].value)}"
-            f"\tspan={data.span_years():.1f}y"
+            f"\tspan={data.t_m:.1f}y"
             f"\t{event.direction.value}/{event.unit.value}"
         )
     return 1 if failures else 0

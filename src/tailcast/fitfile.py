@@ -1,28 +1,32 @@
-"""Persistence for fitted posteriors: the tailcast-fit/9 text format.
+"""Persistence for fitted posteriors: the tailcast-fit/10 text format.
 
 A fit file is self-describing and deterministic. Line 1 names the format,
 line 2 is `#meta ` and a JSON metadata object, line 3 is the draws header
-`#draws <draws per chain> mu logN`, and line 4 is the lowercase hex of a
-little-endian float64 array of shape (chains, 2, draws per chain), the
-chains in the order of the metadata's `chains` list. The file holds only
-what the sampler samples: each pooled draw's sigma follows from its
-(mu, log N) by the tail-mass identity when the fit is rebuilt, so loading
-refuses draws outside the identity's domain. The metadata is
-`dataclasses.asdict(FitMetadata)`, enums as their values, plus each chain's
-id, acceptance rate and step scale, and mpsrf; it is read back by reflecting
-on the same dataclasses, so a new metadata field needs no change here.
-Re-saving a loaded fit reproduces the file byte for byte.
+`#draws <pooled draws> mu logN`, and line 4 is the lowercase hex of a
+little-endian float64 array of shape (2, pooled draws): the pooled mu,
+then the pooled log N, in chain order; 33 KB at the default pool of 1000.
+The file holds what forecasts read. The chains are not kept: nothing
+reads them, and their diagnostics belong at fit time. Each pooled draw's
+sigma follows from its (mu, log N) by the tail-mass identity when the fit
+is rebuilt, so loading refuses a draw outside the identity's domain, and
+a draw count other than the pool of the metadata's sampled chains. The
+metadata is `dataclasses.asdict(FitMetadata)`, enums as their values,
+each sampled chain's id, acceptance rate and step scale among it, plus
+mpsrf; it is read back by reflecting on the same dataclasses, so a new
+metadata field needs no change here. Re-saving a loaded fit reproduces
+the file byte for byte.
 
 `load_fit` and `loads` share one parser over bytes: only the three header
 lines are decoded as text, and the draws line goes to the hex codec as a
-view of the file's bytes. Files of the older formats /1 to /8 are not
+view of the file's bytes. Files of the older formats /1 to /9 are not
 read: /1 and /2 held the draws as text tables, /3's metadata held a
 truncation-point field that /4 dropped, /4's held the convergence flag and
 the sampler's acceptance band and retune budget, /5's lacked the event's
 record (`record_x`), /6 also stored a sigma for every draw, which the
 identity already fixes, /7's sampler settings held a starting proposal
-scale that is now a constant, and /8 held the draws in base64, a third
-smaller than hex and about three times slower to decode.
+scale that is now a constant, /8 held the draws in base64, a third
+smaller than hex and about three times slower to decode, and /9 held
+every chain's retained draws instead of the pool: 321 KB at the defaults.
 """
 from __future__ import annotations
 
@@ -42,16 +46,16 @@ import numpy as np
 
 from .distcore import tail_mass_domain
 from .errors import TailcastError
-from .sampler import FitMetadata, FitResult, PosteriorChain
+from .sampler import FitMetadata, FitResult
 
-FORMAT_LINE = "#tailcast-fit/9"
+FORMAT_LINE = "#tailcast-fit/10"
 _FORMAT_BYTES = FORMAT_LINE.encode("ascii")
 _DRAWS_HEADER = re.compile(r"#draws ([1-9][0-9]*) mu logN")
 _DRAWS_DTYPE = "<f8"  # explicit byte order, so the bytes match on every platform
 
 
 class FitFileError(TailcastError):
-    """The file is not a readable tailcast-fit/9 document."""
+    """The file is not a readable tailcast-fit/10 document."""
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -75,21 +79,12 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def _meta_payload(fit: FitResult) -> dict:
-    payload = dataclasses.asdict(fit.meta)
-    payload["chains"] = [
-        {"chain_id": c.chain_id, "accept_rate": c.accept_rate, "step_scale": c.step_scale}
-        for c in fit.chains
-    ]
-    payload["mpsrf"] = fit.mpsrf if math.isfinite(fit.mpsrf) else "inf"
-    return payload
-
-
 def dumps(fit: FitResult) -> str:
-    block = np.array([(c.mu, c.logN) for c in fit.chains], dtype=_DRAWS_DTYPE)
-    meta = json.dumps(_meta_payload(fit), sort_keys=True, default=lambda e: e.value)
-    draws = block.tobytes().hex()
-    return f"{FORMAT_LINE}\n#meta {meta}\n#draws {block.shape[2]} mu logN\n{draws}\n"
+    payload = dataclasses.asdict(fit.meta)
+    payload["mpsrf"] = fit.mpsrf if math.isfinite(fit.mpsrf) else "inf"
+    meta = json.dumps(payload, sort_keys=True, default=lambda e: e.value)
+    draws = np.array((fit.pooled_mu, fit.pooled_logN), dtype=_DRAWS_DTYPE).tobytes().hex()
+    return f"{FORMAT_LINE}\n#meta {meta}\n#draws {fit.pooled_size} mu logN\n{draws}\n"
 
 
 def save_fit(fit: FitResult, path: Path) -> None:
@@ -103,18 +98,20 @@ def _field_types(cls) -> dict:
 
 def _revive(hint, value):
     """Rebuild a value of type `hint` from its dataclasses.asdict/JSON form."""
+    if hint in (float, int, str):  # most fields, each chain's three included
+        return value
     if dataclasses.is_dataclass(hint):
         hints = _field_types(hint)
         return hint(**{key: _revive(hints.get(key), v) for key, v in value.items()})
     if isinstance(hint, type) and issubclass(hint, enum.Enum):
         return hint(value)
-    if typing.get_origin(hint) is tuple:
-        return tuple(value)
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+        return tuple(_revive(typing.get_args(hint)[0], v) for v in value)
     return value
 
 
 def _parse_meta(line: str):
-    """(FitMetadata, [(chain_id, accept_rate, step_scale)], mpsrf)."""
+    """(FitMetadata, mpsrf)."""
     if not line.startswith("#meta "):
         raise FitFileError("second line must be the #meta JSON object")
     try:
@@ -124,34 +121,25 @@ def _parse_meta(line: str):
     if not isinstance(payload, dict):
         raise FitFileError("metadata must be a JSON object")
     try:
-        chains = [(c["chain_id"], c["accept_rate"], c["step_scale"])
-                  for c in payload.pop("chains")]
         mpsrf = float(payload.pop("mpsrf"))
         meta = _revive(FitMetadata, payload)
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise FitFileError(f"metadata is missing or malformed: {exc}") from exc
-    ids = [chain_id for chain_id, _, _ in chains]
+    ids = [chain.chain_id for chain in meta.chains]
     if not all(type(i) is int for i in ids) or len(set(ids)) != len(ids):
         raise FitFileError(f"metadata chain ids must be distinct integers, got {ids}")
-    return meta, chains, mpsrf
+    return meta, mpsrf
 
 
-def _check_domain(block: np.ndarray, meta: FitMetadata, chain_ids) -> None:
-    """Refuse a chain with a draw outside the tail-mass identity's domain.
-
-    sigma rises with mu and falls with log N, so every draw of a chain is in
-    the domain when the corners (least mu, most log N) and (most mu, least
-    log N) of its range are; a nan makes both corners nan.
-    """
-    lo, hi = block.min(axis=2), block.max(axis=2)  # (chains, [mu, log N])
-    corner_mu = np.stack([lo[:, 0], hi[:, 0]], axis=1)
-    corner_logN = np.stack([hi[:, 1], lo[:, 1]], axis=1)
-    inside = tail_mass_domain(corner_mu, corner_logN, meta.n_k, meta.w_k).all(axis=1)
+def _check_domain(mu: np.ndarray, logN: np.ndarray, meta: FitMetadata) -> None:
+    """Refuse a pooled draw outside the tail-mass identity's domain."""
+    inside = tail_mass_domain(mu, logN, meta.n_k, meta.w_k)
     if not inside.all():
+        i = int(inside.argmin())
         raise FitFileError(
-            f"chain {chain_ids[inside.argmin()]} has a draw outside the tail-mass "
-            f"identity's domain: w_k = {meta.w_k!r} < mu, 0 < n_k/N < 0.5 for "
-            f"n_k = {meta.n_k}, and a positive, finite sigma")
+            f"pooled draw {i} (mu = {float(mu[i])!r}, log N = {float(logN[i])!r}) is "
+            f"outside the tail-mass identity's domain: w_k = {meta.w_k!r} < mu, "
+            f"0 < n_k/N < 0.5 for n_k = {meta.n_k}, and a positive, finite sigma")
 
 
 def _parse(data: bytes) -> FitResult:
@@ -172,10 +160,10 @@ def _parse(data: bytes) -> FitResult:
         draws_line = data[end1 + 1:end2].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FitFileError(f"cannot read the header as UTF-8: {exc}") from exc
-    meta, chain_info, mpsrf = _parse_meta(meta_line)
+    meta, mpsrf = _parse_meta(meta_line)
     header = _DRAWS_HEADER.fullmatch(draws_line)
     if header is None:
-        raise FitFileError("third line must be '#draws <draws per chain> mu logN' "
+        raise FitFileError("third line must be '#draws <pooled draws> mu logN' "
                            "with a positive whole number of draws")
     start = end2 + 1
     end = len(data) - data.endswith(b"\n")  # the newline that ends the file starts no line
@@ -187,20 +175,19 @@ def _parse(data: bytes) -> FitResult:
         raw = binascii.a2b_hex(memoryview(data)[start:end])
     except binascii.Error as exc:
         raise FitFileError(f"draws block is not hex: {exc}") from exc
-    shape = (len(chain_info), 2, int(header[1]))
-    if len(raw) != math.prod(shape) * 8:
-        raise FitFileError(f"draws block holds {len(raw)} bytes; {shape[0]} chains of "
-                           f"{shape[2]} draws need {math.prod(shape) * 8}")
-
+    n = int(header[1])
+    if len(raw) != 2 * n * 8:
+        raise FitFileError(f"draws block holds {len(raw)} bytes; {n} draws of (mu, log N) "
+                           f"need {2 * n * 8}")
+    config = meta.config
+    pooled = min(config.pool_size, len(meta.chains) * config.batches)
+    if n != pooled:
+        raise FitFileError(f"the file holds {n} pooled draws; {len(meta.chains)} sampled "
+                           f"chains of {config.batches} draws pool to {pooled}")
     # astype copies the read-only frombuffer view into a writable native array
-    block = np.frombuffer(raw, dtype=_DRAWS_DTYPE).astype(np.float64).reshape(shape)
-    _check_domain(block, meta, [chain_id for chain_id, _, _ in chain_info])
-    chains = tuple(
-        PosteriorChain(chain_id=chain_id, mu=mu, logN=logN, accept_rate=accept_rate,
-                       step_scale=step_scale)
-        for (chain_id, accept_rate, step_scale), (mu, logN) in zip(chain_info, block)
-    )
-    return FitResult(chains, mpsrf, meta)
+    mu, logN = np.frombuffer(raw, dtype=_DRAWS_DTYPE).astype(np.float64).reshape(2, n)
+    _check_domain(mu, logN, meta)
+    return FitResult(mu, logN, mpsrf, meta)
 
 
 def loads(text: str) -> FitResult:

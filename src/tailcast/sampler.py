@@ -20,10 +20,12 @@ burn-in round of every chain still tuning, and sample_lanes steps the
 tuned chains. A lane takes its draws whole per burn-in round or batch,
 in _run_steps' order, so it keeps its chain's stream; everything built
 from them is built per block of _STEP_BLOCK steps, so only the draws
-grow with the round. An event that lost half its chains or more, at
-initialization or in burn-in, is not sampled and fails as "<id>: k of N
-chains failed". fit_event is its one-event case. SamplerConfig refuses
-fewer than 2 chains or 10 batches, which the diagnostic cannot judge.
+grow with the round. Each fitted event keeps the mpsrf of its chains and
+an even-stride pool of their draws, and drops the chains. An event that
+lost half its chains or more, at initialization or in burn-in, is not
+sampled and fails as "<id>: k of N chains failed". fit_event is its
+one-event case. SamplerConfig refuses fewer than 2 chains or 10 batches,
+which the diagnostic cannot judge.
 """
 from __future__ import annotations
 
@@ -109,24 +111,30 @@ class TunedState:
 
 @dataclass(frozen=True)
 class PosteriorChain:
+    """One chain as run_chain samples it: its retained (mu, log N) states."""
+
     chain_id: int
     mu: np.ndarray
     logN: np.ndarray
     accept_rate: float
     step_scale: float
 
-    def __len__(self) -> int:
-        return len(self.mu)
 
-    def draws(self) -> np.ndarray:
-        """(n, 2) array of retained (mu, log N) states."""
-        return np.column_stack((self.mu, self.logN))
+@dataclass(frozen=True)
+class ChainSummary:
+    """One sampled chain of a fit: its acceptance rate over the retained
+    steps and its tuned proposal scale s."""
+
+    chain_id: int
+    accept_rate: float
+    step_scale: float
 
 
 @dataclass(frozen=True)
 class FitMetadata:
     """What a fit was made from. best_x is the best fitted mark; record_x is
-    the event's record as of the end of the fit's window, fitted or not."""
+    the event's record as of the end of the fit's window, fitted or not;
+    chains are the sampled chains, in chain order."""
 
     event: EventSpec
     t_m: float
@@ -136,6 +144,7 @@ class FitMetadata:
     record_x: float
     prior: HyperPrior
     config: SamplerConfig
+    chains: tuple[ChainSummary, ...]
     failed_chains: tuple[int, ...] = ()
     notes: tuple[str, ...] = ()
 
@@ -146,25 +155,22 @@ class FitMetadata:
 
 @dataclass(frozen=True)
 class FitResult:
-    """What sampling produced for one event; the pooled draws follow from it.
-
-    Chains hold only the sampled (mu, log N) states. Each pooled draw's
-    sigma follows from its (mu, log N) by the tail-mass identity.
+    """One fitted event, the same whether sampled or loaded: the pooled
+    (mu, log N) draws, the mpsrf of the chains they were pooled from, and
+    what the fit was made from. Each pooled draw's sigma follows from its
+    (mu, log N) by the tail-mass identity.
     """
 
-    chains: tuple[PosteriorChain, ...]
+    pooled_mu: np.ndarray
+    pooled_logN: np.ndarray
     mpsrf: float
     meta: FitMetadata
-    pooled_mu: np.ndarray = field(init=False)
-    pooled_logN: np.ndarray = field(init=False)
     pooled_sigma: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        mu, logN = _pool_draws(self.chains, self.meta.config.pool_size)
-        object.__setattr__(self, "pooled_mu", mu)
-        object.__setattr__(self, "pooled_logN", logN)
         object.__setattr__(self, "pooled_sigma",
-                           tail_mass_sigma(mu, logN, self.meta.n_k, self.meta.w_k))
+                           tail_mass_sigma(self.pooled_mu, self.pooled_logN,
+                                           self.meta.n_k, self.meta.w_k))
 
     @property
     def event_id(self) -> str:
@@ -466,8 +472,8 @@ def fit_events(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | Non
     the message of the FitFailed that ended that event. Two lists with one
     event id are refused.
     """
-    # Per event: (data, t_m, {chain id: note on its failure}, its sampled
-    # chains), or the message of the FitFailed that ended it.
+    # Per event: (data, t_m, {chain id: note on its failure}, [(lane, its
+    # ChainSummary) per sampled chain]), or the message of the FitFailed that ended it.
     events: dict = {}
     chains = []  # per chain with an init: (event id, chain id, factor, init, rng)
     for data in lists:
@@ -502,10 +508,10 @@ def fit_events(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | Non
         mu, y, accepted = sample_lanes(target, config, [t for _, t in lanes],
                                        [c[4] for c, _ in lanes])
         steps = config.batches * config.batch_len
-        for ((event_id, chain_id, *_), tuned), m, lg, acc in zip(lanes, mu, y, accepted):
-            events[event_id][3].append(PosteriorChain(
-                chain_id=chain_id, mu=m, logN=lg, accept_rate=int(acc) / steps,
-                step_scale=tuned.step_scale))
+        for lane, ((event_id, chain_id, *_), tuned) in enumerate(lanes):
+            events[event_id][3].append((lane, ChainSummary(
+                chain_id=chain_id, accept_rate=int(accepted[lane]) / steps,
+                step_scale=tuned.step_scale)))
     fits: dict[str, FitResult] = {}
     failures: dict[str, str] = {}
     for event_id, event in events.items():
@@ -516,6 +522,8 @@ def fit_events(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | Non
         if not sampled:
             failures[event_id] = f"{event_id}: {len(notes)} of {config.chains} chains failed"
             continue
+        rows, summaries = zip(*sampled)
+        event_mu, event_y = mu[list(rows)], y[list(rows)]  # (chains, batches), chain order
         meta = FitMetadata(
             event=data.event,
             t_m=float(event_t_m),
@@ -525,20 +533,22 @@ def fit_events(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | Non
             record_x=data.record,
             prior=prior,
             config=config,
+            chains=summaries,
             failed_chains=tuple(sorted(notes)),
             notes=tuple(notes[c] for c in sorted(notes)),
         )
-        fits[event_id] = FitResult(tuple(sampled),
-                                   gelman_rubin_mpsrf([c.draws() for c in sampled]), meta)
+        fits[event_id] = FitResult(
+            *_pool_draws(event_mu, event_y, config.pool_size),
+            gelman_rubin_mpsrf(np.stack((event_mu, event_y), axis=2)), meta)
     return fits, failures
 
 
-def _pool_draws(chains, pool_size):
-    """Deterministic even-stride subsample across the concatenated chains."""
-    mu = np.concatenate([c.mu for c in chains])
-    y = np.concatenate([c.logN for c in chains])
+def _pool_draws(mu, logN, pool_size):
+    """Deterministic even-stride subsample of at most pool_size draws across
+    the chains' rows of (chains, draws) arrays, read in chain order."""
+    mu, logN = np.ravel(mu), np.ravel(logN)
     total = len(mu)
     if total <= pool_size:
-        return mu, y
+        return mu, logN
     idx = np.floor(np.linspace(0.0, total, pool_size, endpoint=False)).astype(int)
-    return mu[idx], y[idx]
+    return mu[idx], logN[idx]

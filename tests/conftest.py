@@ -17,7 +17,7 @@ from tailcast import sampler
 from tailcast.distcore import tail_mass_sigma
 from tailcast.emprior import HyperPrior
 from tailcast.ingest import EventSpec, PerformanceList
-from tailcast.sampler import FitMetadata, FitResult, PosteriorChain, SamplerConfig
+from tailcast.sampler import ChainSummary, FitMetadata, FitResult, SamplerConfig
 from tailcast.synth import sample_tail, tail_performance_list
 
 
@@ -45,11 +45,11 @@ def make_fit(
     prior: HyperPrior | None = None,
     notes: tuple[str, ...] = (),
 ) -> FitResult:
-    """FitResult from explicit draw arrays, split into two equal chains.
+    """FitResult whose pooled draws are the given arrays, fitted by two chains.
 
     Pass either logN or sigma; the other follows from the tail-mass identity
     sigma = (w_k - mu) / Phi^-1(n_k/N), as the fit's own pooled sigma does.
-    The default config pools every draw, so the pooled draws are the arrays.
+    The default config pools every draw of two chains of 1000 draws.
     """
     assert (logN is None) != (sigma is None), "pass exactly one of logN and sigma"
     mu = np.asarray(mu, dtype=float)
@@ -57,23 +57,13 @@ def make_fit(
         # n_k/N = Phi((w_k - mu) / sigma)
         logN = math.log(n_k) - log_ndtr((w_k - mu) / np.asarray(sigma, dtype=float))
     logN = np.asarray(logN, dtype=float)
-    assert mu.shape == logN.shape and mu.ndim == 1
-    assert len(mu) >= 2 and len(mu) % 2 == 0
+    assert mu.shape == logN.shape and mu.ndim == 1 and len(mu) >= 1
     event = event if event is not None else running_event()
     config = config if config is not None else SamplerConfig(chains=2, seed=0,
                                                              pool_size=len(mu))
     prior = prior if prior is not None else HyperPrior.weakly_informative()
-    half = len(mu) // 2
-    chains = tuple(
-        PosteriorChain(
-            chain_id=i,
-            mu=mu[i * half:(i + 1) * half].copy(),
-            logN=logN[i * half:(i + 1) * half].copy(),
-            accept_rate=0.3,
-            step_scale=0.05,
-        )
-        for i in range(2)
-    )
+    chains = tuple(ChainSummary(chain_id=i, accept_rate=0.3, step_scale=0.05)
+                   for i in range(2))
 
     if best_x is None:
         best_x = w_k - 6.0 * float(np.mean(tail_mass_sigma(mu, logN, n_k, w_k)))
@@ -86,9 +76,10 @@ def make_fit(
         record_x=best_x if record_x is None else record_x,
         prior=prior,
         config=config,
+        chains=chains,
         notes=notes,
     )
-    return FitResult(chains, mpsrf, meta)
+    return FitResult(mu, logN, mpsrf, meta)
 
 
 def point_mass_fit(

@@ -237,7 +237,7 @@ def test_tables_names_the_stale_fit_file(workspace, tmp_path, capsys):
     stale.write_text("\n".join(["#tailcast-fit/2", lines[1], "#columns chain_id"]) + "\n")
     capsys.readouterr()
     assert main(["tables", "--data", str(data_dir), "--out", str(out)]) == 1
-    assert f"error: {stale}: first line must be '#tailcast-fit/9'" in capsys.readouterr().err
+    assert f"error: {stale}: first line must be '#tailcast-fit/10'" in capsys.readouterr().err
 
 
 def test_tables_mile_partner_of_other_pool_size_warns(workspace, tmp_path, capsys):
@@ -358,6 +358,21 @@ def test_validate_data(workspace, tmp_path, capsys):
     (bad_dir / "broken.tsv").write_text("# unit=s\n9.58\t2009-08-16\n")
     assert main(["validate-data", "--data", str(bad_dir)]) == 1
     assert "ERROR" in capsys.readouterr().out
+
+
+def test_validate_data_prints_the_span_a_fit_uses(tmp_path, capsys):
+    # Record dates spanning under 4 years, in a five-year window: a fit of
+    # the list spans the window's 5.0 years, and validate-data says so.
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / "short.tsv").write_text(
+        "# event=short\n# unit=s\n# direction=lower\n"
+        "10.01\t2015-03-01\n10.05\t2016-07-14\n10.10\t2018-11-20\n")
+    assert main(["validate-data", "--data", str(data_dir),
+                 "--mode", "five-years", "--cutoff", "2019"]) == 0
+    (row,) = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert row[:2] == ["short", "OK"]
+    assert "span=5.0y" in row
 
 
 def test_duplicate_event_ids_are_refused(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Round-trip and validation tests for the tailcast-fit/9 text format.
+"""Round-trip and validation tests for the tailcast-fit/10 text format.
 
 The metadata line is written from and read back into the FitMetadata,
 EventSpec, HyperPrior and SamplerConfig dataclasses by reflection; the
@@ -26,7 +26,7 @@ from tailcast.fitfile import (
     save_fit,
 )
 from tailcast.ingest import Direction, EventSpec, Unit
-from tailcast.sampler import SamplerConfig
+from tailcast.sampler import FitResult, SamplerConfig
 
 from conftest import make_fit
 
@@ -75,15 +75,9 @@ def test_round_trip_preserves_fields():
     assert back.meta.prior == fit.meta.prior
     assert back.meta.config == fit.meta.config
     assert back.meta.notes == fit.meta.notes
+    assert back.meta.chains == fit.meta.chains
     assert back.mpsrf == fit.mpsrf
     assert back.converged == fit.converged
-    assert len(back.chains) == len(fit.chains)
-    for ours, theirs in zip(fit.chains, back.chains):
-        assert ours.chain_id == theirs.chain_id
-        assert np.array_equal(ours.mu, theirs.mu)
-        assert np.array_equal(ours.logN, theirs.logN)
-        assert ours.accept_rate == theirs.accept_rate
-        assert ours.step_scale == theirs.step_scale
     assert np.array_equal(back.pooled_mu, fit.pooled_mu)
     assert np.array_equal(back.pooled_logN, fit.pooled_logN)
     assert np.array_equal(back.pooled_sigma, fit.pooled_sigma)
@@ -103,7 +97,8 @@ def test_round_trip_every_metadata_field():
     meta = dataclasses.replace(fit.meta, event=event, prior=prior, config=config,
                                record_x=fit.meta.best_x - 0.01, failed_chains=(2, 3),
                                notes=("chain 2: failed",))
-    fit = dataclasses.replace(fit, meta=meta)
+    # two sampled chains of 90 draws pool to 60
+    fit = FitResult(fit.pooled_mu[:60], fit.pooled_logN[:60], fit.mpsrf, meta)
     assert fit.event_id == event.event_id
     assert fit.pooled_size == 60
     text = dumps(fit)
@@ -152,9 +147,9 @@ def test_load_fit_and_loads_agree(tmp_path):
     save_fit(sample_fit(), path)
     from_path, from_text = load_fit(path), loads(path.read_text())
     assert dumps(from_path) == dumps(from_text) == path.read_text()
-    for ours, theirs in zip(from_path.chains, from_text.chains):
-        for a, b in ((ours.mu, theirs.mu), (ours.logN, theirs.logN)):
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    for name in ("pooled_mu", "pooled_logN"):
+        a, b = getattr(from_path, name), getattr(from_text, name)
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_load_fit_refuses_a_non_ascii_draws_byte_as_not_hex(tmp_path):
@@ -171,7 +166,7 @@ def test_load_fit_refuses_a_non_ascii_draws_byte_as_not_hex(tmp_path):
 
 @pytest.mark.parametrize("content, message", [
     (b"#tailcast-fit/2\n", "first line must be"),
-    (b'#tailcast-fit/9\n#meta {"event": "\xff"}\n#draws 1 mu logN\n00\n', "cannot read"),
+    (b'#tailcast-fit/10\n#meta {"event": "\xff"}\n#draws 1 mu logN\n00\n', "cannot read"),
     (None, "cannot read"),
 ], ids=["old-format", "not-utf8", "missing"])
 def test_load_fit_names_the_file(tmp_path, content, message):
@@ -207,7 +202,7 @@ def test_loads_rejects_wrong_format_line():
         loads("#something-else/9\n")
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9])
 def test_loads_rejects_old_format(version):
     lines = dumps(sample_fit()).splitlines()
     lines[0] = f"#tailcast-fit/{version}"
@@ -235,7 +230,7 @@ def test_loads_rejects_wrong_columns():
 @pytest.mark.parametrize("field, text", [
     (0, "0.5"),   # not the #draws keyword
     (1, "1.5"),   # fractional draw count
-    (1, "0"),     # no draws per chain
+    (1, "0"),     # no draws
     (2, "fast"),  # not a draw column
     (0, "#"),     # a stray comment marker
 ])
@@ -262,13 +257,13 @@ def _reencode(lines, edit):
     (lambda lines: lines[:3] + ["é" + lines[3][1:]], "not hex"),
     (lambda lines: lines[:3] + ["\ud800" + lines[3][1:]], "not hex"),
     (lambda lines: _reencode(lines, lambda raw: raw[:-8]), "bytes"),
-    (lambda lines: [*lines[:2], lines[2].replace("100", "99"), lines[3]], "bytes"),
+    (lambda lines: [*lines[:2], lines[2].replace("200", "199"), lines[3]], "bytes"),
     (lambda lines: lines + ["00"], "single line"),
 ], ids=["no-draws-header", "not-hex", "truncated", "trailing-space", "not-ascii",
         "lone-surrogate", "one-draw-short", "header-disagrees", "extra-line"])
 def test_loads_rejects_bad_draws_block(edit, message):
     lines = dumps(sample_fit()).splitlines()
-    assert lines[2] == "#draws 100 mu logN"
+    assert lines[2] == "#draws 200 mu logN"
     with pytest.raises(FitFileError, match=message):
         loads("\n".join(edit(lines)) + "\n")
 
@@ -290,53 +285,64 @@ def test_loads_rejects_header_only():
         loads("\n".join(header) + "\n\n")
 
 
+@pytest.mark.parametrize("edit, pooled", [
+    (lambda payload: payload["config"].update(pool_size=150), 150),
+    (lambda payload: payload["config"].update(batches=50), 100),
+    (lambda payload: payload["config"].update(batches=150) or payload["chains"].pop(), 150),
+], ids=["smaller-pool", "fewer-batches", "fewer-chains"])
+def test_loads_rejects_a_draw_count_the_metadata_does_not_pool(edit, pooled):
+    # sample_fit pools all 200 draws of two chains of 1000 draws into 200
+    with pytest.raises(FitFileError, match=f"holds 200 pooled draws; .* pool to {pooled}$"):
+        loads(_edit_meta(edit))
+
+
 def test_loads_keeps_chains_in_meta_order():
     fit = sample_fit()
     chains = tuple(dataclasses.replace(chain, chain_id=chain_id)
-                   for chain, chain_id in zip(fit.chains, (7, 2)))
-    fit = dataclasses.replace(fit, chains=chains)
+                   for chain, chain_id in zip(fit.meta.chains, (7, 2)))
+    fit = dataclasses.replace(fit, meta=dataclasses.replace(fit.meta, chains=chains))
     back = loads(dumps(fit))
-    assert [chain.chain_id for chain in back.chains] == [7, 2]
-    for ours, theirs in zip(fit.chains, back.chains):
-        assert np.array_equal(ours.mu, theirs.mu)
-        assert np.array_equal(ours.logN, theirs.logN)
+    assert [chain.chain_id for chain in back.meta.chains] == [7, 2]
+    assert back.meta.chains == chains
+    assert np.array_equal(back.pooled_mu, fit.pooled_mu)
+    assert np.array_equal(back.pooled_logN, fit.pooled_logN)
 
 
 def _edit_draws(edits):
-    """A sample fit file with draws[chain, row, i] = value for each edit,
-    row 0 being mu and row 1 log N."""
+    """A sample fit file with draws[row, i] = value for each edit, row 0
+    being the pooled mu and row 1 the pooled log N."""
     lines = dumps(sample_fit()).splitlines()
 
     def edit(raw):
-        block = np.frombuffer(raw, dtype="<f8").reshape(2, 2, -1).copy()
-        for chain, row, i, value in edits:
-            block[chain, row, i] = value
+        block = np.frombuffer(raw, dtype="<f8").reshape(2, -1).copy()
+        for row, i, value in edits:
+            block[row, i] = value
         return block.tobytes()
 
     return "\n".join(_reencode(lines, edit)) + "\n"
 
 
-@pytest.mark.parametrize("edits, chain", [
-    ([(1, 0, 7, math.nan)], 1),
-    ([(1, 1, 3, math.inf)], 1),
-    ([(0, 0, 5, W_K)], 0),
-    ([(1, 1, 9, math.log(2 * N_K) - 1e-9)], 1),
-    ([(0, 1, 9, 800.0)], 0),
-    ([(1, 0, 4, 1e300), (1, 1, 4, math.log(2 * N_K) + 1e-9)], 1),
-    ([(1, 0, 0, math.nan), (0, 0, 99, 0.0)], 0),
+@pytest.mark.parametrize("edits, draw", [
+    ([(0, 107, math.nan)], 107),
+    ([(1, 103, math.inf)], 103),
+    ([(0, 5, W_K)], 5),
+    ([(1, 109, math.log(2 * N_K) - 1e-9)], 109),
+    ([(1, 9, 800.0)], 9),
+    ([(0, 104, 1e300), (1, 104, math.log(2 * N_K) + 1e-9)], 104),
+    ([(0, 100, math.nan), (0, 99, 0.0)], 99),
 ], ids=["nan-mu", "infinite-logN", "mu-at-w_k", "half-the-population", "share-underflows",
         "sigma-overflows", "first-chain-named"])
-def test_loads_rejects_draws_outside_the_model(edits, chain):
+def test_loads_rejects_draws_outside_the_model(edits, draw):
     # sigma is derived from (mu, log N), so such a draw would pool a sigma
-    # that is nan, infinite, zero or negative
+    # that is nan, infinite, zero or negative; the first such draw is named
     with pytest.raises(FitFileError,
-                       match=f"chain {chain} has a draw outside the tail-mass identity's domain"):
+                       match=f"pooled draw {draw} .* is outside the tail-mass identity's domain"):
         loads(_edit_draws(edits))
 
 
 def test_loads_takes_draws_just_inside_the_model():
-    text = _edit_draws([(0, 0, 5, np.nextafter(W_K, math.inf)),
-                        (1, 1, 9, math.log(2 * N_K) + 1e-9)])
+    text = _edit_draws([(0, 5, np.nextafter(W_K, math.inf)),
+                        (1, 109, math.log(2 * N_K) + 1e-9)])
     fit = loads(text)
     assert np.all(np.isfinite(fit.pooled_sigma)) and np.all(fit.pooled_sigma > 0.0)
 
@@ -366,9 +372,9 @@ def test_round_trip_keeps_every_float64_bit(tmp_path_factory, draws):
     save_fit(fit, path)
     for back in (loads(text), load_fit(path)):
         assert dumps(back) == text
-        for ours, theirs in zip(fit.chains, back.chains):
-            for a, b in ((ours.mu, theirs.mu), (ours.logN, theirs.logN)):
-                assert b.dtype == np.float64 and b.flags.writeable
-                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        for name in ("pooled_mu", "pooled_logN"):
+            a, b = getattr(fit, name), getattr(back, name)
+            assert b.dtype == np.float64 and b.flags.writeable
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
         assert np.array_equal(back.pooled_sigma.view(np.uint64),
                               fit.pooled_sigma.view(np.uint64))

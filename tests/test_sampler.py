@@ -13,6 +13,7 @@ from tailcast.distcore import make_lane_log_posterior, make_log_posterior, tail_
 from tailcast.emprior import HyperPrior, Provenance
 from tailcast.ingest import DateWindow, EventSpec, build_performance_list
 from tailcast.sampler import (
+    ChainSummary,
     FitFailed,
     SamplerConfig,
     TunedState,
@@ -310,35 +311,64 @@ def test_grid_proposal_tunes_every_chain_at_the_first_round(burn_in_steps):
     assert [o.step_scale for o in outcomes] == [sampler._START_SCALE] * len(lists)
 
 
-# sha256 of the draws of the fit below, read back through the fit file: it
-# moves only with a deliberate change to the sampler's draws.
+# sha256 of the chains that the fit below pools: it moves only with a
+# deliberate change to the sampler's draws.
 DRAWS_SHA256 = "d408928502eecba187557bfac83158b9b695c5ba7a3124627a1d2c49af835f99"
 # sha256 of the fit file itself; it also moves with the fit-file format.
-FIT_FILE_SHA256 = "4fa9b97eae28ff0083e8e27a26e7c3f13d8e1f55b953dc715de330522f07a9b0"
+FIT_FILE_SHA256 = "4fa3f8fdba1622caadc99aa8c7a5c884adc58428a582b13dbe602783e2126dc9"
 
 
-def _draws_digest(fit):
+def _reference_chains(data, prior, config, chain_ids=None):
+    """The chains the scalar reference samples for data, one at a time:
+    chain_rng, then _draw_init, tune_burn_in and run_chain on that stream."""
+    target = make_log_posterior(data, prior)
+    mean, factor = _grid_proposal(data, prior)
+    chains = []
+    for chain_id in range(config.chains) if chain_ids is None else chain_ids:
+        rng = chain_rng(config.seed, data.event.event_id, chain_id)
+        tuned = tune_burn_in(target, config, _draw_init(target, mean, factor, rng), factor, rng)
+        chains.append(run_chain(target, config, tuned, rng, chain_id=chain_id))
+    return chains
+
+
+def _assert_pools(fit, chains):
+    """fit holds the pool of these chains and their summaries, bit for bit."""
+    mu, logN = _pool_draws([c.mu for c in chains], [c.logN for c in chains],
+                           fit.meta.config.pool_size)
+    assert np.array_equal(fit.pooled_mu.view(np.uint64), mu.view(np.uint64))
+    assert np.array_equal(fit.pooled_logN.view(np.uint64), logN.view(np.uint64))
+    assert fit.meta.chains == tuple(
+        ChainSummary(chain_id=c.chain_id, accept_rate=c.accept_rate, step_scale=c.step_scale)
+        for c in chains)
+
+
+def _draws_digest(chains, n_k, w_k):
     digest = hashlib.sha256()
-    for chain in fit.chains:
+    for chain in chains:
         digest.update(np.array(chain.chain_id, dtype="<i8").tobytes())
         # sigma as the sampler once stored it per chain, by the identity
-        sigma = tail_mass_sigma(chain.mu, chain.logN, fit.meta.n_k, fit.meta.w_k)
+        sigma = tail_mass_sigma(chain.mu, chain.logN, n_k, w_k)
         for draws in (chain.mu, chain.logN, sigma):
             digest.update(np.asarray(draws, dtype="<f8").tobytes())
     return digest.hexdigest()
 
 
 def test_fit_event_bytes_are_frozen():
-    fit = fit_event(synthetic_event(), INFORMATIVE, small_config(), t_m=1.0)
+    data, config = synthetic_event(), small_config()
+    fit = fit_event(data, INFORMATIVE, config, t_m=1.0)
+    chains = _reference_chains(data, INFORMATIVE, config)
+    assert _draws_digest(chains, data.n_k, data.w_k) == DRAWS_SHA256
     text = fitfile.dumps(fit)
-    assert _draws_digest(fitfile.loads(text)) == DRAWS_SHA256
+    for pooled in (fit, fitfile.loads(text)):
+        _assert_pools(pooled, chains)
+    assert fit.mpsrf == gelman_rubin_mpsrf([np.column_stack((c.mu, c.logN)) for c in chains])
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FIT_FILE_SHA256
 
 
 def test_pooled_sigma_is_the_identity_over_the_pooled_draws():
-    data = synthetic_event()
-    fit = fit_event(data, INFORMATIVE, small_config(), t_m=1.0)
-    assert fit.pooled_size < sum(len(chain) for chain in fit.chains)
+    data, config = synthetic_event(), small_config()
+    fit = fit_event(data, INFORMATIVE, config, t_m=1.0)
+    assert fit.pooled_size == config.pool_size < config.chains * config.batches
     want = tail_mass_sigma(fit.pooled_mu, fit.pooled_logN, data.n_k, data.w_k)
     assert np.array_equal(fit.pooled_sigma, want)
 
@@ -354,10 +384,13 @@ def test_adjacent_base_seeds_share_no_chain():
     # Seeds s and s ^ 1 once gave one event the same chains in another order.
     data = synthetic_event()
     for seed in (8, 11):
-        a = fit_event(data, INFORMATIVE, small_config(seed=seed, batches=20), t_m=1.0)
-        b = fit_event(data, INFORMATIVE, small_config(seed=seed ^ 1, batches=20), t_m=1.0)
-        for chain_a in a.chains:
-            for chain_b in b.chains:
+        pair = []
+        for config in (small_config(seed=seed, batches=20), small_config(seed=seed ^ 1, batches=20)):
+            chains = _reference_chains(data, INFORMATIVE, config)
+            _assert_pools(fit_event(data, INFORMATIVE, config, t_m=1.0), chains)
+            pair.append(chains)
+        for chain_a in pair[0]:
+            for chain_b in pair[1]:
                 assert not np.array_equal(chain_a.mu, chain_b.mu)
                 assert not np.array_equal(chain_a.logN, chain_b.logN)
 
@@ -370,17 +403,13 @@ def test_chain_streams_share_no_first_draw():
 
 def test_fit_events_draws_each_chain_from_its_stream():
     # Chain c of an event starts where _draw_init, fed chain_rng(seed, id, c),
-    # puts it, whatever other events are fitted alongside.
+    # puts it, whatever other events are fitted alongside. The pool holds
+    # every draw of these 3 chains of 20.
     data, other = synthetic_event(), synthetic_event(seed=61, keep=25)
     config = small_config(batches=20)
     fit = fit_events([other, data], INFORMATIVE, config, t_m=1.0)[0][data.event.event_id]
-    target = make_log_posterior(data, INFORMATIVE)
-    mean, factor = _grid_proposal(data, INFORMATIVE)
-    for chain in fit.chains:
-        rng = chain_rng(config.seed, data.event.event_id, chain.chain_id)
-        init = _draw_init(target, mean, factor, rng)
-        tuned = tune_burn_in(target, config, init, factor, rng)
-        assert np.array_equal(run_chain(target, config, tuned, rng).mu, chain.mu)
+    assert fit.pooled_size == config.chains * config.batches
+    _assert_pools(fit, _reference_chains(data, INFORMATIVE, config))
 
 
 def test_fit_events_keeps_an_event_that_lost_fewer_than_half_its_chains(monkeypatch):
@@ -403,8 +432,9 @@ def test_fit_events_keeps_an_event_that_lost_fewer_than_half_its_chains(monkeypa
         results = tune_lanes(lists, prior, factors, config, inits, rngs)
         return [failure if chain_of(rng) in no_tuning else r for r, rng in zip(results, rngs)]
 
-    config = small_config(chains=6, batches=20)
-    clean = fit_event(kept, INFORMATIVE, config, t_m=1.0)
+    # 4 surviving chains of 20 draws pool to 30: blocks of 8, 7, 8 and 7 draws
+    config = small_config(chains=6, batches=20, pool_size=30)
+    survivors = _reference_chains(kept, INFORMATIVE, config, chain_ids=(0, 2, 4, 5))
     monkeypatch.setattr(sampler, "_draw_init", draw_init)
     monkeypatch.setattr(sampler, "tune_lanes", tuning)
     fits, failures = fit_events([kept, lost], INFORMATIVE, config, t_m=1.0)
@@ -414,11 +444,8 @@ def test_fit_events_keeps_an_event_that_lost_fewer_than_half_its_chains(monkeypa
     assert fit.meta.notes == (f"chain 1: {failure}",
                               "chain 3: no finite-posterior initialization found")
     assert fitfile.dumps(fit) == fitfile.dumps(fit_event(kept, INFORMATIVE, config, t_m=1.0))
-    survivors = {c.chain_id: c for c in clean.chains}
-    assert [c.chain_id for c in fit.chains] == [0, 2, 4, 5]
-    for chain in fit.chains:
-        assert np.array_equal(chain.mu, survivors[chain.chain_id].mu)
-        assert np.array_equal(chain.logN, survivors[chain.chain_id].logN)
+    assert [c.chain_id for c in fit.meta.chains] == [0, 2, 4, 5]
+    _assert_pools(fit, survivors)
 
 
 def test_fit_events_names_an_event_whose_every_chain_found_no_initialization(monkeypatch):
@@ -439,7 +466,7 @@ def test_run_chain_deterministic():
     assert np.array_equal(a.mu, b.mu)
     assert np.array_equal(a.logN, b.logN)
     assert a.accept_rate == b.accept_rate
-    assert len(a) == config.batches
+    assert len(a.mu) == config.batches
 
 
 def _reference_mpsrf(arrays):
@@ -503,12 +530,12 @@ def test_fit_event_structure_and_determinism():
     config = small_config()
     fit = fit_event(data, INFORMATIVE, config, t_m=1.0)
     assert fit.event_id == data.event.event_id
-    assert len(fit.chains) == config.chains
-    assert fit.pooled_size <= config.pool_size
+    assert [c.chain_id for c in fit.meta.chains] == list(range(config.chains))
+    assert fit.pooled_size == config.pool_size
     assert len(fit.pooled_mu) == len(fit.pooled_logN) == len(fit.pooled_sigma)
     assert np.all(np.isfinite(fit.pooled_sigma)) and np.all(fit.pooled_sigma > 0)
     assert np.all(np.exp(fit.pooled_logN) > data.n_k)
-    for chain in fit.chains:
+    for chain in fit.meta.chains:
         assert 0.15 <= chain.accept_rate <= 0.45
     assert fit.meta.t_m == 1.0
     assert fit.meta.n_k == data.n_k
@@ -566,18 +593,14 @@ def test_derive_t_m():
 
 
 def test_pool_draws_stride():
-    class Stub:
-        def __init__(self, lo, hi):
-            self.mu = np.arange(lo, hi, dtype=float)
-            self.logN = self.mu + 1000.0
+    mu = np.arange(1200, dtype=float).reshape(2, 600)  # two chains of 600
+    pooled_mu, pooled_logN = _pool_draws(mu, mu + 1000.0, 400)
+    assert len(pooled_mu) == 400
+    assert pooled_mu[0] == 0.0
+    assert np.all(np.diff(pooled_mu) > 0)
+    assert np.array_equal(pooled_logN, pooled_mu + 1000.0)
 
-    mu, logN = _pool_draws([Stub(0, 600), Stub(600, 1200)], 400)
-    assert len(mu) == 400
-    assert mu[0] == 0.0
-    assert np.all(np.diff(mu) > 0)
-    assert np.array_equal(logN, mu + 1000.0)
-
-    mu2, _ = _pool_draws([Stub(0, 100)], 400)
+    mu2, _ = _pool_draws([np.arange(100, dtype=float)], [np.zeros(100)], 400)
     assert np.array_equal(mu2, np.arange(100, dtype=float))
 
 
