@@ -34,6 +34,7 @@ from .sampler import fit_event  # noqa: F401
 from .stats import (
     DEFAULT_POINT_GRID,
     ForecastContext,
+    NoBorrowedPopulation,
     build_score_table,
     expected_best,
     record_probability,
@@ -360,7 +361,13 @@ def cmd_tables(cfg: RunConfig) -> int:
                 size = "" if borrowed is None else f" with {fit.pooled_size} pooled draws"
                 print(f"warning: {event_id}: no {partner} fit{size} to borrow a population "
                       "from; using its own", file=sys.stderr)
-        tables.append(build_score_table(ctx, cfg.points, population_logN=population_logN))
+        try:
+            table = build_score_table(ctx, cfg.points, population_logN=population_logN)
+        except NoBorrowedPopulation:
+            print(f"warning: {event_id}: no {partner} population draw keeps the tail-mass "
+                  "identity in-domain; using its own", file=sys.stderr)
+            table = build_score_table(ctx, cfg.points)
+        tables.append(table)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / "tables.tsv"
     atomic_write_text(out_path, render_score_tables(tables))

@@ -3,15 +3,15 @@
 The standard normal cdf and log-cdf are scipy.special's ndtr and log_ndtr,
 and take floats or numpy arrays alike. On top of them: the tail-mass
 identity linking population size N to the spread sigma (`tail_mass_sigma`,
-over posterior draws), and the model log-posterior over theta = (mu, log N),
-computed in one place (`make_lane_log_posterior`) under one prior on N
-(`HyperPrior`): many chains as numpy lanes, for burn-in and retained
-sampling, or one list over a block of points, for its quadrature grid.
-`make_log_posterior` is its one-lane view on Python floats, for chain
-initialization and the scalar reference sampler. Each list's grid is
-scored once, under the weak prior (`HyperPrior.weakly_informative()`),
-into per-column sums (`grid_columns`) that `grid_posterior` reweights to
-any prior on log N.
+over posterior draws, and nan for a draw outside the identity's domain),
+and the model log-posterior over theta = (mu, log N), computed in one
+place (`make_lane_log_posterior`) under one prior on N (`HyperPrior`):
+many chains as numpy lanes, for burn-in and retained sampling, or one
+list over a block of points, for its quadrature grid. `make_log_posterior`
+is its one-lane view on Python floats, for chain initialization and the
+scalar reference sampler. Each list's grid is scored once, under the weak
+prior (`HyperPrior.weakly_informative()`), into per-column sums
+(`grid_columns`) that `grid_posterior` reweights to any prior on log N.
 """
 from __future__ import annotations
 
@@ -74,15 +74,8 @@ def log_std_normal_cdf(z):
 
 
 def tail_mass_sigma(mu, log_n_pop, n_k: int, w_k: float):
-    """sigma = (w_k - mu) / Phi^-1(n_k/N) elementwise over draws of mu and log N.
-
-    The caller keeps every draw inside the domain that tail_mass_domain tests.
-    """
-    return (w_k - mu) / special.ndtri(n_k * np.exp(-log_n_pop))
-
-
-def tail_mass_domain(mu, log_n_pop, n_k: int, w_k: float):
-    """Mask of the draws inside the tail-mass identity's domain: w_k < mu,
+    """sigma = (w_k - mu) / Phi^-1(n_k/N) elementwise over draws of mu and
+    log N, and nan for a draw outside the identity's domain: w_k < mu,
     0 < n_k/N < 0.5, and a sigma that fits a double.
 
     With w_k < mu, the quotient is positive exactly where 0 < n_k/N < 0.5;
@@ -90,8 +83,8 @@ def tail_mass_domain(mu, log_n_pop, n_k: int, w_k: float):
     it and a gap mu - w_k near the smallest double rounds it to 0.
     """
     with np.errstate(all="ignore"):
-        sigma = tail_mass_sigma(mu, log_n_pop, n_k, w_k)
-    return (mu > w_k) & (sigma > 0.0) & (sigma < np.inf)
+        sigma = (w_k - mu) / special.ndtri(n_k * np.exp(-log_n_pop))
+        return np.where((mu > w_k) & (sigma > 0.0) & (sigma < np.inf), sigma, np.nan)
 
 
 def make_log_posterior(data, prior):

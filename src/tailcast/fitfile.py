@@ -16,17 +16,19 @@ mpsrf; it is read back by reflecting on the same dataclasses, so a new
 metadata field needs no change here. Re-saving a loaded fit reproduces
 the file byte for byte.
 
-`load_fit` and `loads` share one parser over bytes: only the three header
-lines are decoded as text, and the draws line goes to the hex codec as a
-view of the file's bytes. Files of the older formats /1 to /9 are not
-read: /1 and /2 held the draws as text tables, /3's metadata held a
-truncation-point field that /4 dropped, /4's held the convergence flag and
-the sampler's acceptance band and retune budget, /5's lacked the event's
-record (`record_x`), /6 also stored a sigma for every draw, which the
-identity already fixes, /7's sampler settings held a starting proposal
-scale that is now a constant, /8 held the draws in base64, a third
-smaller than hex and about three times slower to decode, and /9 held
-every chain's retained draws instead of the pool: 321 KB at the defaults.
+`load_fit` and `loads` share one parser over bytes: one split cuts off the
+three header lines, only they are decoded as text, and the draws line goes
+to the hex codec as bytes. The identity is evaluated once per load, by
+`FitResult`, and a draw whose sigma it leaves nan is refused. Files of the
+older formats /1 to /9 are not read: /1 and /2 held the draws as text
+tables, /3's metadata held a truncation-point field that /4 dropped, /4's
+held the convergence flag and the sampler's acceptance band and retune
+budget, /5's lacked the event's record (`record_x`), /6 also stored a
+sigma for every draw, which the identity already fixes, /7's sampler
+settings held a starting proposal scale that is now a constant, /8 held
+the draws in base64, a third smaller than hex and about three times slower
+to decode, and /9 held every chain's retained draws instead of the pool:
+321 KB at the defaults.
 """
 from __future__ import annotations
 
@@ -44,7 +46,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .distcore import tail_mass_domain
 from .errors import TailcastError
 from .sampler import FitMetadata, FitResult
 
@@ -131,33 +132,17 @@ def _parse_meta(line: str):
     return meta, mpsrf
 
 
-def _check_domain(mu: np.ndarray, logN: np.ndarray, meta: FitMetadata) -> None:
-    """Refuse a pooled draw outside the tail-mass identity's domain."""
-    inside = tail_mass_domain(mu, logN, meta.n_k, meta.w_k)
-    if not inside.all():
-        i = int(inside.argmin())
-        raise FitFileError(
-            f"pooled draw {i} (mu = {float(mu[i])!r}, log N = {float(logN[i])!r}) is "
-            f"outside the tail-mass identity's domain: w_k = {meta.w_k!r} < mu, "
-            f"0 < n_k/N < 0.5 for n_k = {meta.n_k}, and a positive, finite sigma")
-
-
 def _parse(data: bytes) -> FitResult:
-    """Read a fit file's bytes. The draws line is found with bytes.find and
-    handed to a2b_hex as a memoryview: it is never decoded, split or copied."""
-    end0 = data.find(b"\n")
-    if (data[:end0] if end0 >= 0 else data) != _FORMAT_BYTES:
+    """Read a fit file's bytes. Only the three header lines are decoded as
+    text; the draws line goes to a2b_hex as bytes."""
+    lines = data.split(b"\n", 3)
+    if lines[0] != _FORMAT_BYTES:
         raise FitFileError(f"first line must be {FORMAT_LINE!r}; "
                            "refit files of an older format with `tailcast fit`")
-    end1 = data.find(b"\n", end0 + 1)
-    if end1 < 0 or end1 + 1 == len(data):
+    if len(lines) < 3 or lines[2:] == [b""]:
         raise FitFileError("file ends before the draws header")
-    end2 = data.find(b"\n", end1 + 1)
-    if end2 < 0:
-        end2 = len(data)
     try:
-        meta_line = data[end0 + 1:end1].decode("utf-8")
-        draws_line = data[end1 + 1:end2].decode("utf-8")
+        meta_line, draws_line = lines[1].decode("utf-8"), lines[2].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FitFileError(f"cannot read the header as UTF-8: {exc}") from exc
     meta, mpsrf = _parse_meta(meta_line)
@@ -165,14 +150,14 @@ def _parse(data: bytes) -> FitResult:
     if header is None:
         raise FitFileError("third line must be '#draws <pooled draws> mu logN' "
                            "with a positive whole number of draws")
-    start = end2 + 1
-    end = len(data) - data.endswith(b"\n")  # the newline that ends the file starts no line
-    if start >= end or data.find(b"\n", start, end) >= 0:
-        if not data[start:].strip(b"\n"):
+    rest = lines[3] if len(lines) == 4 else b""
+    body = rest.removesuffix(b"\n")  # the newline that ends the file starts no line
+    if not body or b"\n" in body:
+        if not rest.strip(b"\n"):
             raise FitFileError("file contains no posterior draws")
         raise FitFileError("the draws block must be a single line of hex")
     try:
-        raw = binascii.a2b_hex(memoryview(data)[start:end])
+        raw = binascii.a2b_hex(body)
     except binascii.Error as exc:
         raise FitFileError(f"draws block is not hex: {exc}") from exc
     n = int(header[1])
@@ -186,8 +171,15 @@ def _parse(data: bytes) -> FitResult:
                            f"chains of {config.batches} draws pool to {pooled}")
     # astype copies the read-only frombuffer view into a writable native array
     mu, logN = np.frombuffer(raw, dtype=_DRAWS_DTYPE).astype(np.float64).reshape(2, n)
-    _check_domain(mu, logN, meta)
-    return FitResult(mu, logN, mpsrf, meta)
+    fit = FitResult(mu, logN, mpsrf, meta)
+    outside = np.isnan(fit.pooled_sigma)
+    if outside.any():
+        i = int(outside.argmax())
+        raise FitFileError(
+            f"pooled draw {i} (mu = {float(mu[i])!r}, log N = {float(logN[i])!r}) is "
+            f"outside the tail-mass identity's domain: w_k = {meta.w_k!r} < mu, "
+            f"0 < n_k/N < 0.5 for n_k = {meta.n_k}, and a positive, finite sigma")
+    return fit
 
 
 def loads(text: str) -> FitResult:

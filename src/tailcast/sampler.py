@@ -158,7 +158,7 @@ class FitResult:
     """One fitted event, the same whether sampled or loaded: the pooled
     (mu, log N) draws, the mpsrf of the chains they were pooled from, and
     what the fit was made from. Each pooled draw's sigma follows from its
-    (mu, log N) by the tail-mass identity.
+    (mu, log N) by the tail-mass identity: nan for a draw outside its domain.
     """
 
     pooled_mu: np.ndarray

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import ndtri_exp
 
-from .distcore import log_std_normal_cdf, std_normal_cdf, tail_mass_domain, tail_mass_sigma
+from .distcore import log_std_normal_cdf, std_normal_cdf, tail_mass_sigma
 from .errors import TailcastError
 from .ingest import EventSpec, decode_mark, encode_mark, format_raw_mark
 from .sampler import FitResult
@@ -52,6 +52,10 @@ class AnchorNotFound(TailcastError):
 
 class UndefinedCorrelation(TailcastError):
     """Pearson correlation is undefined when either list has zero variance."""
+
+
+class NoBorrowedPopulation(TailcastError, ValueError):
+    """No borrowed population draw keeps an event's tail-mass identity in-domain."""
 
 
 @dataclass(frozen=True)
@@ -187,7 +191,8 @@ def substituted_sigma_draws(ctx: ForecastContext, population_logN: np.ndarray):
     """Redo the tail-mass identity with borrowed population draws.
 
     Returns (mu, sigma, logN) restricted to draws where the identity stays
-    in-domain for this event's n_k and w_k.
+    in-domain for this event's n_k and w_k; raises NoBorrowedPopulation
+    when no draw does.
     """
     fit = ctx.fit
     mu = fit.pooled_mu
@@ -197,14 +202,14 @@ def substituted_sigma_draws(ctx: ForecastContext, population_logN: np.ndarray):
             f"need one borrowed population draw per pooled draw "
             f"({mu.shape[0]}), got shape {logN.shape}"
         )
-    valid = tail_mass_domain(mu, logN, fit.meta.n_k, fit.meta.w_k)
+    sigma = tail_mass_sigma(mu, logN, fit.meta.n_k, fit.meta.w_k)
+    valid = ~np.isnan(sigma)
     if not valid.any():
-        raise ValueError(
+        raise NoBorrowedPopulation(
             f"{fit.event_id}: no borrowed population draw keeps the tail-mass "
             "identity in-domain"
         )
-    mu, logN = mu[valid], logN[valid]
-    return mu, tail_mass_sigma(mu, logN, fit.meta.n_k, fit.meta.w_k), logN
+    return mu[valid], sigma[valid], logN[valid]
 
 
 def anchor_mark(ctx: ForecastContext, population_logN: np.ndarray | None = None) -> float:

@@ -10,6 +10,11 @@ scored under the prior itself, against one running peak over the whole
 grid, with the moments taken from per-row and per-column sums. It is the
 reference for distcore.grid_posterior, which scores each list once and
 reweights its log N columns to the prior.
+
+`tail_mass_quotient` and `tail_mass_domain` state the tail-mass identity
+in two parts: the bare quotient, and a separate mask of the draws where it
+is the model's sigma. distcore.tail_mass_sigma must be the quotient on the
+mask and nan off it.
 """
 import math
 
@@ -61,6 +66,19 @@ def log_posterior(theta: tuple[float, float], data, prior) -> float:
     if math.isnan(data_term):
         return -math.inf
     return data_term + gaussian_logpdf(log_n_pop, prior.mu_N, prior.sigma2_N)
+
+
+def tail_mass_quotient(mu, log_n_pop, n_k: int, w_k: float):
+    """(w_k - mu) / Phi^-1(n_k/N) elementwise, unmasked."""
+    return (w_k - mu) / special.ndtri(n_k * np.exp(-log_n_pop))
+
+
+def tail_mass_domain(mu, log_n_pop, n_k: int, w_k: float):
+    """Mask of the draws inside the tail-mass identity's domain: w_k < mu,
+    0 < n_k/N < 0.5, and a quotient that is positive and finite."""
+    with np.errstate(all="ignore"):
+        sigma = tail_mass_quotient(mu, log_n_pop, n_k, w_k)
+    return (mu > w_k) & (sigma > 0.0) & (sigma < np.inf)
 
 
 def grid_posterior(data, prior):

@@ -259,6 +259,34 @@ def test_tables_mile_partner_of_other_pool_size_warns(workspace, tmp_path, capsy
     assert both[2] == alone[1]
 
 
+def test_tables_mile_partner_too_small_to_borrow_warns(tmp_path, capsys):
+    # Every pooled N of this 1500 m fit is under 2 n_k of the 2000-mark mile,
+    # so no borrowed draw keeps the mile's identity in-domain, and the mile
+    # row is built from its own draws, as when the partner is missing.
+    lists = [
+        tail_performance_list(EventSpec.running("m1500m"),
+                              sample_tail(1, math.log(215.0), 0.03, 300, 250), 2006, 2020, seed=2),
+        tail_performance_list(EventSpec.running("m1mile"),
+                              sample_tail(3, math.log(232.0), 0.03, 20_000, 2000), 2006, 2020,
+                              seed=4),
+    ]
+    write_corpus(tmp_path / "data", lists)
+    out = tmp_path / "out"
+    common = ["--data", str(tmp_path / "data"), "--out", str(out)]
+    assert main(["fit", *common, "--prior", "weak", "--chains", "2", "--batches", "40",
+                 "--burn-in", "300", "--pool-size", "80"]) == 0
+    assert load_fit(out / "fits" / "m1500m.fit").pooled_logN.max() < math.log(2 * 2000)
+    capsys.readouterr()
+    assert main(["tables", *common]) == 0
+    assert ("warning: m1mile: no m1500m population draw keeps the tail-mass identity "
+            "in-domain; using its own") in capsys.readouterr().err
+    mile = (out / "tables.tsv").read_text().splitlines()[2]
+    (out / "fits" / "m1500m.fit").unlink()
+    assert main(["tables", *common]) == 0
+    assert "no m1500m fit to borrow" in capsys.readouterr().err
+    assert (out / "tables.tsv").read_text().splitlines()[1] == mile
+
+
 def test_forecast_output(workspace):
     data_dir, out_dir = workspace
     code = main(["forecast", "--data", str(data_dir), "--out", str(out_dir),

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 from scipy import stats as scipy_stats
@@ -17,13 +17,18 @@ from tailcast.distcore import (
     make_lane_log_posterior,
     make_log_posterior,
     std_normal_cdf,
-    tail_mass_domain,
     tail_mass_sigma,
 )
 from tailcast.emprior import HyperPrior, Provenance
 
 from conftest import lane_events
-from oracles import gaussian_logpdf, log_posterior, truncnorm_logpdf
+from oracles import (
+    gaussian_logpdf,
+    log_posterior,
+    tail_mass_domain,
+    tail_mass_quotient,
+    truncnorm_logpdf,
+)
 
 # Reference values, frozen from high-precision evaluation (mpmath at 50
 # digits); they are independent of the scipy.special routines under test.
@@ -87,18 +92,54 @@ def test_quantile_reference_points():
         assert tail_mass_sigma(0.0, -math.log(q), 1, -1.0) == pytest.approx(-1.0 / z, rel=5e-10)
 
 
+# One draw inside the domain, then one per way out of it, for w_k = 0 and
+# n_k = 1 (so n_k/N = exp(-log N)): mu at w_k, n_k/N of 0.5 and 0, a nan, mu
+# below w_k with n_k/N above 0.5 (a positive quotient all the same), and
+# sigma overflowing or rounding to 0.
+DOMAIN_MU = [1.0, 0.0, 1.0, 1.0, math.nan, -1.0, 1e308, 5e-324]
+DOMAIN_LOG_N = [3.0, 3.0, math.log(2.0), math.inf, 3.0, 0.1, math.log(2.0) + 1e-12, 700.0]
+
+
 def test_tail_mass_domain_is_where_sigma_is_the_models():
-    # w_k = 0 and n_k = 1, so n_k/N = exp(-log N). One draw inside, then one
-    # per way out: mu at w_k, n_k/N of 0.5 and 0, a nan, mu below w_k with
-    # n_k/N above 0.5 (a positive quotient all the same), and sigma
-    # overflowing or rounding to 0.
-    mu = np.array([1.0, 0.0, 1.0, 1.0, np.nan, -1.0, 1e308, 5e-324])
-    log_n_pop = np.array([3.0, 3.0, math.log(2.0), np.inf, 3.0, 0.1,
-                          math.log(2.0) + 1e-12, 700.0])
-    expected = [True] + [False] * 7
-    assert tail_mass_domain(mu, log_n_pop, 1, 0.0).tolist() == expected
+    mu, log_n_pop = np.array(DOMAIN_MU), np.array(DOMAIN_LOG_N)
+    sigma = tail_mass_sigma(mu, log_n_pop, 1, 0.0)
+    assert np.isfinite(sigma[0]) and sigma[0] > 0.0
+    assert np.isnan(sigma[1:]).all()
+    # Only the w_k < mu test keeps the positive quotient of draw 5 out.
+    assert tail_mass_quotient(mu[5], log_n_pop[5], 1, 0.0) > 0.0
+
+
+@st.composite
+def identity_draws(draw):
+    """(n_k, w_k, mu, log N): draws that mix arbitrary doubles with the
+    domain's edges for that n_k and w_k."""
+    n_k = draw(st.integers(1, 10_000))
+    w_k = draw(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)))
+    edge_mu = [w_k, float(np.nextafter(w_k, math.inf)), w_k + 1.0, 1e300, 5e-324]
+    log_2n = math.log(2.0 * n_k)
+    edge_log_n = [log_2n - 1e-9, log_2n, log_2n + 1e-9, log_2n + 3.0, 700.0, 800.0]
+    size = draw(st.integers(1, 12))
+
+    def column(edges, span):
+        return draw(st.lists(st.one_of(st.sampled_from(edges), st.floats(*span), st.floats()),
+                             min_size=size, max_size=size))
+
+    return (n_k, w_k, column(edge_mu, (w_k - 5.0, w_k + 5.0)),
+            column(edge_log_n, (0.0, 40.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@example((1, 0.0, DOMAIN_MU, DOMAIN_LOG_N))
+@given(identity_draws())
+def test_tail_mass_sigma_is_nan_exactly_outside_the_domain(draws):
+    n_k, w_k, mu, log_n_pop = draws
+    mu, log_n_pop = np.array(mu), np.array(log_n_pop)
+    inside = tail_mass_domain(mu, log_n_pop, n_k, w_k)
+    sigma = tail_mass_sigma(mu, log_n_pop, n_k, w_k)
+    assert np.array_equal(np.isnan(sigma), ~inside)
     with np.errstate(all="ignore"):
-        assert tail_mass_sigma(mu[5], log_n_pop[5], 1, 0.0) > 0.0
+        want = tail_mass_quotient(mu, log_n_pop, n_k, w_k)
+    assert np.array_equal(sigma[inside].view(np.uint64), want[inside].view(np.uint64))
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.3, 1.7])

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tailcast import distcore, sampler
+from tailcast.distcore import tail_mass_sigma
 from tailcast.emprior import HyperPrior, Provenance
 from tailcast.fitfile import (
     FORMAT_LINE,
@@ -338,6 +340,20 @@ def test_loads_rejects_draws_outside_the_model(edits, draw):
     with pytest.raises(FitFileError,
                        match=f"pooled draw {draw} .* is outside the tail-mass identity's domain"):
         loads(_edit_draws(edits))
+
+
+def test_a_load_evaluates_the_identity_once(monkeypatch):
+    text = dumps(sample_fit())
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tail_mass_sigma(*args)
+
+    monkeypatch.setattr(distcore, "tail_mass_sigma", counted)
+    monkeypatch.setattr(sampler, "tail_mass_sigma", counted)
+    loads(text)
+    assert len(calls) == 1
 
 
 def test_loads_takes_draws_just_inside_the_model():
