@@ -47,7 +47,6 @@ from .sampler import (
 )
 from .stats import (
     AnchorNotFound,
-    ForecastContext,
     ScoreTable,
     UndefinedCorrelation,
     anchor_mark,
@@ -75,7 +74,6 @@ __all__ = [
     "FitFailed",
     "FitFileError",
     "FitResult",
-    "ForecastContext",
     "HyperPrior",
     "InsufficientEvents",
     "PerformanceList",

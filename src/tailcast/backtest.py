@@ -20,7 +20,6 @@ from .emprior import HyperPrior, InsufficientEvents, two_pass_fit
 from .ingest import DateWindow, EmptyListError, PerformanceList, build_performance_list
 from .sampler import SamplerConfig
 from .stats import (
-    ForecastContext,
     UndefinedCorrelation,
     expected_best,
     expected_exceedances,
@@ -188,12 +187,6 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
     for event_id, msg in sorted(result.failures.items()):
         _add_note(notes, event_id, f"fit failed: {msg}")
 
-    contexts: dict[int, dict[str, ForecastContext]] = {}
-    for length in spec.windows:
-        contexts[length] = {
-            event_id: ForecastContext(fit, t_f=float(length))
-            for event_id, fit in result.fits.items()
-        }
     for event_id, fit in result.fits.items():
         if not fit.converged:
             _add_note(notes, event_id, f"forecast from unconverged fit (mpsrf={fit.mpsrf:.3f})")
@@ -214,17 +207,17 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
         window = spec.evaluation_window(length)
         held_out = {event_id: _marks_in(dated[event_id], window) for event_id in result.fits}
         expected_best_x = {
-            event_id: expected_best(ctx).x for event_id, ctx in contexts[length].items()
+            event_id: expected_best(fit, float(length)).x for event_id, fit in result.fits.items()
         }
         for rank in spec.reference_ranks:
             exceed_rows: list[tuple[str, float, float]] = []
             improv_rows: list[tuple[str, float, float]] = []
-            for event_id, ctx in contexts[length].items():
+            for event_id, fit in result.fits.items():
                 if rank > len(references[event_id]):
                     continue
                 ref = references[event_id][rank - 1]
                 marks = held_out[event_id]
-                predicted_count = float(length) * expected_exceedances(ctx, ref)
+                predicted_count = float(length) * expected_exceedances(fit, ref)
                 # strictly better than the reference: ties do not count
                 exceed_rows.append((event_id, predicted_count, float(bisect_left(marks, ref))))
                 if marks:
@@ -235,12 +228,12 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
             cells.append(_correlate("improvement", length, rank, improv_rows))
 
         record_rows: list[tuple[str, float, float]] = []
-        for event_id, ctx in contexts[length].items():
+        for event_id, fit in result.fits.items():
             record_mark = references[event_id][0]
             marks = held_out[event_id]
             occurred = bool(marks) and marks[0] < record_mark
             record_rows.append(
-                (event_id, record_probability(ctx, record_mark), float(occurred))
+                (event_id, record_probability(fit, record_mark, float(length)), float(occurred))
             )
         cells.append(_correlate("record", length, None, record_rows))
 

@@ -2,8 +2,9 @@
 
 Subcommands compose through the filesystem: `fit` persists one tailcast-fit/10
 file per event plus a manifest, and `tables`, `forecast` read those fits back
-instead of refitting. All outputs are deterministic for a fixed seed; no
-command writes timestamps.
+instead of refitting, and hand each FitResult to the statistics (a mile's
+table takes `borrow_population` of its 1500 m partner's draws). All outputs
+are deterministic for a fixed seed; no command writes timestamps.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,8 +35,8 @@ from .sampler import FitResult, SamplerConfig, fit_events
 from .sampler import fit_event  # noqa: F401
 from .stats import (
     DEFAULT_POINT_GRID,
-    ForecastContext,
     NoBorrowedPopulation,
+    borrow_population,
     build_score_table,
     expected_best,
     record_probability,
@@ -146,7 +148,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if events_text == "all":
         events = None
     else:
-        events = tuple(e.strip() for e in str(events_text).split(",") if e.strip())
+        names = (e.strip() for e in str(events_text).split(","))
+        events = tuple(dict.fromkeys(e for e in names if e))  # once each, in order
         if not events:
             raise UsageError("event selection is empty")
 
@@ -318,26 +321,28 @@ def _load_fits(cfg: RunConfig) -> dict[str, FitResult]:
     if not files:
         raise UsageError(f"no fit files in {fits_dir} (run `tailcast fit` first)")
     fits = {}
+    seen: dict[str, Path] = {}
     for path in files:
         fit = load_fit(path)
+        clash = _duplicate_event(fit.meta, path, seen)
+        if clash is not None:
+            raise UsageError(clash)
         fits[fit.event_id] = fit
     return fits
 
 
-def _context(fit: FitResult, t_f: float) -> ForecastContext:
+def _warn_unconverged(fit: FitResult) -> None:
     if not fit.converged:
         print(f"warning: {fit.event_id}: forecasting from an unconverged fit "
               f"(mpsrf={fit.mpsrf:.3f})", file=sys.stderr)
-    return ForecastContext(fit, t_f=t_f)
 
 
 def mile_partner(event_id: str) -> str | None:
     """Event whose population draws a mile event borrows, if any."""
-    lower = event_id.lower()
-    idx = lower.find("1mile")
-    if idx < 0:
+    match = re.search("1mile", event_id, re.IGNORECASE | re.ASCII)
+    if match is None:
         return None
-    return event_id[:idx] + "1500m" + event_id[idx + len("1mile"):]
+    return event_id[:match.start()] + "1500m" + event_id[match.end():]
 
 
 def cmd_tables(cfg: RunConfig) -> int:
@@ -345,8 +350,7 @@ def cmd_tables(cfg: RunConfig) -> int:
     tables = []
     for event_id in sorted(fits):
         fit = fits[event_id]
-        ctx = _context(fit, cfg.t_f)
-        population_logN = None
+        _warn_unconverged(fit)
         partner = mile_partner(event_id)
         if partner is not None:
             # Borrowing takes one partner draw per pooled draw of this fit. The
@@ -356,18 +360,16 @@ def cmd_tables(cfg: RunConfig) -> int:
             if borrowed is None and partner_path.is_file():
                 borrowed = load_fit(partner_path)
             if borrowed is not None and borrowed.pooled_size == fit.pooled_size:
-                population_logN = borrowed.pooled_logN
+                try:
+                    fit = borrow_population(fit, borrowed.pooled_logN)
+                except NoBorrowedPopulation:
+                    print(f"warning: {event_id}: no {partner} population draw keeps the "
+                          "tail-mass identity in-domain; using its own", file=sys.stderr)
             else:
                 size = "" if borrowed is None else f" with {fit.pooled_size} pooled draws"
                 print(f"warning: {event_id}: no {partner} fit{size} to borrow a population "
                       "from; using its own", file=sys.stderr)
-        try:
-            table = build_score_table(ctx, cfg.points, population_logN=population_logN)
-        except NoBorrowedPopulation:
-            print(f"warning: {event_id}: no {partner} population draw keeps the tail-mass "
-                  "identity in-domain; using its own", file=sys.stderr)
-            table = build_score_table(ctx, cfg.points)
-        tables.append(table)
+        tables.append(build_score_table(fit, cfg.points))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / "tables.tsv"
     atomic_write_text(out_path, render_score_tables(tables))
@@ -383,11 +385,11 @@ def cmd_forecast(cfg: RunConfig) -> int:
     rows = []
     for event_id in sorted(fits):
         fit = fits[event_id]
-        ctx = _context(fit, cfg.t_f)
+        _warn_unconverged(fit)
         record_x = fit.meta.record_x
-        p = record_probability(ctx, record_x)
+        p = record_probability(fit, record_x, cfg.t_f)
         if cfg.t_f > 0.0:
-            best = expected_best(ctx)
+            best = expected_best(fit, cfg.t_f)
             best_text = format_raw_mark(fit.meta.event, best.raw)
         else:
             best_text = ""

@@ -132,9 +132,10 @@ class ChainSummary:
 
 @dataclass(frozen=True)
 class FitMetadata:
-    """What a fit was made from. best_x is the best fitted mark; record_x is
-    the event's record as of the end of the fit's window, fitted or not;
-    chains are the sampled chains, in chain order."""
+    """What a fit was made from. t_m is the span in years the list's marks
+    accumulated over, finite and positive; best_x is the best fitted mark;
+    record_x is the event's record as of the end of the fit's window, fitted
+    or not; chains are the sampled chains, in chain order."""
 
     event: EventSpec
     t_m: float
@@ -147,6 +148,10 @@ class FitMetadata:
     chains: tuple[ChainSummary, ...]
     failed_chains: tuple[int, ...] = ()
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.t_m) and self.t_m > 0.0):
+            raise ValueError(f"t_m must be a positive number of years, got {self.t_m}")
 
     @property
     def event_id(self) -> str:

@@ -3,7 +3,11 @@
 Every statistic is a posterior expectation taken as an equal-weight average
 over the pooled draws of a FitResult: exceedance rates, record-breaking
 probabilities, the expected best mark of a future window, and the 1300-point
-scoring tables anchored at the mark with exceedance rate 0.125.
+scoring tables anchored at the mark with exceedance rate 0.125. Each takes
+the FitResult itself, and the horizon t_f in years where it needs one; rates
+are per year of the fit's own span, fit.meta.t_m. A mile event borrows its
+population N from the 1500 m: borrow_population makes that a FitResult too.
+Whether an unconverged fit may be forecast from is the caller's decision.
 """
 from __future__ import annotations
 
@@ -58,28 +62,8 @@ class NoBorrowedPopulation(TailcastError, ValueError):
     """No borrowed population draw keeps an event's tail-mass identity in-domain."""
 
 
-@dataclass(frozen=True)
-class ForecastContext:
-    """A fit plus the forecast horizon t_f (years) its statistics refer to.
-
-    Rates are per year of the fit's own data span, fit.meta.t_m. Whether an
-    unconverged fit may be forecast from is the caller's decision.
-    """
-
-    fit: FitResult
-    t_f: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t_f) and self.t_f >= 0.0):
-            raise ValueError(f"t_f must be a nonnegative number of years, got {self.t_f}")
-        t_m = self.fit.meta.t_m
-        if not (math.isfinite(t_m) and t_m > 0.0):
-            raise ValueError(f"t_m must be a positive number of years, got {t_m}")
-
-
-def expected_exceedances(ctx: ForecastContext, a: float) -> float:
+def expected_exceedances(fit: FitResult, a: float) -> float:
     """Posterior-expected number of marks better than `a` per calendar year."""
-    fit = ctx.fit
     z = (a - fit.pooled_mu) / fit.pooled_sigma
     rates = np.exp(fit.pooled_logN) / fit.meta.t_m * std_normal_cdf(z)
     return float(np.mean(rates))
@@ -90,12 +74,13 @@ def _min_log_survival(fit: FitResult, a) -> np.ndarray:
     return log_std_normal_cdf((fit.pooled_mu - np.asarray(a)) / fit.pooled_sigma)
 
 
-def record_probability(ctx: ForecastContext, a: float) -> float:
+def record_probability(fit: FitResult, a: float, t_f: float) -> float:
     """Posterior probability that some mark within t_f years beats `a`."""
-    if ctx.t_f == 0.0:
+    if not (math.isfinite(t_f) and t_f >= 0.0):
+        raise ValueError(f"t_f must be a nonnegative number of years, got {t_f}")
+    if t_f == 0.0:
         return 0.0
-    fit = ctx.fit
-    exponent = ctx.t_f * np.exp(fit.pooled_logN) / fit.meta.t_m
+    exponent = t_f * np.exp(fit.pooled_logN) / fit.meta.t_m
     with np.errstate(invalid="ignore"):
         per_draw = -np.expm1(exponent * _min_log_survival(fit, a))
     return float(np.mean(per_draw))
@@ -148,7 +133,7 @@ def _panel_expected_max(M: np.ndarray) -> np.ndarray:
     return m
 
 
-def expected_best(ctx: ForecastContext) -> ExpectedBest:
+def expected_best(fit: FitResult, t_f: float) -> ExpectedBest:
     """Posterior-expected best transformed mark over the next t_f years.
 
     For one draw the best of M = t_f*N/t_m future marks has mean
@@ -161,10 +146,9 @@ def expected_best(ctx: ForecastContext) -> ExpectedBest:
     interpolant, within 2.3e-14 of the per-draw rule for M from 0.05 to
     1e200. Draws with M < 0.05, below that range, keep the per-draw rule.
     """
-    if ctx.t_f <= 0.0:
-        raise ValueError("expected_best needs a positive forecast horizon")
-    fit = ctx.fit
-    M = ctx.t_f * np.exp(fit.pooled_logN) / fit.meta.t_m
+    if not (math.isfinite(t_f) and t_f > 0.0):
+        raise ValueError(f"expected_best needs a positive forecast horizon, got {t_f}")
+    M = t_f * np.exp(fit.pooled_logN) / fit.meta.t_m
     x = float(np.mean(fit.pooled_mu - fit.pooled_sigma * _panel_expected_max(M)))
     return ExpectedBest(x, decode_mark(fit.meta.event, x))
 
@@ -187,44 +171,40 @@ def improvement(a_new: float, a_old: float, event: EventSpec) -> float:
     return encode_mark(event, a_old) - encode_mark(event, a_new)
 
 
-def substituted_sigma_draws(ctx: ForecastContext, population_logN: np.ndarray):
-    """Redo the tail-mass identity with borrowed population draws.
+def borrow_population(fit: FitResult, logN: np.ndarray) -> FitResult:
+    """The fit with its log N draws replaced by a borrowed population's.
 
-    Returns (mu, sigma, logN) restricted to draws where the identity stays
-    in-domain for this event's n_k and w_k; raises NoBorrowedPopulation
-    when no draw does.
+    A mile borrows its population N from the 1500 m: `logN` holds one draw
+    per pooled draw. Sigma follows from each (mu, borrowed log N) by the
+    tail-mass identity for this event's n_k and w_k, and the draws it leaves
+    out of domain are dropped; the mpsrf and metadata stay the fit's. Raises
+    NoBorrowedPopulation when no draw is kept.
     """
-    fit = ctx.fit
-    mu = fit.pooled_mu
-    logN = np.asarray(population_logN, dtype=float)
-    if logN.shape != mu.shape:
+    logN = np.asarray(logN, dtype=float)
+    if logN.shape != fit.pooled_mu.shape:
         raise ValueError(
             f"need one borrowed population draw per pooled draw "
-            f"({mu.shape[0]}), got shape {logN.shape}"
+            f"({fit.pooled_size}), got shape {logN.shape}"
         )
-    sigma = tail_mass_sigma(mu, logN, fit.meta.n_k, fit.meta.w_k)
-    valid = ~np.isnan(sigma)
-    if not valid.any():
+    keep = ~np.isnan(tail_mass_sigma(fit.pooled_mu, logN, fit.meta.n_k, fit.meta.w_k))
+    if not keep.any():
         raise NoBorrowedPopulation(
             f"{fit.event_id}: no borrowed population draw keeps the tail-mass "
             "identity in-domain"
         )
-    return mu[valid], sigma[valid], logN[valid]
+    return FitResult(fit.pooled_mu[keep], logN[keep], fit.mpsrf, fit.meta)
 
 
-def anchor_mark(ctx: ForecastContext, population_logN: np.ndarray | None = None) -> float:
+def anchor_mark(fit: FitResult) -> float:
     """Transformed mark whose expected exceedance rate equals ANCHOR_RATE.
 
-    Solved by bisection on the event's posterior rate curve. When
-    population_logN is given (mile events borrowing their 1500 m population),
-    sigma is recomputed per draw from the borrowed population before solving.
+    Solved by bisection on the fit's posterior rate curve, expected_exceedances
+    with exp(log N)/t_m computed once per call instead of once per step. A
+    mile borrowing its 1500 m population is anchored on the fit that
+    borrow_population returns.
     """
-    fit = ctx.fit
-    if population_logN is None:
-        mu, sigma, logN = fit.pooled_mu, fit.pooled_sigma, fit.pooled_logN
-    else:
-        mu, sigma, logN = substituted_sigma_draws(ctx, population_logN)
-    pop_per_year = np.exp(logN) / fit.meta.t_m
+    mu, sigma = fit.pooled_mu, fit.pooled_sigma
+    pop_per_year = np.exp(fit.pooled_logN) / fit.meta.t_m
 
     def rate(a: float) -> float:
         return float(np.mean(pop_per_year * std_normal_cdf((a - mu) / sigma)))
@@ -289,13 +269,12 @@ class ScoreTable:
         return decode_mark(self.event, self.a0)
 
 
-def build_score_table(ctx: ForecastContext, points: Sequence[int] = DEFAULT_POINT_GRID,
-                      population_logN: np.ndarray | None = None) -> ScoreTable:
-    a0_x = anchor_mark(ctx, population_logN=population_logN)
-    event = ctx.fit.meta.event
+def build_score_table(fit: FitResult, points: Sequence[int] = DEFAULT_POINT_GRID) -> ScoreTable:
+    a0_x = anchor_mark(fit)
+    event = fit.meta.event
     a0_raw = decode_mark(event, a0_x)
     rows = tuple((int(p), mark_for_points(event, a0_raw, p)) for p in sorted(set(points)))
-    return ScoreTable(event=event, a0=a0_x, rows=rows, low_data=ctx.fit.meta.n_k < 20)
+    return ScoreTable(event=event, a0=a0_x, rows=rows, low_data=fit.meta.n_k < 20)
 
 
 def render_score_tables(tables: Sequence[ScoreTable]) -> str:

@@ -27,7 +27,7 @@ from tailcast.emprior import (
 )
 from tailcast.ingest import EventSpec, parse_time
 from tailcast.sampler import SamplerConfig, run_chain, tune_burn_in
-from tailcast.stats import ForecastContext, expected_best, record_probability, score
+from tailcast.stats import expected_best, record_probability, score
 from tailcast.synth import sample_tail, tail_performance_list, write_corpus
 
 MU_STAR = math.log(11.28)
@@ -209,8 +209,7 @@ def test_criterion_06_expected_best_matches_simulation():
     reps = 1_000_000
     worst = 0.0
     for m in (10, 100, 1000):
-        ctx = ForecastContext(fit=point_mass_fit(0.0, 1.0, math.log(m), n_k=1), t_f=1.0)
-        predicted = expected_best(ctx).x
+        predicted = expected_best(point_mass_fit(0.0, 1.0, math.log(m), n_k=1), 1.0).x
         total = 0.0
         block = 2000
         for _ in range(reps // block):
@@ -223,8 +222,7 @@ def test_criterion_06_expected_best_matches_simulation():
 def test_criterion_07_record_probability_closed_form():
     t0 = time.perf_counter()
     threshold = special.ndtri(1e-6)
-    ctx = ForecastContext(fit=point_mass_fit(0.0, 1.0, math.log(1e6)), t_f=1.0)
-    p = record_probability(ctx, threshold)
+    p = record_probability(point_mass_fit(0.0, 1.0, math.log(1e6)), threshold, 1.0)
     _finish("7", "record probability 1 - 1/e closed form", abs(p - 0.63212) <= 1e-4,
             time.perf_counter() - t0, 1.0)
 

@@ -240,6 +240,41 @@ def test_tables_names_the_stale_fit_file(workspace, tmp_path, capsys):
     assert f"error: {stale}: first line must be '#tailcast-fit/10'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["tables", "forecast"])
+def test_a_fit_file_with_a_bad_span_is_refused(workspace, tmp_path, capsys, command):
+    data_dir, out_dir = workspace
+    out = tmp_path / "span"
+    (out / "fits").mkdir(parents=True)
+    for path in (out_dir / "fits").glob("*.fit"):
+        (out / "fits" / path.name).write_bytes(path.read_bytes())
+    bad = out / "fits" / "m0400.fit"
+    lines = bad.read_text().splitlines()
+    meta = json.loads(lines[1][len("#meta "):])
+    meta["t_m"] = 0.0
+    lines[1] = "#meta " + json.dumps(meta, sort_keys=True)
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([command, "--data", str(data_dir), "--out", str(out)]) == 1
+    assert (f"error: {bad}: metadata is missing or malformed: t_m must be a positive "
+            "number of years, got 0.0") in capsys.readouterr().err
+
+
+def test_two_fit_files_of_one_event_are_refused(workspace, tmp_path, capsys):
+    data_dir, out_dir = workspace
+    fits = tmp_path / "copy" / "fits"
+    fits.mkdir(parents=True)
+    for name in ("m0100.fit", "m0100 (copy).fit"):
+        (fits / name).write_bytes((out_dir / "fits" / "m0100.fit").read_bytes())
+    capsys.readouterr()
+    assert main(["tables", "--data", str(data_dir), "--out", str(fits.parent)]) == 2
+    assert (f"error: event id 'm0100' is declared by both {fits / 'm0100 (copy).fit'} "
+            f"and {fits / 'm0100.fit'}") in capsys.readouterr().err
+    assert not (fits.parent / "tables.tsv").exists()
+    # an id named twice in --events selects its one file once
+    assert main(["tables", "--data", str(data_dir), "--out", str(fits.parent),
+                 "--events", "m0100,m0100"]) == 0
+
+
 def test_tables_mile_partner_of_other_pool_size_warns(workspace, tmp_path, capsys):
     # The mile borrows one 1500 m population draw per pooled draw, so a
     # partner fit pooled to another size is passed over like a missing one.
@@ -569,3 +604,7 @@ def test_mile_partner_mapping():
     assert mile_partner("w1mile") == "w1500m"
     assert mile_partner("W1MILE") == "W1500m"
     assert mile_partner("m0800") is None
+    # a letter whose lowercase is longer must not shift where the id is cut
+    assert mile_partner("İ1mile") == "İ1500m"
+    assert mile_partner("İİ1mile") == "İİ1500m"
+    assert mile_partner("x1mileİ") == "x1500mİ"

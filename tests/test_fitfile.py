@@ -123,7 +123,10 @@ def _edit_meta(edit):
     lambda payload: payload.pop("mpsrf"),
     lambda payload: payload["chains"][0].pop("chain_id"),
     lambda payload: payload["config"].update(no_such_setting=1.0),
-], ids=["no-mpsrf", "no-chain_id", "unknown-config-field"])
+    *(lambda payload, t_m=t_m: payload.update(t_m=t_m)
+      for t_m in (0.0, -2.0, math.nan, math.inf)),
+], ids=["no-mpsrf", "no-chain_id", "unknown-config-field",
+        "t_m-zero", "t_m-negative", "t_m-nan", "t_m-infinite"])
 def test_loads_rejects_bad_meta_keys(edit):
     with pytest.raises(FitFileError, match="missing or malformed"):
         loads(_edit_meta(edit))

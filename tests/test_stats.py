@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import log_ndtr, ndtri
 
-from tailcast.distcore import std_normal_cdf
+from tailcast.distcore import std_normal_cdf, tail_mass_sigma
 from tailcast.ingest import EventSpec
 from tailcast.stats import (
     ANCHOR_RATE,
     AnchorNotFound,
-    ForecastContext,
+    NoBorrowedPopulation,
     UndefinedCorrelation,
     anchor_mark,
+    borrow_population,
     build_score_table,
     expected_best,
     expected_exceedances,
@@ -25,7 +26,6 @@ from tailcast.stats import (
     record_probability,
     render_score_tables,
     score,
-    substituted_sigma_draws,
 )
 from tailcast.stats import _CHEB_NODES, _expected_max, _panel_expected_max
 
@@ -47,56 +47,59 @@ EXPECTED_MIN = {
 ONE_MINUS_INV_E_ISH = 0.632120742768355  # 1 - (1 - 1e-6)^1e6
 
 
-def event_ctx(t_f=1.0, **kwargs):
+def event_fit(**kwargs):
     defaults = dict(n_k=N_K, best_x=MU - 0.15)
     defaults.update(kwargs)
-    fit = point_mass_fit(MU, SIG, math.log(N_POP), **defaults)
-    return ForecastContext(fit, t_f=t_f)
+    return point_mass_fit(MU, SIG, math.log(N_POP), **defaults)
 
 
-def unit_ctx(M, t_f=1.0):
-    # M = t_f N / t_m future marks per unit horizon; a span of 1000 years keeps
+def unit_fit(M):
+    # M = N / t_m future marks per year of horizon; a span of 1000 years keeps
     # one listed mark below half the population for M down to 0.05
     t_m = 1000.0
-    fit = point_mass_fit(0.0, 1.0, math.log(M * t_m), n_k=1, t_m=t_m, best_x=-4.0)
-    return ForecastContext(fit, t_f=t_f)
+    return point_mass_fit(0.0, 1.0, math.log(M * t_m), n_k=1, t_m=t_m, best_x=-4.0)
 
 
-def test_context_validation():
+def test_horizon_and_span_validation():
     good = point_mass_fit(MU, SIG, 9.0, n_k=N_K, t_m=2.5)
-    assert ForecastContext(good, t_f=1.0).fit is good
-    with pytest.raises(ValueError):
-        ForecastContext(good, t_f=-1.0)
+    assert 0.0 <= record_probability(good, MU, 1.0) <= 1.0
+    for t_f in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_f must be a nonnegative number of years"):
+            record_probability(good, MU, t_f)
+    for t_f in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive forecast horizon"):
+            expected_best(good, t_f)
     for t_m in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            ForecastContext(point_mass_fit(MU, SIG, 9.0, t_m=t_m), t_f=1.0)
+        with pytest.raises(ValueError, match="t_m must be a positive number of years"):
+            point_mass_fit(MU, SIG, 9.0, t_m=t_m)
 
     # an unconverged fit still forecasts; warning about it is the caller's job
     bad = point_mass_fit(MU, SIG, 9.0, n_k=N_K, mpsrf=2.0)
-    assert ForecastContext(bad, t_f=1.0).fit is bad
+    assert 0.0 <= record_probability(bad, MU, 1.0) <= 1.0
+    assert math.isfinite(expected_best(bad, 1.0).x)
 
 
 def test_exceedances_point_mass_analytic():
-    ctx = event_ctx()
+    fit = event_fit()
     for a in (W_K - 0.05, W_K - 0.02, W_K):
         want = N_POP * std_normal_cdf((a - MU) / SIG)
-        assert expected_exceedances(ctx, a) == pytest.approx(want, rel=1e-12)
+        assert expected_exceedances(fit, a) == pytest.approx(want, rel=1e-12)
 
 
 def test_exceedances_tail_mass_identity_at_worst_mark():
     # the sampler derives sigma from the identity, so the rate at w_k must
     # reproduce n_k/t_m to numerical precision
-    ctx = event_ctx()
-    assert expected_exceedances(ctx, W_K) == pytest.approx(N_K, rel=1e-12)
-    half = event_ctx(t_m=2.0)
+    fit = event_fit()
+    assert expected_exceedances(fit, W_K) == pytest.approx(N_K, rel=1e-12)
+    half = event_fit(t_m=2.0)
     assert expected_exceedances(half, W_K) == pytest.approx(N_K / 2.0, rel=1e-12)
 
 
 def test_exceedances_limits_and_monotonicity():
-    ctx = event_ctx()
-    assert expected_exceedances(ctx, MU - 40.0) == 0.0
+    fit = event_fit()
+    assert expected_exceedances(fit, MU - 40.0) == 0.0
     grid = np.linspace(MU - 0.3, W_K, 50)
-    rates = [expected_exceedances(ctx, a) for a in grid]
+    rates = [expected_exceedances(fit, a) for a in grid]
     assert all(r >= 0.0 for r in rates)
     assert all(b >= a for a, b in zip(rates, rates[1:]))
 
@@ -105,32 +108,30 @@ def test_exceedances_match_simulated_seasons():
     # independent oracle: draw whole seasons of performances and count them
     pop, a = 500, -2.5
     fit = point_mass_fit(0.0, 1.0, math.log(pop), n_k=10, best_x=-4.0)
-    ctx = ForecastContext(fit, t_f=1.0)
-
     rng = np.random.default_rng(91)
     seasons, chunk, total = 200_000, 2_000, 0
     for _ in range(seasons // chunk):
         draws = rng.standard_normal((chunk, pop))
         total += int(np.count_nonzero(draws < a))
     simulated = total / seasons
-    assert expected_exceedances(ctx, a) == pytest.approx(simulated, rel=0.05)
+    assert expected_exceedances(fit, a) == pytest.approx(simulated, rel=0.05)
 
 
 def test_record_probability_limits():
-    ctx = event_ctx(t_f=2.0)
-    assert record_probability(ctx, MU - 40.0) == 0.0
-    assert record_probability(ctx, MU) > 1.0 - 1e-12  # population median
+    fit = event_fit()
+    assert record_probability(fit, MU - 40.0, 2.0) == 0.0
+    assert record_probability(fit, MU, 2.0) > 1.0 - 1e-12  # population median
     grid = np.linspace(MU - 0.25, W_K, 40)
-    probs = [record_probability(ctx, a) for a in grid]
+    probs = [record_probability(fit, a, 2.0) for a in grid]
     assert all(0.0 <= p <= 1.0 for p in probs)
     assert all(b >= a for a, b in zip(probs, probs[1:]))
 
 
 def test_record_probability_union_bound():
-    ctx = event_ctx(t_f=2.0)
+    fit = event_fit()
     for a in np.linspace(MU - 0.3, W_K, 60):
-        p = record_probability(ctx, a)
-        bound = min(1.0, ctx.t_f * expected_exceedances(ctx, a))
+        p = record_probability(fit, a, 2.0)
+        bound = min(1.0, 2.0 * expected_exceedances(fit, a))
         assert p <= bound + 1e-12
 
 
@@ -138,10 +139,9 @@ def test_record_probability_closed_form():
     # tail mass 1e-6 per draw, one million future performances
     M = 1e6
     fit = point_mass_fit(0.0, 1.0, math.log(M), n_k=10)
-    ctx = ForecastContext(fit, t_f=1.0)
     a = ndtri(1e-6)
-    assert record_probability(ctx, a) == pytest.approx(ONE_MINUS_INV_E_ISH, abs=1e-6)
-    assert record_probability(ForecastContext(fit, t_f=0.0), a) == 0.0
+    assert record_probability(fit, a, 1.0) == pytest.approx(ONE_MINUS_INV_E_ISH, abs=1e-6)
+    assert record_probability(fit, a, 0.0) == 0.0
 
 
 def test_record_probability_dense_tail_is_likely():
@@ -149,32 +149,31 @@ def test_record_probability_dense_tail_is_likely():
     # three expected exceedances per year make a new record odds-on
     pop = 5e5
     fit = point_mass_fit(0.0, 1.0, math.log(pop), n_k=50, best_x=-4.5)
-    ctx = ForecastContext(fit, t_f=1.0)
     a = ndtri(3.0 / pop)
-    assert record_probability(ctx, a) > 0.5
+    assert record_probability(fit, a, 1.0) > 0.5
 
 
 @pytest.mark.parametrize("M", [10, 100, 1000])
 def test_expected_best_point_mass_oracle(M):
-    got = expected_best(unit_ctx(M))
+    got = expected_best(unit_fit(M), 1.0)
     assert got.x == pytest.approx(EXPECTED_MIN[M], abs=1e-10)
     assert got.raw == pytest.approx(math.exp(got.x))
 
 
 def test_expected_best_single_draw_recovers_mean():
-    got = expected_best(unit_ctx(1))
+    got = expected_best(unit_fit(1), 1.0)
     assert got.x == pytest.approx(0.0, abs=1e-3)
 
 
 def test_expected_best_improves_with_horizon():
-    one = expected_best(unit_ctx(100, t_f=1.0)).x
-    two = expected_best(unit_ctx(100, t_f=2.0)).x
+    one = expected_best(unit_fit(100), 1.0).x
+    two = expected_best(unit_fit(100), 2.0).x
     assert two < one
 
 
 def test_expected_best_needs_positive_horizon():
     with pytest.raises(ValueError):
-        expected_best(unit_ctx(100, t_f=0.0))
+        expected_best(unit_fit(100), 0.0)
 
 
 @pytest.mark.parametrize("M", [0.05, 0.5, 1, 3, 1e4, 1e8, 1e20, 1e66])
@@ -191,7 +190,7 @@ def test_expected_best_matches_order_statistic_quadrature(M):
         integrate.quad(density, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
         for a, b in zip(cuts, cuts[1:])
     )
-    assert expected_best(unit_ctx(M)).x == pytest.approx(-m, abs=1e-9)
+    assert expected_best(unit_fit(M), 1.0).x == pytest.approx(-m, abs=1e-9)
 
 
 def test_expected_best_bimodal_density_is_component_mean():
@@ -208,18 +207,17 @@ def test_expected_best_bimodal_density_is_component_mean():
         w_k=w_k,
         best_x=-1.5,
     )
-    ctx = ForecastContext(fit, t_f=1.0)
     oracles = [mu_c + (w_k - mu_c) / ndtri(0.1) * EXPECTED_MIN[10]
                for mu_c in component_mu]
-    assert expected_best(ctx).x == pytest.approx(np.mean(oracles), abs=1e-10)
+    assert expected_best(fit, 1.0).x == pytest.approx(np.mean(oracles), abs=1e-10)
 
 
 def test_expected_best_record_probability_band():
     # the expected future best sits inside the central mass of the minimum's
     # distribution, so a new record at that mark is neither sure nor unlikely
     for M in (10, 100, 1000):
-        ctx = unit_ctx(M)
-        p = record_probability(ctx, expected_best(ctx).x)
+        fit = unit_fit(M)
+        p = record_probability(fit, expected_best(fit, 1.0).x, 1.0)
         assert 0.3 <= p <= 0.8
 
 
@@ -254,9 +252,8 @@ def test_expected_best_panels_match_per_draw_rule_over_a_wide_posterior():
     logN = np.concatenate([[4.0, 155.0], rng.uniform(4.0, 155.0, n - 2)])
     mu = rng.normal(MU, 0.01, n)
     fit = make_fit(mu=mu, logN=logN, n_k=10, w_k=MU - 0.1, best_x=MU - 0.2)
-    ctx = ForecastContext(fit, t_f=1.0)
     per_draw = np.mean(mu - fit.pooled_sigma * _expected_max(np.exp(logN)))
-    assert expected_best(ctx).x == pytest.approx(per_draw, abs=1e-12)
+    assert expected_best(fit, 1.0).x == pytest.approx(per_draw, abs=1e-12)
 
 
 def test_score_anchor_and_reference_pairs():
@@ -332,11 +329,11 @@ def test_improvement_values():
 
 
 def test_anchor_mark_point_mass_analytic():
-    ctx = event_ctx()
-    got = anchor_mark(ctx)
+    fit = event_fit()
+    got = anchor_mark(fit)
     want = MU + SIG * ndtri(ANCHOR_RATE / N_POP)
     assert got == pytest.approx(want, abs=1e-4)
-    residual = expected_exceedances(ctx, got)
+    residual = expected_exceedances(fit, got)
     assert abs(residual - ANCHOR_RATE) <= 1e-3 * ANCHOR_RATE
 
 
@@ -344,73 +341,92 @@ def test_anchor_mark_extends_its_lower_bracket():
     # The search starts its lower bracket at best_x - 5 sigma-bar. A best mark
     # placed past w_k puts that start above the anchor, where the rate is
     # still at least the target, so the bracket must step down to it.
-    ctx = event_ctx(best_x=MU + 0.05)
-    start = ctx.fit.meta.best_x - 5.0 * float(np.mean(ctx.fit.pooled_sigma))
-    assert expected_exceedances(ctx, start) >= ANCHOR_RATE
-    got = anchor_mark(ctx)
+    fit = event_fit(best_x=MU + 0.05)
+    start = fit.meta.best_x - 5.0 * float(np.mean(fit.pooled_sigma))
+    assert expected_exceedances(fit, start) >= ANCHOR_RATE
+    got = anchor_mark(fit)
     assert got < start
     assert got == pytest.approx(MU + SIG * ndtri(ANCHOR_RATE / N_POP), abs=1e-4)
-    assert abs(expected_exceedances(ctx, got) - ANCHOR_RATE) <= 1e-3 * ANCHOR_RATE
+    assert abs(expected_exceedances(fit, got) - ANCHOR_RATE) <= 1e-3 * ANCHOR_RATE
 
 
 def test_anchor_mark_boundary_target():
     # over this span the worst mark's exceedance rate, N_K / t_m, is the target
-    ctx = event_ctx(t_m=N_K / ANCHOR_RATE)
-    assert anchor_mark(ctx) == W_K
+    fit = event_fit(t_m=N_K / ANCHOR_RATE)
+    assert anchor_mark(fit) == W_K
 
 
 def test_anchor_mark_unreachable_target():
     # over this span no mark's rate exceeds a tenth of the target
-    ctx = event_ctx(t_m=10.0 * N_POP / ANCHOR_RATE)
+    fit = event_fit(t_m=10.0 * N_POP / ANCHOR_RATE)
     with pytest.raises(AnchorNotFound):
-        anchor_mark(ctx)
+        anchor_mark(fit)
 
 
-def test_substituted_sigma_draws_recomputes_identity():
-    ctx = event_ctx()
-    borrowed = np.full(ctx.fit.pooled_size, math.log(4.0 * N_POP))
-    mu, sigma, logN = substituted_sigma_draws(ctx, borrowed)
-    assert len(mu) == len(sigma) == len(logN) == ctx.fit.pooled_size
+def test_borrow_population_recomputes_identity():
+    fit = event_fit()
+    borrowed = np.full(fit.pooled_size, math.log(4.0 * N_POP))
+    got = borrow_population(fit, borrowed)
+    assert got.pooled_size == fit.pooled_size
+    assert (got.meta, got.mpsrf) == (fit.meta, fit.mpsrf)
+    np.testing.assert_array_equal(got.pooled_logN, borrowed)
     z = ndtri(N_K / (4.0 * N_POP))
-    assert sigma == pytest.approx((W_K - MU) / z, rel=1e-12)
+    assert got.pooled_sigma == pytest.approx((W_K - MU) / z, rel=1e-12)
 
     with pytest.raises(ValueError):
-        substituted_sigma_draws(ctx, borrowed[:-1])
-    with pytest.raises(ValueError):
+        borrow_population(fit, borrowed[:-1])
+    with pytest.raises(NoBorrowedPopulation):
         # borrowed population below n_k pushes the tail mass out of domain
-        substituted_sigma_draws(ctx, np.full(ctx.fit.pooled_size, math.log(N_K / 2)))
+        borrow_population(fit, np.full(fit.pooled_size, math.log(N_K / 2)))
+
+
+def test_borrow_population_keeps_the_bits_of_the_masked_identity():
+    # a borrowed N below 2 n_k puts n_k/N at 0.5 or more, out of the domain
+    rng = np.random.default_rng(29)
+    n = 1000
+    mu = rng.normal(MU, 0.01, n)
+    fit = make_fit(mu=mu, logN=rng.normal(math.log(N_POP), 0.1, n), n_k=N_K, w_k=W_K)
+    borrowed = rng.uniform(math.log(N_K), math.log(4.0 * N_POP), n)
+    sigma = tail_mass_sigma(mu, borrowed, N_K, W_K)
+    keep = ~np.isnan(sigma)
+    assert 0 < keep.sum() < n
+    got = borrow_population(fit, borrowed)
+    for name, want in (("pooled_mu", mu), ("pooled_logN", borrowed), ("pooled_sigma", sigma)):
+        assert np.array_equal(getattr(got, name).view(np.uint64), want[keep].view(np.uint64))
+    with pytest.raises(NoBorrowedPopulation):
+        borrow_population(fit, np.minimum(borrowed, math.log(2.0 * N_K)))
 
 
 def test_anchor_substitution_direction():
     # borrowing a larger population (the 1500 m pool for the mile) weakens
     # the anchor: the same observed tail spread over more athletes makes
     # extreme marks rarer, so the 0.125-rate mark sits closer to w_k
-    ctx = event_ctx()
-    plain = anchor_mark(ctx)
+    fit = event_fit()
+    plain = anchor_mark(fit)
     borrowed = anchor_mark(
-        ctx, population_logN=np.full(ctx.fit.pooled_size, math.log(4.0 * N_POP))
+        borrow_population(fit, np.full(fit.pooled_size, math.log(4.0 * N_POP)))
     )
     assert borrowed > plain
 
 
 def test_build_score_table():
-    ctx = event_ctx()
-    table = build_score_table(ctx, points=(500, 1300, 1000, 500))
+    fit = event_fit()
+    table = build_score_table(fit, points=(500, 1300, 1000, 500))
     assert [p for p, _ in table.rows] == [500, 1000, 1300]
     assert table.low_data is False
     row_1300 = dict(table.rows)[1300]
     assert row_1300 == pytest.approx(table.a0_raw, rel=1e-12)
-    rate = expected_exceedances(ctx, table.a0)
+    rate = expected_exceedances(fit, table.a0)
     assert rate == pytest.approx(ANCHOR_RATE, rel=1e-3)
 
-    sparse = event_ctx(n_k=12)
+    sparse = event_fit(n_k=12)
     assert build_score_table(sparse, points=(1300,)).low_data is True
 
 
 def test_render_score_tables():
-    ctx = event_ctx()
-    table = build_score_table(ctx, points=(1200, 1300))
-    sparse = build_score_table(event_ctx(n_k=12), points=(1200, 1300))
+    fit = event_fit()
+    table = build_score_table(fit, points=(1200, 1300))
+    sparse = build_score_table(event_fit(n_k=12), points=(1200, 1300))
     text = render_score_tables([table, sparse])
     lines = text.strip().split("\n")
     assert lines[0] == "event\t1200\t1300\tflags"
@@ -424,7 +440,7 @@ def test_render_score_tables():
 
     with pytest.raises(ValueError):
         render_score_tables([])
-    other = build_score_table(ctx, points=(1000, 1300))
+    other = build_score_table(fit, points=(1000, 1300))
     with pytest.raises(ValueError):
         render_score_tables([table, other])
 
@@ -458,10 +474,10 @@ def test_statistics_stable_under_pool_size(rng):
     probe = W_K - 0.05
 
     def rel_gap(fn):
-        small, big = (fn(ForecastContext(fits[n], t_f=1.0)) for n in (1000, n_big))
+        small, big = (fn(fits[n]) for n in (1000, n_big))
         return abs(small - big) / abs(big)
 
-    assert rel_gap(lambda c: expected_exceedances(c, probe)) < 0.02
-    assert rel_gap(lambda c: record_probability(c, probe)) < 0.02
-    assert rel_gap(lambda c: expected_best(c).x) < 0.02
+    assert rel_gap(lambda f: expected_exceedances(f, probe)) < 0.02
+    assert rel_gap(lambda f: record_probability(f, probe, 1.0)) < 0.02
+    assert rel_gap(lambda f: expected_best(f, 1.0).x) < 0.02
     assert rel_gap(anchor_mark) < 0.02
