@@ -94,7 +94,8 @@ def _parse_int_list(name: str, text: str) -> tuple[int, ...]:
 # config-file-only key). The flag is the key with "-" for "_".
 _SAMPLER_KEYS = {
     "chains": ("chains", "MCMC chains per event"),
-    "batches": ("batches", "retained draws per chain"),
+    "batches": ("batches", "retained draws per chain (default 100: with 10 chains, every "
+                           "one of the 1000 pooled)"),
     "batch_len": ("batch_len", None),
     "burn_in": ("burn_in_steps", "steps per tuning round"),
     "pool_size": ("pool_size", "pooled draw count"),
@@ -353,22 +354,20 @@ def cmd_tables(cfg: RunConfig) -> int:
         _warn_unconverged(fit)
         partner = mile_partner(event_id)
         if partner is not None:
-            # Borrowing takes one partner draw per pooled draw of this fit. The
-            # partner's fit is read even when --events leaves its row out.
+            # The partner's fit is read even when --events leaves its row out.
             borrowed = fits.get(partner)
             partner_path = cfg.out_dir / "fits" / f"{partner}.fit"
             if borrowed is None and partner_path.is_file():
                 borrowed = load_fit(partner_path)
-            if borrowed is not None and borrowed.pooled_size == fit.pooled_size:
+            if borrowed is None:
+                print(f"warning: {event_id}: no {partner} fit to borrow a population "
+                      "from; using its own", file=sys.stderr)
+            else:
                 try:
                     fit = borrow_population(fit, borrowed.pooled_logN)
                 except NoBorrowedPopulation:
                     print(f"warning: {event_id}: no {partner} population draw keeps the "
                           "tail-mass identity in-domain; using its own", file=sys.stderr)
-            else:
-                size = "" if borrowed is None else f" with {fit.pooled_size} pooled draws"
-                print(f"warning: {event_id}: no {partner} fit{size} to borrow a population "
-                      "from; using its own", file=sys.stderr)
         tables.append(build_score_table(fit, cfg.points))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / "tables.tsv"

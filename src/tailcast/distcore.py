@@ -23,6 +23,10 @@ import numpy as np
 from scipy import special
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# The log N at and above which a point is outside the model's domain: there
+# n_k/N is a tiny positive number that the quantile still maps to a finite
+# value, so the kernel and the tail-mass identity both test for it.
+_LOG_N_CAP = 700.0
 # The grid of grid_posterior: u = log(mu - w_k) over _U_RANGE and log N over
 # (log 2 n_k, _LOG_N_MAX], cut into equal cells taken at their midpoints, and
 # scored _GRID_BLOCK log N columns (a divisor of the column count) at a time.
@@ -76,7 +80,8 @@ def log_std_normal_cdf(z):
 def tail_mass_sigma(mu, log_n_pop, n_k: int, w_k: float):
     """sigma = (w_k - mu) / Phi^-1(n_k/N) elementwise over draws of mu and
     log N, and nan for a draw outside the identity's domain: w_k < mu,
-    0 < n_k/N < 0.5, and a sigma that fits a double.
+    0 < n_k/N < 0.5, log N < _LOG_N_CAP as in the kernel, and a sigma that
+    fits a double.
 
     With w_k < mu, the quotient is positive exactly where 0 < n_k/N < 0.5;
     it is also tested finite and nonzero, since mu far above w_k overflows
@@ -84,7 +89,8 @@ def tail_mass_sigma(mu, log_n_pop, n_k: int, w_k: float):
     """
     with np.errstate(all="ignore"):
         sigma = (w_k - mu) / special.ndtri(n_k * np.exp(-log_n_pop))
-        return np.where((mu > w_k) & (sigma > 0.0) & (sigma < np.inf), sigma, np.nan)
+        inside = (mu > w_k) & (log_n_pop < _LOG_N_CAP) & (sigma > 0.0) & (sigma < np.inf)
+        return np.where(inside, sigma, np.nan)
 
 
 def make_log_posterior(data, prior):
@@ -139,8 +145,7 @@ def make_lane_log_posterior(lists, prior):
     or -inf: k is negative, zero, infinite or nan wherever mu <= w_k,
     q >= 0.5 or q > 1, and the target takes log(k), never log(k*k). The
     clamp at 0 matters below w_k with 0.5 < q < 1, where both factors of k
-    change sign. Only log N >= 700 needs an explicit guard: there q is a
-    tiny positive number that the quantile maps to a finite value.
+    change sign. Only log N >= _LOG_N_CAP needs an explicit guard.
     """
     # The chains of one event share its list, so each list's row is built once.
     rows = {}
@@ -165,7 +170,7 @@ def make_lane_log_posterior(lists, prior):
     # Array operands: a Python float operand is converted again on every call.
     lanes = len(n)
     zero, half = np.zeros(lanes), np.full(lanes, 0.5)
-    cap, reject = np.full(lanes, 700.0), np.full(lanes, -math.inf)
+    cap, reject = np.full(lanes, _LOG_N_CAP), np.full(lanes, -math.inf)
     ndtri = special.ndtri
     # Scratch arrays per (mu shape, log N shape), made on first use: the terms
     # of log N alone, of mu alone, and of both.

@@ -21,7 +21,11 @@ tuned chains. A lane takes its draws whole per burn-in round or batch,
 in _run_steps' order, so it keeps its chain's stream; everything built
 from them is built per block of _STEP_BLOCK steps, so only the draws
 grow with the round. Each fitted event keeps the mpsrf of its chains and
-an even-stride pool of their draws, and drops the chains. An event that
+an even-stride pool of their draws, and drops the chains. At the defaults
+the pool is every retained draw: 10 chains x 100 batches = pool_size 1000.
+Draws retained 50 steps apart are nearly independent (lag-1
+autocorrelation at most 0.013 on the criterion-5 fixture), so retaining
+more than the pool would buy sampling that no forecast reads. An event that
 lost half its chains or more, at initialization or in burn-in, is not
 sampled and fails as "<id>: k of N chains failed". fit_event is its
 one-event case. SamplerConfig refuses fewer than 2 chains or 10 batches,
@@ -71,7 +75,7 @@ class FitFailed(TailcastError):
 @dataclass(frozen=True)
 class SamplerConfig:
     burn_in_steps: int = 1000
-    batches: int = 1000
+    batches: int = 100
     batch_len: int = 50
     chains: int = 10
     seed: int = 0
@@ -130,6 +134,11 @@ class ChainSummary:
     step_scale: float
 
 
+def _check_t_m(t_m: float) -> None:
+    if not (math.isfinite(t_m) and t_m > 0.0):
+        raise ValueError(f"t_m must be a positive number of years, got {t_m}")
+
+
 @dataclass(frozen=True)
 class FitMetadata:
     """What a fit was made from. t_m is the span in years the list's marks
@@ -150,8 +159,7 @@ class FitMetadata:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.t_m) and self.t_m > 0.0):
-            raise ValueError(f"t_m must be a positive number of years, got {self.t_m}")
+        _check_t_m(self.t_m)
 
     @property
     def event_id(self) -> str:
@@ -475,8 +483,11 @@ def fit_events(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | Non
     the prior and the config, never on the events fitted with it. Returns
     (fits, failures) in list order: event_id -> FitResult, and event_id ->
     the message of the FitFailed that ended that event. Two lists with one
-    event id are refused.
+    event id are refused, and so is a t_m that FitMetadata would refuse,
+    before any grid or chain work.
     """
+    if t_m is not None:
+        _check_t_m(t_m)
     # Per event: (data, t_m, {chain id: note on its failure}, [(lane, its
     # ChainSummary) per sampled chain]), or the message of the FitFailed that ended it.
     events: dict = {}

@@ -174,25 +174,24 @@ def improvement(a_new: float, a_old: float, event: EventSpec) -> float:
 def borrow_population(fit: FitResult, logN: np.ndarray) -> FitResult:
     """The fit with its log N draws replaced by a borrowed population's.
 
-    A mile borrows its population N from the 1500 m: `logN` holds one draw
-    per pooled draw. Sigma follows from each (mu, borrowed log N) by the
-    tail-mass identity for this event's n_k and w_k, and the draws it leaves
-    out of domain are dropped; the mpsrf and metadata stay the fit's. Raises
-    NoBorrowedPopulation when no draw is kept.
+    A mile borrows its population N from the 1500 m: the first min(n, m)
+    of the fit's n pooled draws are paired with the first min(n, m) of the
+    m borrowed log N draws, both in chain order, so pools of equal size pair
+    draw for draw and a fit that lost a chain still borrows. Sigma follows
+    from each (mu, borrowed log N) by the tail-mass identity for this
+    event's n_k and w_k, and the draws it leaves out of domain are dropped;
+    the mpsrf and metadata stay the fit's. Raises NoBorrowedPopulation when
+    no draw is kept.
     """
-    logN = np.asarray(logN, dtype=float)
-    if logN.shape != fit.pooled_mu.shape:
-        raise ValueError(
-            f"need one borrowed population draw per pooled draw "
-            f"({fit.pooled_size}), got shape {logN.shape}"
-        )
-    keep = ~np.isnan(tail_mass_sigma(fit.pooled_mu, logN, fit.meta.n_k, fit.meta.w_k))
+    size = min(fit.pooled_size, len(logN))
+    mu, logN = fit.pooled_mu[:size], np.asarray(logN, dtype=float)[:size]
+    keep = ~np.isnan(tail_mass_sigma(mu, logN, fit.meta.n_k, fit.meta.w_k))
     if not keep.any():
         raise NoBorrowedPopulation(
             f"{fit.event_id}: no borrowed population draw keeps the tail-mass "
             "identity in-domain"
         )
-    return FitResult(fit.pooled_mu[keep], logN[keep], fit.mpsrf, fit.meta)
+    return FitResult(mu[keep], logN[keep], fit.mpsrf, fit.meta)
 
 
 def anchor_mark(fit: FitResult) -> float:

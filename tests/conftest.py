@@ -59,7 +59,7 @@ def make_fit(
     logN = np.asarray(logN, dtype=float)
     assert mu.shape == logN.shape and mu.ndim == 1 and len(mu) >= 1
     event = event if event is not None else running_event()
-    config = config if config is not None else SamplerConfig(chains=2, seed=0,
+    config = config if config is not None else SamplerConfig(chains=2, batches=1000, seed=0,
                                                              pool_size=len(mu))
     prior = prior if prior is not None else HyperPrior.weakly_informative()
     chains = tuple(ChainSummary(chain_id=i, accept_rate=0.3, step_scale=0.05)

@@ -15,6 +15,10 @@ reweights its log N columns to the prior.
 in two parts: the bare quotient, and a separate mask of the draws where it
 is the model's sigma. distcore.tail_mass_sigma must be the quotient on the
 mask and nan off it.
+
+`geyer_ess` is the effective sample size of one series of draws, by
+Geyer's initial monotone sequence estimator: the yardstick of the
+Monte-Carlo error of a fit's pooled draws.
 """
 import math
 
@@ -75,10 +79,29 @@ def tail_mass_quotient(mu, log_n_pop, n_k: int, w_k: float):
 
 def tail_mass_domain(mu, log_n_pop, n_k: int, w_k: float):
     """Mask of the draws inside the tail-mass identity's domain: w_k < mu,
-    0 < n_k/N < 0.5, and a quotient that is positive and finite."""
+    0 < n_k/N < 0.5, log N < 700 (the bound of log_posterior), and a
+    quotient that is positive and finite."""
     with np.errstate(all="ignore"):
         sigma = tail_mass_quotient(mu, log_n_pop, n_k, w_k)
-    return (mu > w_k) & (sigma > 0.0) & (sigma < np.inf)
+    return (mu > w_k) & (log_n_pop < 700.0) & (sigma > 0.0) & (sigma < np.inf)
+
+
+def geyer_ess(x) -> float:
+    """Effective sample size of the series x: n / tau, tau = -1 + 2 sum_m
+    Gamma_m over the sums Gamma_m = rho_2m + rho_2m+1 of adjacent
+    autocorrelations, taken while positive and made non-increasing (Geyer
+    1992, Stat. Sci. 7:473). The autocovariance is one FFT, zero-padded
+    against wrap-around."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    size = 1 << (2 * n - 1).bit_length()
+    spectrum = np.fft.rfft(x - x.mean(), size)
+    acov = np.fft.irfft(spectrum * spectrum.conj(), size)[:n]
+    pairs = (acov[:n - n % 2] / acov[0]).reshape(-1, 2).sum(axis=1)
+    positive = pairs > 0.0
+    m = len(pairs) if positive.all() else int(np.argmin(positive))
+    tau = -1.0 + 2.0 * np.minimum.accumulate(pairs[:m]).sum()
+    return n / tau
 
 
 def grid_posterior(data, prior):

@@ -15,10 +15,10 @@ from numpy.random import default_rng
 from scipy import integrate, special, stats as scipy_stats
 
 from conftest import point_mass_fit
-from oracles import truncnorm_logpdf
+from oracles import geyer_ess, truncnorm_logpdf
 from tailcast.backtest import BacktestSpec, run_backtest
 from tailcast.cli import main as cli_main
-from tailcast.distcore import tail_mass_sigma
+from tailcast.distcore import grid_posterior, tail_mass_sigma
 from tailcast.emprior import (
     expected_population,
     min_subset_variance,
@@ -155,14 +155,19 @@ def test_criterion_04_sampler_calibration():
 
 
 @pytest.fixture(scope="module")
-def recovery_fits():
-    t0 = time.perf_counter()
+def recovery_lists():
     lists = []
     for i in range(8):
         spec = EventSpec.running(f"syn{i}")
         tail = sample_tail(55 + i, MU_STAR, SIGMA_STAR, 20_000, 500)
         lists.append(tail_performance_list(spec, tail, 2001, 2020, seed=155 + i))
-    result = two_pass_fit(lists, SamplerConfig(seed=7), t_m=1.0)
+    return lists
+
+
+@pytest.fixture(scope="module")
+def recovery_fits(recovery_lists):
+    t0 = time.perf_counter()
+    result = two_pass_fit(recovery_lists, SamplerConfig(seed=7), t_m=1.0)
     assert len(result.fits) == 8 and not result.failures
     return result, time.perf_counter() - t0
 
@@ -193,13 +198,39 @@ def test_criterion_05b_recovery_population_scale(recovery_fits):
 def test_criterion_05c_recovery_convergence(recovery_fits):
     # Each event's chains propose along the Cholesky factor of its grid
     # posterior's covariance, so they mix along the flat population
-    # direction too: at seeds 7, 8 and 9 all 8 events reach mpsrf <= 1.0006.
+    # direction too: at seeds 7, 8 and 9 all 8 events reach mpsrf <= 1.011.
     result, elapsed = recovery_fits
     t0 = time.perf_counter()
     converged = sum(1 for fit in result.fits.values() if fit.mpsrf < 1.1)
     print(f"converged {converged}/8 (mpsrf: "
           + ", ".join(f"{fit.mpsrf:.3f}" for fit in result.fits.values()) + ")")
     _finish("5c", "synthetic recovery: mpsrf < 1.1 for 7 of 8", converged >= 7,
+            elapsed + time.perf_counter() - t0, 600.0)
+
+
+def test_criterion_05d_recovery_monte_carlo_error(recovery_lists, recovery_fits):
+    # The pooled draws against each event's exact grid posterior, for
+    # d = mu - w_k and log N: the pooled mean within 4 Monte-Carlo standard
+    # errors (grid sd / sqrt(ESS)), the pooled sd within 10% of the grid's,
+    # and an ESS of 500 or more, ESS by Geyer's estimator over the pooled
+    # draws in chain order.
+    result, elapsed = recovery_fits
+    t0 = time.perf_counter()
+    rows = []  # (ESS, z, sd ratio) per event and coordinate
+    for data in recovery_lists:
+        fit = result.fits[data.event.event_id]
+        (mean_d, mean_y), cov, _ = grid_posterior(data, result.prior)
+        for draws, mean, var in ((fit.pooled_mu - data.w_k, mean_d, cov[0, 0]),
+                                 (fit.pooled_logN, mean_y, cov[1, 1])):
+            ess = geyer_ess(draws)
+            rows.append((ess, (float(draws.mean()) - mean) / math.sqrt(var / ess),
+                         float(draws.std(ddof=1)) / math.sqrt(var)))
+    ess, z, ratio = np.array(rows).T
+    print(f"ESS {ess.min():.0f}..{ess.max():.0f}, |z| <= {np.abs(z).max():.2f}, "
+          f"sd ratio {ratio.min():.3f}..{ratio.max():.3f}")
+    ok = bool((ess >= 500.0).all() and (np.abs(z) <= 4.0).all()
+              and ((0.9 <= ratio) & (ratio <= 1.1)).all())
+    _finish("5d", "synthetic recovery: pooled draws within their Monte-Carlo error", ok,
             elapsed + time.perf_counter() - t0, 600.0)
 
 

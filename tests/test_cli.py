@@ -275,23 +275,31 @@ def test_two_fit_files_of_one_event_are_refused(workspace, tmp_path, capsys):
                  "--events", "m0100,m0100"]) == 0
 
 
-def test_tables_mile_partner_of_other_pool_size_warns(workspace, tmp_path, capsys):
-    # The mile borrows one 1500 m population draw per pooled draw, so a
-    # partner fit pooled to another size is passed over like a missing one.
+@pytest.mark.parametrize("pools", [("60", "80"), ("80", "60")],
+                         ids=["partner-smaller", "partner-larger"])
+def test_tables_mile_borrows_from_a_partner_of_other_pool_size(workspace, tmp_path, capsys,
+                                                               pools):
+    # A mile and a 1500 m pooled to different sizes pair their first
+    # min(n, m) draws, so the mile still borrows; its row does not depend on
+    # whether --events selects the partner's.
     data_dir, _ = workspace
     out = tmp_path / "pools"
     common = ["--data", str(data_dir), "--out", str(out)]
     short = ["--prior", "weak", "--chains", "2", "--batches", "40", "--burn-in", "300"]
-    assert main(["fit", *common, "--events", "w1500m", "--pool-size", "60", *short]) == 0
-    assert main(["fit", *common, "--events", "w1mile", "--pool-size", "80", *short]) == 0
+    for event_id, pool in zip(("w1500m", "w1mile"), pools):
+        assert main(["fit", *common, "--events", event_id, "--pool-size", pool, *short]) == 0
     capsys.readouterr()
     assert main(["tables", *common]) == 0
-    assert "no w1500m fit with 80 pooled draws to borrow" in capsys.readouterr().err
+    assert "to borrow" not in capsys.readouterr().err
     both = (out / "tables.tsv").read_text().splitlines()
     assert main(["tables", *common, "--events", "w1mile"]) == 0
     alone = (out / "tables.tsv").read_text().splitlines()
     assert [line.split("\t")[0] for line in both] == ["event", "w1500m", "w1mile"]
     assert both[2] == alone[1]
+    (out / "fits" / "w1500m.fit").unlink()
+    assert main(["tables", *common]) == 0
+    assert "no w1500m fit to borrow" in capsys.readouterr().err
+    assert (out / "tables.tsv").read_text().splitlines()[1] != both[2]
 
 
 def test_tables_mile_partner_too_small_to_borrow_warns(tmp_path, capsys):

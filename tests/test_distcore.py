@@ -94,10 +94,12 @@ def test_quantile_reference_points():
 
 # One draw inside the domain, then one per way out of it, for w_k = 0 and
 # n_k = 1 (so n_k/N = exp(-log N)): mu at w_k, n_k/N of 0.5 and 0, a nan, mu
-# below w_k with n_k/N above 0.5 (a positive quotient all the same), and
-# sigma overflowing or rounding to 0.
-DOMAIN_MU = [1.0, 0.0, 1.0, 1.0, math.nan, -1.0, 1e308, 5e-324]
-DOMAIN_LOG_N = [3.0, 3.0, math.log(2.0), math.inf, 3.0, 0.1, math.log(2.0) + 1e-12, 700.0]
+# below w_k with n_k/N above 0.5 (a positive quotient all the same), sigma
+# overflowing or rounding to 0, and log N at the kernel's bound of 700 and
+# above it, where the quotient is still finite and positive.
+DOMAIN_MU = [1.0, 0.0, 1.0, 1.0, math.nan, -1.0, 1e308, 5e-324, 1.0, 1.0]
+DOMAIN_LOG_N = [3.0, 3.0, math.log(2.0), math.inf, 3.0, 0.1, math.log(2.0) + 1e-12, 699.0,
+                700.0, 720.0]
 
 
 def test_tail_mass_domain_is_where_sigma_is_the_models():
@@ -105,8 +107,10 @@ def test_tail_mass_domain_is_where_sigma_is_the_models():
     sigma = tail_mass_sigma(mu, log_n_pop, 1, 0.0)
     assert np.isfinite(sigma[0]) and sigma[0] > 0.0
     assert np.isnan(sigma[1:]).all()
-    # Only the w_k < mu test keeps the positive quotient of draw 5 out.
+    # Only the w_k < mu test keeps the positive quotient of draw 5 out, and
+    # only the bound on log N those of the last two.
     assert tail_mass_quotient(mu[5], log_n_pop[5], 1, 0.0) > 0.0
+    assert np.all(tail_mass_quotient(mu[-2:], log_n_pop[-2:], 1, 0.0) > 0.0)
 
 
 @st.composite

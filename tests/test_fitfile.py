@@ -333,10 +333,11 @@ def _edit_draws(edits):
     ([(0, 5, W_K)], 5),
     ([(1, 109, math.log(2 * N_K) - 1e-9)], 109),
     ([(1, 9, 800.0)], 9),
+    ([(1, 11, 720.0)], 11),
     ([(0, 104, 1e300), (1, 104, math.log(2 * N_K) + 1e-9)], 104),
     ([(0, 100, math.nan), (0, 99, 0.0)], 99),
 ], ids=["nan-mu", "infinite-logN", "mu-at-w_k", "half-the-population", "share-underflows",
-        "sigma-overflows", "first-chain-named"])
+        "beyond-the-kernel", "sigma-overflows", "first-chain-named"])
 def test_loads_rejects_draws_outside_the_model(edits, draw):
     # sigma is derived from (mu, log N), so such a draw would pool a sigma
     # that is nan, infinite, zero or negative; the first such draw is named
@@ -367,16 +368,18 @@ def test_loads_takes_draws_just_inside_the_model():
 
 
 # Draws inside the model for make_fit's defaults (w_k = 0, n_k = 100): mu > 0
-# and 100 exp(-log N) in (0, 0.5), bit patterns at the edges included. mu
-# runs from the least normal double to 1e100, where sigma = (w_k - mu) /
-# Phi^-1(n_k/N) neither rounds to 0 nor overflows; loads refuses a draw
-# whose sigma does (share-underflows, sigma-overflows above).
+# and 100 exp(-log N) in (0, 0.5) with log N below 700, bit patterns at the
+# edges included. mu runs from the least normal double to 1e100, where
+# sigma = (w_k - mu) / Phi^-1(n_k/N) neither rounds to 0 nor overflows;
+# loads refuses a draw whose sigma does (share-underflows, sigma-overflows
+# above).
+LAST_LOGN = float(np.nextafter(700.0, 0.0))
 IN_DOMAIN_MU = st.one_of(
     st.sampled_from([2.2250738585072014e-308, 1.0, 1e100]),
     st.floats(min_value=2.2250738585072014e-308, max_value=1e100))
 IN_DOMAIN_LOGN = st.one_of(
-    st.sampled_from([math.log(200.0) + 1e-12, 700.0]),
-    st.floats(min_value=math.log(200.0) + 1e-12, max_value=700.0))
+    st.sampled_from([math.log(200.0) + 1e-12, LAST_LOGN]),
+    st.floats(min_value=math.log(200.0) + 1e-12, max_value=LAST_LOGN))
 
 
 @settings(max_examples=60, deadline=None)

@@ -592,6 +592,17 @@ def test_derive_t_m():
     assert fit_event(five, INFORMATIVE, small_config()).meta.t_m == 5.0
 
 
+@pytest.mark.parametrize("t_m", [0.0, -1.0, math.nan, math.inf])
+def test_fit_events_refuses_a_bad_t_m_before_any_work(monkeypatch, t_m):
+    def never(*args, **kwargs):
+        raise AssertionError("a bad t_m must be refused before grid or chain work")
+
+    monkeypatch.setattr(sampler, "grid_posterior", never)
+    monkeypatch.setattr(sampler, "tune_lanes", never)
+    with pytest.raises(ValueError, match=f"t_m must be a positive number of years, got {t_m}"):
+        fit_events([synthetic_event()], INFORMATIVE, small_config(), t_m=t_m)
+
+
 def test_pool_draws_stride():
     mu = np.arange(1200, dtype=float).reshape(2, 600)  # two chains of 600
     pooled_mu, pooled_logN = _pool_draws(mu, mu + 1000.0, 400)

@@ -373,11 +373,24 @@ def test_borrow_population_recomputes_identity():
     z = ndtri(N_K / (4.0 * N_POP))
     assert got.pooled_sigma == pytest.approx((W_K - MU) / z, rel=1e-12)
 
-    with pytest.raises(ValueError):
-        borrow_population(fit, borrowed[:-1])
     with pytest.raises(NoBorrowedPopulation):
         # borrowed population below n_k pushes the tail mass out of domain
         borrow_population(fit, np.full(fit.pooled_size, math.log(N_K / 2)))
+
+
+@pytest.mark.parametrize("own, partner", [(1000, 900), (900, 1000)])
+def test_borrow_population_pairs_the_first_draws_of_unequal_pools(own, partner):
+    # A fit that lost one of ten chains pools 900 draws, not 1000: either side
+    # pairs its first min(n, m) draws, in chain order, with the other's.
+    rng = np.random.default_rng(own)
+    mu = MU + 0.01 * rng.standard_normal(own)
+    fit = make_fit(mu=mu, logN=np.full(own, math.log(N_POP)), n_k=N_K, w_k=W_K)
+    borrowed = math.log(4.0 * N_POP) + 0.1 * rng.standard_normal(partner)
+    got = borrow_population(fit, borrowed)
+    assert got.pooled_size == 900
+    np.testing.assert_array_equal(got.pooled_mu, mu[:900])
+    np.testing.assert_array_equal(got.pooled_logN, borrowed[:900])
+    assert (got.meta, got.mpsrf) == (fit.meta, fit.mpsrf)
 
 
 def test_borrow_population_keeps_the_bits_of_the_masked_identity():
