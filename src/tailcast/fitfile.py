@@ -12,7 +12,8 @@ is rebuilt, so loading refuses a draw outside the identity's domain, and
 a draw count other than the pool of the metadata's sampled chains. The
 metadata is `dataclasses.asdict(FitMetadata)`, enums as their values,
 each sampled chain's id, acceptance rate and step scale among it, plus
-mpsrf; it is read back by reflecting on the same dataclasses, so a new
+mpsrf; it is read back by reflecting on the same dataclasses, once per
+type: each type's reviver is planned on first use and cached, so a new
 metadata field needs no change here. Re-saving a loaded fit reproduces
 the file byte for byte.
 
@@ -92,23 +93,25 @@ def save_fit(fit: FitResult, path: Path) -> None:
     atomic_write_text(Path(path), dumps(fit))
 
 
-@functools.cache
-def _field_types(cls) -> dict:
-    return typing.get_type_hints(cls)
-
-
-def _revive(hint, value):
-    """Rebuild a value of type `hint` from its dataclasses.asdict/JSON form."""
-    if hint in (float, int, str):  # most fields, each chain's three included
-        return value
-    if dataclasses.is_dataclass(hint):
-        hints = _field_types(hint)
-        return hint(**{key: _revive(hints.get(key), v) for key, v in value.items()})
-    if isinstance(hint, type) and issubclass(hint, enum.Enum):
-        return hint(value)
-    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
-        return tuple(_revive(typing.get_args(hint)[0], v) for v in value)
+def _as_is(value):
     return value
+
+
+@functools.cache
+def _reviver(hint):
+    """The function that rebuilds a value of type `hint` from its
+    dataclasses.asdict/JSON form, planned once per type by reflecting on it."""
+    if dataclasses.is_dataclass(hint):
+        fields = {key: _reviver(h) for key, h in typing.get_type_hints(hint).items()}
+        fields = {key: f for key, f in fields.items() if f is not _as_is}
+        return lambda value: hint(**{key: fields[key](v) if key in fields else v
+                                     for key, v in value.items()})
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return hint
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+        item = _reviver(typing.get_args(hint)[0])
+        return tuple if item is _as_is else lambda value: tuple(map(item, value))
+    return _as_is  # float, int, str: most fields, each chain's three included
 
 
 def _parse_meta(line: str):
@@ -123,7 +126,7 @@ def _parse_meta(line: str):
         raise FitFileError("metadata must be a JSON object")
     try:
         mpsrf = float(payload.pop("mpsrf"))
-        meta = _revive(FitMetadata, payload)
+        meta = _reviver(FitMetadata)(payload)
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise FitFileError(f"metadata is missing or malformed: {exc}") from exc
     ids = [chain.chain_id for chain in meta.chains]

@@ -11,6 +11,7 @@ Whether an unconverged fit may be forecast from is the caller's decision.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -44,6 +45,10 @@ _CHEB_ANGLES = (2.0 * np.arange(16) + 1.0) * math.pi / 32.0
 _CHEB_NODES = np.cos(_CHEB_ANGLES)
 _CHEB_WEIGHTS = (-1.0) ** np.arange(16) * np.sin(_CHEB_ANGLES)
 _PANEL_MIN_M = 0.05
+# expected_best refuses a horizon that puts any draw's M outside this range:
+# below about 1e-17 the upper limit of _expected_max is nan, and the nodes of
+# a panel above e^708 overflow.
+_M_RANGE = (1e-16, 1e305)
 # anchor_mark: relative tolerance on the rate, and bracket extensions by one
 # mean sigma before giving up.
 _ANCHOR_REL_TOL = 1e-3
@@ -60,6 +65,10 @@ class UndefinedCorrelation(TailcastError):
 
 class NoBorrowedPopulation(TailcastError, ValueError):
     """No borrowed population draw keeps an event's tail-mass identity in-domain."""
+
+
+class HorizonOutOfRange(TailcastError, ValueError):
+    """A forecast horizon puts some draw's M = t_f N / t_m where m(M) is not computed."""
 
 
 def expected_exceedances(fit: FitResult, a: float) -> float:
@@ -80,8 +89,8 @@ def record_probability(fit: FitResult, a: float, t_f: float) -> float:
         raise ValueError(f"t_f must be a nonnegative number of years, got {t_f}")
     if t_f == 0.0:
         return 0.0
-    exponent = t_f * np.exp(fit.pooled_logN) / fit.meta.t_m
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # t_f N / t_m may overflow
+        exponent = t_f * np.exp(fit.pooled_logN) / fit.meta.t_m
         per_draw = -np.expm1(exponent * _min_log_survival(fit, a))
     return float(np.mean(per_draw))
 
@@ -104,23 +113,38 @@ def _expected_max(M: np.ndarray) -> np.ndarray:
     return a + (b - a) * (-np.expm1(M[:, None] * log_std_normal_cdf(z)) @ _WEIGHTS)
 
 
+@functools.cache
+def _panel_values(p: int) -> np.ndarray:
+    """m(M) at the 16 Chebyshev nodes of the panel [4p, 4p + 4] of log M, read-only.
+
+    A panel's values depend on its index alone, so _expected_max runs once
+    per panel per process; p ranges over -1 to 175 within _M_RANGE.
+    """
+    nodes = _PANEL_WIDTH * (p + 0.5 * (1.0 + _CHEB_NODES))
+    values = _expected_max(np.exp(nodes))
+    values.flags.writeable = False
+    return values
+
+
 def _panel_expected_max(M: np.ndarray) -> np.ndarray:
     """m(M) for each entry of M, by barycentric interpolation in log M.
 
     Each M >= _PANEL_MIN_M falls in the panel [4p, 4p + 4] of lam = log M
-    with p = floor(lam / 4). _expected_max runs once per occupied panel, at
-    its 16 first-kind Chebyshev points, and each M gets the barycentric
-    interpolant of those values (Berrut & Trefethen, SIAM Rev. 46:501, 2004);
-    an M whose lam is a node takes that node's value. Every other M goes
-    through _expected_max directly.
+    with p = floor(lam / 4), and each M gets the barycentric interpolant of
+    its panel's values at 16 first-kind Chebyshev points (Berrut & Trefethen,
+    SIAM Rev. 46:501, 2004); an M whose lam is a node takes that node's
+    value. The values come from _panel_values, so _expected_max runs once per
+    panel per process, not once per occupied panel per call. Every other M
+    goes through _expected_max directly.
     """
     m = np.empty_like(M)
     panel = M >= _PANEL_MIN_M
-    m[~panel] = _expected_max(M[~panel])
+    if not panel.all():
+        m[~panel] = _expected_max(M[~panel])
     lam = np.log(M[panel])
     panels, which = np.unique(np.floor(lam / _PANEL_WIDTH), return_inverse=True)
     nodes = _PANEL_WIDTH * (panels[:, None] + 0.5 * (1.0 + _CHEB_NODES))
-    values = _expected_max(np.exp(nodes.ravel())).reshape(nodes.shape)[which]
+    values = np.array([_panel_values(int(p)) for p in panels]).reshape(nodes.shape)[which]
     gap = lam[:, None] - nodes[which]
     on_node = gap == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -144,11 +168,22 @@ def expected_best(fit: FitResult, t_f: float) -> ExpectedBest:
     nodes (_expected_max), but only at 16 Chebyshev points of each width-4
     panel of log M that holds a draw; each draw takes its panel's barycentric
     interpolant, within 2.3e-14 of the per-draw rule for M from 0.05 to
-    1e200. Draws with M < 0.05, below that range, keep the per-draw rule.
+    1e200. A panel's values are computed once per process and reused by every
+    later call. Draws with M < 0.05, below that range, keep the per-draw
+    rule. Raises HorizonOutOfRange when t_f puts any draw's M outside
+    _M_RANGE, before any panel is computed.
     """
     if not (math.isfinite(t_f) and t_f > 0.0):
         raise ValueError(f"expected_best needs a positive forecast horizon, got {t_f}")
-    M = t_f * np.exp(fit.pooled_logN) / fit.meta.t_m
+    with np.errstate(over="ignore"):  # an M of inf is refused below
+        M = t_f * np.exp(fit.pooled_logN) / fit.meta.t_m
+    lo, hi = _M_RANGE
+    if not (M.min() >= lo and M.max() <= hi):
+        raise HorizonOutOfRange(
+            f"{fit.event_id}: a horizon of t_f = {t_f:g} years puts M = t_f N / t_m "
+            f"at {M.min():.3g} to {M.max():.3g}, outside [{lo:g}, {hi:g}] where the "
+            "expected best is computed"
+        )
     x = float(np.mean(fit.pooled_mu - fit.pooled_sigma * _panel_expected_max(M)))
     return ExpectedBest(x, decode_mark(fit.meta.event, x))
 

@@ -16,6 +16,11 @@ in two parts: the bare quotient, and a separate mask of the draws where it
 is the model's sigma. distcore.tail_mass_sigma must be the quotient on the
 mask and nan off it.
 
+`panel_expected_max` is the joint panel rule of stats.expected_best: every
+occupied panel's Chebyshev nodes go through one _expected_max call, with no
+values kept between calls. stats._panel_expected_max takes each panel's
+values from a per-process cache and must match it bit for bit.
+
 `geyer_ess` is the effective sample size of one series of draws, by
 Geyer's initial monotone sequence estimator: the yardstick of the
 Monte-Carlo error of a fit's pooled draws.
@@ -31,6 +36,13 @@ from tailcast.distcore import (
     _U_RANGE,
     _midpoints,
     make_lane_log_posterior,
+)
+from tailcast.stats import (
+    _CHEB_NODES,
+    _CHEB_WEIGHTS,
+    _PANEL_MIN_M,
+    _PANEL_WIDTH,
+    _expected_max,
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -84,6 +96,29 @@ def tail_mass_domain(mu, log_n_pop, n_k: int, w_k: float):
     with np.errstate(all="ignore"):
         sigma = tail_mass_quotient(mu, log_n_pop, n_k, w_k)
     return (mu > w_k) & (log_n_pop < 700.0) & (sigma > 0.0) & (sigma < np.inf)
+
+
+def panel_expected_max(M):
+    """m(M) by barycentric interpolation on the width-4 panels of log M that
+    hold an M >= _PANEL_MIN_M, all panels' nodes evaluated in one
+    _expected_max call; _expected_max directly below _PANEL_MIN_M."""
+    m = np.empty_like(M)
+    panel = M >= _PANEL_MIN_M
+    m[~panel] = _expected_max(M[~panel])
+    lam = np.log(M[panel])
+    panels, which = np.unique(np.floor(lam / _PANEL_WIDTH), return_inverse=True)
+    nodes = _PANEL_WIDTH * (panels[:, None] + 0.5 * (1.0 + _CHEB_NODES))
+    values = _expected_max(np.exp(nodes.ravel())).reshape(nodes.shape)[which]
+    gap = lam[:, None] - nodes[which]
+    on_node = gap == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.divide(_CHEB_WEIGHTS, gap, out=gap)
+        inner = np.einsum("ij,ij->i", terms, values) / terms.sum(axis=1)
+    if on_node.any():
+        row, node = np.nonzero(on_node)
+        inner[row] = values[row, node]
+    m[panel] = inner
+    return m
 
 
 def geyer_ess(x) -> float:

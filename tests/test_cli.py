@@ -363,6 +363,22 @@ def test_forecast_zero_horizon(workspace, tmp_path):
         assert best_text == ""
 
 
+@pytest.mark.parametrize("t_f", ["1e306", "1e-300"])
+def test_forecast_refuses_a_horizon_outside_the_range_of_m(workspace, tmp_path, capsys, t_f):
+    # M = t_f N / t_m overflows at 1e306 and falls below 1e-17 at 1e-300
+    data_dir, out_dir = workspace
+    out = tmp_path / "far"
+    (out / "fits").mkdir(parents=True)
+    for path in (out_dir / "fits").glob("*.fit"):
+        (out / "fits" / path.name).write_bytes(path.read_bytes())
+    capsys.readouterr()
+    assert main(["forecast", "--data", str(data_dir), "--out", str(out), "--tf", t_f]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: m0100: a horizon of t_f = {float(t_f):g} years "), err
+    assert "Traceback" not in err
+    assert not (out / "forecast.tsv").exists()
+
+
 def test_backtest_command(workspace, tmp_path):
     data_dir, _ = workspace
     out = tmp_path / "bt"

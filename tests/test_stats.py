@@ -1,5 +1,6 @@
 """Forecast statistics: exceedance rates, record probabilities, scoring."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from tailcast.ingest import EventSpec
 from tailcast.stats import (
     ANCHOR_RATE,
     AnchorNotFound,
+    HorizonOutOfRange,
     NoBorrowedPopulation,
     UndefinedCorrelation,
     anchor_mark,
@@ -27,9 +29,10 @@ from tailcast.stats import (
     render_score_tables,
     score,
 )
-from tailcast.stats import _CHEB_NODES, _expected_max, _panel_expected_max
+from tailcast.stats import _CHEB_NODES, _expected_max, _panel_expected_max, _panel_values
 
 from conftest import field_event, make_fit, point_mass_fit, running_event
+from oracles import panel_expected_max
 
 MU = math.log(11.28)
 SIG = 0.033
@@ -176,6 +179,16 @@ def test_expected_best_needs_positive_horizon():
         expected_best(unit_fit(100), 0.0)
 
 
+@pytest.mark.parametrize("t_f", [1e306, 1e-300])
+def test_expected_best_refuses_a_horizon_outside_the_range_of_m(t_f):
+    # M = t_f N / t_m overflows to inf at 1e306 and falls below 1e-17 at
+    # 1e-300, where m(M) is nan; no panel of such an M may reach the cache
+    _panel_values.cache_clear()
+    with pytest.raises(HorizonOutOfRange, match=re.escape(f"ev100m: a horizon of t_f = {t_f:g} ")):
+        expected_best(unit_fit(100), t_f)
+    assert _panel_values.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("M", [0.05, 0.5, 1, 3, 1e4, 1e8, 1e20, 1e66])
 def test_expected_best_matches_order_statistic_quadrature(M):
     # E[max of M standard normals] = integral of z M phi(z) Phi(z)^(M-1), by
@@ -221,11 +234,56 @@ def test_expected_best_record_probability_band():
         assert 0.3 <= p <= 0.8
 
 
-def test_panel_expected_max_matches_direct_rule_on_a_dense_grid():
+def dense_panel_grid():
     # 20 001 points of log M over [log 0.05, log 1e200], about 90 per panel
     M = np.exp(np.linspace(math.log(0.05), math.log(1e200), 20_001))
-    M = M[M >= 0.05]
+    return M[M >= 0.05]
+
+
+def several_panel_draws():
+    # M from 1e-3 to 1e40 over 25 panels, some below _PANEL_MIN_M, and two
+    # draws exactly on nodes of the panel [8, 12]
+    rng = np.random.default_rng(11)
+    nodes = 4.0 * (2.0 + 0.5 * (1.0 + _CHEB_NODES[[3, 9]]))
+    return np.concatenate([np.exp(rng.uniform(math.log(1e-3), math.log(1e40), 3000)),
+                           np.exp(nodes)])
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def test_panel_expected_max_matches_direct_rule_on_a_dense_grid():
+    M = dense_panel_grid()
     assert np.max(np.abs(_panel_expected_max(M) - _expected_max(M))) <= 5e-14
+
+
+@pytest.mark.parametrize("draws", [dense_panel_grid, several_panel_draws],
+                         ids=["dense-grid", "several-panels"])
+def test_panel_expected_max_matches_the_joint_rule_bit_for_bit(draws):
+    M = draws()
+    np.testing.assert_array_equal(bits(_panel_expected_max(M)), bits(panel_expected_max(M)))
+
+
+def test_panel_values_do_not_depend_on_what_filled_the_cache():
+    M = several_panel_draws()
+    _panel_values.cache_clear()
+    cold = bits(_panel_expected_max(M))
+    warm = bits(_panel_expected_max(M))
+    _panel_values.cache_clear()
+    _panel_expected_max(np.exp(np.linspace(math.log(0.05), math.log(1e20), 7)))
+    other_first = bits(_panel_expected_max(M))
+    np.testing.assert_array_equal(cold, warm)
+    np.testing.assert_array_equal(cold, other_first)
+
+
+def test_panel_values_are_read_only():
+    values = _panel_values(3)
+    assert values.shape == (16,)
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0] = 0.0
+    assert _panel_values(3) is values
 
 
 def test_panel_expected_max_keeps_the_direct_rule_below_range():
