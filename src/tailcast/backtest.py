@@ -66,6 +66,14 @@ class BacktestSpec:
         bad = [r for r in self.reference_ranks if r not in ALLOWED_RANKS]
         if bad or not self.reference_ranks:
             raise ValueError(f"reference_ranks must be a nonempty subset of {ALLOWED_RANKS}")
+        try:
+            fit_window(self.data_mode, self.cutoff_year)
+            for length in self.windows:
+                self.evaluation_window(length)
+        except (ValueError, OverflowError):
+            raise ValueError(f"cutoff_year {self.cutoff_year} is out of range: the fit window "
+                             "and every evaluation window must fall within years 1 to 9999"
+                             ) from None
 
     def evaluation_window(self, length: int) -> DateWindow:
         return DateWindow.calendar_years(self.cutoff_year, self.cutoff_year + length - 1)

@@ -52,11 +52,12 @@ class UsageError(TailcastError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    data_dir: Path
+    data_dir: Path | None
     out_dir: Path
     events: tuple[str, ...] | None
     mode: DataMode
     cutoff: int | None
+    window: DateWindow | None
     t_f: float
     prior: str
     points: tuple[int, ...]
@@ -123,6 +124,7 @@ def _read_config_file(path: Path) -> dict[str, str]:
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
+    """Every flag and config key, converted and checked here by one rule."""
     file_values: dict[str, str] = {}
     if args.config is not None:
         path = Path(args.config)
@@ -130,93 +132,91 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"config file not found: {path}")
         file_values = _read_config_file(path)
 
-    def pick(flag, key: str, default):
-        if flag is not None:
-            return flag
-        if key in file_values:
-            return file_values[key]
-        return default
+    def pick(key: str, default=None, kind=None):
+        """The flag, else the config key, else the default; as `kind` if given."""
+        value = getattr(args, key, None)
+        if value is None:
+            value = file_values.get(key, default)
+        return value if kind is None or value is None else _number(kind, key, value)
 
-    data = pick(args.data, "data", os.environ.get(DATA_ENV))
-    if data is None:
-        raise UsageError(f"no data directory: pass --data or set {DATA_ENV}")
-    data_dir = Path(data)
-    if not data_dir.is_dir():
-        raise UsageError(f"data directory not found: {data_dir}")
-    out_dir = Path(pick(args.out, "out", "out"))
-
-    events_text = pick(args.events, "events", "all")
+    data = pick("data", os.environ.get(DATA_ENV))
+    events_text = pick("events", "all")
     if events_text == "all":
         events = None
     else:
-        names = (e.strip() for e in str(events_text).split(","))
+        names = (e.strip() for e in events_text.split(","))
         events = tuple(dict.fromkeys(e for e in names if e))  # once each, in order
         if not events:
             raise UsageError("event selection is empty")
 
-    mode_text = str(pick(args.mode, "mode", "all"))
+    mode_text = pick("mode", "all")
     try:
         mode = DataMode(mode_text)
     except ValueError:
         raise UsageError(f"mode must be 'all' or 'five-years', got {mode_text!r}") from None
 
-    cutoff = pick(args.cutoff, "cutoff", None)
-    cutoff = None if cutoff is None else _number(int, "cutoff", cutoff)
+    cutoff = pick("cutoff", kind=int)
     if mode is DataMode.FIVE_YEARS and cutoff is None:
         raise UsageError("--mode five-years needs --cutoff")
+    try:
+        window = fit_window(mode, cutoff)
+    except (ValueError, OverflowError):
+        raise UsageError(f"cutoff {cutoff} is out of range: the fit window must fall "
+                         "within years 1 to 9999") from None
 
-    t_f = _number(float, "tf", pick(args.tf, "tf", 1.0))
+    t_f = pick("tf", 1.0, float)
     if not (math.isfinite(t_f) and t_f >= 0.0):
         raise UsageError(f"--tf must be finite and >= 0, got {t_f}")
-    seed = _number(int, "seed", pick(args.seed, "seed", 0))
-    prior = str(pick(args.prior, "prior", "empirical"))
+    prior = pick("prior", "empirical")
     if prior not in ("weak", "empirical"):
         raise UsageError(f"--prior must be 'weak' or 'empirical', got {prior!r}")
 
-    points = pick(getattr(args, "points", None), "points", None)
-    points = DEFAULT_POINT_GRID if points is None else _parse_points(points)
-    windows = _parse_int_list("windows", pick(getattr(args, "windows", None), "windows",
-                                              "1,2,5,12"))
-    ranks = _parse_int_list("ranks", pick(getattr(args, "ranks", None), "ranks",
-                                          "10,25,50,100"))
-
+    points = pick("points")
     base = SamplerConfig()
-    settings = {}
-    for key, (field, _) in _SAMPLER_KEYS.items():
-        default = getattr(base, field)
-        settings[field] = _number(type(default), key,
-                                  pick(getattr(args, key, None), key, default))
+    settings = {field: pick(key, getattr(base, field), type(getattr(base, field)))
+                for key, (field, _) in _SAMPLER_KEYS.items()}
     try:
-        sampler = SamplerConfig(seed=seed, **settings)
+        sampler = SamplerConfig(seed=pick("seed", 0, int), **settings)
     except ValueError as exc:
         raise UsageError(f"bad sampler settings: {exc}") from None
 
     return RunConfig(
-        data_dir=data_dir,
-        out_dir=out_dir,
+        data_dir=None if data is None else Path(data),
+        out_dir=Path(pick("out", "out")),
         events=events,
         mode=mode,
         cutoff=cutoff,
+        window=window,
         t_f=t_f,
         prior=prior,
-        points=points,
-        windows=windows,
-        ranks=ranks,
+        points=DEFAULT_POINT_GRID if points is None else _parse_points(points),
+        windows=_parse_int_list("windows", pick("windows", "1,2,5,12")),
+        ranks=_parse_int_list("ranks", pick("ranks", "10,25,50,100")),
         sampler=sampler,
     )
 
 
+def _select(files: list[Path], events, missing, empty: str) -> list[Path]:
+    """The files --events names, in its order, or all; raises missing(ids) or empty."""
+    if events is not None:
+        by_stem = {p.stem: p for p in files}
+        absent = [e for e in events if e not in by_stem]
+        if absent:
+            raise UsageError(missing(", ".join(absent)))
+        files = [by_stem[e] for e in events]
+    if not files:
+        raise UsageError(empty)
+    return files
+
+
 def _data_files(cfg: RunConfig) -> list[Path]:
-    files = sorted(cfg.data_dir.glob("*.tsv"))
-    if cfg.events is None:
-        if not files:
-            raise UsageError(f"no .tsv data files in {cfg.data_dir}")
-        return files
-    by_stem = {p.stem: p for p in files}
-    missing = [e for e in cfg.events if e not in by_stem]
-    if missing:
-        raise UsageError(f"events not found in {cfg.data_dir}: {', '.join(missing)}")
-    return [by_stem[e] for e in cfg.events]
+    if cfg.data_dir is None:
+        raise UsageError(f"no data directory: pass --data or set {DATA_ENV}")
+    if not cfg.data_dir.is_dir():
+        raise UsageError(f"data directory not found: {cfg.data_dir}")
+    return _select(sorted(cfg.data_dir.glob("*.tsv")), cfg.events,
+                   lambda ids: f"events not found in {cfg.data_dir}: {ids}",
+                   f"no .tsv data files in {cfg.data_dir}")
 
 
 def _duplicate_event(data, path: Path, seen: dict[str, Path]) -> str | None:
@@ -243,17 +243,13 @@ def _load_corpus(cfg: RunConfig, window: DateWindow | None):
         if clash is not None:
             raise UsageError(clash)
         lists.append(data)
+    for event_id, reason in sorted(skipped.items()):
+        print(f"warning: skipping {event_id}: {reason}", file=sys.stderr)
     return lists, skipped
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def cmd_fit(cfg: RunConfig) -> int:
-    lists, skipped = _load_corpus(cfg, fit_window(cfg.mode, cfg.cutoff))
-    for event_id, reason in sorted(skipped.items()):
-        print(f"warning: skipping {event_id}: {reason}", file=sys.stderr)
+    lists, skipped = _load_corpus(cfg, cfg.window)
     if not lists:
         print("error: no usable events", file=sys.stderr)
         return 1
@@ -302,7 +298,8 @@ def cmd_fit(cfg: RunConfig) -> int:
         "notes": {e: notes[e] for e in sorted(notes)},
         "sampler": {field: getattr(cfg.sampler, field) for field, _ in _SAMPLER_KEYS.values()},
     }
-    _write_json(cfg.out_dir / "manifest.json", manifest)
+    atomic_write_text(cfg.out_dir / "manifest.json",
+                      json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     laggards = [e for e in sorted(fits) if not fits[e].converged]
     if laggards:
         print(f"warning: unconverged fits: {', '.join(laggards)}", file=sys.stderr)
@@ -312,15 +309,9 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 def _load_fits(cfg: RunConfig) -> dict[str, FitResult]:
     fits_dir = cfg.out_dir / "fits"
-    files = sorted(fits_dir.glob("*.fit"))
-    if cfg.events is not None:
-        by_stem = {p.stem: p for p in files}
-        missing = [e for e in cfg.events if e not in by_stem]
-        if missing:
-            raise UsageError(f"no fit files for: {', '.join(missing)} (run `tailcast fit`)")
-        files = [by_stem[e] for e in cfg.events]
-    if not files:
-        raise UsageError(f"no fit files in {fits_dir} (run `tailcast fit` first)")
+    files = _select(sorted(fits_dir.glob("*.fit")), cfg.events,
+                    lambda ids: f"no fit files for: {ids} (run `tailcast fit`)",
+                    f"no fit files in {fits_dir} (run `tailcast fit` first)")
     fits = {}
     seen: dict[str, Path] = {}
     for path in files:
@@ -419,9 +410,7 @@ def cmd_backtest(cfg: RunConfig) -> int:
         )
     except ValueError as exc:
         raise UsageError(f"bad backtest settings: {exc}") from None
-    lists, skipped = _load_corpus(cfg, window=None)
-    for event_id, reason in sorted(skipped.items()):
-        print(f"warning: skipping {event_id}: {reason}", file=sys.stderr)
+    lists, _ = _load_corpus(cfg, window=None)
     try:
         report = run_backtest(lists, spec, cfg.sampler)
     except InsufficientEvents as exc:
@@ -440,12 +429,11 @@ def cmd_backtest(cfg: RunConfig) -> int:
 
 
 def cmd_validate_data(cfg: RunConfig) -> int:
-    window = fit_window(cfg.mode, cfg.cutoff)
     failures = 0
     seen: dict[str, Path] = {}
     for path in _data_files(cfg):
         try:
-            data = load_performance_list(path, window=window)
+            data = load_performance_list(path, window=cfg.window)
         except TailcastError as exc:
             error = str(exc)
         else:
@@ -466,22 +454,21 @@ def cmd_validate_data(cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # The options every subcommand takes, defined once and shared as a parent.
+    # The options every subcommand takes, defined once and shared as a parent:
+    # names and help only, as _resolve converts and checks every value.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
     common.add_argument("--data", help=f"data directory (default: ${DATA_ENV})")
     common.add_argument("--out", help="output directory (default: ./out)")
     common.add_argument("--events", help="comma-separated event ids, or 'all'")
-    common.add_argument("--mode", choices=["all", "five-years"], help="ingestion window mode")
-    common.add_argument("--cutoff", type=int, help="cutoff year (data strictly before)")
-    common.add_argument("--tf", type=float, help="forecast horizon in years")
-    common.add_argument("--seed", type=int, help="base RNG seed")
-    common.add_argument("--prior", choices=["weak", "empirical"], help="population prior")
-    base = SamplerConfig()
-    for key, (field, text) in _SAMPLER_KEYS.items():
+    common.add_argument("--mode", help="ingestion window mode: all or five-years")
+    common.add_argument("--cutoff", help="cutoff year (data strictly before)")
+    common.add_argument("--tf", help="forecast horizon in years, finite and >= 0")
+    common.add_argument("--seed", help="base RNG seed, a whole number >= 0")
+    common.add_argument("--prior", help="population prior: weak or empirical")
+    for key, (_, text) in _SAMPLER_KEYS.items():
         if text is not None:
-            common.add_argument("--" + key.replace("_", "-"), dest=key,
-                                type=type(getattr(base, field)), help=text)
+            common.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
 
     parser = argparse.ArgumentParser(
         prog="tailcast",
@@ -520,12 +507,9 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         return args.handler(cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TailcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -14,8 +14,11 @@ metadata is `dataclasses.asdict(FitMetadata)`, enums as their values,
 each sampled chain's id, acceptance rate and step scale among it, plus
 mpsrf; it is read back by reflecting on the same dataclasses, once per
 type: each type's reviver is planned on first use and cached, so a new
-metadata field needs no change here. Re-saving a loaded fit reproduces
-the file byte for byte.
+metadata field needs no change here. The plan checks each value's JSON
+type: a float field takes a number, an int field an integer, a str field
+a string, a tuple field a list, and none a bool; mpsrf takes a number or
+the "inf" that `dumps` writes. Re-saving a loaded fit reproduces the file
+byte for byte.
 
 `load_fit` and `loads` share one parser over bytes: one split cuts off the
 three header lines, only they are decoded as text, and the draws line goes
@@ -97,21 +100,46 @@ def _as_is(value):
     return value
 
 
+# The JSON types each scalar field takes: a float field takes an integer
+# too, and no field a bool, which Python counts as an int.
+_SCALARS = {float: (int, float), int: (int,), str: (str,)}
+
+
+class _WrongType(TypeError):
+    """A metadata value of the wrong JSON type; each dataclass prefixes its field."""
+
+
+def _checked(value, kinds: tuple[type, ...], name: str):
+    if type(value) not in kinds:
+        raise _WrongType(f"expected {name}, got {value!r}")
+    return value
+
+
 @functools.cache
 def _reviver(hint):
     """The function that rebuilds a value of type `hint` from its
-    dataclasses.asdict/JSON form, planned once per type by reflecting on it."""
+    dataclasses.asdict/JSON form, checking its JSON types, planned once per
+    type by reflecting on it."""
     if dataclasses.is_dataclass(hint):
         fields = {key: _reviver(h) for key, h in typing.get_type_hints(hint).items()}
-        fields = {key: f for key, f in fields.items() if f is not _as_is}
-        return lambda value: hint(**{key: fields[key](v) if key in fields else v
-                                     for key, v in value.items()})
+
+        def revive(value):
+            kwargs = {}
+            for key, v in value.items():
+                try:
+                    kwargs[key] = fields.get(key, _as_is)(v)
+                except _WrongType as exc:
+                    raise _WrongType(f"{key}: {exc}") from None
+            return hint(**kwargs)
+        return revive
     if isinstance(hint, type) and issubclass(hint, enum.Enum):
         return hint
-    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...], a JSON list
         item = _reviver(typing.get_args(hint)[0])
-        return tuple if item is _as_is else lambda value: tuple(map(item, value))
-    return _as_is  # float, int, str: most fields, each chain's three included
+        return lambda value: tuple(map(item, _checked(value, (list,), "list")))
+    if hint in _SCALARS:
+        return lambda value: _checked(value, _SCALARS[hint], hint.__name__)
+    return _as_is
 
 
 def _parse_meta(line: str):
@@ -125,13 +153,16 @@ def _parse_meta(line: str):
     if not isinstance(payload, dict):
         raise FitFileError("metadata must be a JSON object")
     try:
-        mpsrf = float(payload.pop("mpsrf"))
+        mpsrf = payload.pop("mpsrf")  # dumps writes a non-finite one as "inf"
+        if mpsrf != "inf" and type(mpsrf) not in (int, float):
+            raise TypeError(f"mpsrf: expected float or 'inf', got {mpsrf!r}")
+        mpsrf = float(mpsrf)
+        ids = [chain["chain_id"] for chain in payload["chains"]]
+        if not all(type(i) is int for i in ids) or len(set(ids)) != len(ids):
+            raise FitFileError(f"metadata chain ids must be distinct integers, got {ids}")
         meta = _reviver(FitMetadata)(payload)
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise FitFileError(f"metadata is missing or malformed: {exc}") from exc
-    ids = [chain.chain_id for chain in meta.chains]
-    if not all(type(i) is int for i in ids) or len(set(ids)) != len(ids):
-        raise FitFileError(f"metadata chain ids must be distinct integers, got {ids}")
     return meta, mpsrf
 
 

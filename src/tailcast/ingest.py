@@ -117,29 +117,27 @@ class DateWindow:
         return DateWindow(None, dt.date(cutoff_year, 1, 1))
 
 
+# The fields of a `[[H:]M:]S[.fff]` time, in order, with the pattern each must match.
+_TIME_FIELDS = (("hours", re.compile(r"\d+")), ("minutes", re.compile(r"\d+")),
+                ("seconds", re.compile(r"\d+(\.\d+)?")))
+
+
 def parse_time(text: str) -> float:
     """Total seconds of a `[[H:]M:]S[.fff]` string.
 
     Only the leading field may reach 60; "65:50" is minutes:seconds.
     """
-    raw = text.strip()
-    parts = raw.split(":")
-    if not raw or len(parts) > 3 or any(p == "" for p in parts):
+    parts = text.strip().split(":")
+    if len(parts) > 3 or "" in parts:
         raise MarkParseError(f"malformed time {text!r}")
-    names = ("hours", "minutes", "seconds")[3 - len(parts):]
-    values = []
-    for name, part in zip(names, parts):
-        is_last = name == "seconds"
-        pattern = r"\d+(\.\d+)?" if is_last else r"\d+"
-        if not re.fullmatch(pattern, part):
-            raise MarkParseError(f"invalid {name} field {part!r} in {text!r}")
-        v = float(part)
-        if name != names[0] and v >= 60.0:
-            raise MarkParseError(f"{name} field {part!r} must be < 60 in {text!r}")
-        values.append(v)
     total = 0.0
-    for v in values:
-        total = total * 60.0 + v
+    for i, ((name, pattern), part) in enumerate(zip(_TIME_FIELDS[3 - len(parts):], parts)):
+        if not pattern.fullmatch(part):
+            raise MarkParseError(f"invalid {name} field {part!r} in {text!r}")
+        value = float(part)
+        if i and value >= 60.0:
+            raise MarkParseError(f"{name} field {part!r} must be < 60 in {text!r}")
+        total = total * 60.0 + value
     return total
 
 

@@ -24,8 +24,14 @@ values from a per-process cache and must match it bit for bit.
 `geyer_ess` is the effective sample size of one series of draws, by
 Geyer's initial monotone sequence estimator: the yardstick of the
 Monte-Carlo error of a fit's pooled draws.
+
+`parse_time` is the earlier reading of a `[[H:]M:]S[.fff]` time: split on
+colons, each field matched by a pattern built for its position, the total
+summed after every field is checked. ingest.parse_time must give the same
+value or refuse with the same message.
 """
 import math
+import re
 
 import numpy as np
 from scipy import special
@@ -37,6 +43,7 @@ from tailcast.distcore import (
     _midpoints,
     make_lane_log_posterior,
 )
+from tailcast.ingest import MarkParseError
 from tailcast.stats import (
     _CHEB_NODES,
     _CHEB_WEIGHTS,
@@ -179,3 +186,25 @@ def grid_posterior(data, prior):
                  f"u = {_U_RANGE[1]:g}": float(by_u[-1]) / total,
                  f"log N = {_LOG_N_MAX:g}": float(by_y[-1]) / total}
     return (mean_d, mean_y), cov, edge_mass
+
+
+def parse_time(text: str) -> float:
+    raw = text.strip()
+    parts = raw.split(":")
+    if not raw or len(parts) > 3 or any(p == "" for p in parts):
+        raise MarkParseError(f"malformed time {text!r}")
+    names = ("hours", "minutes", "seconds")[3 - len(parts):]
+    values = []
+    for name, part in zip(names, parts):
+        is_last = name == "seconds"
+        pattern = r"\d+(\.\d+)?" if is_last else r"\d+"
+        if not re.fullmatch(pattern, part):
+            raise MarkParseError(f"invalid {name} field {part!r} in {text!r}")
+        v = float(part)
+        if name != names[0] and v >= 60.0:
+            raise MarkParseError(f"{name} field {part!r} must be < 60 in {text!r}")
+        values.append(v)
+    total = 0.0
+    for v in values:
+        total = total * 60.0 + v
+    return total

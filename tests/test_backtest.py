@@ -48,6 +48,25 @@ def test_spec_validation():
         BacktestSpec(cutoff_year=CUTOFF, reference_ranks=())
 
 
+@pytest.mark.parametrize("cutoff, windows, mode", [
+    (9999, (2,), DataMode.ALL_PRIOR),
+    (9999, (1,), DataMode.ALL_PRIOR),
+    (0, (1,), DataMode.ALL_PRIOR),
+    (5, (1,), DataMode.FIVE_YEARS),
+    (10**30, (1,), DataMode.ALL_PRIOR),
+])
+def test_spec_refuses_a_window_outside_the_calendar(cutoff, windows, mode):
+    # a library caller fails here, before any fit runs
+    with pytest.raises(ValueError, match=f"^cutoff_year {cutoff} is out of range"):
+        BacktestSpec(cutoff_year=cutoff, windows=windows, data_mode=mode)
+
+
+def test_spec_takes_the_calendar_edges():
+    BacktestSpec(cutoff_year=9998, windows=(1,))
+    BacktestSpec(cutoff_year=1, windows=(1,))
+    BacktestSpec(cutoff_year=6, windows=(1,), data_mode=DataMode.FIVE_YEARS)
+
+
 def test_spec_windows():
     assert fit_window(DataMode.ALL_PRIOR, CUTOFF) == DateWindow.before(CUTOFF)
     assert fit_window(DataMode.ALL_PRIOR, None) is None

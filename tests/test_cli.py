@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from tailcast import backtest, cli
 from tailcast.cli import _SAMPLER_KEYS, DATA_ENV, UsageError, _parse_points, main, mile_partner
 from tailcast.fitfile import load_fit
 from tailcast.ingest import EventSpec, RawMark, format_raw_mark, write_list_file
@@ -554,6 +555,88 @@ def test_bad_values_are_usage_errors(workspace, tmp_path, capsys, command, extra
     assert main([command, "--config", str(cfg), "--data", str(data_dir),
                  "--out", str(out_dir), *extra]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", "abc"), ("cutoff", "abc"), ("tf", "abc"), ("mode", "bogus"), ("prior", "bogus"),
+    ("chains", "x"),
+])
+def test_a_flag_and_its_config_key_give_one_error(tmp_path, capsys, key, value):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    common = ["fit", "--data", str(tmp_path), "--out", str(tmp_path / "out")]
+    lines = []
+    for given in (["--" + key, value], ["--config", str(config)]):
+        assert main([*common, *given]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        lines.append(line)
+    assert lines[0] == lines[1]
+    assert lines[0].startswith("error: ") and repr(value) in lines[0]
+
+
+def _copy_fits(out_dir, to):
+    (to / "fits").mkdir(parents=True)
+    for path in (out_dir / "fits").glob("*.fit"):
+        (to / "fits" / path.name).write_bytes(path.read_bytes())
+
+
+@pytest.mark.parametrize("command, name", [(["tables"], "tables.tsv"),
+                                           (["forecast", "--tf", "2"], "forecast.tsv")])
+def test_reading_fits_needs_no_data_directory(workspace, tmp_path, monkeypatch, command, name):
+    data_dir, out_dir = workspace
+    out = tmp_path / "out"
+    _copy_fits(out_dir, out)
+    assert main([*command, "--data", str(data_dir), "--out", str(out)]) == 0
+    with_data = (out / name).read_bytes()
+    (out / name).unlink()
+    monkeypatch.delenv(DATA_ENV, raising=False)
+    assert main([*command, "--out", str(out)]) == 0
+    assert (out / name).read_bytes() == with_data
+
+
+@pytest.mark.parametrize("command, cutoff", [
+    (["validate-data"], "0"),
+    (["fit", "--mode", "five-years"], "5"),
+    (["fit"], "10000"),
+    (["fit"], "1" + "0" * 30),
+    (["backtest", "--windows", "1,2"], "9999"),
+], ids=["validate-zero", "five-years-five", "fit-10000", "fit-overflow", "backtest-9999"])
+def test_a_cutoff_outside_the_calendar_is_a_usage_error(workspace, tmp_path, capsys,
+                                                        monkeypatch, command, cutoff):
+    # refused before any data file is read or any event fitted
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the cutoff check")
+
+    for name in ("load_performance_list", "two_pass_fit", "fit_events"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(backtest, "two_pass_fit", never)
+    data_dir, _ = workspace
+    out = tmp_path / "out"
+    code = main([*command, "--data", str(data_dir), "--out", str(out), "--cutoff", cutoff])
+    out_text, err = capsys.readouterr()
+    assert code == 2
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and cutoff in line
+    assert "Traceback" not in out_text + err
+    assert not out.exists()
+
+
+def test_forecast_refuses_a_record_given_as_a_string(workspace, tmp_path, capsys):
+    data_dir, out_dir = workspace
+    out = tmp_path / "out"
+    _copy_fits(out_dir, out)
+    bad = out / "fits" / "m0400.fit"
+    lines = bad.read_text().splitlines()
+    meta = json.loads(lines[1][len("#meta "):])
+    meta["record_x"] = "2.4"
+    lines[1] = "#meta " + json.dumps(meta, sort_keys=True)
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["forecast", "--data", str(data_dir), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}: metadata is missing or malformed: record_x: expected float, "
+        "got '2.4'"]
+    assert not (out / "forecast.tsv").exists()
 
 
 def test_config_file_and_flag_precedence(workspace, tmp_path):

@@ -132,6 +132,66 @@ def test_loads_rejects_bad_meta_keys(edit):
         loads(_edit_meta(edit))
 
 
+def _scalars(value, path=()):
+    """(path, value) of every scalar in a JSON payload, list items included."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _scalars(item, (*path, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _scalars(item, (*path, i))
+    else:
+        yield path, value
+
+
+def _wrong_types(value):
+    """JSON values of another type than `value`: a string or a number of the
+    wrong kind, a bool and a null."""
+    if isinstance(value, str):
+        return [3, 2.5, True, None]
+    if isinstance(value, int):
+        return [str(value), float(value), True, None]
+    return [str(value), True, None]  # a float field takes any number
+
+
+def _fill_lists(payload):
+    """sample_fit's metadata with an item in each list, for a corruption to reach."""
+    payload["failed_chains"] = [5]
+    payload["notes"] = ["chain 3 retuned"]
+
+
+def _corruptions():
+    lines = _edit_meta(_fill_lists).splitlines()
+    payload = json.loads(lines[1][len("#meta "):])
+    for path, value in _scalars(payload):
+        for wrong in _wrong_types(value):
+            yield pytest.param(path, wrong, id=".".join(map(str, path)) + "=" + json.dumps(wrong))
+
+
+def test_loads_reads_the_payload_every_corruption_starts_from():
+    fit = loads(_edit_meta(_fill_lists))
+    assert (fit.meta.failed_chains, fit.meta.notes) == ((5,), ("chain 3 retuned",))
+
+
+@pytest.mark.parametrize("path, wrong", list(_corruptions()))
+def test_loads_type_checks_every_scalar(path, wrong):
+    def edit(payload):
+        _fill_lists(payload)
+        *parents, last = path
+        for key in parents:
+            payload = payload[key]
+        payload[last] = wrong
+
+    with pytest.raises(FitFileError, match="^metadata "):
+        loads(_edit_meta(edit))
+
+
+def test_loads_refuses_a_span_too_large_for_a_float():
+    # a JSON integer has no size limit, and the span check cannot compare it
+    with pytest.raises(FitFileError, match="missing or malformed: .*too large"):
+        loads(_edit_meta(lambda payload: payload.update(t_m=10**400)))
+
+
 def test_infinite_mpsrf_survives():
     fit = sample_fit(mpsrf=math.inf)
     back = loads(dumps(fit))

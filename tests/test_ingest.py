@@ -1,5 +1,6 @@
 """Parsing, mark encoding, windowing, and list-file round trips."""
 import datetime as dt
+import itertools
 import math
 
 import pytest
@@ -25,6 +26,8 @@ from tailcast.ingest import (
     write_list_file,
 )
 
+import oracles
+
 
 def test_parse_time_known_values():
     assert parse_time("2:03:38") == 7418.0
@@ -38,6 +41,27 @@ def test_parse_time_known_values():
 def test_parse_time_rejects(bad):
     with pytest.raises(MarkParseError):
         parse_time(bad)
+
+
+# Fields valid and not, at and past 60, padded, and in full-width and
+# Arabic-Indic digits, which the \d of a str pattern and float() both read.
+_TIME_TOKENS = ["", "0", "7", "00", "59", "60", "65", "9.58", "59.99", "60.0", "1.", ".5",
+                "1e3", "+3", "-1", "1_0", "x", " 7", "7 ", "１２", "٣.٥", "5\n"]
+
+
+def test_parse_time_matches_the_oracle():
+    texts = [":".join(parts) for n in (1, 2, 3)
+             for parts in itertools.product(_TIME_TOKENS, repeat=n)]
+    texts += ["1:2:3:4", " 1:05:00 ", "\t59.5\n", "1::2", ":::"]
+
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except MarkParseError as exc:
+            return str(exc)
+
+    for text in texts:
+        assert outcome(parse_time, text) == outcome(oracles.parse_time, text), text
 
 
 def test_format_seconds():
