@@ -113,15 +113,15 @@ class TwoPassResult:
     failures: dict[str, str]
 
 
-def two_pass_fit(lists, config: SamplerConfig, t_m: float | None = None) -> TwoPassResult:
+def two_pass_fit(lists, config: SamplerConfig) -> TwoPassResult:
     """Pass 1: each list's grid E[log N] under the weak prior. Pass 2: sample
     every list under the prior those means define.
 
-    `t_m` is one span in years for every event, or None for each list's
-    own span, PerformanceList.t_m. Pass 1 samples nothing, so the prior does
-    not depend on `config`. An event whose pass-1 grid fails its edge check
-    is left out of the prior, noted in `failures`, and still fitted in pass
-    2. Pass 2 (sampler.fit_events) refuses two lists with one event id.
+    Each fit's span is its list's, PerformanceList.t_m. Pass 1 samples
+    nothing, so the prior does not depend on `config`. An event whose pass-1
+    grid fails its edge check is left out of the prior, noted in `failures`,
+    and still fitted in pass 2. Pass 2 (sampler.fit_events) refuses two
+    lists with one event id.
     """
     lists = list(lists)
     if len(lists) < 4:
@@ -134,7 +134,7 @@ def two_pass_fit(lists, config: SamplerConfig, t_m: float | None = None) -> TwoP
         except GridEdgeMass as exc:
             failures[data.event.event_id] = str(exc)
     prior = robust_hyperprior(estimates)
-    fits, failures2 = fit_events(lists, prior, config, t_m)
+    fits, failures2 = fit_events(lists, prior, config)
     for event_id, msg in failures2.items():
         failures[event_id] = f"{failures.get(event_id, '')}; pass 2: {msg}".lstrip("; ")
     return TwoPassResult(prior=prior, fits=fits, pass1_estimates=estimates, failures=failures)

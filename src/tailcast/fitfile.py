@@ -17,8 +17,8 @@ type: each type's reviver is planned on first use and cached, so a new
 metadata field needs no change here. The plan checks each value's JSON
 type: a float field takes a number, an int field an integer, a str field
 a string, a tuple field a list, and none a bool; mpsrf takes a number or
-the "inf" that `dumps` writes. Re-saving a loaded fit reproduces the file
-byte for byte.
+the "inf" that `dumps` writes; no number may be non-finite, on reading or
+writing. Re-saving a loaded fit reproduces the file byte for byte.
 
 `load_fit` and `loads` share one parser over bytes: one split cuts off the
 three header lines, only they are decoded as text, and the draws line goes
@@ -87,7 +87,7 @@ def atomic_write_text(path: Path, text: str) -> None:
 def dumps(fit: FitResult) -> str:
     payload = dataclasses.asdict(fit.meta)
     payload["mpsrf"] = fit.mpsrf if math.isfinite(fit.mpsrf) else "inf"
-    meta = json.dumps(payload, sort_keys=True, default=lambda e: e.value)
+    meta = json.dumps(payload, sort_keys=True, allow_nan=False, default=lambda e: e.value)
     draws = np.array((fit.pooled_mu, fit.pooled_logN), dtype=_DRAWS_DTYPE).tobytes().hex()
     return f"{FORMAT_LINE}\n#meta {meta}\n#draws {fit.pooled_size} mu logN\n{draws}\n"
 
@@ -142,12 +142,23 @@ def _reviver(hint):
     return _as_is
 
 
+def _finite(text: str) -> float:
+    """A JSON number, refused unless finite: json reads NaN, Infinity and 1e400."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise FitFileError(f"metadata is missing or malformed: {text} is not a finite number")
+    return value
+
+
+_META_JSON = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
+
+
 def _parse_meta(line: str):
     """(FitMetadata, mpsrf)."""
     if not line.startswith("#meta "):
         raise FitFileError("second line must be the #meta JSON object")
     try:
-        payload = json.loads(line[len("#meta "):])
+        payload = _META_JSON.decode(line[len("#meta "):])
     except json.JSONDecodeError as exc:
         raise FitFileError(f"metadata is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):

@@ -141,21 +141,18 @@ def parse_time(text: str) -> float:
     return total
 
 
-def format_seconds(seconds: float, decimals: int = 2) -> str:
+def format_seconds(seconds: float) -> str:
     """Canonical `h:mm:ss.ff` form, dropping leading zero fields."""
     if seconds < 0.0:
         raise ValueError("seconds must be nonnegative")
-    scale = 10 ** decimals
-    units = round(seconds * scale)
-    whole, frac = divmod(units, scale)
+    whole, frac = divmod(round(seconds * 100), 100)
     h, rem = divmod(whole, 3600)
     m, s = divmod(rem, 60)
-    tail = f".{frac:0{decimals}d}" if decimals > 0 else ""
     if h:
-        return f"{h}:{m:02d}:{s:02d}{tail}"
+        return f"{h}:{m:02d}:{s:02d}.{frac:02d}"
     if m:
-        return f"{m}:{s:02d}{tail}"
-    return f"{s}{tail}"
+        return f"{m}:{s:02d}.{frac:02d}"
+    return f"{s}.{frac:02d}"
 
 
 def format_raw_mark(event: EventSpec, value: float) -> str:
@@ -212,17 +209,14 @@ class PerformanceList:
         the pass-2 proposal both read it through distcore.grid_posterior."""
         return distcore.grid_columns(self)
 
-    def span_years(self) -> float:
-        dates = [r.date for r in self.records]
-        return (max(dates) - min(dates)).days / 365.25
-
     @property
     def t_m(self) -> float:
         """Years the list spans: its window's whole years if the window has a
         start, else the span of its record dates, floored at one year."""
         if self.window is not None and self.window.start is not None:
             return float(self.window.end.year - self.window.start.year)
-        return max(self.span_years(), 1.0)
+        dates = [r.date for r in self.records]
+        return max((max(dates) - min(dates)).days / 365.25, 1.0)
 
 
 def build_performance_list(

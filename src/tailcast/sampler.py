@@ -134,11 +134,6 @@ class ChainSummary:
     step_scale: float
 
 
-def _check_t_m(t_m: float) -> None:
-    if not (math.isfinite(t_m) and t_m > 0.0):
-        raise ValueError(f"t_m must be a positive number of years, got {t_m}")
-
-
 @dataclass(frozen=True)
 class FitMetadata:
     """What a fit was made from. t_m is the span in years the list's marks
@@ -159,7 +154,8 @@ class FitMetadata:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_t_m(self.t_m)
+        if not (math.isfinite(self.t_m) and self.t_m > 0.0):
+            raise ValueError(f"t_m must be a positive number of years, got {self.t_m}")
 
     @property
     def event_id(self) -> str:
@@ -453,13 +449,12 @@ def _grid_proposal(data, prior):
     return (data.w_k + mean_d, mean_y), (l11, l21, l22)
 
 
-def fit_event(data, prior, config: SamplerConfig, t_m: float | None = None) -> FitResult:
+def fit_event(data, prior, config: SamplerConfig) -> FitResult:
     """Full fit of one event: chains, tuning, sampling, diagnostics, pooling.
 
-    The one-event case of fit_events. t_m defaults to the list's own span,
-    PerformanceList.t_m.
+    The one-event case of fit_events.
     """
-    fits, failures = fit_events([data], prior, config, t_m)
+    fits, failures = fit_events([data], prior, config)
     if failures:
         raise FitFailed(failures[data.event.event_id])
     return fits[data.event.event_id]
@@ -472,23 +467,19 @@ def chain_rng(seed: int, event_id: str, chain_id: int) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(event_id.encode("utf-8")), chain_id])
 
 
-def fit_events(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | None = None):
+def fit_events(lists, prior: HyperPrior, config: SamplerConfig):
     """Fit every list under one prior, sampling all their chains as lanes.
 
-    `t_m` is one span in years for every event, or None for each list's
-    own span, PerformanceList.t_m. Chain c of an event starts around its grid
-    posterior on chain_rng(config.seed, event id, c); tune_lanes burns in
-    every chain at once, and sample_lanes steps every tuned chain of every
-    event that can still succeed. So a fit depends on its own list and id,
+    Each fit's span is its list's, PerformanceList.t_m. Chain c of an event
+    starts around its grid posterior on chain_rng(config.seed, event id, c);
+    tune_lanes burns in every chain at once, and sample_lanes steps every
+    tuned chain of every event that can still succeed. So a fit depends on its own list and id,
     the prior and the config, never on the events fitted with it. Returns
     (fits, failures) in list order: event_id -> FitResult, and event_id ->
     the message of the FitFailed that ended that event. Two lists with one
-    event id are refused, and so is a t_m that FitMetadata would refuse,
-    before any grid or chain work.
+    event id are refused.
     """
-    if t_m is not None:
-        _check_t_m(t_m)
-    # Per event: (data, t_m, {chain id: note on its failure}, [(lane, its
+    # Per event: (data, {chain id: note on its failure}, [(lane, its
     # ChainSummary) per sampled chain]), or the message of the FitFailed that ended it.
     events: dict = {}
     chains = []  # per chain with an init: (event id, chain id, factor, init, rng)
@@ -510,22 +501,22 @@ def fit_events(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | Non
                 notes[chain_id] = f"chain {chain_id}: no finite-posterior initialization found"
             else:
                 chains.append((event_id, chain_id, factor, init, rng))
-        events[event_id] = (data, data.t_m if t_m is None else t_m, notes, [])
+        events[event_id] = (data, notes, [])
     outcomes = tune_lanes([events[c[0]][0] for c in chains], prior, [c[2] for c in chains],
                           config, [c[3] for c in chains], [c[4] for c in chains])
     for (event_id, chain_id, *_), outcome in zip(chains, outcomes):
         if isinstance(outcome, TuningFailed):
-            events[event_id][2][chain_id] = f"chain {chain_id}: {outcome}"
+            events[event_id][1][chain_id] = f"chain {chain_id}: {outcome}"
     # An event that lost half its chains or more is not sampled.
     lanes = [(chain, tuned) for chain, tuned in zip(chains, outcomes)
-             if isinstance(tuned, TunedState) and 2 * len(events[chain[0]][2]) < config.chains]
+             if isinstance(tuned, TunedState) and 2 * len(events[chain[0]][1]) < config.chains]
     if lanes:
         target = make_lane_log_posterior([events[c[0]][0] for c, _ in lanes], prior)
         mu, y, accepted = sample_lanes(target, config, [t for _, t in lanes],
                                        [c[4] for c, _ in lanes])
         steps = config.batches * config.batch_len
         for lane, ((event_id, chain_id, *_), tuned) in enumerate(lanes):
-            events[event_id][3].append((lane, ChainSummary(
+            events[event_id][2].append((lane, ChainSummary(
                 chain_id=chain_id, accept_rate=int(accepted[lane]) / steps,
                 step_scale=tuned.step_scale)))
     fits: dict[str, FitResult] = {}
@@ -534,7 +525,7 @@ def fit_events(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | Non
         if isinstance(event, str):
             failures[event_id] = event
             continue
-        data, event_t_m, notes, sampled = event
+        data, notes, sampled = event
         if not sampled:
             failures[event_id] = f"{event_id}: {len(notes)} of {config.chains} chains failed"
             continue
@@ -542,7 +533,7 @@ def fit_events(lists, prior: HyperPrior, config: SamplerConfig, t_m: float | Non
         event_mu, event_y = mu[list(rows)], y[list(rows)]  # (chains, batches), chain order
         meta = FitMetadata(
             event=data.event,
-            t_m=float(event_t_m),
+            t_m=data.t_m,
             n_k=data.n_k,
             w_k=data.w_k,
             best_x=data.best,

@@ -37,8 +37,8 @@ def tail_performance_list(event: EventSpec, tail: Sequence[float],
     """Wrap a tail of transformed marks into a dated PerformanceList.
 
     Dates are uniform over the calendar span; they carry no signal beyond
-    fixing the list's t_m, the data span of a list with no window: give the
-    list a window or pass an explicit t_m when the exact value matters.
+    fixing the list's t_m, the data span of a list with no window: a list
+    of one calendar year (first_year == last_year) spans 1.0.
     """
     rng = np.random.default_rng(seed)
     start = date(first_year, 1, 1)

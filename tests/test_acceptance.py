@@ -167,7 +167,7 @@ def recovery_lists():
 @pytest.fixture(scope="module")
 def recovery_fits(recovery_lists):
     t0 = time.perf_counter()
-    result = two_pass_fit(recovery_lists, SamplerConfig(seed=7), t_m=1.0)
+    result = two_pass_fit(recovery_lists, SamplerConfig(seed=7))
     assert len(result.fits) == 8 and not result.failures
     return result, time.perf_counter() - t0
 

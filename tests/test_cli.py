@@ -621,21 +621,42 @@ def test_a_cutoff_outside_the_calendar_is_a_usage_error(workspace, tmp_path, cap
     assert not out.exists()
 
 
-def test_forecast_refuses_a_record_given_as_a_string(workspace, tmp_path, capsys):
-    data_dir, out_dir = workspace
-    out = tmp_path / "out"
+def _copy_fits_with_record(out_dir, out, record_x):
+    """A copy of the workspace's fits whose m0400 record is record_x; its path."""
     _copy_fits(out_dir, out)
     bad = out / "fits" / "m0400.fit"
     lines = bad.read_text().splitlines()
     meta = json.loads(lines[1][len("#meta "):])
-    meta["record_x"] = "2.4"
+    meta["record_x"] = record_x
     lines[1] = "#meta " + json.dumps(meta, sort_keys=True)
     bad.write_text("\n".join(lines) + "\n")
+    return bad
+
+
+def test_forecast_refuses_a_record_given_as_a_string(workspace, tmp_path, capsys):
+    data_dir, out_dir = workspace
+    out = tmp_path / "out"
+    bad = _copy_fits_with_record(out_dir, out, "2.4")
     capsys.readouterr()
     assert main(["forecast", "--data", str(data_dir), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: {bad}: metadata is missing or malformed: record_x: expected float, "
         "got '2.4'"]
+    assert not (out / "forecast.tsv").exists()
+
+
+def test_forecast_refuses_a_record_of_nan(workspace, tmp_path, capsys):
+    # Python's json module reads the NaN that json.dumps writes for math.nan
+    _, out_dir = workspace
+    out = tmp_path / "out"
+    bad = _copy_fits_with_record(out_dir, out, math.nan)
+    assert '"record_x": NaN' in bad.read_text()
+    capsys.readouterr()
+    assert main(["forecast", "--out", str(out)]) == 1
+    out_text, err = capsys.readouterr()
+    assert err.splitlines() == [
+        f"error: {bad}: metadata is missing or malformed: NaN is not a finite number"]
+    assert "Traceback" not in out_text + err
     assert not (out / "forecast.tsv").exists()
 
 

@@ -161,16 +161,16 @@ TINY = SamplerConfig(
 def test_two_pass_needs_four_lists():
     lists = _corpus(n_events=3)
     with pytest.raises(InsufficientEvents):
-        two_pass_fit(list(lists.values()), TINY, t_m=1.0)
+        two_pass_fit(list(lists.values()), TINY)
 
 
 def test_fit_events_fit_does_not_depend_on_co_batched_events():
     lists = _corpus(n_events=3)
     a, b, c = lists["ev0"], lists["ev1"], lists["ev2"]
     weak = HyperPrior.weakly_informative()
-    abc, failures_abc = fit_events([a, b, c], weak, TINY, t_m=1.0)
-    ca, failures_ca = fit_events([c, a], weak, TINY, t_m=1.0)
-    alone = fit_event(a, weak, TINY, t_m=1.0)
+    abc, failures_abc = fit_events([a, b, c], weak, TINY)
+    ca, failures_ca = fit_events([c, a], weak, TINY)
+    alone = fit_event(a, weak, TINY)
     assert failures_abc == failures_ca == {}
     assert list(abc) == ["ev0", "ev1", "ev2"] and list(ca) == ["ev2", "ev0"]
     assert dumps(abc["ev0"]) == dumps(ca["ev0"]) == dumps(alone)
@@ -181,12 +181,12 @@ def test_fit_events_refuses_a_repeated_event_id():
     lists = _corpus(n_events=2)
     twin = lists["ev1"]
     with pytest.raises(ValueError, match="'ev1'"):
-        fit_events([lists["ev0"], twin, twin], HyperPrior.weakly_informative(), TINY, t_m=1.0)
+        fit_events([lists["ev0"], twin, twin], HyperPrior.weakly_informative(), TINY)
 
 
 def test_two_pass_wires_prior_and_estimates():
     lists = _corpus()
-    res = two_pass_fit(list(lists.values()), TINY, t_m=1.0)
+    res = two_pass_fit(list(lists.values()), TINY)
     # Pass one is each list's grid mean of log N under the weak prior, and
     # the prior is made from those means.
     assert res.pass1_estimates == {e: pass1_estimate(d) for e, d in lists.items()}
@@ -197,7 +197,7 @@ def test_two_pass_wires_prior_and_estimates():
     assert res.failures == {}
     # Pass two is a fit_events run with the one config, so refitting under
     # the empirical prior reproduces its fits.
-    again, failures = fit_events(list(lists.values()), res.prior, TINY, t_m=1.0)
+    again, failures = fit_events(list(lists.values()), res.prior, TINY)
     assert failures == {}
     assert {e: dumps(f) for e, f in again.items()} == {e: dumps(f) for e, f in res.fits.items()}
 
@@ -206,10 +206,10 @@ def test_two_pass_prior_does_not_depend_on_the_sampler_config():
     # Pass one samples nothing, so another seed or chain budget leaves the
     # prior and the pass-one means as they are.
     lists = list(_corpus().values())
-    res = two_pass_fit(lists, TINY, t_m=1.0)
+    res = two_pass_fit(lists, TINY)
     other = dataclasses.replace(TINY, seed=TINY.seed + 1, chains=3, batches=60,
                                 burn_in_steps=500)
-    again = two_pass_fit(lists, other, t_m=1.0)
+    again = two_pass_fit(lists, other)
     assert again.prior == res.prior
     assert again.pass1_estimates == res.pass1_estimates
     assert dumps(again.fits["ev0"]) != dumps(res.fits["ev0"])
@@ -356,7 +356,7 @@ def test_two_pass_scores_each_grid_once(monkeypatch):
     columns = distcore.grid_columns
     monkeypatch.setattr(distcore, "grid_columns", counting)
     lists = list(_corpus(n_events=5, base_seed=400).values())
-    two_pass_fit(lists, TINY, t_m=1.0)
+    two_pass_fit(lists, TINY)
     assert sorted(scored) == [f"ev{i}" for i in range(5)]
 
 
@@ -370,7 +370,7 @@ def test_fit_events_fails_only_the_event_with_a_singular_grid_covariance():
     small = tail_performance_list(EventSpec.running("small"),
                                   sample_tail(7, MU_STAR, SIGMA_STAR, 3_000, 100),
                                   2001, 2020, seed=8)
-    fits, failures = fit_events([small, big], prior, TINY, t_m=1.0)
+    fits, failures = fit_events([small, big], prior, TINY)
     assert list(fits) == ["small"]
     assert list(failures) == ["big"]
     assert failures["big"].startswith("big: the grid posterior's covariance ")
@@ -390,7 +390,7 @@ def test_pass1_estimate_names_a_cut_edge_holding_mass():
 
 def test_two_pass_leaves_an_edge_event_out_of_the_prior():
     lists = _corpus()
-    res = two_pass_fit([*lists.values(), _wide_event()], TINY, t_m=1.0)
+    res = two_pass_fit([*lists.values(), _wide_event()], TINY)
     assert "wide" not in res.pass1_estimates
     assert set(res.prior.contributing_events) == set(lists)
     assert res.failures["wide"].startswith("wide: ")
@@ -404,7 +404,7 @@ def test_two_pass_notes_each_pass_2_failure(monkeypatch):
     with pytest.raises(GridEdgeMass) as edge:
         pass1_estimate(_wide_event())
     fail_every_init(monkeypatch, "ev1", "wide")
-    res = two_pass_fit([*lists.values(), _wide_event()], TINY, t_m=1.0)
+    res = two_pass_fit([*lists.values(), _wide_event()], TINY)
     assert res.failures == {
         "wide": f"{edge.value}; pass 2: wide: 2 of 2 chains failed",
         "ev1": "pass 2: ev1: 2 of 2 chains failed",
@@ -445,7 +445,7 @@ def test_two_pass_shrinks_pathological_event():
     config = SamplerConfig(
         burn_in_steps=400, batches=200, batch_len=10, chains=3, pool_size=400, seed=17
     )
-    res = two_pass_fit(list(lists.values()), config, t_m=1.0)
+    res = two_pass_fit(list(lists.values()), config)
     assert res.failures == {}
 
     data = lists["patho"]

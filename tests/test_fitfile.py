@@ -146,12 +146,14 @@ def _scalars(value, path=()):
 
 def _wrong_types(value):
     """JSON values of another type than `value`: a string or a number of the
-    wrong kind, a bool and a null."""
+    wrong kind, a bool and a null; for a float, also the non-finite numbers
+    that Python's json module reads."""
     if isinstance(value, str):
         return [3, 2.5, True, None]
     if isinstance(value, int):
         return [str(value), float(value), True, None]
-    return [str(value), True, None]  # a float field takes any number
+    # a float field takes any finite number
+    return [str(value), True, None, math.nan, math.inf, -math.inf]
 
 
 def _fill_lists(payload):
@@ -190,6 +192,19 @@ def test_loads_refuses_a_span_too_large_for_a_float():
     # a JSON integer has no size limit, and the span check cannot compare it
     with pytest.raises(FitFileError, match="missing or malformed: .*too large"):
         loads(_edit_meta(lambda payload: payload.update(t_m=10**400)))
+
+
+def test_loads_refuses_a_number_that_overflows_to_infinity():
+    text = _edit_meta(lambda payload: payload.update(record_x=123.0))
+    assert text.count('"record_x": 123.0') == 1
+    with pytest.raises(FitFileError, match="malformed: 1e400 is not a finite number$"):
+        loads(text.replace('"record_x": 123.0', '"record_x": 1e400'))
+
+
+def test_dumps_refuses_a_non_finite_number():
+    # a file that loads would refuse is not written
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dumps(make_fit(np.full(10, 2.52), np.full(10, 9.0), best_x=math.nan))
 
 
 def test_infinite_mpsrf_survives():

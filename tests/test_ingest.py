@@ -69,14 +69,13 @@ def test_format_seconds():
     assert format_seconds(206.0) == "3:26.00"
     assert format_seconds(7418.0) == "2:03:38.00"
     assert format_seconds(59.999) == "1:00.00"  # rounds up across the minute
-    assert format_seconds(3950.0, decimals=0) == "1:05:50"
 
 
 @given(st.floats(0.01, 4 * 3600.0))
 @settings(max_examples=300)
 def test_parse_format_roundtrip(t):
-    assert abs(parse_time(format_seconds(t, decimals=3)) - t) < 1e-3
-    assert abs(parse_time(format_seconds(t, decimals=6)) - t) < 1e-6
+    # two decimals: within half a hundredth, to the rounding of t * 100
+    assert abs(parse_time(format_seconds(t)) - t) <= 0.005 + 1e-9
 
 
 def test_encode_mark_examples():
@@ -166,9 +165,9 @@ def test_performance_list_t_m():
     assert three.t_m == 3.0
     # no start: the span of the record dates
     before = build_performance_list(run, records, window=DateWindow.before(2019))
-    assert before.t_m == before.span_years() == (d(2018, 12, 1) - d(2009, 3, 1)).days / 365.25
+    assert before.t_m == (d(2018, 12, 1) - d(2009, 3, 1)).days / 365.25
     unbounded = build_performance_list(run, records)
-    assert unbounded.t_m == unbounded.span_years()
+    assert unbounded.t_m == (d(2018, 12, 1) - d(2009, 3, 1)).days / 365.25
     # floored at one year for a list dated within one year
     within = build_performance_list(run, [RawMark(10.0, d(2012, 2, 1)),
                                           RawMark(10.1, d(2012, 9, 1))])

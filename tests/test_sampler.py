@@ -55,10 +55,10 @@ def small_config(**kw):
     return SamplerConfig(**base)
 
 
-def synthetic_event(seed=55, keep=400, population=20_000):
+def synthetic_event(seed=55, keep=400, population=20_000, first_year=2001):
     spec = EventSpec.running(f"syn{seed}")
     tail = sample_tail(seed, MU_STAR, SIGMA_STAR, population, keep)
-    return tail_performance_list(spec, tail, 2001, 2020, seed=seed + 1)
+    return tail_performance_list(spec, tail, first_year, 2020, seed=seed + 1)
 
 
 INFORMATIVE = HyperPrior(
@@ -354,8 +354,10 @@ def _draws_digest(chains, n_k, w_k):
 
 
 def test_fit_event_bytes_are_frozen():
-    data, config = synthetic_event(), small_config()
-    fit = fit_event(data, INFORMATIVE, config, t_m=1.0)
+    # dated inside one calendar year, so the list, and the file, span 1.0
+    data, config = synthetic_event(first_year=2020), small_config()
+    assert data.t_m == 1.0
+    fit = fit_event(data, INFORMATIVE, config)
     chains = _reference_chains(data, INFORMATIVE, config)
     assert _draws_digest(chains, data.n_k, data.w_k) == DRAWS_SHA256
     text = fitfile.dumps(fit)
@@ -367,14 +369,14 @@ def test_fit_event_bytes_are_frozen():
 
 def test_pooled_sigma_is_the_identity_over_the_pooled_draws():
     data, config = synthetic_event(), small_config()
-    fit = fit_event(data, INFORMATIVE, config, t_m=1.0)
+    fit = fit_event(data, INFORMATIVE, config)
     assert fit.pooled_size == config.pool_size < config.chains * config.batches
     want = tail_mass_sigma(fit.pooled_mu, fit.pooled_logN, data.n_k, data.w_k)
     assert np.array_equal(fit.pooled_sigma, want)
 
 
 def test_reloaded_fit_pools_the_same_draws():
-    fit = fit_event(synthetic_event(), INFORMATIVE, small_config(), t_m=1.0)
+    fit = fit_event(synthetic_event(), INFORMATIVE, small_config())
     back = fitfile.loads(fitfile.dumps(fit))
     for name in ("pooled_mu", "pooled_logN", "pooled_sigma"):
         assert np.array_equal(getattr(back, name), getattr(fit, name)), name
@@ -387,7 +389,7 @@ def test_adjacent_base_seeds_share_no_chain():
         pair = []
         for config in (small_config(seed=seed, batches=20), small_config(seed=seed ^ 1, batches=20)):
             chains = _reference_chains(data, INFORMATIVE, config)
-            _assert_pools(fit_event(data, INFORMATIVE, config, t_m=1.0), chains)
+            _assert_pools(fit_event(data, INFORMATIVE, config), chains)
             pair.append(chains)
         for chain_a in pair[0]:
             for chain_b in pair[1]:
@@ -407,7 +409,7 @@ def test_fit_events_draws_each_chain_from_its_stream():
     # every draw of these 3 chains of 20.
     data, other = synthetic_event(), synthetic_event(seed=61, keep=25)
     config = small_config(batches=20)
-    fit = fit_events([other, data], INFORMATIVE, config, t_m=1.0)[0][data.event.event_id]
+    fit = fit_events([other, data], INFORMATIVE, config)[0][data.event.event_id]
     assert fit.pooled_size == config.chains * config.batches
     _assert_pools(fit, _reference_chains(data, INFORMATIVE, config))
 
@@ -437,13 +439,13 @@ def test_fit_events_keeps_an_event_that_lost_fewer_than_half_its_chains(monkeypa
     survivors = _reference_chains(kept, INFORMATIVE, config, chain_ids=(0, 2, 4, 5))
     monkeypatch.setattr(sampler, "_draw_init", draw_init)
     monkeypatch.setattr(sampler, "tune_lanes", tuning)
-    fits, failures = fit_events([kept, lost], INFORMATIVE, config, t_m=1.0)
+    fits, failures = fit_events([kept, lost], INFORMATIVE, config)
     assert failures == {lost.event.event_id: f"{lost.event.event_id}: 3 of 6 chains failed"}
     fit = fits[kept.event.event_id]
     assert fit.meta.failed_chains == (1, 3)
     assert fit.meta.notes == (f"chain 1: {failure}",
                               "chain 3: no finite-posterior initialization found")
-    assert fitfile.dumps(fit) == fitfile.dumps(fit_event(kept, INFORMATIVE, config, t_m=1.0))
+    assert fitfile.dumps(fit) == fitfile.dumps(fit_event(kept, INFORMATIVE, config))
     assert [c.chain_id for c in fit.meta.chains] == [0, 2, 4, 5]
     _assert_pools(fit, survivors)
 
@@ -453,7 +455,7 @@ def test_fit_events_names_an_event_whose_every_chain_found_no_initialization(mon
     kept, lost = synthetic_event(), synthetic_event(seed=61, keep=25)
     config = small_config(batches=20)
     fail_every_init(monkeypatch, lost.event.event_id)
-    fits, failures = fit_events([lost, kept], INFORMATIVE, config, t_m=1.0)
+    fits, failures = fit_events([lost, kept], INFORMATIVE, config)
     assert failures == {lost.event.event_id: f"{lost.event.event_id}: 3 of 3 chains failed"}
     assert list(fits) == [kept.event.event_id]
 
@@ -528,7 +530,7 @@ def test_mpsrf_repeated_seeds_mostly_converged():
 def test_fit_event_structure_and_determinism():
     data = synthetic_event()
     config = small_config()
-    fit = fit_event(data, INFORMATIVE, config, t_m=1.0)
+    fit = fit_event(data, INFORMATIVE, config)
     assert fit.event_id == data.event.event_id
     assert [c.chain_id for c in fit.meta.chains] == list(range(config.chains))
     assert fit.pooled_size == config.pool_size
@@ -537,11 +539,11 @@ def test_fit_event_structure_and_determinism():
     assert np.all(np.exp(fit.pooled_logN) > data.n_k)
     for chain in fit.meta.chains:
         assert 0.15 <= chain.accept_rate <= 0.45
-    assert fit.meta.t_m == 1.0
+    assert fit.meta.t_m == data.t_m
     assert fit.meta.n_k == data.n_k
     assert fit.meta.prior is INFORMATIVE
 
-    again = fit_event(data, INFORMATIVE, config, t_m=1.0)
+    again = fit_event(data, INFORMATIVE, config)
     assert np.array_equal(fit.pooled_mu, again.pooled_mu)
     assert np.array_equal(fit.pooled_logN, again.pooled_logN)
     assert fit.mpsrf == again.mpsrf
@@ -549,7 +551,7 @@ def test_fit_event_structure_and_determinism():
 
 def test_fit_event_recovers_mu():
     data = synthetic_event(seed=77)
-    fit = fit_event(data, INFORMATIVE, small_config(chains=4), t_m=1.0)
+    fit = fit_event(data, INFORMATIVE, small_config(chains=4))
     mu_hat = float(np.mean(fit.pooled_mu))
     sd = float(np.std(fit.pooled_mu))
     assert abs(mu_hat - MU_STAR) <= 3.0 * sd
@@ -560,7 +562,7 @@ def test_fit_event_tiny_list_completes():
     spec = EventSpec.running("tiny")
     tail = sample_tail(3, MU_STAR, SIGMA_STAR, 2_000, 10)
     data = tail_performance_list(spec, tail, 2007, 2011, seed=4)
-    fit = fit_event(data, INFORMATIVE, small_config(), t_m=5.0)
+    fit = fit_event(data, INFORMATIVE, small_config())
     assert fit.pooled_size > 0
     assert np.all(np.isfinite(fit.pooled_mu))
 
@@ -576,7 +578,7 @@ def test_fit_event_all_chains_failing(monkeypatch):
     monkeypatch.setattr(sampler, "_MAX_RETUNES", 0)
     monkeypatch.setattr(sampler, "_START_SCALE", 1e9)
     with pytest.raises(FitFailed):
-        fit_event(data, INFORMATIVE, small_config(), t_m=1.0)
+        fit_event(data, INFORMATIVE, small_config())
 
 
 def test_derive_t_m():
@@ -585,22 +587,16 @@ def test_derive_t_m():
     data = tail_performance_list(spec, tail, 2010, 2020, seed=10)
     # no window: the list's record-date span
     assert data.window is None
-    assert fit_event(data, INFORMATIVE, small_config()).meta.t_m == data.span_years() >= 1.0
+    dates = [r.date for r in data.records]
+    span = (max(dates) - min(dates)).days / 365.25
+    assert fit_event(data, INFORMATIVE, small_config()).meta.t_m == data.t_m == span > 1.0
+    # dated inside one calendar year: the span floors to one year
+    within = tail_performance_list(spec, tail, 2015, 2015, seed=10)
+    assert fit_event(within, INFORMATIVE, small_config()).meta.t_m == within.t_m == 1.0
     # a bounded ingestion window wins with its whole years, the 5.0 that
     # `tailcast fit --mode five-years` records in its manifest
     five = build_performance_list(spec, list(data.records), window=DateWindow.years_before(2019, 5))
     assert fit_event(five, INFORMATIVE, small_config()).meta.t_m == 5.0
-
-
-@pytest.mark.parametrize("t_m", [0.0, -1.0, math.nan, math.inf])
-def test_fit_events_refuses_a_bad_t_m_before_any_work(monkeypatch, t_m):
-    def never(*args, **kwargs):
-        raise AssertionError("a bad t_m must be refused before grid or chain work")
-
-    monkeypatch.setattr(sampler, "grid_posterior", never)
-    monkeypatch.setattr(sampler, "tune_lanes", never)
-    with pytest.raises(ValueError, match=f"t_m must be a positive number of years, got {t_m}"):
-        fit_events([synthetic_event()], INFORMATIVE, small_config(), t_m=t_m)
 
 
 def test_pool_draws_stride():
