@@ -9,6 +9,7 @@ are deterministic for a fixed seed; no command writes timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -453,7 +454,11 @@ def cmd_validate_data(cfg: RunConfig) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: it reads only module constants, so it
+    is built on the first call and reused. It binds no handler; main looks
+    each one up by name when it runs."""
     # The options every subcommand takes, defined once and shared as a parent:
     # names and help only, as _resolve converts and checks every value.
     common = argparse.ArgumentParser(add_help=False)
@@ -476,37 +481,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", parents=[common],
-                           help="fit every event and persist the posteriors")
-    p_fit.set_defaults(handler=cmd_fit)
-
+    sub.add_parser("fit", parents=[common], help="fit every event and persist the posteriors")
     p_tables = sub.add_parser("tables", parents=[common],
                               help="emit scoring tables from persisted fits")
     p_tables.add_argument("--points", help="point grid, lo:hi:step or comma list")
-    p_tables.set_defaults(handler=cmd_tables)
-
-    p_forecast = sub.add_parser("forecast", parents=[common],
-                                help="record probabilities and expected bests")
-    p_forecast.set_defaults(handler=cmd_forecast)
-
+    sub.add_parser("forecast", parents=[common], help="record probabilities and expected bests")
     p_backtest = sub.add_parser("backtest", parents=[common],
                                 help="fit before a cutoff and score forecasts")
     p_backtest.add_argument("--windows", help="evaluation window lengths, e.g. 1,2,5,12")
     p_backtest.add_argument("--ranks", help="reference ranks, subset of 10,25,50,100")
-    p_backtest.set_defaults(handler=cmd_backtest)
-
-    p_validate = sub.add_parser("validate-data", parents=[common],
-                                help="parse and summarize the data files")
-    p_validate.set_defaults(handler=cmd_validate_data)
-
+    sub.add_parser("validate-data", parents=[common], help="parse and summarize the data files")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up at call time, so a cmd_* rebound after the parser was built
+    # (as a tracer wraps them) is the one that runs.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         cfg = _resolve(args)
-        return args.handler(cfg)
+        return handler(cfg)
     except TailcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1

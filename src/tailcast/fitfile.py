@@ -18,7 +18,7 @@ metadata field needs no change here. The plan checks each value's JSON
 type: a float field takes a number, an int field an integer, a str field
 a string, a tuple field a list, and none a bool; mpsrf takes a number or
 the "inf" that `dumps` writes; no number may be non-finite, on reading or
-writing. Re-saving a loaded fit reproduces the file byte for byte.
+writing, and no integer too large for a float is read. Re-saving a loaded fit reproduces the file byte for byte.
 
 `load_fit` and `loads` share one parser over bytes: one split cuts off the
 three header lines, only they are decoded as text, and the draws line goes
@@ -44,6 +44,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 import typing
 from pathlib import Path
@@ -150,7 +151,23 @@ def _finite(text: str) -> float:
     return value
 
 
-_META_JSON = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
+# A JSON integer has no size limit: one of more digits than the largest float
+# (309) is refused before int() reads it, as is one of 309 digits beyond it.
+_FLOAT_DIGITS = len(str(int(sys.float_info.max)))
+
+
+def _whole(text: str) -> int:
+    """A JSON integer, refused unless a float can hold it."""
+    digits = len(text.lstrip("-"))
+    if digits <= _FLOAT_DIGITS:
+        value = int(text)
+        if abs(value) <= sys.float_info.max:
+            return value
+    raise FitFileError(f"metadata is missing or malformed: an integer of {digits} digits "
+                       "is too large for a float")
+
+
+_META_JSON = json.JSONDecoder(parse_float=_finite, parse_int=_whole, parse_constant=_finite)
 
 
 def _parse_meta(line: str):

@@ -660,6 +660,25 @@ def test_forecast_refuses_a_record_of_nan(workspace, tmp_path, capsys):
     assert not (out / "forecast.tsv").exists()
 
 
+@pytest.mark.parametrize("command, name", [("tables", "tables.tsv"),
+                                           ("forecast", "forecast.tsv")])
+def test_a_record_too_large_for_a_float_is_refused(workspace, tmp_path, capsys, command, name):
+    _, out_dir = workspace
+    out = tmp_path / "out"
+    bad = _copy_fits_with_record(out_dir, out, 424242)
+    text = bad.read_text()
+    assert text.count('"record_x": 424242') == 1
+    bad.write_text(text.replace('"record_x": 424242', '"record_x": 1' + "0" * 400))
+    capsys.readouterr()
+    assert main([command, "--out", str(out)]) == 1
+    out_text, err = capsys.readouterr()
+    assert err.splitlines() == [
+        f"error: {bad}: metadata is missing or malformed: an integer of 401 digits is too "
+        "large for a float"]
+    assert "Traceback" not in out_text + err
+    assert not (out / name).exists()
+
+
 def test_config_file_and_flag_precedence(workspace, tmp_path):
     data_dir, _ = workspace
     config = tmp_path / "run.cfg"
@@ -736,3 +755,27 @@ def test_mile_partner_mapping():
     assert mile_partner("İ1mile") == "İ1500m"
     assert mile_partner("İİ1mile") == "İİ1500m"
     assert mile_partner("x1mileİ") == "x1500mİ"
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_runs_the_handler_bound_when_it_is_called(workspace, tmp_path, monkeypatch):
+    # a tracer rebinds cli.cmd_* after the parser exists; main must run its wrapper
+    data_dir, _ = workspace
+    assert main(["validate-data", "--data", str(data_dir)]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_forecast", lambda cfg: seen.append(cfg) or 7)
+    assert main(["forecast", "--out", str(tmp_path), "--tf", "3"]) == 7
+    assert [cfg.t_f for cfg in seen] == [3.0]
+
+
+def test_an_unknown_flag_is_refused_each_time(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as refused:
+            main(["forecast", "--no-such-flag"])
+        assert refused.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: tailcast")
+        assert err[-1] == "tailcast: error: unrecognized arguments: --no-such-flag"

@@ -9,6 +9,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -192,6 +193,34 @@ def test_loads_refuses_a_span_too_large_for_a_float():
     # a JSON integer has no size limit, and the span check cannot compare it
     with pytest.raises(FitFileError, match="missing or malformed: .*too large"):
         loads(_edit_meta(lambda payload: payload.update(t_m=10**400)))
+
+
+@pytest.mark.parametrize("field, literal", [
+    ("record_x", "1" + "0" * 400),
+    ("n_k", "1" + "0" * 400),
+    ("record_x", "-1" + "0" * 400),
+    ("record_x", str(int(sys.float_info.max) + 1)),
+    ("record_x", "1" + "0" * 5000),
+], ids=["float-field", "int-field", "negative", "just-above-the-largest-float",
+        "past-int-digit-limit"])
+def test_loads_refuses_an_integer_too_large_for_a_float(field, literal):
+    # json reads an integer of any size, and int() refuses more than 4300
+    # digits with a ValueError; the refusal must not echo the digits
+    text = _edit_meta(lambda payload: payload.update({field: 424242}))
+    assert text.count(": 424242") == 1
+    with pytest.raises(FitFileError) as refused:
+        loads(text.replace(": 424242", ": " + literal))
+    message = str(refused.value)
+    assert message.startswith("metadata is missing or malformed: ")
+    assert "too large for a float" in message
+    assert "0" * 20 not in message
+
+
+def test_loads_reads_the_largest_float_written_as_an_integer():
+    largest = int(sys.float_info.max)
+    text = _edit_meta(lambda payload: payload.update(record_x=424242))
+    fit = loads(text.replace(": 424242", f": {largest}"))
+    assert fit.meta.record_x == largest
 
 
 def test_loads_refuses_a_number_that_overflows_to_infinity():

@@ -249,6 +249,32 @@ def several_panel_draws():
                            np.exp(nodes)])
 
 
+def panel_draws(panel, n, rng):
+    """n values of M whose log lies in the panel [4 panel, 4 panel + 4]."""
+    return np.exp(rng.uniform(4.0 * panel, 4.0 * panel + 4.0, n))
+
+
+def gapped_panel_draws():
+    # panels 1 and 5 only: the three between them hold no draw
+    rng = np.random.default_rng(12)
+    return np.concatenate([panel_draws(5, 300, rng), panel_draws(1, 200, rng)])
+
+
+def one_panel_draws():
+    return panel_draws(2, 400, np.random.default_rng(13))
+
+
+def below_range_draws():
+    # every M below _PANEL_MIN_M, so no panel is occupied
+    return np.exp(np.random.default_rng(14).uniform(math.log(1e-6), math.log(0.049), 300))
+
+
+def node_draws():
+    # every Chebyshev node of the panels [8, 12] and [16, 20], and draws between
+    nodes = 4.0 * (np.array([[2.0], [4.0]]) + 0.5 * (1.0 + _CHEB_NODES))
+    return np.concatenate([np.exp(nodes.ravel()), panel_draws(4, 50, np.random.default_rng(15))])
+
+
 def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.uint64)
 
@@ -258,11 +284,19 @@ def test_panel_expected_max_matches_direct_rule_on_a_dense_grid():
     assert np.max(np.abs(_panel_expected_max(M) - _expected_max(M))) <= 5e-14
 
 
-@pytest.mark.parametrize("draws", [dense_panel_grid, several_panel_draws],
-                         ids=["dense-grid", "several-panels"])
+@pytest.mark.parametrize("draws", [dense_panel_grid, several_panel_draws, gapped_panel_draws,
+                                   one_panel_draws, below_range_draws, node_draws],
+                         ids=["dense-grid", "several-panels", "panels-1-and-5", "one-panel",
+                              "all-below-range", "on-nodes"])
 def test_panel_expected_max_matches_the_joint_rule_bit_for_bit(draws):
     M = draws()
     np.testing.assert_array_equal(bits(_panel_expected_max(M)), bits(panel_expected_max(M)))
+
+
+def test_only_occupied_panels_are_computed():
+    _panel_values.cache_clear()
+    _panel_expected_max(gapped_panel_draws())
+    assert _panel_values.cache_info().currsize == 2
 
 
 def test_panel_values_do_not_depend_on_what_filled_the_cache():
