@@ -456,9 +456,8 @@ def cmd_validate_data(cfg: RunConfig) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: it reads only module constants, so it
-    is built on the first call and reused. It binds no handler; main looks
-    each one up by name when it runs."""
+    """The one parser of the process, built on the first call: it reads only
+    module constants. It binds no handler (see main)."""
     # The options every subcommand takes, defined once and shared as a parent:
     # names and help only, as _resolve converts and checks every value.
     common = argparse.ArgumentParser(add_help=False)

@@ -18,7 +18,8 @@ metadata field needs no change here. The plan checks each value's JSON
 type: a float field takes a number, an int field an integer, a str field
 a string, a tuple field a list, and none a bool; mpsrf takes a number or
 the "inf" that `dumps` writes; no number may be non-finite, on reading or
-writing, and no integer too large for a float is read. Re-saving a loaded fit reproduces the file byte for byte.
+writing, and no integer too large for a float is read. Re-saving a loaded
+fit reproduces the file byte for byte.
 
 `load_fit` and `loads` share one parser over bytes: one split cuts off the
 three header lines, only they are decoded as text, and the draws line goes
@@ -151,8 +152,9 @@ def _finite(text: str) -> float:
     return value
 
 
-# A JSON integer has no size limit: one of more digits than the largest float
-# (309) is refused before int() reads it, as is one of 309 digits beyond it.
+# A JSON integer has no size limit. One longer than the largest float's 309
+# digits is refused before int() reads it (int() refuses more than 4300 with
+# a ValueError), and a shorter one by its value.
 _FLOAT_DIGITS = len(str(int(sys.float_info.max)))
 
 

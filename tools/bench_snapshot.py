@@ -154,10 +154,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} pair {i}: " + ", ".join(
                         f"{side} cycle_s {pair[side]['metrics']['cycle_s']:.4f}"
                         for side in order), file=sys.stderr)
-                metas = {side: pairs[0][side].pop("meta") for side in sides}
-                for pair in pairs[1:]:
-                    for side in sides:
-                        pair[side].pop("meta")
+                metas = {side: [p[side].pop("meta") for p in pairs][0] for side in sides}
                 snapshot.setdefault("host", metas["change"]["host"])
                 for key in ("python", "numpy", "scipy"):
                     snapshot.setdefault(key, metas["change"][key])
