@@ -34,6 +34,7 @@ which the diagnostic cannot judge.
 from __future__ import annotations
 
 import math
+import sys
 import zlib
 from dataclasses import dataclass, field
 
@@ -103,6 +104,10 @@ class SamplerConfig:
         # Chain streams hash the seed with numpy's SeedSequence, which takes no negative.
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # A fit file holds no integer too large for a float, so a larger seed
+        # would write a fit that no command reads back.
+        if self.seed > sys.float_info.max:
+            raise ValueError(f"seed of {len(str(self.seed))} digits is too large for a float")
 
 
 @dataclass(frozen=True)

@@ -141,19 +141,10 @@ def _panel_expected_max(M: np.ndarray) -> np.ndarray:
     panel = M >= _PANEL_MIN_M
     if not panel.all():
         m[~panel] = _expected_max(M[~panel])
-    if not panel.any():
-        return m
     lam = np.log(M[panel])
-    # Group by panel without a sort: count the draws per panel offset from
-    # the lowest, keep the occupied panels in order, and number them.
-    p = np.floor(lam / _PANEL_WIDTH)
-    first = p.min()
-    offset = (p - first).astype(np.intp)
-    occupied = np.bincount(offset) > 0
-    panels = first + np.flatnonzero(occupied)
-    which = (np.cumsum(occupied) - 1)[offset]
+    panels, which = np.unique(np.floor(lam / _PANEL_WIDTH), return_inverse=True)
     nodes = _PANEL_WIDTH * (panels[:, None] + 0.5 * (1.0 + _CHEB_NODES))
-    values = np.array([_panel_values(int(q)) for q in panels])[which]
+    values = np.array([_panel_values(int(p)) for p in panels]).reshape(nodes.shape)[which]
     gap = lam[:, None] - nodes[which]
     on_node = gap == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -545,6 +545,7 @@ def test_usage_errors(workspace, tmp_path, capsys):
     ("forecast", ["--tf", "inf"], ""),
     ("fit", ["--burn-in", "2"], ""),
     ("fit", ["--seed", "-1"], ""),
+    ("fit", ["--seed", "1" + "0" * 309], ""),
     ("fit", ["--chains", "1"], ""),
     ("fit", ["--batches", "9"], ""),
 ])

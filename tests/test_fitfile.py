@@ -223,6 +223,15 @@ def test_loads_reads_the_largest_float_written_as_an_integer():
     assert fit.meta.record_x == largest
 
 
+def test_a_fit_of_the_largest_seed_round_trips():
+    # SamplerConfig refuses a larger seed, so every fit's file reads back
+    fit = sample_fit()
+    config = dataclasses.replace(fit.meta.config, seed=int(sys.float_info.max))
+    fit = dataclasses.replace(fit, meta=dataclasses.replace(fit.meta, config=config))
+    text = dumps(fit)
+    assert dumps(loads(text)) == text
+
+
 def test_loads_refuses_a_number_that_overflows_to_infinity():
     text = _edit_meta(lambda payload: payload.update(record_x=123.0))
     assert text.count('"record_x": 123.0') == 1

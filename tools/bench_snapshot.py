@@ -2,12 +2,12 @@
 """Write a BENCH_<n>_<label>.json: the benchmark run in alternating pairs
 against a parent checkout.
 
-    python3 tools/bench_snapshot.py --number N --label LABEL --parent DIR \
-        [--pairs 10] [--seeds 3 5] [--workloads corpus backtest report]
+    python3 tools/bench_snapshot.py --number N --label LABEL --parent DIR [--pairs 10]
 
-For each workload and seed, runs `perfbench/run.py` unchanged, untraced and
-at the `run_seconds` of BENCHMARK.json, N times in this checkout (the
-change) and N times in the --parent checkout, alternating: pair i runs the
+For each workload of BENCHMARK.json at seeds 3 and 5, runs
+`perfbench/run.py` unchanged, untraced and at the `run_seconds` of
+BENCHMARK.json, N times in this checkout (the change) and N times in the
+--parent checkout, alternating: pair i runs the
 change first when i is even and the parent first when it is odd. Each side
 has its own --workdir, kept for the whole snapshot, so perfbench's digest
 check compares every run of a side with its first. Standard library only.
@@ -32,7 +32,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("corpus", "backtest", "report")
+SEEDS = (3, 5)
 
 # numpy's baseline and dispatched SIMD extensions, as numpy.show_runtime()
 # lists them, read without threadpoolctl.
@@ -115,8 +115,6 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="label of BENCH_<n>_<label>.json")
     parser.add_argument("--parent", type=Path, required=True, help="the parent's checkout")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[3])
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args(argv)
 
     target = ROOT / f"BENCH_{args.number}_{args.label}.json"
@@ -139,8 +137,8 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_snapshot.") as scratch:
-        for workload in args.workloads:
-            for seed in args.seeds:
+        for workload in [w["name"] for w in benchmark["workloads"]]:
+            for seed in SEEDS:
                 workdirs = {side: Path(scratch) / f"{side}-{workload}-seed{seed}"
                             for side in sides}
                 pairs = []
