@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -83,6 +83,13 @@ class SamplerConfig:
     pool_size: int = 1000
 
     def __post_init__(self) -> None:
+        # A fit file holds no integer too large for a float, and the band check
+        # below scales burn_in_steps by one: a larger setting would overflow
+        # there or write a fit that no command reads back.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value > sys.float_info.max:
+                raise ValueError(f"{f.name} of {len(str(value))} digits is too large for a float")
         for name in ("burn_in_steps", "batches", "batch_len", "chains", "pool_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -104,10 +111,6 @@ class SamplerConfig:
         # Chain streams hash the seed with numpy's SeedSequence, which takes no negative.
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # A fit file holds no integer too large for a float, so a larger seed
-        # would write a fit that no command reads back.
-        if self.seed > sys.float_info.max:
-            raise ValueError(f"seed of {len(str(self.seed))} digits is too large for a float")
 
 
 @dataclass(frozen=True)

@@ -546,6 +546,7 @@ def test_usage_errors(workspace, tmp_path, capsys):
     ("fit", ["--burn-in", "2"], ""),
     ("fit", ["--seed", "-1"], ""),
     ("fit", ["--seed", "1" + "0" * 309], ""),
+    ("fit", ["--burn-in", "1" + "0" * 400], ""),
     ("fit", ["--chains", "1"], ""),
     ("fit", ["--batches", "9"], ""),
 ])

@@ -630,10 +630,11 @@ def test_sampler_config_validation(monkeypatch):
     # chain streams are SeedSequence hashes, which take no negative seed
     with pytest.raises(ValueError, match="seed"):
         SamplerConfig(seed=-1)
-    # nor a seed too large for a float, which a fit file cannot hold
+    # nor any setting too large for a float, which a fit file cannot hold
     largest = int(sys.float_info.max)
-    with pytest.raises(ValueError, match="seed of 309 digits is too large for a float"):
-        SamplerConfig(seed=largest + 1)
+    for name in ("burn_in_steps", "batches", "batch_len", "chains", "seed", "pool_size"):
+        with pytest.raises(ValueError, match=f"{name} of 309 digits is too large for a float"):
+            SamplerConfig(**{name: largest + 1})
     assert SamplerConfig(seed=largest).seed == largest
     # the check reads the tuning rule's band: no count of 10 lands in [0.31, 0.39]
     monkeypatch.setattr(sampler, "_ACCEPT_LO", 0.31)
