@@ -545,10 +545,10 @@ def test_usage_errors(workspace, tmp_path, capsys):
     ("forecast", ["--tf", "inf"], ""),
     ("fit", ["--burn-in", "2"], ""),
     ("fit", ["--seed", "-1"], ""),
-    ("fit", ["--seed", "1" + "0" * 309], ""),
-    ("fit", ["--burn-in", "1" + "0" * 400], ""),
     ("fit", ["--chains", "1"], ""),
     ("fit", ["--batches", "9"], ""),
+    ("fit", ["--seed", "1" + "0" * 309], ""),
+    ("fit", ["--burn-in", "1" + "0" * 400], ""),
 ])
 def test_bad_values_are_usage_errors(workspace, tmp_path, capsys, command, extra, config):
     data_dir, out_dir = workspace
