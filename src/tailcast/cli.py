@@ -249,11 +249,20 @@ def _load_corpus(cfg: RunConfig, window: DateWindow | None):
     return lists, skipped
 
 
+def _check_out_dir(cfg: RunConfig) -> None:
+    """Refuse, before any work, an --out that is or lies under a non-directory."""
+    for path in (cfg.out_dir, *cfg.out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise UsageError(f"--out {cfg.out_dir}: {path} is not a directory")
+            return
+
+
 def cmd_fit(cfg: RunConfig) -> int:
+    _check_out_dir(cfg)
     lists, skipped = _load_corpus(cfg, cfg.window)
     if not lists:
-        print("error: no usable events", file=sys.stderr)
-        return 1
+        raise TailcastError("no usable events")
 
     notes = dict(skipped)
     if cfg.prior == "weak":
@@ -272,8 +281,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         notes[event_id] = f"fit failed: {msg}"
 
     if not fits:
-        print("error: every fit failed", file=sys.stderr)
-        return 1
+        raise TailcastError("every fit failed")
 
     fits_dir = cfg.out_dir / "fits"
     fits_dir.mkdir(parents=True, exist_ok=True)
@@ -411,12 +419,9 @@ def cmd_backtest(cfg: RunConfig) -> int:
         )
     except ValueError as exc:
         raise UsageError(f"bad backtest settings: {exc}") from None
+    _check_out_dir(cfg)
     lists, _ = _load_corpus(cfg, window=None)
-    try:
-        report = run_backtest(lists, spec, cfg.sampler)
-    except InsufficientEvents as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = run_backtest(lists, spec, cfg.sampler)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(cfg.out_dir / "backtest.txt", render_report_table(report))
     atomic_write_text(cfg.out_dir / "backtest_summary.tsv", render_summary_records(report))
@@ -498,6 +503,7 @@ def main(argv=None) -> int:
     # Looked up at call time, so a cmd_* rebound after the parser was built
     # (as a tracer wraps them) is the one that runs.
     handler = globals()["cmd_" + args.command.replace("-", "_")]
+    # The one place a refused input becomes an `error:` line and an exit status.
     try:
         cfg = _resolve(args)
         return handler(cfg)

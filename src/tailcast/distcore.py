@@ -67,14 +67,9 @@ class HyperPrior:
 _WEAK = HyperPrior(math.log(10_000.0), 4.0, Provenance.WEAKLY_INFORMATIVE)
 
 
-def std_normal_cdf(z):
-    """Phi(z) for a float or an array."""
-    return special.ndtr(z)
-
-
-def log_std_normal_cdf(z):
-    """log Phi(z) for a float or an array, finite long after Phi underflows."""
-    return special.log_ndtr(z)
+# Phi(z) and log Phi(z) (finite long after Phi underflows), of a float or an array
+std_normal_cdf = special.ndtr
+log_std_normal_cdf = special.log_ndtr
 
 
 def tail_mass_sigma(mu, log_n_pop, n_k: int, w_k: float):

@@ -41,6 +41,12 @@ class Unit(enum.Enum):
     CENTIMETERS = "cm"
 
 
+# An event id is the stem of its fit file, `<out>/fits/<event id>.fit`, and a
+# field of every tab-separated output: it holds no path separator, tab or
+# other control character.
+_NOT_IN_A_FILE_NAME = re.compile(r"[/\\\x00-\x1f\x7f]")
+
+
 @dataclass(frozen=True)
 class EventSpec:
     """Identity and mark semantics of one athletic event."""
@@ -51,6 +57,11 @@ class EventSpec:
     display_name: str = ""
 
     def __post_init__(self) -> None:
+        if not self.event_id:
+            raise ValueError("event_id must be nonempty")
+        if _NOT_IN_A_FILE_NAME.search(self.event_id):
+            raise ValueError(f"event_id {self.event_id!r} names the event's fit file, so it "
+                             "may not hold '/', '\\' or a control character")
         pairs = {
             Direction.LOWER_IS_BETTER: Unit.SECONDS,
             Direction.HIGHER_IS_BETTER: Unit.CENTIMETERS,
@@ -60,8 +71,6 @@ class EventSpec:
                 f"{self.event_id}: direction {self.direction.value} pairs with "
                 f"unit {pairs[self.direction].value}, not {self.unit.value}"
             )
-        if not self.event_id:
-            raise ValueError("event_id must be nonempty")
 
     @staticmethod
     def running(event_id: str, display_name: str = "") -> "EventSpec":

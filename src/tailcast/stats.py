@@ -71,6 +71,10 @@ class HorizonOutOfRange(TailcastError, ValueError):
     """A forecast horizon puts some draw's M = t_f N / t_m where m(M) is not computed."""
 
 
+class PointsOutOfRange(TailcastError):
+    """A point total is worth no positive, finite mark on an event's table."""
+
+
 def expected_exceedances(fit: FitResult, a: float) -> float:
     """Posterior-expected number of marks better than `a` per calendar year."""
     z = (a - fit.pooled_mu) / fit.pooled_sigma
@@ -196,9 +200,18 @@ def score(a: float, event: EventSpec, a0: float) -> float:
 
 
 def mark_for_points(event: EventSpec, a0: float, points: float) -> float:
-    """Raw mark worth `points` on the table anchored at raw mark `a0`."""
+    """Raw mark worth `points` on the table anchored at raw mark `a0`.
+
+    Raises PointsOutOfRange when that mark overflows or rounds to 0."""
     x0 = encode_mark(event, a0)
-    return decode_mark(event, x0 + (1.0 - points / ANCHOR_POINTS) * LN2)
+    try:
+        raw = decode_mark(event, x0 + (1.0 - points / ANCHOR_POINTS) * LN2)
+    except OverflowError:
+        raw = math.inf
+    if not 0.0 < raw < math.inf:
+        raise PointsOutOfRange(f"{event.event_id}: a total of {points} points is worth no "
+                               "positive, finite mark")
+    return raw
 
 
 def improvement(a_new: float, a_old: float, event: EventSpec) -> float:

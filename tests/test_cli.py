@@ -158,6 +158,21 @@ def test_fit_empirical_needs_four_events(workspace, tmp_path, capsys):
     assert "--prior weak" in err
 
 
+def test_fit_refuses_a_corpus_it_cannot_fit(workspace, tmp_path, capsys, monkeypatch):
+    data_dir, _ = workspace
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    (broken / "x.tsv").write_text("# unit=s\n9.58\t2009-08-16\n")
+    capsys.readouterr()
+    assert main(["fit", "--data", str(broken), "--out", str(tmp_path / "a")]) == 1
+    assert capsys.readouterr().err.splitlines()[1:] == ["error: no usable events"]
+    fail_every_init(monkeypatch, "m0100")
+    assert main(["fit", "--data", str(data_dir), "--out", str(tmp_path / "b"),
+                 "--events", "m0100", "--prior", "weak", *SPEED]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: every fit failed"]
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
 def test_fit_weak_prior_single_event(workspace, tmp_path):
     data_dir, _ = workspace
     out = tmp_path / "weak"
@@ -239,25 +254,6 @@ def test_tables_names_the_stale_fit_file(workspace, tmp_path, capsys):
     capsys.readouterr()
     assert main(["tables", "--data", str(data_dir), "--out", str(out)]) == 1
     assert f"error: {stale}: first line must be '#tailcast-fit/10'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["tables", "forecast"])
-def test_a_fit_file_with_a_bad_span_is_refused(workspace, tmp_path, capsys, command):
-    data_dir, out_dir = workspace
-    out = tmp_path / "span"
-    (out / "fits").mkdir(parents=True)
-    for path in (out_dir / "fits").glob("*.fit"):
-        (out / "fits" / path.name).write_bytes(path.read_bytes())
-    bad = out / "fits" / "m0400.fit"
-    lines = bad.read_text().splitlines()
-    meta = json.loads(lines[1][len("#meta "):])
-    meta["t_m"] = 0.0
-    lines[1] = "#meta " + json.dumps(meta, sort_keys=True)
-    bad.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert main([command, "--data", str(data_dir), "--out", str(out)]) == 1
-    assert (f"error: {bad}: metadata is missing or malformed: t_m must be a positive "
-            "number of years, got 0.0") in capsys.readouterr().err
 
 
 def test_two_fit_files_of_one_event_are_refused(workspace, tmp_path, capsys):
@@ -497,6 +493,9 @@ def test_malformed_data_files_are_reported_not_raised(tmp_path, capsys, command)
     (data_dir / "hdr.tsv").write_text("# event=hdr\n# unit=s\n# direction=higher\n"
                                       "9.58\t2009-08-16\n")
     bad = {"hdr": "hdr.tsv:3:"}
+    good_text = (data_dir / "good.tsv").read_text()
+    (data_dir / "esc.tsv").write_text(good_text.replace("# event=good", "# event=../../esc"))
+    bad["esc"] = "esc.tsv:3:"
     for name, value in (("zero", "0"), ("neg", "-5"), ("nan", "nan"), ("inf", "inf")):
         (data_dir / f"{name}.tsv").write_text(
             f"# event={name}\n# unit=cm\n# direction=higher\n"
@@ -509,6 +508,7 @@ def test_malformed_data_files_are_reported_not_raised(tmp_path, capsys, command)
                 else [command, "--data", str(data_dir)])
     out, err = capsys.readouterr()
     assert "Traceback" not in out + err
+    assert [p for p in tmp_path.rglob("*.fit") if p.parent != out_dir / "fits"] == []
     if command == "validate-data":
         assert code == 1
         rows = {row.split("\t")[0]: row.split("\t")[1:] for row in out.splitlines()}
@@ -531,6 +531,11 @@ def test_usage_errors(workspace, tmp_path, capsys):
                  "--points", "100:50:10"]) == 2
     fresh = tmp_path / "noFits"
     assert main(["tables", "--data", str(data_dir), "--out", str(fresh)]) == 2
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    assert main(["fit", "--data", str(data_dir), "--out", str(a_file)]) == 2
+    assert main(["backtest", "--data", str(data_dir), "--out", str(a_file),
+                 "--cutoff", "2018"]) == 2
     capsys.readouterr()
 
 
@@ -623,62 +628,59 @@ def test_a_cutoff_outside_the_calendar_is_a_usage_error(workspace, tmp_path, cap
     assert not out.exists()
 
 
-def _copy_fits_with_record(out_dir, out, record_x):
-    """A copy of the workspace's fits whose m0400 record is record_x; its path."""
+# (metadata field, the JSON text written as its value, why loading refuses it)
+CORRUPTED_FIELDS = [
+    ("t_m", "0.0", "t_m must be a positive number of years, got 0.0"),
+    ("record_x", '"2.4"', "record_x: expected float, got '2.4'"),
+    # json.dumps writes math.nan as NaN, and Python's json module reads it back
+    ("record_x", "NaN", "NaN is not a finite number"),
+    ("record_x", "1" + "0" * 400, "an integer of 401 digits is too large for a float"),
+    ("event_id", '"../m0400"', "event_id '../m0400' names the event's fit file, so it may "
+                               "not hold '/', '\\' or a control character"),
+]
+
+
+@pytest.mark.parametrize("command", ["tables", "forecast"])
+@pytest.mark.parametrize("field, literal, message", CORRUPTED_FIELDS,
+                         ids=["t_m-zero", "record_x-string", "record_x-nan",
+                              "record_x-401-digits", "event_id-path"])
+def test_a_corrupted_fit_file_is_refused(workspace, tmp_path, capsys, field, literal, message,
+                                         command):
+    _, out_dir = workspace
+    out = tmp_path / "out"
     _copy_fits(out_dir, out)
     bad = out / "fits" / "m0400.fit"
-    lines = bad.read_text().splitlines()
-    meta = json.loads(lines[1][len("#meta "):])
-    meta["record_x"] = record_x
-    lines[1] = "#meta " + json.dumps(meta, sort_keys=True)
-    bad.write_text("\n".join(lines) + "\n")
-    return bad
-
-
-def test_forecast_refuses_a_record_given_as_a_string(workspace, tmp_path, capsys):
-    data_dir, out_dir = workspace
-    out = tmp_path / "out"
-    bad = _copy_fits_with_record(out_dir, out, "2.4")
-    capsys.readouterr()
-    assert main(["forecast", "--data", str(data_dir), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: {bad}: metadata is missing or malformed: record_x: expected float, "
-        "got '2.4'"]
-    assert not (out / "forecast.tsv").exists()
-
-
-def test_forecast_refuses_a_record_of_nan(workspace, tmp_path, capsys):
-    # Python's json module reads the NaN that json.dumps writes for math.nan
-    _, out_dir = workspace
-    out = tmp_path / "out"
-    bad = _copy_fits_with_record(out_dir, out, math.nan)
-    assert '"record_x": NaN' in bad.read_text()
-    capsys.readouterr()
-    assert main(["forecast", "--out", str(out)]) == 1
-    out_text, err = capsys.readouterr()
-    assert err.splitlines() == [
-        f"error: {bad}: metadata is missing or malformed: NaN is not a finite number"]
-    assert "Traceback" not in out_text + err
-    assert not (out / "forecast.tsv").exists()
-
-
-@pytest.mark.parametrize("command, name", [("tables", "tables.tsv"),
-                                           ("forecast", "forecast.tsv")])
-def test_a_record_too_large_for_a_float_is_refused(workspace, tmp_path, capsys, command, name):
-    _, out_dir = workspace
-    out = tmp_path / "out"
-    bad = _copy_fits_with_record(out_dir, out, 424242)
     text = bad.read_text()
-    assert text.count('"record_x": 424242') == 1
-    bad.write_text(text.replace('"record_x": 424242', '"record_x": 1' + "0" * 400))
+    (value,) = re.findall(f'"{field}": ("[^"]*"|[^,}}]+)', text)
+    bad.write_text(text.replace(f'"{field}": {value}', f'"{field}": {literal}'))
+    assert f'"{field}": {literal}' in bad.read_text()
     capsys.readouterr()
     assert main([command, "--out", str(out)]) == 1
     out_text, err = capsys.readouterr()
-    assert err.splitlines() == [
-        f"error: {bad}: metadata is missing or malformed: an integer of 401 digits is too "
-        "large for a float"]
+    assert err.splitlines() == [f"error: {bad}: metadata is missing or malformed: {message}"]
     assert "Traceback" not in out_text + err
-    assert not (out / name).exists()
+    assert not (out / f"{command}.tsv").exists()
+
+
+@pytest.mark.parametrize("kind, mu, points", [("running", MU_STAR, "-2000000"),
+                                              ("field", -math.log(812.0), "2000000")],
+                         ids=["running", "field"])
+def test_a_point_total_worth_no_mark_is_refused(tmp_path, capsys, kind, mu, points):
+    # Each total is worth a mark past the largest float: a time for a
+    # running event, a distance for a field event.
+    spec = getattr(EventSpec, kind)("e1")
+    tail = sample_tail(600, mu, SIGMA_STAR, 20_000, 40)
+    write_corpus(tmp_path / "data", [tail_performance_list(spec, tail, 2006, 2020, seed=650)])
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(tmp_path / "data"), "--out", str(out),
+                 "--prior", "weak", *SPEED]) == 0
+    capsys.readouterr()
+    assert main(["tables", "--out", str(out), f"--points={points}"]) == 1
+    out_text, err = capsys.readouterr()
+    assert err.splitlines() == [
+        f"error: e1: a total of {points} points is worth no positive, finite mark"]
+    assert "Traceback" not in out_text + err
+    assert not (out / "tables.tsv").exists()
 
 
 def test_config_file_and_flag_precedence(workspace, tmp_path):

@@ -123,6 +123,13 @@ def test_event_spec_validation():
         EventSpec("x", Direction.HIGHER_IS_BETTER, Unit.SECONDS)
     with pytest.raises(ValueError):
         EventSpec("", Direction.LOWER_IS_BETTER, Unit.SECONDS)
+    # an id names its fit file: no path separator or control character
+    for event_id in ("../../escaped", "sub/m0800", "a\\b", "a\tb", "a\nb", "a\x00b", "a\x1fb",
+                     "a\x7fb"):
+        with pytest.raises(ValueError, match="may not hold"):
+            EventSpec.running(event_id)
+    for event_id in ("..", "m0100 (copy)", "İ1mile", "a\x80b"):
+        assert EventSpec.field(event_id).event_id == event_id
 
 
 def test_format_raw_mark():

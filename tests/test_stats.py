@@ -16,6 +16,7 @@ from tailcast.stats import (
     AnchorNotFound,
     HorizonOutOfRange,
     NoBorrowedPopulation,
+    PointsOutOfRange,
     UndefinedCorrelation,
     anchor_mark,
     borrow_population,
@@ -382,6 +383,17 @@ def test_score_rejects_nonpositive():
         score(0.0, running_event(), a0=9.58)
     with pytest.raises(ValueError):
         mark_for_points(running_event(), -1.0, 1200.0)
+
+
+@pytest.mark.parametrize("event, points", [
+    (running_event(), -2_000_000), (running_event(), 2_000_000), (running_event(), 10**400),
+    (field_event(), 2_000_000), (field_event(), -2_000_000),
+], ids=["time-overflows", "time-rounds-to-0", "total-past-float", "distance-overflows",
+        "distance-rounds-to-0"])
+def test_a_point_total_worth_no_mark_is_refused(event, points):
+    with pytest.raises(PointsOutOfRange, match=f"^{event.event_id}: a total of {points} points"):
+        mark_for_points(event, 895.0, points)
+    assert 0.0 < mark_for_points(event, 895.0, 50_000) < math.inf
 
 
 @settings(max_examples=200, deadline=None)
