@@ -110,7 +110,12 @@ _CONFIG_KEYS = {
 
 def _read_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -249,17 +254,25 @@ def _load_corpus(cfg: RunConfig, window: DateWindow | None):
     return lists, skipped
 
 
-def _check_out_dir(cfg: RunConfig) -> None:
-    """Refuse, before any work, an --out that is or lies under a non-directory."""
+def _check_out_dir(cfg: RunConfig, *outputs: str) -> None:
+    """Refuse, before any work, an --out that is or lies under a non-directory,
+    and a command's output in it that exists as the wrong kind: a file
+    output that is a directory, or a directory output (its name ending in
+    "/") that is not."""
     for path in (cfg.out_dir, *cfg.out_dir.parents):
         if path.exists():
             if not path.is_dir():
                 raise UsageError(f"--out {cfg.out_dir}: {path} is not a directory")
-            return
+            break
+    for name in outputs:
+        path = cfg.out_dir / name
+        if path.exists() and path.is_dir() != name.endswith("/"):
+            raise TailcastError(f"cannot write {path}: it is "
+                                f"{'a' if path.is_dir() else 'not a'} directory")
 
 
 def cmd_fit(cfg: RunConfig) -> int:
-    _check_out_dir(cfg)
+    _check_out_dir(cfg, "fits/", "manifest.json")
     lists, skipped = _load_corpus(cfg, cfg.window)
     if not lists:
         raise TailcastError("no usable events")
@@ -347,6 +360,7 @@ def mile_partner(event_id: str) -> str | None:
 
 
 def cmd_tables(cfg: RunConfig) -> int:
+    _check_out_dir(cfg, "tables.tsv")
     fits = _load_fits(cfg)
     tables = []
     for event_id in sorted(fits):
@@ -380,6 +394,7 @@ def cmd_tables(cfg: RunConfig) -> int:
 
 
 def cmd_forecast(cfg: RunConfig) -> int:
+    _check_out_dir(cfg, "forecast.tsv")
     fits = _load_fits(cfg)
     rows = []
     for event_id in sorted(fits):
@@ -419,7 +434,7 @@ def cmd_backtest(cfg: RunConfig) -> int:
         )
     except ValueError as exc:
         raise UsageError(f"bad backtest settings: {exc}") from None
-    _check_out_dir(cfg)
+    _check_out_dir(cfg, "backtest.txt", "backtest_summary.tsv", "backtest_detail.tsv")
     lists, _ = _load_corpus(cfg, window=None)
     report = run_backtest(lists, spec, cfg.sampler)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)

@@ -69,20 +69,25 @@ def atomic_write_text(path: Path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a torn file.
 
     The file gets the mode a plain open() would give it under the current
-    umask, not mkstemp's 0600.
+    umask, not mkstemp's 0600. A write the system refuses (the path is a
+    directory, the disk is full) leaves no temp file and raises
+    TailcastError naming the path.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     umask = os.umask(0)  # os.umask reads the mask only by setting it; put it back
     os.umask(umask)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             os.fchmod(fd, 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise TailcastError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 

@@ -290,13 +290,21 @@ def read_list_file(path: str | Path) -> tuple[EventSpec, list[RawMark]]:
 
     Header lines start with `#` and carry `key=value` pairs; records are
     `value<TAB>ISO-date<TAB>athlete?`. Meter-valued files are scaled to
-    centimeters here, so callers always see the internal unit.
+    centimeters here, so callers always see the internal unit. A file that
+    cannot be read, or is not UTF-8 text, raises MarkParseError naming it.
     """
     path = Path(path)
     header: dict[str, str] = {}
     header_lines: dict[str, int] = {}
     rows: list[tuple[int, str, str, str | None]] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise MarkParseError(f"{path.name}: not UTF-8 text ({exc.reason} at byte "
+                             f"{exc.start})") from None
+    except OSError as exc:
+        raise MarkParseError(f"{path.name}: cannot be read: {exc.strerror or exc}") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.rstrip("\n")
         if not line.strip():
             continue

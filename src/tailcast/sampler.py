@@ -15,9 +15,10 @@ one-lane view of the log-posterior kernel; they are the reference the
 pipeline must match bit for bit. fit_events, the one corpus fitter, fits
 every list of a corpus under one prior (a distcore.HyperPrior) and runs
 every chain of every event as numpy lanes of the same kernel instead, one
-lane target scoring every list under that prior: tune_lanes runs the next
-burn-in round of every chain still tuning, and sample_lanes steps the
-tuned chains. A lane takes its draws whole per burn-in round or batch,
+lane target scoring every list under that prior. run_lanes is the one lane
+stepper: tune_lanes runs the next burn-in round of every chain still tuning
+as one run_lanes batch, and fit_events steps the tuned chains through it
+batch by batch. A lane takes its draws whole per burn-in round or batch,
 in _run_steps' order, so it keeps its chain's stream; everything built
 from them is built per block of _STEP_BLOCK steps, so only the draws
 grow with the round. Each fitted event keeps the mpsrf of its chains and
@@ -55,7 +56,7 @@ _INIT_TRIES = 500
 _ACCEPT_LO = 0.2
 _ACCEPT_HI = 0.4
 _MAX_RETUNES = 25
-# Steps whose increments, log-uniforms and accept flags _step_lanes builds at
+# Steps whose increments, log-uniforms and accept flags run_lanes builds at
 # once: the default batch_len, so sampling builds one block per batch.
 _STEP_BLOCK = 50
 
@@ -291,75 +292,64 @@ def run_chain(target, config: SamplerConfig, tuned: TunedState, rng=None,
                           accept_rate=rate, step_scale=tuned.step_scale)
 
 
-def _step_lanes(target, state, scales, n_steps, rngs, accepted):
-    """Advance every lane of `state` n_steps in place; the one Metropolis
-    step of sample_lanes and tune_lanes.
+def run_lanes(target, starts, scales, rngs, batches: int, batch_len: int):
+    """run_chain for many chains at once, stepped together as numpy lanes:
+    the one Metropolis loop of burn-in rounds (tune_lanes) and of retained
+    sampling (fit_events).
 
-    `state` is (3, lanes): mu, log N and lp; `scales` is (3, lanes): each
-    lane's (a, b, c) as in _run_steps. Lane i draws its (n_steps, 2)
-    increments, then its n_steps uniforms, from rngs[i], which is
-    _run_steps' order, and adds its accepted-step count to accepted[i]. The
-    draws are taken whole, so each lane keeps its chain's stream; the steps,
-    log-uniforms and accept flags built from them are built _STEP_BLOCK
-    steps at a time, so a burn-in round holds 24 bytes of draws per
-    lane-step and only one block of what follows from them. The caller
-    holds np.errstate.
+    `target` is a lane target (distcore.make_lane_log_posterior); lane i
+    starts at starts[:, i], (mu, log N), steps by scales[:, i], its (a, b, c)
+    as in _run_steps, and draws from rngs[i]: per batch, its (batch_len, 2)
+    increments, then its batch_len uniforms, in _run_steps' order. So lane i
+    reproduces run_chain's chain bit for bit, as make_log_posterior is the
+    one-lane view of the same kernel. The draws are taken whole per batch, so
+    each lane keeps its chain's stream; the steps, log-uniforms and accept
+    flags built from them are built _STEP_BLOCK steps at a time, so a batch
+    holds 24 bytes of draws per lane-step and only one block of what follows
+    from them. Returns (mu, logN, accepted): (lanes, batches) arrays of each
+    batch's final state, and each lane's accepted-step count. A start whose
+    log-posterior is not finite is refused.
     """
-    lanes = state.shape[1]
-    incs = np.empty((lanes, n_steps, 2))
-    us = np.empty((lanes, n_steps))
-    for inc, u, rng in zip(incs, us, rngs):
-        rng.standard_normal(out=inc)
-        rng.random(out=u)
-    a, b, c = scales
+    lanes = len(rngs)
+    state = np.empty((3, lanes))  # mu, log N and lp of every lane
+    state[:2] = starts
     cand = np.empty_like(state)
     # Views and buffers made once: each slice or temporary costs a call per step.
     pos, lp, cand_pos = state[:2].reshape(-1), state[2], cand[:2].reshape(-1)
     cand_mu, cand_y, cand_lp = cand
     gain = np.empty(lanes)
-    for start in range(0, n_steps, _STEP_BLOCK):
-        block = slice(start, start + _STEP_BLOCK)
-        # Row t of steps holds step t of every lane, mu block then log N block,
-        # laid out like state[:2], so one flat add moves every lane.
-        z1, z2 = incs[:, block].transpose(2, 1, 0)
-        steps = np.stack((z1 * a, z1 * b + z2 * c), axis=1).reshape(len(z1), -1)
-        # np.log over one contiguous block, as in _run_steps: a strided or scalar
-        # log can differ in the last ulp.
-        log_us = np.log(np.ascontiguousarray(us[:, block].T))
-        accepts = np.empty((len(steps), lanes), dtype=bool)
-        for step, log_u, accept in zip(steps, log_us, accepts):
-            np.add(pos, step, out=cand_pos)
-            target(cand_mu, cand_y, out=cand_lp)
-            np.less(log_u, np.subtract(cand_lp, lp, out=gain), out=accept)
-            np.copyto(state, cand, where=accept)
-        accepted += accepts.sum(axis=0)
-
-
-def sample_lanes(target, config: SamplerConfig, tuned, rngs):
-    """run_chain for many chains at once, stepped together as numpy lanes.
-
-    Lane i starts from tuned[i] and draws from rngs[i]; `target` is a lane
-    target (distcore.make_lane_log_posterior) whose lane i is that chain's
-    posterior. Each lane draws its batch of increments and uniforms from its
-    own generator in run_chain's order, and a chain's states depend only on
-    those draws and its accept decisions. So lane i reproduces run_chain's
-    chain bit for bit: make_log_posterior is the one-lane view of the same
-    kernel. Returns (mu, logN, accepted): (lanes, batches) arrays
-    of retained states and each lane's accepted-step count.
-    """
-    lanes = len(tuned)
-    scales = np.array([_scaled(t.step_scale, t.factor) for t in tuned]).T
-    state = np.empty((3, lanes))  # mu, log N and lp of every lane
-    state[:2] = np.array([t.state for t in tuned], dtype=float).T
-    mu_draws = np.empty((lanes, config.batches))
-    y_draws = np.empty((lanes, config.batches))
+    incs = np.empty((lanes, batch_len, 2))
+    us = np.empty((lanes, batch_len))
+    a, b, c = scales
+    mu_draws = np.empty((lanes, batches))
+    y_draws = np.empty((lanes, batches))
     accepted = np.zeros(lanes, dtype=np.int64)
     with np.errstate(all="ignore"):
-        target(state[0], state[1], out=state[2])
-        for b in range(config.batches):
-            _step_lanes(target, state, scales, config.batch_len, rngs, accepted)
-            mu_draws[:, b] = state[0]
-            y_draws[:, b] = state[1]
+        target(state[0], state[1], out=lp)
+        if not np.isfinite(lp).all():
+            raise ValueError("every lane must start at a finite log-posterior")
+        for batch in range(batches):
+            for inc, u, rng in zip(incs, us, rngs):
+                rng.standard_normal(out=inc)
+                rng.random(out=u)
+            for start in range(0, batch_len, _STEP_BLOCK):
+                block = slice(start, start + _STEP_BLOCK)
+                # Row t of steps holds step t of every lane, mu block then log N
+                # block, laid out like state[:2], so one flat add moves every lane.
+                z1, z2 = incs[:, block].transpose(2, 1, 0)
+                steps = np.stack((z1 * a, z1 * b + z2 * c), axis=1).reshape(len(z1), -1)
+                # np.log over one contiguous block, as in _run_steps: a strided or
+                # scalar log can differ in the last ulp.
+                log_us = np.log(np.ascontiguousarray(us[:, block].T))
+                accepts = np.empty((len(steps), lanes), dtype=bool)
+                for step, log_u, accept in zip(steps, log_us, accepts):
+                    np.add(pos, step, out=cand_pos)
+                    target(cand_mu, cand_y, out=cand_lp)
+                    np.less(log_u, np.subtract(cand_lp, lp, out=gain), out=accept)
+                    np.copyto(state, cand, where=accept)
+                accepted += accepts.sum(axis=0)
+            mu_draws[:, batch] = state[0]
+            y_draws[:, batch] = state[1]
     return mu_draws, y_draws, accepted
 
 
@@ -369,8 +359,9 @@ def tune_lanes(lists, prior, factors, config: SamplerConfig, inits, rngs) -> lis
     Chain i scores lists[i] under `prior`, proposes along factors[i],
     starts every round from inits[i] and draws from rngs[i] in tune_burn_in's
     order. Each pass runs the next round of every chain still tuning under
-    tune_burn_in's rule, so every outcome, and where every generator ends,
-    is tune_burn_in's. Returns each chain's TunedState or TuningFailed.
+    tune_burn_in's rule, as one run_lanes batch, so every outcome, and where
+    every generator ends, is tune_burn_in's. Returns each chain's TunedState
+    or TuningFailed.
     """
     n = config.burn_in_steps
     results: list = [None] * len(inits)
@@ -379,21 +370,16 @@ def tune_lanes(lists, prior, factors, config: SamplerConfig, inits, rngs) -> lis
     for r in range(_MAX_RETUNES + 1):
         if not pending:
             break
-        target = make_lane_log_posterior([lists[i] for i in pending], prior)
-        state = np.empty((3, len(pending)))
-        state[:2] = np.array([inits[i] for i in pending], dtype=float).T
-        steps = np.array([_scaled(scales[i], factors[i]) for i in pending]).T
-        accepted = np.zeros(len(pending), dtype=np.int64)
-        with np.errstate(all="ignore"):
-            target(state[0], state[1], out=state[2])
-            if not np.isfinite(state[2]).all():
-                raise ValueError("burn-in requires an initialization with finite log-posterior")
-            _step_lanes(target, state, steps, n, [rngs[i] for i in pending], accepted)
+        mu, y, accepted = run_lanes(
+            make_lane_log_posterior([lists[i] for i in pending], prior),
+            np.array([inits[i] for i in pending], dtype=float).T,
+            np.array([_scaled(scales[i], factors[i]) for i in pending]).T,
+            [rngs[i] for i in pending], 1, n)
         for lane, i in enumerate(pending):
             rate = int(accepted[lane]) / n
             if _ACCEPT_LO <= rate <= _ACCEPT_HI:
                 results[i] = TunedState(step_scale=scales[i], accept_rate=rate,
-                                        state=(float(state[0, lane]), float(state[1, lane])),
+                                        state=(float(mu[lane, 0]), float(y[lane, 0])),
                                         factor=factors[i])
             elif r == _MAX_RETUNES:
                 results[i] = _tuning_failed(rate)
@@ -480,7 +466,7 @@ def fit_events(lists, prior: HyperPrior, config: SamplerConfig):
 
     Each fit's span is its list's, PerformanceList.t_m. Chain c of an event
     starts around its grid posterior on chain_rng(config.seed, event id, c);
-    tune_lanes burns in every chain at once, and sample_lanes steps every
+    tune_lanes burns in every chain at once, and run_lanes steps every
     tuned chain of every event that can still succeed. So a fit depends on its own list and id,
     the prior and the config, never on the events fitted with it. Returns
     (fits, failures) in list order: event_id -> FitResult, and event_id ->
@@ -519,9 +505,11 @@ def fit_events(lists, prior: HyperPrior, config: SamplerConfig):
     lanes = [(chain, tuned) for chain, tuned in zip(chains, outcomes)
              if isinstance(tuned, TunedState) and 2 * len(events[chain[0]][1]) < config.chains]
     if lanes:
-        target = make_lane_log_posterior([events[c[0]][0] for c, _ in lanes], prior)
-        mu, y, accepted = sample_lanes(target, config, [t for _, t in lanes],
-                                       [c[4] for c, _ in lanes])
+        mu, y, accepted = run_lanes(
+            make_lane_log_posterior([events[c[0]][0] for c, _ in lanes], prior),
+            np.array([t.state for _, t in lanes]).T,
+            np.array([_scaled(t.step_scale, t.factor) for _, t in lanes]).T,
+            [c[4] for c, _ in lanes], config.batches, config.batch_len)
         steps = config.batches * config.batch_len
         for lane, ((event_id, chain_id, *_), tuned) in enumerate(lanes):
             events[event_id][2].append((lane, ChainSummary(

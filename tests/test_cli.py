@@ -484,8 +484,9 @@ def test_duplicate_event_ids_are_refused(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["validate-data", "fit"])
 def test_malformed_data_files_are_reported_not_raised(tmp_path, capsys, command):
-    # A header pairing seconds with higher-is-better, and non-positive or
-    # non-finite marks, are data errors naming file:line, not tracebacks.
+    # A header pairing seconds with higher-is-better, non-positive or
+    # non-finite marks, and a file that cannot be read or decoded, are data
+    # errors naming the file, not tracebacks.
     tail = sample_tail(600, MU_STAR, SIGMA_STAR, 20_000, 40)
     data_dir = tmp_path / "data"
     write_corpus(data_dir, [tail_performance_list(EventSpec.running("good"), tail,
@@ -502,6 +503,12 @@ def test_malformed_data_files_are_reported_not_raised(tmp_path, capsys, command)
             f"812\t2009-08-16\n{value}\t2010-06-01\n"
         )
         bad[name] = f"{name}.tsv:5:"
+    # a file that is not UTF-8 text, and a directory that globs as a list file
+    (data_dir / "latin.tsv").write_bytes(good_text.replace("good", "latin").encode("utf-8")
+                                         + "caf\u00e9\t2010-06-01\n".encode("latin-1"))
+    bad["latin"] = "latin.tsv: not UTF-8 text"
+    (data_dir / "dir.tsv").mkdir()
+    bad["dir"] = "dir.tsv: cannot be read"
     out_dir = tmp_path / "out"
     code = main([command, "--data", str(data_dir), "--out", str(out_dir),
                  "--prior", "weak", *SPEED] if command == "fit"
@@ -537,6 +544,34 @@ def test_usage_errors(workspace, tmp_path, capsys):
     assert main(["backtest", "--data", str(data_dir), "--out", str(a_file),
                  "--cutoff", "2018"]) == 2
     capsys.readouterr()
+    for command in ("tables", "forecast"):
+        assert main([command, "--out", str(a_file)]) == 2
+        assert capsys.readouterr().err == f"error: --out {a_file}: {a_file} is not a directory\n"
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes("seed = 5\n# caf\u00e9\n".encode("latin-1"))
+    assert main(["fit", "--config", str(latin), "--data", str(data_dir)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config file {latin} is not UTF-8 text")
+
+
+@pytest.mark.parametrize("command, blocked, kind", [
+    (["fit", "--prior", "weak", *SPEED], "fits", "not a directory"),
+    (["forecast"], "forecast.tsv", "a directory"),
+], ids=["fit", "forecast"])
+def test_an_output_that_cannot_be_written_is_refused_first(workspace, tmp_path, capsys,
+                                                           command, blocked, kind):
+    # An output path of the wrong kind is one error before any work, not a
+    # traceback after it.
+    data_dir, out_dir = workspace
+    out = tmp_path / "out"
+    if blocked == "fits":
+        out.mkdir()
+        (out / blocked).write_text("")
+    else:
+        _copy_fits(out_dir, out)
+        (out / blocked).mkdir()
+    assert main([*command, "--data", str(data_dir), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out / blocked}: it is {kind}\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted({"fits", blocked})
 
 
 @pytest.mark.parametrize("command, extra, config", [

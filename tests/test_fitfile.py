@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from tailcast import distcore, sampler
 from tailcast.distcore import tail_mass_sigma
 from tailcast.emprior import HyperPrior, Provenance
+from tailcast.errors import TailcastError
 from tailcast.fitfile import (
     FORMAT_LINE,
     FitFileError,
@@ -302,6 +303,20 @@ def test_atomic_write_overwrites(tmp_path):
     atomic_write_text(path, "second")
     assert path.read_text() == "second"
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("blocked_by", ["a-directory", "a-file-parent"])
+def test_atomic_write_names_a_path_it_cannot_write(tmp_path, blocked_by):
+    # the write fails as an error naming the path, and leaves no temp file
+    if blocked_by == "a-directory":
+        path = tmp_path / "out.txt"
+        path.mkdir()
+    else:
+        (tmp_path / "parent").write_text("")
+        path = tmp_path / "parent" / "out.txt"
+    with pytest.raises(TailcastError, match=f"^cannot write {path}: "):
+        atomic_write_text(path, "text")
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])

@@ -24,7 +24,7 @@ from tailcast.sampler import (
     fit_events,
     gelman_rubin_mpsrf,
     run_chain,
-    sample_lanes,
+    run_lanes,
     tune_burn_in,
     tune_lanes,
     _draw_init,
@@ -155,6 +155,7 @@ def test_run_steps_matches_reference_loop(case):
 @pytest.mark.parametrize("reverse_lanes", [False, True])
 @pytest.mark.parametrize("batch_len", [1, 7, 50, 120])
 def test_sample_lanes_matches_run_chain(batch_len, reverse_lanes):
+    # Retained sampling as fit_events runs it: run_lanes from tuned states.
     config = small_config(batches=30, batch_len=batch_len)
     lists, priors, tuned, rngs = [], [], [], []
     for data in lane_events():
@@ -176,8 +177,12 @@ def test_sample_lanes_matches_run_chain(batch_len, reverse_lanes):
     for prior in (HyperPrior.weakly_informative(), INFORMATIVE):
         lanes = [i for i in order if priors[i] == prior]
         target = make_lane_log_posterior([lists[i] for i in lanes], prior)
-        mu, logN, accepted = sample_lanes(target, config, [tuned[i] for i in lanes],
-                                          [copy.deepcopy(rngs[i]) for i in lanes])
+        starts = np.array([tuned[i].state for i in lanes]).T
+        scales = np.array([sampler._scaled(tuned[i].step_scale, tuned[i].factor)
+                           for i in lanes]).T
+        mu, logN, accepted = run_lanes(target, starts, scales,
+                                       [copy.deepcopy(rngs[i]) for i in lanes],
+                                       config.batches, config.batch_len)
         assert mu.shape == logN.shape == (len(lanes), config.batches)
         for lane, i in enumerate(lanes):
             chain = run_chain(make_log_posterior(lists[i], prior), config, tuned[i], rngs[i])
@@ -185,6 +190,17 @@ def test_sample_lanes_matches_run_chain(batch_len, reverse_lanes):
             assert np.array_equal(logN[lane], chain.logN)
             assert int(accepted[lane]) / steps == chain.accept_rate
             assert 0 < accepted[lane] < steps
+
+
+def test_run_lanes_refuses_a_start_off_the_posterior():
+    data = synthetic_event()
+    target = make_lane_log_posterior([data, data], INFORMATIVE)
+    # the second lane starts below the list's worst mark, where the posterior is 0
+    starts = np.array([[float(max(data.marks)) + 0.05, data.w_k - 0.01],
+                       [math.log(20_000.0)] * 2])
+    rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+    with pytest.raises(ValueError, match="finite log-posterior"):
+        run_lanes(target, starts, np.full((3, 2), 0.01), rngs, 1, 10)
 
 
 # Burn-in settings, and tuning-rule constants patched into the sampler, that
