@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,13 +139,6 @@ def _correlate(statistic: str, window_years: int, rank: int | None,
     )
 
 
-def _add_note(notes: dict[str, str], event_id: str, message: str) -> None:
-    if event_id in notes:
-        notes[event_id] = f"{notes[event_id]}; {message}"
-    else:
-        notes[event_id] = message
-
-
 def _dated_marks(data: PerformanceList) -> tuple[np.ndarray, np.ndarray]:
     """The list's marks, best first, and their dates as day ordinals."""
     days = np.fromiter((record.date.toordinal() for record in data.records),
@@ -174,7 +168,7 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
         if data.event.event_id in full:
             raise ValueError(f"two lists have event id {data.event.event_id!r}")
         full[data.event.event_id] = data
-    notes: dict[str, str] = {}
+    notes: defaultdict[str, list[str]] = defaultdict(list)
 
     window = fit_window(spec.data_mode, spec.cutoff_year)
     pre_lists = []
@@ -185,7 +179,7 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
                 build_performance_list(data.event, list(data.records), window=window)
             )
         except EmptyListError:
-            _add_note(notes, event_id, "no marks before cutoff")
+            notes[event_id].append("no marks before cutoff")
     if len(pre_lists) < 4:
         raise InsufficientEvents(
             f"backtest needs >= 4 events with pre-cutoff data, have {len(pre_lists)}"
@@ -193,55 +187,52 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
 
     result = two_pass_fit(pre_lists, config)
     for event_id, msg in sorted(result.failures.items()):
-        _add_note(notes, event_id, f"fit failed: {msg}")
-
-    for event_id, fit in result.fits.items():
-        if not fit.converged:
-            _add_note(notes, event_id, f"forecast from unconverged fit (mpsrf={fit.mpsrf:.3f})")
+        notes[event_id].append(f"fit failed: {msg}")
 
     # The rank-r reference is the r-th best mark before the cutoff, and the
-    # record to break is the best one, whatever the data mode fitted on.
+    # record to break is the best one, whatever the data mode fitted on. Each
+    # event keeps its references, its marks in each evaluation window and,
+    # per rank its list reaches, its exceedance rate, which no window changes.
     before_cutoff = DateWindow.before(spec.cutoff_year)
-    dated = {event_id: _dated_marks(full[event_id]) for event_id in result.fits}
-    references: dict[str, list[float]] = {}
-    for event_id in result.fits:
-        references[event_id] = _marks_in(dated[event_id], before_cutoff)
-        too_deep = [r for r in sorted(spec.reference_ranks) if r > len(references[event_id])]
+    windows = [spec.evaluation_window(length) for length in spec.windows]
+    events = {}
+    for event_id, fit in result.fits.items():
+        if not fit.converged:
+            notes[event_id].append(f"forecast from unconverged fit (mpsrf={fit.mpsrf:.3f})")
+        dated = _dated_marks(full[event_id])
+        refs = _marks_in(dated, before_cutoff)
+        too_deep = [r for r in sorted(spec.reference_ranks) if r > len(refs)]
         if too_deep:
-            _add_note(notes, event_id, f"fewer than {too_deep[0]} marks before cutoff")
+            notes[event_id].append(f"fewer than {too_deep[0]} marks before cutoff")
+        rates = {r: expected_exceedances(fit, refs[r - 1])
+                 for r in spec.reference_ranks if r <= len(refs)}
+        events[event_id] = (fit, refs, [_marks_in(dated, w) for w in windows], rates)
 
     cells: list[BacktestCell] = []
-    for length in spec.windows:
-        window = spec.evaluation_window(length)
-        held_out = {event_id: _marks_in(dated[event_id], window) for event_id in result.fits}
-        expected_best_x = {
-            event_id: expected_best(fit, float(length)).x for event_id, fit in result.fits.items()
-        }
+    for w, length in enumerate(spec.windows):
+        best_x = {e: expected_best(fit, float(length)).x for e, fit in result.fits.items()}
         for rank in spec.reference_ranks:
             exceed_rows: list[tuple[str, float, float]] = []
             improv_rows: list[tuple[str, float, float]] = []
-            for event_id, fit in result.fits.items():
-                if rank > len(references[event_id]):
+            for event_id, (_, refs, held_out, rates) in events.items():
+                if rank not in rates:
                     continue
-                ref = references[event_id][rank - 1]
-                marks = held_out[event_id]
-                predicted_count = float(length) * expected_exceedances(fit, ref)
+                ref, marks = refs[rank - 1], held_out[w]
                 # strictly better than the reference: ties do not count
-                exceed_rows.append((event_id, predicted_count, float(bisect_left(marks, ref))))
+                exceed_rows.append(
+                    (event_id, float(length) * rates[rank], float(bisect_left(marks, ref)))
+                )
                 if marks:
-                    improv_rows.append(
-                        (event_id, ref - expected_best_x[event_id], ref - marks[0])
-                    )
+                    improv_rows.append((event_id, ref - best_x[event_id], ref - marks[0]))
             cells.append(_correlate("exceedances", length, rank, exceed_rows))
             cells.append(_correlate("improvement", length, rank, improv_rows))
 
         record_rows: list[tuple[str, float, float]] = []
-        for event_id, fit in result.fits.items():
-            record_mark = references[event_id][0]
-            marks = held_out[event_id]
-            occurred = bool(marks) and marks[0] < record_mark
+        for event_id, (fit, refs, held_out, _) in events.items():
+            marks = held_out[w]
+            occurred = bool(marks) and marks[0] < refs[0]
             record_rows.append(
-                (event_id, record_probability(fit, record_mark, float(length)), float(occurred))
+                (event_id, record_probability(fit, refs[0], float(length)), float(occurred))
             )
         cells.append(_correlate("record", length, None, record_rows))
 
@@ -249,7 +240,7 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
         spec=spec,
         prior=result.prior,
         cells=tuple(cells),
-        event_notes=tuple(sorted(notes.items())),
+        event_notes=tuple(sorted((e, "; ".join(n)) for e, n in notes.items())),
     )
 
 

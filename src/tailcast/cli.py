@@ -115,6 +115,8 @@ def _read_config_file(path: Path) -> dict[str, str]:
     except UnicodeDecodeError as exc:
         raise UsageError(f"config file {path} is not UTF-8 text ({exc.reason} at byte "
                          f"{exc.start})") from None
+    except OSError as exc:
+        raise UsageError(f"config file {path} cannot be read: {exc.strerror or exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -276,6 +278,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     lists, skipped = _load_corpus(cfg, cfg.window)
     if not lists:
         raise TailcastError("no usable events")
+    _check_out_dir(cfg, *(f"fits/{data.event.event_id}.fit" for data in lists))
 
     notes = dict(skipped)
     if cfg.prior == "weak":

@@ -17,6 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .distcore import HyperPrior, Provenance, grid_posterior
 from .errors import TailcastError
@@ -50,11 +51,7 @@ def min_subset_variance(values, subset_size: int) -> float:
     m = len(v)
     if not 2 <= subset_size <= m:
         raise ValueError(f"subset_size must be in [2, {m}], got {subset_size}")
-    best = math.inf
-    for start in range(m - subset_size + 1):
-        window = v[start:start + subset_size]
-        best = min(best, float(np.var(window, ddof=1)))
-    return best
+    return float(sliding_window_view(v, subset_size).var(axis=1, ddof=1).min())
 
 
 def robust_hyperprior(point_estimates) -> HyperPrior:

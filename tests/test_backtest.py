@@ -1,10 +1,12 @@
 """Holdout evaluation: references, realized outcomes, report assembly."""
 import math
+import re
 from datetime import date
 
 import numpy as np
 import pytest
 
+from tailcast import backtest, stats
 from tailcast.backtest import (
     ALLOWED_RANKS,
     BacktestCell,
@@ -21,7 +23,7 @@ from tailcast.backtest import (
 )
 from tailcast.emprior import InsufficientEvents, Provenance
 from tailcast.ingest import DateWindow, EventSpec, RawMark, build_performance_list
-from tailcast.sampler import SamplerConfig
+from tailcast.sampler import FitResult, SamplerConfig
 from tailcast.stats import pearson
 from tailcast.synth import sample_tail, tail_performance_list
 
@@ -389,6 +391,40 @@ def test_run_backtest_notes_a_rank_deeper_than_the_list(outcome_report):
         for length in (1, 2):
             assert "slow" in outcome_report.cell(statistic, length, 10).event_ids
             assert "slow" not in outcome_report.cell(statistic, length, 50).event_ids
+
+
+def test_run_backtest_rates_each_reference_once(monkeypatch):
+    # The exceedance rate over a reference does not depend on the window, so
+    # each fitted event is rated once per rank its list reaches.
+    rated = []
+
+    def counting(fit, a):
+        rated.append((fit.event_id, a))
+        return stats.expected_exceedances(fit, a)
+
+    monkeypatch.setattr(backtest, "expected_exceedances", counting)
+    corpus = outcome_corpus()
+    report = run_backtest(corpus, BacktestSpec(**OUTCOME_SPEC), CONFIG)
+    assert "fit failed" not in str(report.event_notes)
+    want = []
+    for data in corpus:
+        before = sorted(x for r, x in zip(data.records, data.marks) if r.date.year < CUTOFF)
+        want += [(data.event.event_id, before[rank - 1])
+                 for rank in OUTCOME_SPEC["reference_ranks"] if rank <= len(before)]
+    assert sorted(rated) == sorted(want)
+    assert len(rated) == 2 * 4 + 1  # `slow` reaches rank 10 only
+
+
+def test_run_backtest_joins_an_events_notes_in_order(monkeypatch):
+    monkeypatch.setattr(FitResult, "converged", property(lambda fit: False))
+    report = run_backtest(outcome_corpus(), BacktestSpec(**OUTCOME_SPEC), CONFIG)
+    notes = dict(report.event_notes)
+    assert sorted(notes) == ["old", "quiet", "slow", "tie", "wide"]
+    assert re.fullmatch(r"forecast from unconverged fit \(mpsrf=\d+\.\d{3}\); "
+                        r"fewer than 50 marks before cutoff", notes["slow"]), notes["slow"]
+    for event_id in ("old", "quiet", "tie", "wide"):
+        assert re.fullmatch(r"forecast from unconverged fit \(mpsrf=\d+\.\d{3}\)",
+                            notes[event_id])
 
 
 def test_run_backtest_references_use_all_prior_data(outcome_report):

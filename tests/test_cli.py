@@ -1,9 +1,11 @@
 """End-to-end command tests: fit, tables, forecast, backtest, validate-data."""
 import dataclasses
 import datetime
+import errno
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -553,14 +555,21 @@ def test_usage_errors(workspace, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: config file {latin} is not UTF-8 text")
 
 
+def _tree(root):
+    """Every path under root: a file's bytes, or None for a directory."""
+    return {p.relative_to(root): None if p.is_dir() else p.read_bytes()
+            for p in root.rglob("*")}
+
+
 @pytest.mark.parametrize("command, blocked, kind", [
     (["fit", "--prior", "weak", *SPEED], "fits", "not a directory"),
     (["forecast"], "forecast.tsv", "a directory"),
-], ids=["fit", "forecast"])
+    (["fit", "--seed", "6", *SPEED], "fits/w1500m.fit", "a directory"),
+], ids=["fit", "forecast", "refit"])
 def test_an_output_that_cannot_be_written_is_refused_first(workspace, tmp_path, capsys,
                                                            command, blocked, kind):
     # An output path of the wrong kind is one error before any work, not a
-    # traceback after it.
+    # traceback after it, and no file of an earlier run is rewritten.
     data_dir, out_dir = workspace
     out = tmp_path / "out"
     if blocked == "fits":
@@ -568,10 +577,32 @@ def test_an_output_that_cannot_be_written_is_refused_first(workspace, tmp_path, 
         (out / blocked).write_text("")
     else:
         _copy_fits(out_dir, out)
+        if command[0] == "fit":  # a refit over an earlier fit's output
+            (out / "manifest.json").write_bytes((out_dir / "manifest.json").read_bytes())
+            (out / blocked).unlink()
         (out / blocked).mkdir()
+    before = _tree(out)
     assert main([*command, "--data", str(data_dir), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: cannot write {out / blocked}: it is {kind}\n"
-    assert sorted(p.name for p in out.iterdir()) == sorted({"fits", blocked})
+    assert _tree(out) == before
+
+
+def test_a_config_file_that_cannot_be_read_is_a_usage_error(workspace, tmp_path, monkeypatch,
+                                                            capsys):
+    data_dir, _ = workspace
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 5\n")
+    read_text = Path.read_text
+
+    def refuse(path, *args, **kwargs):
+        if path == cfg:
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert main(["fit", "--config", str(cfg), "--data", str(data_dir)]) == 2
+    assert capsys.readouterr().err == (f"error: config file {cfg} cannot be read: "
+                                       "Permission denied\n")
 
 
 @pytest.mark.parametrize("command, extra, config", [
