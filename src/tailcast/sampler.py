@@ -4,9 +4,10 @@ Protocol: each chain of an event proposes s L z, z standard normal and L
 the Cholesky factor of the covariance of the event's grid posterior
 (distcore.grid_posterior: the list's one weak-prior grid, reweighted to
 the event's prior, so pass 2 scores no grid of its own). It starts at a
-random point around the grid mean, runs 1000-step burn-ins that double or
-halve s from _START_SCALE until the acceptance rate lands in [0.2, 0.4],
-then samples in batches, retaining the final state of each batch.
+random point around the grid mean, runs burn-in rounds of burn_in_steps
+(250 at the defaults) that double or halve s from _START_SCALE until the
+acceptance rate lands in [0.2, 0.4], then samples in batches of batch_len
+steps (20 at the defaults), retaining the final state of each batch.
 Convergence across chains is assessed with the multivariate potential scale
 reduction factor.
 
@@ -24,13 +25,14 @@ from them is built per block of _STEP_BLOCK steps, so only the draws
 grow with the round. Each fitted event keeps the mpsrf of its chains and
 an even-stride pool of their draws, and drops the chains. At the defaults
 the pool is every retained draw: 10 chains x 100 batches = pool_size 1000.
-Draws retained 50 steps apart are nearly independent (lag-1
-autocorrelation at most 0.013 on the criterion-5 fixture), so retaining
-more than the pool would buy sampling that no forecast reads. An event that
-lost half its chains or more, at initialization or in burn-in, is not
-sampled and fails as "<id>: k of N chains failed". fit_event is its
-one-event case. SamplerConfig refuses fewer than 2 chains or 10 batches,
-which the diagnostic cannot judge.
+Thinning further than the chains' autocorrelation needs buys no precision
+(Geyer 1992): on the criterion-5 fixture, draws retained 20 steps apart
+keep every event's pooled ESS above 600 of 1000 (tests/test_acceptance.py),
+and retaining more than the pool would buy sampling that no forecast
+reads. An event that lost half its chains or more, at initialization or in
+burn-in, is not sampled and fails as "<id>: k of N chains failed".
+fit_event is its one-event case. SamplerConfig refuses fewer than 2 chains
+or 10 batches, which the diagnostic cannot judge.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ import numpy as np
 from .distcore import (HyperPrior, grid_posterior, make_lane_log_posterior, make_log_posterior,
                        tail_mass_sigma)
 from .errors import TailcastError
-from .ingest import EventSpec
+from .ingest import EventSpec, decode_mark
 
 # The s every chain starts burn-in with: 2.38 / sqrt(d) for d = 2, optimal for a
 # proposal shaped like a Gaussian target (Roberts, Gelman & Gilks 1997).
@@ -57,7 +59,9 @@ _ACCEPT_LO = 0.2
 _ACCEPT_HI = 0.4
 _MAX_RETUNES = 25
 # Steps whose increments, log-uniforms and accept flags run_lanes builds at
-# once: the default batch_len, so sampling builds one block per batch.
+# once. It bounds what a long burn-in round holds beyond its draws, and a
+# smaller block would set up more blocks per round. A batch of at most
+# _STEP_BLOCK steps, as every default batch is, is one block.
 _STEP_BLOCK = 50
 
 
@@ -76,9 +80,9 @@ class FitFailed(TailcastError):
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    burn_in_steps: int = 1000
+    burn_in_steps: int = 250
     batches: int = 100
-    batch_len: int = 50
+    batch_len: int = 20
     chains: int = 10
     seed: int = 0
     pool_size: int = 1000
@@ -148,7 +152,8 @@ class FitMetadata:
     """What a fit was made from. t_m is the span in years the list's marks
     accumulated over, finite and positive; best_x is the best fitted mark;
     record_x is the event's record as of the end of the fit's window, fitted
-    or not; chains are the sampled chains, in chain order."""
+    or not, and each transformed mark must decode to a positive, finite one;
+    chains are the sampled chains, in chain order."""
 
     event: EventSpec
     t_m: float
@@ -165,6 +170,18 @@ class FitMetadata:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t_m) and self.t_m > 0.0):
             raise ValueError(f"t_m must be a positive number of years, got {self.t_m}")
+        # Forecasts print both marks, and a finite transformed mark past about
+        # +-709.78 decodes to no positive finite time or distance. A non-finite
+        # one is the fit file's to refuse: dumps writes none and loads reads none.
+        for name in ("best_x", "record_x"):
+            x = getattr(self, name)
+            if math.isfinite(x):
+                try:
+                    mark = decode_mark(self.event, x)
+                except OverflowError:
+                    mark = math.inf
+                if not 0.0 < mark < math.inf:
+                    raise ValueError(f"{name} must decode to a positive finite mark, got {x!r}")
 
     @property
     def event_id(self) -> str:

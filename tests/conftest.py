@@ -49,7 +49,9 @@ def make_fit(
 
     Pass either logN or sigma; the other follows from the tail-mass identity
     sigma = (w_k - mu) / Phi^-1(n_k/N), as the fit's own pooled sigma does.
-    The default config pools every draw of two chains of 1000 draws.
+    The default config pools every draw of two chains of 1000 draws; it
+    names every step count, so the fit's bytes do not follow SamplerConfig's
+    defaults.
     """
     assert (logN is None) != (sigma is None), "pass exactly one of logN and sigma"
     mu = np.asarray(mu, dtype=float)
@@ -59,8 +61,8 @@ def make_fit(
     logN = np.asarray(logN, dtype=float)
     assert mu.shape == logN.shape and mu.ndim == 1 and len(mu) >= 1
     event = event if event is not None else running_event()
-    config = config if config is not None else SamplerConfig(chains=2, batches=1000, seed=0,
-                                                             pool_size=len(mu))
+    config = config if config is not None else SamplerConfig(
+        burn_in_steps=1000, batches=1000, batch_len=50, chains=2, seed=0, pool_size=len(mu))
     prior = prior if prior is not None else HyperPrior.weakly_informative()
     chains = tuple(ChainSummary(chain_id=i, accept_rate=0.3, step_scale=0.05)
                    for i in range(2))

@@ -701,6 +701,8 @@ CORRUPTED_FIELDS = [
     # json.dumps writes math.nan as NaN, and Python's json module reads it back
     ("record_x", "NaN", "NaN is not a finite number"),
     ("record_x", "1" + "0" * 400, "an integer of 401 digits is too large for a float"),
+    # a finite float whose mark, exp(+-x), is past the largest float
+    ("record_x", "1e308", "record_x must decode to a positive finite mark, got 1e+308"),
     ("event_id", '"../m0400"', "event_id '../m0400' names the event's fit file, so it may "
                                "not hold '/', '\\' or a control character"),
 ]
@@ -709,7 +711,7 @@ CORRUPTED_FIELDS = [
 @pytest.mark.parametrize("command", ["tables", "forecast"])
 @pytest.mark.parametrize("field, literal, message", CORRUPTED_FIELDS,
                          ids=["t_m-zero", "record_x-string", "record_x-nan",
-                              "record_x-401-digits", "event_id-path"])
+                              "record_x-401-digits", "record_x-1e308", "event_id-path"])
 def test_a_corrupted_fit_file_is_refused(workspace, tmp_path, capsys, field, literal, message,
                                          command):
     _, out_dir = workspace

@@ -127,8 +127,12 @@ def _edit_meta(edit):
     lambda payload: payload["config"].update(no_such_setting=1.0),
     *(lambda payload, t_m=t_m: payload.update(t_m=t_m)
       for t_m in (0.0, -2.0, math.nan, math.inf)),
+    # a running event's time is exp(x): past the largest float at 1e308, 0.0 at -1e308
+    *(lambda payload, field=field, x=x: payload.update({field: x})
+      for field, x in (("best_x", 1e308), ("record_x", 1e308), ("record_x", -1e308))),
 ], ids=["no-mpsrf", "no-chain_id", "unknown-config-field",
-        "t_m-zero", "t_m-negative", "t_m-nan", "t_m-infinite"])
+        "t_m-zero", "t_m-negative", "t_m-nan", "t_m-infinite",
+        "best_x-1e308", "record_x-1e308", "record_x-minus-1e308"])
 def test_loads_rejects_bad_meta_keys(edit):
     with pytest.raises(FitFileError, match="missing or malformed"):
         loads(_edit_meta(edit))
@@ -218,10 +222,12 @@ def test_loads_refuses_an_integer_too_large_for_a_float(field, literal):
 
 
 def test_loads_reads_the_largest_float_written_as_an_integer():
+    # in t_m, which takes any positive float: a mark this large decodes to no
+    # finite time, and FitMetadata refuses it
     largest = int(sys.float_info.max)
-    text = _edit_meta(lambda payload: payload.update(record_x=424242))
+    text = _edit_meta(lambda payload: payload.update(t_m=424242))
     fit = loads(text.replace(": 424242", f": {largest}"))
-    assert fit.meta.record_x == largest
+    assert fit.meta.t_m == largest
 
 
 def test_a_fit_of_the_largest_seed_round_trips():

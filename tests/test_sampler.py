@@ -308,7 +308,7 @@ def test_tune_lanes_memory_is_bounded_by_the_block():
     assert (peak - entry) / (40 * config.burn_in_steps) <= 32.0
 
 
-@pytest.mark.parametrize("burn_in_steps", [400, 1000])
+@pytest.mark.parametrize("burn_in_steps", [250, 400, 1000])
 def test_grid_proposal_tunes_every_chain_at_the_first_round(burn_in_steps):
     # With the proposal shaped by the grid covariance, the start scale lands
     # in the acceptance band at once, so tune_lanes needs one pass.

@@ -18,6 +18,12 @@ change's wins, ties and whether the gain is resolved by the pair rule
 (wins in at least 9 of 10 pairs and medians apart by more than the parent's
 interquartile range); the host; the Python, numpy and scipy versions;
 numpy's SIMD level and the OpenBLAS core, both of which fix the digests.
+Each side's checkout is named by `git rev-parse HEAD` and whether
+`git status --porcelain` lists anything (`dirty`), beside perfbench's
+source digest. A `quality` section runs `corpus` once per side at seeds
+0 to 9 and keeps each run's converged_frac and recovery_frac, with each
+side's default SamplerConfig and its lane-steps per chain
+(burn_in_steps + batches x batch_len, before retunes).
 Files are added, never rewritten: the script refuses an existing name.
 """
 from __future__ import annotations
@@ -33,6 +39,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (3, 5)
+QUALITY_SEEDS = range(10)
+QUALITY = ("converged_frac", "recovery_frac")
 
 # numpy's baseline and dispatched SIMD extensions, as numpy.show_runtime()
 # lists them, read without threadpoolctl.
@@ -64,6 +72,35 @@ def openblas_core() -> str | None:
     return None
 
 
+def git_state(checkout: Path) -> dict:
+    """The checkout's HEAD and whether its tree differs from it; nulls outside git."""
+    def git(*args):
+        out = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+        return out.stdout if out.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain")
+    return {"git_commit": head.strip() if head else None,
+            "dirty": bool(status.strip()) if status is not None else None}
+
+
+# The checkout's default SamplerConfig, imported from its own src/.
+_CONFIG_PROBE = """
+import dataclasses, json, sys
+sys.path.insert(0, "src")
+from tailcast.sampler import SamplerConfig
+print(json.dumps(dataclasses.asdict(SamplerConfig())))
+"""
+
+
+def default_config(checkout: Path) -> dict:
+    out = subprocess.run([sys.executable, "-c", _CONFIG_PROBE], cwd=checkout,
+                         capture_output=True, text=True, check=True)
+    config = json.loads(out.stdout)
+    return {**config, "lane_steps_per_chain":
+            config["burn_in_steps"] + config["batches"] * config["batch_len"]}
+
+
 def run_once(checkout: Path, workdir: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced perfbench run in `checkout`; its end-to-end metrics and result."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -79,6 +116,8 @@ def run_once(checkout: Path, workdir: Path, workload: str, seed: int, seconds: f
         "metrics": {name: m["value"] for name, m in line["metrics"].items()},
         "correct": line["correct"], "attempted": line["attempted"], "failed": line["failed"],
         "cycles": result["cycles"], "digest": result["digest"],
+        "quality": {name: result["metrics"][name]["value"] for name in QUALITY
+                    if name in result["metrics"]},
         "meta": result["meta"],
     }
 
@@ -107,6 +146,25 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "gain_resolved": wins >= 0.9 * len(pairs) and gain > pq["q3"] - pq["q1"],
         }
     return summary
+
+
+def quality(sides: dict[str, Path], scratch: Path, seconds: float) -> dict:
+    """One `corpus` run per side and seed of QUALITY_SEEDS: its quality ratios,
+    their means, and the side's default SamplerConfig."""
+    section = {"workload": "corpus", "seeds": list(QUALITY_SEEDS)}
+    for side, checkout in sides.items():
+        runs = [run_once(checkout, scratch / f"{side}-quality", "corpus", seed, seconds)
+                for seed in QUALITY_SEEDS]
+        ratios = {name: [r["quality"][name] for r in runs] for name in QUALITY}
+        section[side] = {
+            "default_config": default_config(checkout), **ratios,
+            "mean": {name: statistics.fmean(values) for name, values in ratios.items()},
+            "digests": [r["digest"] for r in runs],
+        }
+        print(f"quality {side}: " + ", ".join(
+            f"{name} {value:.4f}" for name, value in section[side]["mean"].items()),
+            file=sys.stderr)
+    return section
 
 
 def main(argv=None) -> int:
@@ -157,7 +215,7 @@ def main(argv=None) -> int:
                 for key in ("python", "numpy", "scipy"):
                     snapshot.setdefault(key, metas["change"][key])
                 snapshot.setdefault("checkouts", {
-                    side: {"git_commit": metas[side]["git_commit"],
+                    side: {**git_state(sides[side]),
                            "source_sha256": metas[side]["source_sha256"]}
                     for side in sides})
                 snapshot["workloads"].setdefault(workload, {})[f"seed{seed}"] = {
@@ -166,6 +224,7 @@ def main(argv=None) -> int:
                     "summary": summarize(pairs, better),
                     "runs": pairs,
                 }
+        snapshot["quality"] = quality(sides, Path(scratch), seconds)
     target.write_text(json.dumps(snapshot, indent=1) + "\n")
     print(f"wrote {target}")
     return 0
