@@ -41,7 +41,6 @@ from .sampler import (
     FitResult,
     PosteriorChain,
     SamplerConfig,
-    TuningFailed,
     fit_event,
     gelman_rubin_mpsrf,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "SamplerConfig",
     "ScoreTable",
     "TailcastError",
-    "TuningFailed",
     "TwoPassResult",
     "Unit",
     "UndefinedCorrelation",

@@ -99,7 +99,7 @@ _SAMPLER_KEYS = {
     "batches": ("batches", "retained draws per chain (default 100: with 10 chains, every "
                            "one of the 1000 pooled)"),
     "batch_len": ("batch_len", None),
-    "burn_in": ("burn_in_steps", "steps per tuning round"),
+    "burn_in": ("burn_in_steps", "burn-in steps per chain, at a fixed proposal scale"),
     "pool_size": ("pool_size", "pooled draw count"),
 }
 _CONFIG_KEYS = {

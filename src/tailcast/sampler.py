@@ -1,15 +1,21 @@
-"""Adaptive random-walk Metropolis-Hastings over (mu, log N).
+"""Random-walk Metropolis-Hastings over (mu, log N).
 
 Protocol: each chain of an event proposes s L z, z standard normal and L
 the Cholesky factor of the covariance of the event's grid posterior
 (distcore.grid_posterior: the list's one weak-prior grid, reweighted to
-the event's prior, so pass 2 scores no grid of its own). It starts at a
-random point around the grid mean, runs burn-in rounds of burn_in_steps
-(250 at the defaults) that double or halve s from _START_SCALE until the
-acceptance rate lands in [0.2, 0.4], then samples in batches of batch_len
-steps (20 at the defaults), retaining the final state of each batch.
-Convergence across chains is assessed with the multivariate potential scale
-reduction factor.
+the event's prior, so pass 2 scores no grid of its own), and s is
+_START_SCALE, 2.38/sqrt(2), optimal for a Gaussian target whose shape the
+proposal already has (Roberts, Gelman & Gilks 1997; Roberts & Rosenthal
+2001). A chain starts at a random point around the grid mean, burns in
+for one round of burn_in_steps (250 at the defaults), then samples in
+batches of batch_len steps (20 at the defaults), retaining the final
+state of each batch. s is never retuned. A loop that doubled or halved it
+until a round's acceptance rate landed in [0.2, 0.4] reacted mostly to
+noise (a 250-step rate's sd is about 0.03): on the benchmark's corpus
+workload, seeds 0 to 29, it re-ran 302 rounds for the 140 chains whose
+first rate strayed, and left 2398 of the 2400 chains at the start scale.
+Convergence across chains is assessed with the multivariate potential
+scale reduction factor.
 
 tune_burn_in and run_chain run one chain on Python floats, through the
 one-lane view of the log-posterior kernel; they are the reference the
@@ -17,22 +23,22 @@ pipeline must match bit for bit. fit_events, the one corpus fitter, fits
 every list of a corpus under one prior (a distcore.HyperPrior) and runs
 every chain of every event as numpy lanes of the same kernel instead, one
 lane target scoring every list under that prior. run_lanes is the one lane
-stepper: tune_lanes runs the next burn-in round of every chain still tuning
-as one run_lanes batch, and fit_events steps the tuned chains through it
-batch by batch. A lane takes its draws whole per burn-in round or batch,
-in _run_steps' order, so it keeps its chain's stream; everything built
-from them is built per block of _STEP_BLOCK steps, so only the draws
-grow with the round. Each fitted event keeps the mpsrf of its chains and
-an even-stride pool of their draws, and drops the chains. At the defaults
-the pool is every retained draw: 10 chains x 100 batches = pool_size 1000.
-Thinning further than the chains' autocorrelation needs buys no precision
-(Geyer 1992): on the criterion-5 fixture, draws retained 20 steps apart
-keep every event's pooled ESS above 600 of 1000 (tests/test_acceptance.py),
-and retaining more than the pool would buy sampling that no forecast
-reads. An event that lost half its chains or more, at initialization or in
-burn-in, is not sampled and fails as "<id>: k of N chains failed".
-fit_event is its one-event case. SamplerConfig refuses fewer than 2 chains
-or 10 batches, which the diagnostic cannot judge.
+stepper: fit_events burns every chain in as one run_lanes batch of
+burn_in_steps, then steps them through retained sampling batch by batch.
+A lane takes its draws whole per batch, in _run_steps' order, so it keeps
+its chain's stream; everything built from them is built per block of
+_STEP_BLOCK steps, so only the draws grow with the batch. Each fitted
+event keeps the mpsrf of its chains and an even-stride pool of their
+draws, and drops the chains. At the defaults the pool is every retained
+draw: 10 chains x 100 batches = pool_size 1000. Thinning further than the
+chains' autocorrelation needs buys no precision (Geyer 1992): on the
+criterion-5 fixture, draws retained 20 steps apart keep every event's
+pooled ESS above 600 of 1000 (tests/test_acceptance.py), and retaining
+more than the pool would buy sampling that no forecast reads. An event
+that lost half its chains or more at initialization is not sampled and
+fails as "<id>: k of N chains failed". fit_event is its one-event case.
+SamplerConfig refuses fewer than 2 chains or 10 batches, which the
+diagnostic cannot judge.
 """
 from __future__ import annotations
 
@@ -48,30 +54,16 @@ from .distcore import (HyperPrior, grid_posterior, make_lane_log_posterior, make
 from .errors import TailcastError
 from .ingest import EventSpec, decode_mark
 
-# The s every chain starts burn-in with: 2.38 / sqrt(d) for d = 2, optimal for a
-# proposal shaped like a Gaussian target (Roberts, Gelman & Gilks 1997).
+# The s of every chain: 2.38 / sqrt(d) for d = 2, optimal for a proposal
+# shaped like a Gaussian target (Roberts, Gelman & Gilks 1997).
 _START_SCALE = 2.38 / math.sqrt(2.0)
 # Initial points a chain tries before _draw_init gives up on it.
 _INIT_TRIES = 500
-# The tuning rule: a burn-in round's acceptance rate must land in
-# [_ACCEPT_LO, _ACCEPT_HI], and a chain fails after _MAX_RETUNES retunes.
-_ACCEPT_LO = 0.2
-_ACCEPT_HI = 0.4
-_MAX_RETUNES = 25
 # Steps whose increments, log-uniforms and accept flags run_lanes builds at
-# once. It bounds what a long burn-in round holds beyond its draws, and a
-# smaller block would set up more blocks per round. A batch of at most
-# _STEP_BLOCK steps, as every default batch is, is one block.
+# once. It bounds what a long burn-in batch holds beyond its draws, and a
+# smaller block would set up more blocks per batch. A batch of at most
+# _STEP_BLOCK steps, as every default sampling batch is, is one block.
 _STEP_BLOCK = 50
-
-
-class TuningFailed(TailcastError):
-    """Burn-in retuning exhausted _MAX_RETUNES without reaching the
-    acceptance band."""
-
-    def __init__(self, message: str, last_rate: float):
-        super().__init__(message)
-        self.last_rate = last_rate
 
 
 class FitFailed(TailcastError):
@@ -88,9 +80,8 @@ class SamplerConfig:
     pool_size: int = 1000
 
     def __post_init__(self) -> None:
-        # A fit file holds no integer too large for a float, and the band check
-        # below scales burn_in_steps by one: a larger setting would overflow
-        # there or write a fit that no command reads back.
+        # A fit file holds no integer too large for a float: a larger setting
+        # would write a fit that no command reads back.
         for f in fields(self):
             value = getattr(self, f.name)
             if value > sys.float_info.max:
@@ -106,13 +97,6 @@ class SamplerConfig:
         if self.batches < 10:
             raise ValueError(f"batches must be at least 10 for the convergence "
                              f"diagnostic, got {self.batches}")
-        # A round's rate is accepted/burn_in_steps; with too few steps no count lands
-        # in the band, and every chain would run out its retunes. The first count at
-        # or above _ACCEPT_LO is within one of ceil(_ACCEPT_LO * steps).
-        n, first = self.burn_in_steps, math.ceil(_ACCEPT_LO * self.burn_in_steps)
-        if not any(_ACCEPT_LO <= a / n <= _ACCEPT_HI for a in (first - 1, first, first + 1)):
-            raise ValueError(f"burn_in_steps {n} gives no acceptance rate in "
-                             f"[{_ACCEPT_LO}, {_ACCEPT_HI}]")
         # Chain streams hash the seed with numpy's SeedSequence, which takes no negative.
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -140,7 +124,7 @@ class PosteriorChain:
 @dataclass(frozen=True)
 class ChainSummary:
     """One sampled chain of a fit: its acceptance rate over the retained
-    steps and its tuned proposal scale s."""
+    steps and its proposal scale s, always _START_SCALE."""
 
     chain_id: int
     accept_rate: float
@@ -248,44 +232,25 @@ def _run_steps(target, state, lp, n_steps, scales, rng):
 
 
 def tune_burn_in(target, config: SamplerConfig, init, factor, rng=None) -> TunedState:
-    """Burn in, retuning the proposal scale s of s * L z geometrically from
-    _START_SCALE until the acceptance rate falls inside
-    [_ACCEPT_LO, _ACCEPT_HI]. `factor` holds L's entries (l11, l21, l22).
-
-    A rejected round is re-done from the same initialization with the
-    adjusted scale, so every acceptance measurement refers to the same
-    region. Continuing from wherever a badly scaled chain drifted would
-    let the measurement chase the chain instead of fixing the scale.
-    """
+    """Burn in one chain: one round of burn_in_steps from init, proposing
+    _START_SCALE * L z, where `factor` holds L's entries (l11, l21, l22).
+    The scale is kept whatever the round's acceptance rate, which the
+    returned TunedState records."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
     start = tuple(init)
     lp0 = target(start)
     if not math.isfinite(lp0):
         raise ValueError("burn-in requires an initialization with finite log-posterior")
-    scale = _START_SCALE
-    rate = math.nan
-    for _ in range(_MAX_RETUNES + 1):
-        state, _, accepted = _run_steps(target, start, lp0, config.burn_in_steps,
-                                        _scaled(scale, factor), rng)
-        rate = accepted / config.burn_in_steps
-        if _ACCEPT_LO <= rate <= _ACCEPT_HI:
-            return TunedState(step_scale=scale, state=state, accept_rate=rate, factor=factor)
-        scale = scale * 2.0 if rate > _ACCEPT_HI else scale * 0.5
-    raise _tuning_failed(rate)
+    state, _, accepted = _run_steps(target, start, lp0, config.burn_in_steps,
+                                    _scaled(_START_SCALE, factor), rng)
+    return TunedState(step_scale=_START_SCALE, state=state,
+                      accept_rate=accepted / config.burn_in_steps, factor=factor)
 
 
 def _scaled(scale: float, factor) -> tuple[float, float, float]:
     """The proposal's (a, b, c) = scale * (l11, l21, l22)."""
     return tuple(scale * entry for entry in factor)
-
-
-def _tuning_failed(rate: float) -> TuningFailed:
-    return TuningFailed(
-        f"no acceptance rate in [{_ACCEPT_LO}, {_ACCEPT_HI}] after "
-        f"{_MAX_RETUNES} retunes (last rate {rate:.3f})",
-        last_rate=rate,
-    )
 
 
 def run_chain(target, config: SamplerConfig, tuned: TunedState, rng=None,
@@ -311,8 +276,7 @@ def run_chain(target, config: SamplerConfig, tuned: TunedState, rng=None,
 
 def run_lanes(target, starts, scales, rngs, batches: int, batch_len: int):
     """run_chain for many chains at once, stepped together as numpy lanes:
-    the one Metropolis loop of burn-in rounds (tune_lanes) and of retained
-    sampling (fit_events).
+    the one Metropolis loop of fit_events' burn-in and retained sampling.
 
     `target` is a lane target (distcore.make_lane_log_posterior); lane i
     starts at starts[:, i], (mu, log N), steps by scales[:, i], its (a, b, c)
@@ -370,42 +334,6 @@ def run_lanes(target, starts, scales, rngs, batches: int, batch_len: int):
     return mu_draws, y_draws, accepted
 
 
-def tune_lanes(lists, prior, factors, config: SamplerConfig, inits, rngs) -> list:
-    """tune_burn_in for many chains at once, one numpy lane per chain.
-
-    Chain i scores lists[i] under `prior`, proposes along factors[i],
-    starts every round from inits[i] and draws from rngs[i] in tune_burn_in's
-    order. Each pass runs the next round of every chain still tuning under
-    tune_burn_in's rule, as one run_lanes batch, so every outcome, and where
-    every generator ends, is tune_burn_in's. Returns each chain's TunedState
-    or TuningFailed.
-    """
-    n = config.burn_in_steps
-    results: list = [None] * len(inits)
-    scales = [_START_SCALE] * len(inits)
-    pending = list(range(len(inits)))
-    for r in range(_MAX_RETUNES + 1):
-        if not pending:
-            break
-        mu, y, accepted = run_lanes(
-            make_lane_log_posterior([lists[i] for i in pending], prior),
-            np.array([inits[i] for i in pending], dtype=float).T,
-            np.array([_scaled(scales[i], factors[i]) for i in pending]).T,
-            [rngs[i] for i in pending], 1, n)
-        for lane, i in enumerate(pending):
-            rate = int(accepted[lane]) / n
-            if _ACCEPT_LO <= rate <= _ACCEPT_HI:
-                results[i] = TunedState(step_scale=scales[i], accept_rate=rate,
-                                        state=(float(mu[lane, 0]), float(y[lane, 0])),
-                                        factor=factors[i])
-            elif r == _MAX_RETUNES:
-                results[i] = _tuning_failed(rate)
-            else:
-                scales[i] *= 2.0 if rate > _ACCEPT_HI else 0.5
-        pending = [i for i in pending if results[i] is None]
-    return results
-
-
 def gelman_rubin_mpsrf(chains) -> float:
     """Multivariate potential scale reduction factor over (mu, log N), from
     each chain's (n, 2) array of draws. Returns inf when the pooled
@@ -461,7 +389,7 @@ def _grid_proposal(data, prior):
 
 
 def fit_event(data, prior, config: SamplerConfig) -> FitResult:
-    """Full fit of one event: chains, tuning, sampling, diagnostics, pooling.
+    """Full fit of one event: chains, burn-in, sampling, diagnostics, pooling.
 
     The one-event case of fit_events.
     """
@@ -482,9 +410,11 @@ def fit_events(lists, prior: HyperPrior, config: SamplerConfig):
     """Fit every list under one prior, sampling all their chains as lanes.
 
     Each fit's span is its list's, PerformanceList.t_m. Chain c of an event
-    starts around its grid posterior on chain_rng(config.seed, event id, c);
-    tune_lanes burns in every chain at once, and run_lanes steps every
-    tuned chain of every event that can still succeed. So a fit depends on its own list and id,
+    starts around its grid posterior on chain_rng(config.seed, event id, c).
+    Every chain of every event that can still succeed then runs two
+    run_lanes calls: burn-in, one batch of burn_in_steps at _START_SCALE,
+    and retained sampling from where burn-in ends, so each chain's draws are
+    tune_burn_in's and run_chain's. A fit depends on its own list and id,
     the prior and the config, never on the events fitted with it. Returns
     (fits, failures) in list order: event_id -> FitResult, and event_id ->
     the message of the FitFailed that ended that event. Two lists with one
@@ -493,7 +423,7 @@ def fit_events(lists, prior: HyperPrior, config: SamplerConfig):
     # Per event: (data, {chain id: note on its failure}, [(lane, its
     # ChainSummary) per sampled chain]), or the message of the FitFailed that ended it.
     events: dict = {}
-    chains = []  # per chain with an init: (event id, chain id, factor, init, rng)
+    chains = []  # per chain to sample: (event id, chain id, factor, init, rng)
     for data in lists:
         event_id = data.event.event_id
         if event_id in events:
@@ -504,34 +434,31 @@ def fit_events(lists, prior: HyperPrior, config: SamplerConfig):
             events[event_id] = str(exc)
             continue
         target = make_log_posterior(data, prior)
-        notes = {}
+        notes, found = {}, []
         for chain_id in range(config.chains):
             rng = chain_rng(config.seed, event_id, chain_id)
             init = _draw_init(target, mean, factor, rng)
             if init is None:
                 notes[chain_id] = f"chain {chain_id}: no finite-posterior initialization found"
             else:
-                chains.append((event_id, chain_id, factor, init, rng))
+                found.append((event_id, chain_id, factor, init, rng))
+        # An event that lost half its chains or more is not sampled.
+        if 2 * len(notes) < config.chains:
+            chains += found
         events[event_id] = (data, notes, [])
-    outcomes = tune_lanes([events[c[0]][0] for c in chains], prior, [c[2] for c in chains],
-                          config, [c[3] for c in chains], [c[4] for c in chains])
-    for (event_id, chain_id, *_), outcome in zip(chains, outcomes):
-        if isinstance(outcome, TuningFailed):
-            events[event_id][1][chain_id] = f"chain {chain_id}: {outcome}"
-    # An event that lost half its chains or more is not sampled.
-    lanes = [(chain, tuned) for chain, tuned in zip(chains, outcomes)
-             if isinstance(tuned, TunedState) and 2 * len(events[chain[0]][1]) < config.chains]
-    if lanes:
-        mu, y, accepted = run_lanes(
-            make_lane_log_posterior([events[c[0]][0] for c, _ in lanes], prior),
-            np.array([t.state for _, t in lanes]).T,
-            np.array([_scaled(t.step_scale, t.factor) for _, t in lanes]).T,
-            [c[4] for c, _ in lanes], config.batches, config.batch_len)
+    if chains:
+        target = make_lane_log_posterior([events[c[0]][0] for c in chains], prior)
+        scales = np.array([_scaled(_START_SCALE, c[2]) for c in chains]).T
+        rngs = [c[4] for c in chains]
+        mu, y, _ = run_lanes(target, np.array([c[3] for c in chains]).T, scales, rngs,
+                             1, config.burn_in_steps)
+        mu, y, accepted = run_lanes(target, np.hstack((mu, y)).T, scales, rngs,
+                                    config.batches, config.batch_len)
         steps = config.batches * config.batch_len
-        for lane, ((event_id, chain_id, *_), tuned) in enumerate(lanes):
+        for lane, (event_id, chain_id, *_) in enumerate(chains):
             events[event_id][2].append((lane, ChainSummary(
                 chain_id=chain_id, accept_rate=int(accepted[lane]) / steps,
-                step_scale=tuned.step_scale)))
+                step_scale=_START_SCALE)))
     fits: dict[str, FitResult] = {}
     failures: dict[str, str] = {}
     for event_id, event in events.items():

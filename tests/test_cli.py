@@ -614,7 +614,7 @@ def test_a_config_file_that_cannot_be_read_is_a_usage_error(workspace, tmp_path,
     ("backtest", ["--cutoff", "2015", "--ranks", "7"], ""),
     ("forecast", ["--tf", "nan"], ""),
     ("forecast", ["--tf", "inf"], ""),
-    ("fit", ["--burn-in", "2"], ""),
+    ("fit", ["--burn-in", "0"], ""),
     ("fit", ["--seed", "-1"], ""),
     ("fit", ["--chains", "1"], ""),
     ("fit", ["--batches", "9"], ""),

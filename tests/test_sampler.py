@@ -1,4 +1,4 @@
-"""Metropolis-Hastings machinery: tuning, sampling, diagnostics, fitting."""
+"""Metropolis-Hastings machinery: burn-in, sampling, diagnostics, fitting."""
 import copy
 import hashlib
 import math
@@ -18,7 +18,6 @@ from tailcast.sampler import (
     FitFailed,
     SamplerConfig,
     TunedState,
-    TuningFailed,
     chain_rng,
     fit_event,
     fit_events,
@@ -26,7 +25,6 @@ from tailcast.sampler import (
     run_chain,
     run_lanes,
     tune_burn_in,
-    tune_lanes,
     _draw_init,
     _grid_proposal,
     _pool_draws,
@@ -65,36 +63,6 @@ def synthetic_event(seed=55, keep=400, population=20_000, first_year=2001):
 INFORMATIVE = HyperPrior(
     mu_N=math.log(20_000.0), sigma2_N=0.25, provenance=Provenance.EMPIRICAL
 )
-
-
-def test_tuner_reaches_band(monkeypatch):
-    monkeypatch.setattr(sampler, "_START_SCALE", 0.001)
-    config = small_config(burn_in_steps=1000)
-    tuned = tune_burn_in(std_normal_2d, config, (0.0, 0.0), IDENTITY, np.random.default_rng(1))
-    assert sampler._ACCEPT_LO <= tuned.accept_rate <= sampler._ACCEPT_HI
-    assert tuned.step_scale > 0.001  # had to grow
-    assert math.isfinite(std_normal_2d(tuned.state))
-
-
-def test_tuner_keeps_already_good_scale(monkeypatch):
-    config = small_config(burn_in_steps=1000)
-    monkeypatch.setattr(sampler, "_START_SCALE", 0.001)
-    first = tune_burn_in(std_normal_2d, config, (0.0, 0.0), IDENTITY, np.random.default_rng(1))
-    monkeypatch.setattr(sampler, "_START_SCALE", first.step_scale)
-    retuned = tune_burn_in(std_normal_2d, config, (0.0, 0.0), IDENTITY,
-                           np.random.default_rng(2))
-    assert retuned.step_scale == first.step_scale
-
-
-def test_tuner_gives_up(monkeypatch):
-    def spike(theta):
-        return 0.0 if theta == (0.0, 0.0) else -math.inf
-
-    monkeypatch.setattr(sampler, "_MAX_RETUNES", 3)
-    config = small_config(burn_in_steps=100)
-    with pytest.raises(TuningFailed) as err:
-        tune_burn_in(spike, config, (0.0, 0.0), IDENTITY, np.random.default_rng(0))
-    assert err.value.last_rate == 0.0
 
 
 def test_tuner_rejects_bad_init():
@@ -203,129 +171,26 @@ def test_run_lanes_refuses_a_start_off_the_posterior():
         run_lanes(target, starts, np.full((3, 2), 0.01), rngs, 1, 10)
 
 
-# Burn-in settings, and tuning-rule constants patched into the sampler, that
-# drive tune_lanes down every path of tune_burn_in's rule: the default start,
-# in the band at the first round; a small start scale that must double; a
-# large one that must halve; a retune budget too small to reach the band;
-# a band that holds two accept counts of 50, so rounds overshoot it both
-# ways; and a round of two whole step blocks and a ragged one.
-TUNING_CASES = {
-    "first_round": (dict(), dict()),
-    "ragged_block": (dict(burn_in_steps=137), dict()),
-    "doubling": (dict(), dict(_START_SCALE=0.001)),
-    "halving": (dict(), dict(_START_SCALE=100.0)),
-    "exhausted": (dict(), dict(_START_SCALE=0.001, _MAX_RETUNES=2)),
-    "narrow_band": (dict(burn_in_steps=50),
-                    dict(_ACCEPT_LO=0.3, _ACCEPT_HI=0.32, _MAX_RETUNES=12)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(TUNING_CASES))
-def test_tune_lanes_matches_tune_burn_in(case, monkeypatch):
-    settings, constants = TUNING_CASES[case]
-    for name, value in constants.items():
-        monkeypatch.setattr(sampler, name, value)
-    config = small_config(**settings)
-    lists, priors, factors, inits, lane_rngs, reference = [], [], [], [], [], []
-    scales_seen = []
-
-    def recording_run_steps(target, state, lp, n_steps, scales, rng):
-        scales_seen[-1].append(scales[0] / factors[-1][0])
-        return _run_steps(target, state, lp, n_steps, scales, rng)
-
-    monkeypatch.setattr(sampler, "_run_steps", recording_run_steps)
-    for data in lane_events():
-        for prior in (HyperPrior.weakly_informative(), INFORMATIVE):
-            target = make_log_posterior(data, prior)
-            mean, factor = _grid_proposal(data, prior)
-            for seed in (3, 4, 5):
-                rng = np.random.default_rng(seed)
-                init = _draw_init(target, mean, factor, rng)
-                lists.append(data)
-                priors.append(prior)
-                factors.append(factor)
-                inits.append(init)
-                lane_rngs.append(copy.deepcopy(rng))
-                scales_seen.append([])
-                try:
-                    outcome = tune_burn_in(target, config, init, factor, rng)
-                except TuningFailed as exc:
-                    outcome = exc
-                reference.append((outcome, rng.bit_generator.state))
-    monkeypatch.setattr(sampler, "_run_steps", _run_steps)  # the constants stay patched
-    # One lane target scores one prior, so each prior's chains tune apart.
-    outcomes = [None] * len(inits)
-    for prior in (HyperPrior.weakly_informative(), INFORMATIVE):
-        lanes = [i for i, p in enumerate(priors) if p == prior]
-        results = tune_lanes([lists[i] for i in lanes], prior, [factors[i] for i in lanes],
-                             config, [inits[i] for i in lanes], [lane_rngs[i] for i in lanes])
-        for i, result in zip(lanes, results):
-            outcomes[i] = result
-    assert len(outcomes) == len(reference)
-    for got, rng, (want, want_rng_state) in zip(outcomes, lane_rngs, reference):
-        assert type(got) is type(want)
-        if isinstance(want, TuningFailed):
-            assert str(got) == str(want)
-            assert got.last_rate == want.last_rate
-        else:
-            assert got == want  # scale, final state and rate, bit for bit
-        assert rng.bit_generator.state == want_rng_state
-    # Each case reaches the path it is named for.
-    kinds = [type(want) for want, _ in reference]
-    if case == "exhausted":
-        assert TuningFailed in kinds
-    else:
-        assert TunedState in kinds
-    tuned_scales = [want.step_scale for want, _ in reference if isinstance(want, TunedState)]
-    if case == "first_round":
-        assert any(len(seen) == 1 for seen in scales_seen)
-    if case == "doubling":
-        assert any(scale > sampler._START_SCALE for scale in tuned_scales)
-    if case == "halving":
-        assert any(scale < sampler._START_SCALE for scale in tuned_scales)
-    if case == "narrow_band":
-        # some chain retuned against its last direction
-        assert any(len(set(np.sign(np.diff(np.log2(seen))))) > 1 for seen in scales_seen)
-
-
-def test_tune_lanes_memory_is_bounded_by_the_block():
-    # The draws of a round are 24 bytes per lane-step (two normals and one
+def test_burn_in_memory_is_bounded_by_the_block():
+    # The draws of a batch are 24 bytes per lane-step (two normals and one
     # uniform); everything built from them is built one block at a time.
     data, prior = synthetic_event(), HyperPrior.weakly_informative()
     config = small_config(burn_in_steps=4000)
     target = make_log_posterior(data, prior)
     mean, factor = _grid_proposal(data, prior)
     rngs = [chain_rng(config.seed, data.event.event_id, c) for c in range(40)]
-    inits = [_draw_init(target, mean, factor, rng) for rng in rngs]
+    starts = np.array([_draw_init(target, mean, factor, rng) for rng in rngs]).T
+    scales = np.array([sampler._scaled(sampler._START_SCALE, factor)] * 40).T
+    lane_target = make_lane_log_posterior([data] * 40, prior)
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        outcomes = tune_lanes([data] * 40, prior, [factor] * 40, config, inits, rngs)
+        mu, _, _ = run_lanes(lane_target, starts, scales, rngs, 1, config.burn_in_steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(isinstance(o, TunedState) for o in outcomes)
+    assert mu.shape == (40, 1)
     assert (peak - entry) / (40 * config.burn_in_steps) <= 32.0
-
-
-@pytest.mark.parametrize("burn_in_steps", [250, 400, 1000])
-def test_grid_proposal_tunes_every_chain_at_the_first_round(burn_in_steps):
-    # With the proposal shaped by the grid covariance, the start scale lands
-    # in the acceptance band at once, so tune_lanes needs one pass.
-    config = small_config(burn_in_steps=burn_in_steps)
-    prior = HyperPrior.weakly_informative()
-    lists, factors, inits, rngs = [], [], [], []
-    for data in lane_events():
-        target = make_log_posterior(data, prior)
-        mean, factor = _grid_proposal(data, prior)
-        for chain_id in range(4):
-            rng = chain_rng(config.seed, data.event.event_id, chain_id)
-            lists.append(data)
-            factors.append(factor)
-            inits.append(_draw_init(target, mean, factor, rng))
-            rngs.append(rng)
-    outcomes = tune_lanes(lists, prior, factors, config, inits, rngs)
-    assert [o.step_scale for o in outcomes] == [sampler._START_SCALE] * len(lists)
 
 
 # sha256 of the chains that the fit below pools: it moves only with a
@@ -431,37 +296,70 @@ def test_fit_events_draws_each_chain_from_its_stream():
     _assert_pools(fit, _reference_chains(data, INFORMATIVE, config))
 
 
+def test_fit_events_burns_in_once_then_samples(monkeypatch):
+    # Two run_lanes calls over every chain: burn-in, one batch of
+    # burn_in_steps, then retained sampling. Each chain's stream ends where
+    # the scalar _draw_init, tune_burn_in and run_chain leave it, also for
+    # the chains of a 3-mark list, whose acceptance rates stray furthest.
+    tiny = tail_performance_list(EventSpec.running("tiny60"),
+                                 sample_tail(60, MU_STAR, SIGMA_STAR, 20_000, 3),
+                                 2001, 2020, seed=61)
+    lists, prior = [*lane_events(), tiny], HyperPrior.weakly_informative()
+    config = small_config(batches=20)
+    calls, streams = [], {}
+
+    def counted_run_lanes(target, starts, scales, rngs, batches, batch_len):
+        calls.append((len(rngs), batches, batch_len))
+        return run_lanes(target, starts, scales, rngs, batches, batch_len)
+
+    def kept_chain_rng(seed, event_id, chain_id):
+        streams[event_id, chain_id] = chain_rng(seed, event_id, chain_id)
+        return streams[event_id, chain_id]
+
+    monkeypatch.setattr(sampler, "run_lanes", counted_run_lanes)
+    monkeypatch.setattr(sampler, "chain_rng", kept_chain_rng)
+    fits, failures = fit_events(lists, prior, config)
+    assert not failures
+    lanes = len(lists) * config.chains
+    assert calls == [(lanes, 1, config.burn_in_steps),
+                     (lanes, config.batches, config.batch_len)]
+    for data in lists:
+        target = make_log_posterior(data, prior)
+        mean, factor = _grid_proposal(data, prior)
+        chains = []
+        for chain_id in range(config.chains):
+            rng = chain_rng(config.seed, data.event.event_id, chain_id)
+            tuned = tune_burn_in(target, config, _draw_init(target, mean, factor, rng), factor, rng)
+            chains.append(run_chain(target, config, tuned, rng, chain_id=chain_id))
+            got = streams[data.event.event_id, chain_id].bit_generator.state
+            assert got == rng.bit_generator.state
+        _assert_pools(fits[data.event.event_id], chains)
+
+
 def test_fit_events_keeps_an_event_that_lost_fewer_than_half_its_chains(monkeypatch):
     # Of 6 chains, `kept` loses 2 and is fitted; `lost` loses half and fails.
     # Each chain is named by its stream, chain_rng(seed, event id, chain id).
     kept, lost = synthetic_event(), synthetic_event(seed=61, keep=25)
-    no_init = {(kept.event.event_id, 3), (lost.event.event_id, 0)}
-    no_tuning = {(kept.event.event_id, 1), (lost.event.event_id, 1), (lost.event.event_id, 4)}
-    failure = sampler._tuning_failed(0.9)
+    no_init = {(kept.event.event_id, 1), (kept.event.event_id, 3),
+               (lost.event.event_id, 0), (lost.event.event_id, 1), (lost.event.event_id, 4)}
     crc_ids = {zlib.crc32(d.event.event_id.encode("utf-8")): d.event.event_id for d in (kept, lost)}
 
-    def chain_of(rng):
-        _, crc, chain_id = rng.bit_generator.seed_seq.entropy
-        return crc_ids[crc], chain_id
-
     def draw_init(target, mean, factor, rng):
-        return None if chain_of(rng) in no_init else _draw_init(target, mean, factor, rng)
-
-    def tuning(lists, prior, factors, config, inits, rngs):
-        results = tune_lanes(lists, prior, factors, config, inits, rngs)
-        return [failure if chain_of(rng) in no_tuning else r for r, rng in zip(results, rngs)]
+        _, crc, chain_id = rng.bit_generator.seed_seq.entropy
+        if (crc_ids[crc], chain_id) in no_init:
+            return None
+        return _draw_init(target, mean, factor, rng)
 
     # 4 surviving chains of 20 draws pool to 30: blocks of 8, 7, 8 and 7 draws
     config = small_config(chains=6, batches=20, pool_size=30)
     survivors = _reference_chains(kept, INFORMATIVE, config, chain_ids=(0, 2, 4, 5))
     monkeypatch.setattr(sampler, "_draw_init", draw_init)
-    monkeypatch.setattr(sampler, "tune_lanes", tuning)
     fits, failures = fit_events([kept, lost], INFORMATIVE, config)
     assert failures == {lost.event.event_id: f"{lost.event.event_id}: 3 of 6 chains failed"}
     fit = fits[kept.event.event_id]
     assert fit.meta.failed_chains == (1, 3)
-    assert fit.meta.notes == (f"chain 1: {failure}",
-                              "chain 3: no finite-posterior initialization found")
+    assert fit.meta.notes == tuple(f"chain {c}: no finite-posterior initialization found"
+                                   for c in (1, 3))
     assert fitfile.dumps(fit) == fitfile.dumps(fit_event(kept, INFORMATIVE, config))
     assert [c.chain_id for c in fit.meta.chains] == [0, 2, 4, 5]
     _assert_pools(fit, survivors)
@@ -592,9 +490,8 @@ def test_fit_event_needs_two_chains():
 
 def test_fit_event_all_chains_failing(monkeypatch):
     data = synthetic_event()
-    monkeypatch.setattr(sampler, "_MAX_RETUNES", 0)
-    monkeypatch.setattr(sampler, "_START_SCALE", 1e9)
-    with pytest.raises(FitFailed):
+    fail_every_init(monkeypatch, data.event.event_id)
+    with pytest.raises(FitFailed, match="3 of 3 chains failed"):
         fit_event(data, INFORMATIVE, small_config())
 
 
@@ -628,7 +525,7 @@ def test_pool_draws_stride():
     assert np.array_equal(mu2, np.arange(100, dtype=float))
 
 
-def test_sampler_config_validation(monkeypatch):
+def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(batches=0)
     # the convergence diagnostic needs two chains of ten retained draws
@@ -637,12 +534,10 @@ def test_sampler_config_validation(monkeypatch):
     with pytest.raises(ValueError, match="batches"):
         SamplerConfig(batches=9)
     assert SamplerConfig(batches=10).batches == 10
-    # no accept count of 1 or 2 steps lands in [0.2, 0.4]; 1 of 3 and 1 of 5 do
-    for bad in (1, 2):
-        with pytest.raises(ValueError, match="no acceptance rate"):
-            SamplerConfig(burn_in_steps=bad)
-    for good in (3, 5):
-        assert SamplerConfig(burn_in_steps=good).burn_in_steps == good
+    # burn-in is one round at a fixed scale, so any positive length will do
+    assert SamplerConfig(burn_in_steps=1).burn_in_steps == 1
+    with pytest.raises(ValueError, match="burn_in_steps must be positive"):
+        SamplerConfig(burn_in_steps=0)
     # chain streams are SeedSequence hashes, which take no negative seed
     with pytest.raises(ValueError, match="seed"):
         SamplerConfig(seed=-1)
@@ -652,8 +547,3 @@ def test_sampler_config_validation(monkeypatch):
         with pytest.raises(ValueError, match=f"{name} of 309 digits is too large for a float"):
             SamplerConfig(**{name: largest + 1})
     assert SamplerConfig(seed=largest).seed == largest
-    # the check reads the tuning rule's band: no count of 10 lands in [0.31, 0.39]
-    monkeypatch.setattr(sampler, "_ACCEPT_LO", 0.31)
-    monkeypatch.setattr(sampler, "_ACCEPT_HI", 0.39)
-    with pytest.raises(ValueError, match="no acceptance rate"):
-        SamplerConfig(burn_in_steps=10)

@@ -23,7 +23,7 @@ Each side's checkout is named by `git rev-parse HEAD` and whether
 source digest. A `quality` section runs `corpus` once per side at seeds
 0 to 9 and keeps each run's converged_frac and recovery_frac, with each
 side's default SamplerConfig and its lane-steps per chain
-(burn_in_steps + batches x batch_len, before retunes).
+(burn_in_steps + batches x batch_len).
 Files are added, never rewritten: the script refuses an existing name.
 """
 from __future__ import annotations
