@@ -9,9 +9,15 @@ place (`make_lane_log_posterior`) under one prior on N (`HyperPrior`):
 many chains as numpy lanes, for burn-in and retained sampling, or one
 list over a block of points, for its quadrature grid. `make_log_posterior`
 is its one-lane view on Python floats, for chain initialization and the
-scalar reference sampler. Each list's grid is scored once, under the weak
-prior (`HyperPrior.weakly_informative()`), into per-column sums
-(`grid_columns`) that `grid_posterior` reweights to any prior on log N.
+scalar reference sampler. The kernel's cost is the overhead of its numpy
+calls more than its arithmetic, so the sampler scores two steps of every
+chain per call. Each list's grid is scored once, under the weak prior
+(`HyperPrior.weakly_informative()`), into per-column sums (`grid_columns`)
+that `grid_posterior` reweights to any prior on log N. Each column's log
+weight is concave in u, so `grid_columns` finds from every 8th u-row the
+band of rows that can rise above the floor it clamps weights to, and
+scores only those: the same columns, bit for bit, from well under half
+the cells for lists of hundreds of marks.
 """
 from __future__ import annotations
 
@@ -36,6 +42,13 @@ _U_RANGE = (-14.0, 1.0)
 _LOG_N_MAX = 30.0
 _GRID_SHAPE = (400, 400)
 _GRID_BLOCK = 50
+# grid_columns' floor on a log weight below its column's largest, that
+# floor's weight as np.exp gives it, and its band search (see its docstring):
+# _BAND_MARGIN keeps 50 log units between a skipped row and the floor.
+_FLOOR = -600.0
+_EXP_FLOOR = float(np.exp(np.full(1, _FLOOR))[0])
+_COARSE_STRIDE = 8
+_BAND_MARGIN = 650.0
 
 
 class Provenance(enum.Enum):
@@ -168,36 +181,39 @@ def make_lane_log_posterior(lists, prior):
     cap, reject = np.full(lanes, _LOG_N_CAP), np.full(lanes, -math.inf)
     ndtri = special.ndtri
     # Scratch arrays per (mu shape, log N shape), made on first use: the terms
-    # of log N alone, of mu alone, and of both.
+    # of log N alone, of mu alone, and of both, and the log N cap's mask. Every
+    # call writes into them positionally (a keyword out= costs more per call),
+    # but np.minimum's, whose positional form is deprecated.
     scratch = {}
 
     def target(mu, log_n_pop, out=None):
-        key = (np.shape(mu), np.shape(log_n_pop))
+        key = (mu.shape, log_n_pop.shape)
         buffers = scratch.get(key)
         if buffers is None:
             col = np.broadcast_shapes(key[1], (lanes,))
             row = np.broadcast_shapes(key[0], (lanes,))
             full = np.broadcast_shapes(col, row)
-            buffers = scratch[key] = tuple(map(np.empty, (col, col, row, row, full, full)))
-        q, p, d, s, k, t = buffers
-        np.exp(np.subtract(log_n, log_n_pop, out=q), out=q)
-        np.minimum(ndtri(q, out=q), zero, out=q)
-        np.multiply(b, log_n_pop, out=p)
-        np.subtract(a, p, out=p)
-        np.multiply(p, log_n_pop, out=p)
-        np.add(p, const, out=p)
-        np.subtract(w_k, mu, out=d)
-        np.subtract(mean_x, mu, out=s)
-        np.multiply(s, s, out=s)
-        np.add(s, var_x, out=s)
-        np.divide(q, d, out=k)
-        np.multiply(s, np.multiply(k, k, out=t), out=t)
-        np.multiply(t, half, out=t)
-        out = np.log(k, out=out)
+            buffers = scratch[key] = (*map(np.empty, (col, col, row, row, full, full)),
+                                      np.empty(col, dtype=bool))
+        q, p, d, s, k, t, capped = buffers
+        np.exp(np.subtract(log_n, log_n_pop, q), q)
+        np.minimum(ndtri(q, q), zero, out=q)
+        np.multiply(b, log_n_pop, p)
+        np.subtract(a, p, p)
+        np.multiply(p, log_n_pop, p)
+        np.add(p, const, p)
+        np.subtract(w_k, mu, d)
+        np.subtract(mean_x, mu, s)
+        np.multiply(s, s, s)
+        np.add(s, var_x, s)
+        np.divide(q, d, k)
+        np.multiply(s, np.multiply(k, k, t), t)
+        np.multiply(t, half, t)
+        out = np.log(k, out)
         out -= t
         out += p
         out *= n
-        np.copyto(out, reject, where=log_n_pop >= cap)
+        np.copyto(out, reject, where=np.greater_equal(log_n_pop, cap, capped))
         return out
 
     return target
@@ -219,6 +235,18 @@ def grid_columns(data) -> np.ndarray:
     largest log weight w in it (the Jacobian e^u included). Rows 1 to 5 are,
     relative to e^m, the column's sums over u of e^w, d e^w and d^2 e^w
     (d = e^u), and e^w at its first and at its last u-row.
+
+    A weight more than 600 below its column's largest is floored there, so
+    only the rows near the top need scoring. Every _COARSE_STRIDE-th u-row
+    of the grid is scored first. Then each block of _GRID_BLOCK columns
+    scores only the rows between its outermost coarse rows within
+    _BAND_MARGIN of their column's coarse top, widened by one stride each
+    side; every other row takes the floor. This is exact: with
+    m = mean - w_k <= 0 and v the list's variance, a column's weight is
+    -(n - 1) u - (n q^2 / 2) [(|m| e^-u + 1)^2 + v e^-2u] + const, concave
+    in u, so past a coarse row that lies more than _BAND_MARGIN below the
+    coarse top it only falls further, below the floor. The columns are bit
+    for bit those of the whole grid scored (tests/oracles.grid_columns).
     """
     n_u, n_y = _GRID_SHAPE
     u = _midpoints(*_U_RANGE, n_u)
@@ -230,17 +258,28 @@ def grid_columns(data) -> np.ndarray:
     columns = np.empty((6, n_y))
     weight = np.empty((n_u, _GRID_BLOCK))
     with np.errstate(all="ignore"):
-        for first in range(0, n_y, _GRID_BLOCK):
+        coarse = target(mu[::_COARSE_STRIDE], y)
+        coarse += u[::_COARSE_STRIDE]
+        # A far coarse row lies more than the margin below the coarse top of
+        # every column of its block. A top's own row is never far, and a top
+        # of nan or -inf leaves no row far, so its whole block is scored.
+        far = (coarse < coarse.max(axis=0) - _BAND_MARGIN).reshape(len(coarse), -1, _GRID_BLOCK)
+        near = ~far.all(axis=2)
+        firsts = np.maximum(near.argmax(axis=0) - 1, 0) * _COARSE_STRIDE
+        lasts = np.minimum((len(near) - near[::-1].argmax(axis=0)) * _COARSE_STRIDE + 1, n_u)
+        for first, lo, hi in zip(range(0, n_y, _GRID_BLOCK), firsts.tolist(), lasts.tolist()):
             block = slice(first, first + _GRID_BLOCK)
-            target(mu, y[block], out=weight)
-            weight += u
-            columns[0, block] = top = weight.max(axis=0)
+            band = weight[lo:hi]
+            target(mu[lo:hi], y[block], band)
+            band += u[lo:hi]
+            columns[0, block] = top = band.max(axis=0)
             # A weight below e^-600 of its column's largest adds nothing a
             # double holds next to it. Flooring it there keeps exp off its
             # slow underflow path, and its products with d^2 >= e^-28 off
             # the subnormals that slow the sums.
-            np.maximum(np.subtract(weight, top, out=weight), -600.0, out=weight)
-            np.exp(weight, out=weight)
+            np.maximum(np.subtract(band, top, band), _FLOOR, out=band)
+            np.exp(band, band)
+            weight[:lo] = weight[hi:] = _EXP_FLOOR
             columns[1:4, block] = powers @ weight
             columns[4:, block] = weight[[0, -1]]
     return columns

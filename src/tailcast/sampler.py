@@ -25,13 +25,18 @@ every chain of every event as numpy lanes of the same kernel instead, one
 lane target scoring every list under that prior. run_lanes is the one lane
 stepper: fit_events burns every chain in as one run_lanes batch of
 burn_in_steps, then steps them through retained sampling batch by batch.
-A lane takes its draws whole per batch, in _run_steps' order, so it keeps
-its chain's stream; everything built from them is built per block of
-_STEP_BLOCK steps, so only the draws grow with the batch. Each fitted
-event keeps the mpsrf of its chains and an even-stride pool of their
-draws, and drops the chains. At the defaults the pool is every retained
-draw: 10 chains x 100 batches = pool_size 1000. Thinning further than the
-chains' autocorrelation needs buys no precision (Geyer 1992): on the
+Each call of the lane target moves every lane two steps: it scores both
+candidates of the second step beside the first step's, so the second is
+accepted against whichever state the first left, bit for bit as one step
+at a time. A lane takes its draws whole per batch, in _run_steps' order,
+so it keeps its chain's stream, for whole batches of at least _STEP_BLOCK
+steps at a time; everything built from them is built per block of
+_STEP_BLOCK steps across those batches, so only the draws grow with the
+batch. Each fitted event keeps the mpsrf of its chains and an even-stride
+pool of their draws, and drops the chains. At the defaults the pool is
+every retained draw: 10 chains x 100 batches = pool_size 1000. Thinning
+further than the chains' autocorrelation needs buys no precision (Geyer
+1992): on the
 criterion-5 fixture, draws retained 20 steps apart keep every event's
 pooled ESS above 600 of 1000 (tests/test_acceptance.py), and retaining
 more than the pool would buy sampling that no forecast reads. An event
@@ -60,9 +65,9 @@ _START_SCALE = 2.38 / math.sqrt(2.0)
 # Initial points a chain tries before _draw_init gives up on it.
 _INIT_TRIES = 500
 # Steps whose increments, log-uniforms and accept flags run_lanes builds at
-# once. It bounds what a long burn-in batch holds beyond its draws, and a
-# smaller block would set up more blocks per batch. A batch of at most
-# _STEP_BLOCK steps, as every default sampling batch is, is one block.
+# once, and the fewest steps whose draws it takes at once (whole batches of
+# them). It bounds what a long burn-in batch holds beyond its draws, and a
+# smaller block would set up more blocks per batch.
 _STEP_BLOCK = 50
 
 
@@ -278,14 +283,31 @@ def run_lanes(target, starts, scales, rngs, batches: int, batch_len: int):
     """run_chain for many chains at once, stepped together as numpy lanes:
     the one Metropolis loop of fit_events' burn-in and retained sampling.
 
-    `target` is a lane target (distcore.make_lane_log_posterior); lane i
-    starts at starts[:, i], (mu, log N), steps by scales[:, i], its (a, b, c)
-    as in _run_steps, and draws from rngs[i]: per batch, its (batch_len, 2)
-    increments, then its batch_len uniforms, in _run_steps' order. So lane i
-    reproduces run_chain's chain bit for bit, as make_log_posterior is the
-    one-lane view of the same kernel. The draws are taken whole per batch, so
-    each lane keeps its chain's stream; the steps, log-uniforms and accept
-    flags built from them are built _STEP_BLOCK steps at a time, so a batch
+    Lane i starts at starts[:, i], (mu, log N), steps by scales[:, i], its
+    (a, b, c) as in _run_steps, and draws from rngs[i]: per batch, its
+    (batch_len, 2) increments, then its batch_len uniforms, in _run_steps'
+    order. So lane i reproduces run_chain's chain bit for bit, as
+    make_log_posterior is the one-lane view of the same kernel.
+
+    Every call of `target` moves every lane two steps (a pre-fetch of depth
+    2; Brockwell 2006, J. Comput. Graph. Stat. 15:246): from state R it
+    scores R + s_t, R + s_t+1 and (R + s_t) + s_t+1 at once, then accepts
+    step t against R and step t+1 against whichever state step t left, with
+    _run_steps' subtraction and comparison, so each lane's draws stay bit
+    for bit. `target` is therefore a lane target
+    (distcore.make_lane_log_posterior) over the lanes' lists taken three
+    times, lists * 3, scoring flat arrays of three blocks of lanes. At a few
+    dozen lanes a call's cost is mostly its numpy calls' overhead, not their
+    arithmetic, so a call over three points per lane costs little more than
+    one over one point per lane.
+
+    A lane takes its draws whole per batch, so it keeps its chain's stream,
+    but for at least _STEP_BLOCK steps at a time: into a buffer of whole
+    batches. The steps, log-uniforms and accept flags built from them are
+    built _STEP_BLOCK steps at a time across the buffer's batches, and each
+    batch's final state is recorded where it falls inside a block. A block
+    of odd length ends in a pair whose second step is never accepted (its
+    log-uniform is +inf), so every block runs the same paired loop. A batch
     holds 24 bytes of draws per lane-step and only one block of what follows
     from them. Returns (mu, logN, accepted): (lanes, batches) arrays of each
     batch's final state, and each lane's accepted-step count. A start whose
@@ -294,43 +316,83 @@ def run_lanes(target, starts, scales, rngs, batches: int, batch_len: int):
     lanes = len(rngs)
     state = np.empty((3, lanes))  # mu, log N and lp of every lane
     state[:2] = starts
-    cand = np.empty_like(state)
+    # (mu, log N, lp) x (R + s_t, R + s_t+1, (R + s_t) + s_t+1) x lanes; each
+    # quantity's three blocks are one flat array of the target's lanes.
+    cand = np.empty((3, 3, lanes))
+    cand[:2] = state[:2, None]
     # Views and buffers made once: each slice or temporary costs a call per step.
-    pos, lp, cand_pos = state[:2].reshape(-1), state[2], cand[:2].reshape(-1)
-    cand_mu, cand_y, cand_lp = cand
+    lp, pos = state[2], state[:2, None]
+    cand_mu, cand_y, cand_lp = (row.reshape(-1) for row in cand)
+    first, second, both = cand.transpose(1, 0, 2)
+    first_lp, second_lp = first[2], second[2]
+    firsts, (first_mu, first_y), (both_mu, both_y) = cand[:2, :2], first[:2], both[:2]
     gain = np.empty(lanes)
-    incs = np.empty((lanes, batch_len, 2))
-    us = np.empty((lanes, batch_len))
+    group = min(batches, -(-_STEP_BLOCK // batch_len))  # batches per buffer
+    incs = np.empty((lanes, group, batch_len, 2))
+    us = np.empty((lanes, group, batch_len))
+    # Each lane's draw methods and per-batch views, bound once: per call they
+    # cost about as much as the draws of a short batch.
+    draws = [(rng.standard_normal, rng.random, list(zip(inc, u)))
+             for inc, u, rng in zip(incs, us, rngs)]
     a, b, c = scales
     mu_draws = np.empty((lanes, batches))
     y_draws = np.empty((lanes, batches))
     accepted = np.zeros(lanes, dtype=np.int64)
     with np.errstate(all="ignore"):
-        target(state[0], state[1], out=lp)
+        target(cand_mu, cand_y, cand_lp)
+        lp[:] = first_lp
         if not np.isfinite(lp).all():
             raise ValueError("every lane must start at a finite log-posterior")
-        for batch in range(batches):
-            for inc, u, rng in zip(incs, us, rngs):
-                rng.standard_normal(out=inc)
-                rng.random(out=u)
-            for start in range(0, batch_len, _STEP_BLOCK):
-                block = slice(start, start + _STEP_BLOCK)
-                # Row t of steps holds step t of every lane, mu block then log N
-                # block, laid out like state[:2], so one flat add moves every lane.
-                z1, z2 = incs[:, block].transpose(2, 1, 0)
-                steps = np.stack((z1 * a, z1 * b + z2 * c), axis=1).reshape(len(z1), -1)
+        for batch0 in range(0, batches, group):
+            count = min(group, batches - batch0)
+            for normal, uniform, views in draws:
+                for inc, u in views[:count]:
+                    normal(out=inc)
+                    uniform(out=u)
+            n_steps = count * batch_len
+            buf_incs = incs[:, :count].reshape(lanes, n_steps, 2)
+            buf_us = us[:, :count].reshape(lanes, n_steps)
+            for start in range(0, n_steps, _STEP_BLOCK):
+                m = min(_STEP_BLOCK, n_steps - start)
+                pairs = (m + 1) // 2
+                # The last step of each batch in this block, by its place in
+                # the block: the state after it is that batch's draw.
+                ends = {end - start: batch0 + end // batch_len
+                        for end in range(batch_len - 1, n_steps, batch_len)
+                        if start <= end < start + m}
+                # Step t of every lane, in a mu block and a log N block, with a
+                # zero step padding a block of odd length.
+                steps = np.zeros((2, 2 * pairs, lanes))
+                z1 = buf_incs[:, start:start + m, 0].T
+                np.multiply(z1, a, steps[0, :m])
+                np.multiply(z1, b, steps[1, :m])
+                steps[1, :m] += buf_incs[:, start:start + m, 1].T * c
+                steps = steps.reshape(2, pairs, 2, lanes)
                 # np.log over one contiguous block, as in _run_steps: a strided or
-                # scalar log can differ in the last ulp.
-                log_us = np.log(np.ascontiguousarray(us[:, block].T))
-                accepts = np.empty((len(steps), lanes), dtype=bool)
-                for step, log_u, accept in zip(steps, log_us, accepts):
-                    np.add(pos, step, out=cand_pos)
-                    target(cand_mu, cand_y, out=cand_lp)
-                    np.less(log_u, np.subtract(cand_lp, lp, out=gain), out=accept)
-                    np.copyto(state, cand, where=accept)
+                # scalar log can differ in the last ulp. The padding step's +inf
+                # is never accepted.
+                log_us = np.full((2 * pairs, lanes), np.inf)
+                np.log(np.ascontiguousarray(buf_us[:, start:start + m].T), log_us[:m])
+                accepts = np.empty((2 * pairs, lanes), dtype=bool)
+                for t, (step, mu_step, y_step, log_u1, log_u2, accept1, accept2) in enumerate(zip(
+                        steps.transpose(1, 0, 2, 3), steps[0, :, 1], steps[1, :, 1],
+                        log_us[::2], log_us[1::2],
+                        accepts[::2], accepts[1::2])):
+                    np.add(pos, step, firsts)
+                    # Two 1-D adds cost less than one over the strided (2, lanes) views.
+                    np.add(first_mu, mu_step, both_mu)
+                    np.add(first_y, y_step, both_y)
+                    target(cand_mu, cand_y, cand_lp)
+                    np.less(log_u1, np.subtract(first_lp, lp, gain), accept1)
+                    np.copyto(state, first, where=accept1)
+                    np.copyto(second, both, where=accept1)
+                    if 2 * t in ends:
+                        mu_draws[:, ends[2 * t]], y_draws[:, ends[2 * t]] = state[:2]
+                    np.less(log_u2, np.subtract(second_lp, lp, gain), accept2)
+                    np.copyto(state, second, where=accept2)
+                    if 2 * t + 1 in ends:
+                        mu_draws[:, ends[2 * t + 1]], y_draws[:, ends[2 * t + 1]] = state[:2]
                 accepted += accepts.sum(axis=0)
-            mu_draws[:, batch] = state[0]
-            y_draws[:, batch] = state[1]
     return mu_draws, y_draws, accepted
 
 
@@ -447,7 +509,7 @@ def fit_events(lists, prior: HyperPrior, config: SamplerConfig):
             chains += found
         events[event_id] = (data, notes, [])
     if chains:
-        target = make_lane_log_posterior([events[c[0]][0] for c in chains], prior)
+        target = make_lane_log_posterior([events[c[0]][0] for c in chains] * 3, prior)
         scales = np.array([_scaled(_START_SCALE, c[2]) for c in chains]).T
         rngs = [c[4] for c in chains]
         mu, y, _ = run_lanes(target, np.array([c[3] for c in chains]).T, scales, rngs,

@@ -5,6 +5,11 @@ identity in scalar form, then the truncated-normal log-density mark by mark,
 summed exactly with math.fsum. It shares no code with distcore's kernel
 beyond scipy's normal functions.
 
+`grid_columns` scores one list's whole grid, every cell of it, and sums
+it per log N column: the reference for distcore.grid_columns, which
+scores only the band of u-rows that can rise above its floor and must
+give the same columns bit for bit.
+
 `grid_posterior` integrates one list's grid the direct way: every cell
 scored under the prior itself, against one running peak over the whole
 grid, with the moments taken from per-row and per-column sums. It is the
@@ -37,9 +42,12 @@ import numpy as np
 from scipy import special
 
 from tailcast.distcore import (
+    _GRID_BLOCK,
     _GRID_SHAPE,
     _LOG_N_MAX,
     _U_RANGE,
+    _WEAK,
+    _grid_log_n,
     _midpoints,
     make_lane_log_posterior,
 )
@@ -144,6 +152,31 @@ def geyer_ess(x) -> float:
     m = len(pairs) if positive.all() else int(np.argmin(positive))
     tau = -1.0 + 2.0 * np.minimum.accumulate(pairs[:m]).sum()
     return n / tau
+
+
+def grid_columns(data) -> np.ndarray:
+    """distcore.grid_columns with every cell of the grid scored: each block
+    of _GRID_BLOCK log N columns in one kernel call over all u-rows."""
+    n_u, n_y = _GRID_SHAPE
+    u = _midpoints(*_U_RANGE, n_u)
+    d = np.exp(u)
+    powers = np.stack((np.ones(n_u), d, d * d))
+    mu, u = data.w_k + d[:, None], u[:, None]
+    y = _grid_log_n(data.n_k)
+    target = make_lane_log_posterior([data], _WEAK)
+    columns = np.empty((6, n_y))
+    weight = np.empty((n_u, _GRID_BLOCK))
+    with np.errstate(all="ignore"):
+        for first in range(0, n_y, _GRID_BLOCK):
+            block = slice(first, first + _GRID_BLOCK)
+            target(mu, y[block], out=weight)
+            weight += u
+            columns[0, block] = top = weight.max(axis=0)
+            np.maximum(np.subtract(weight, top, out=weight), -600.0, out=weight)
+            np.exp(weight, out=weight)
+            columns[1:4, block] = powers @ weight
+            columns[4:, block] = weight[[0, -1]]
+    return columns
 
 
 def grid_posterior(data, prior):

@@ -345,6 +345,44 @@ def test_grid_posterior_matches_the_cell_by_cell_grid(keep, prior):
         assert share == pytest.approx(want_edges[edge], rel=1e-9, abs=1e-12), edge
 
 
+def _field_grid_case():
+    """A long-jump-like field list of 500 marks: transformed marks near -log 800."""
+    tail = sample_tail(81, -math.log(800.0), 0.03, 20_000, 500)
+    return tail_performance_list(EventSpec.field("lj"), tail, 2001, 2020, seed=2)
+
+
+@pytest.mark.parametrize("case", ["1", "3", "15", "500", "2000", "20000", "field", "u=1 edge"])
+def test_grid_columns_match_the_full_grid(case, monkeypatch):
+    # The banded grid skips only rows that the full grid floors, so every
+    # column comes out bit for bit; a 500-mark list scores under half the
+    # cells. The 20 000-mark list's weights fall so steeply below their top
+    # that a band not widened below its first near coarse row would cut
+    # rows that count.
+    data = {"field": _field_grid_case, "u=1 edge": _wide_event}.get(
+        case, lambda: _grid_case(int(case)))()
+    want = oracles.grid_columns(data)
+    scored = []
+    lane_target = distcore.make_lane_log_posterior
+
+    def counting(lists, prior):
+        target = lane_target(lists, prior)
+
+        def counted(mu, log_n_pop, out=None):
+            out = target(mu, log_n_pop, out)
+            scored.append(out.size)
+            return out
+
+        return counted
+
+    monkeypatch.setattr(distcore, "make_lane_log_posterior", counting)
+    got = distcore.grid_columns(data)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if case == "500":
+        assert sum(scored) < 0.5 * 400 * 400
+    if case == "u=1 edge":
+        assert grid_posterior(data, HyperPrior.weakly_informative())[2]["u = 1"] > 1e-3
+
+
 def test_two_pass_scores_each_grid_once(monkeypatch):
     # Pass 1 and the pass-2 proposals read one scoring of each list's grid.
     scored = []

@@ -121,7 +121,7 @@ def test_run_steps_matches_reference_loop(case):
 
 
 @pytest.mark.parametrize("reverse_lanes", [False, True])
-@pytest.mark.parametrize("batch_len", [1, 7, 50, 120])
+@pytest.mark.parametrize("batch_len", [1, 7, 49, 50, 51, 120])
 def test_sample_lanes_matches_run_chain(batch_len, reverse_lanes):
     # Retained sampling as fit_events runs it: run_lanes from tuned states.
     config = small_config(batches=30, batch_len=batch_len)
@@ -144,7 +144,7 @@ def test_sample_lanes_matches_run_chain(batch_len, reverse_lanes):
     # One lane target scores one prior, so each prior's chains run apart.
     for prior in (HyperPrior.weakly_informative(), INFORMATIVE):
         lanes = [i for i in order if priors[i] == prior]
-        target = make_lane_log_posterior([lists[i] for i in lanes], prior)
+        target = make_lane_log_posterior([lists[i] for i in lanes] * 3, prior)
         starts = np.array([tuned[i].state for i in lanes]).T
         scales = np.array([sampler._scaled(tuned[i].step_scale, tuned[i].factor)
                            for i in lanes]).T
@@ -160,9 +160,99 @@ def test_sample_lanes_matches_run_chain(batch_len, reverse_lanes):
             assert 0 < accepted[lane] < steps
 
 
+def _lane_starts(prior, config):
+    """The lane_events' chains, two each, started and scaled as fit_events
+    does: (lists, starts, scales, rngs), each stream just past _draw_init."""
+    lists, starts, scales, rngs = [], [], [], []
+    for data in lane_events():
+        target = make_log_posterior(data, prior)
+        mean, factor = _grid_proposal(data, prior)
+        for chain_id in range(2):
+            rng = chain_rng(config.seed, data.event.event_id, chain_id)
+            lists.append(data)
+            starts.append(_draw_init(target, mean, factor, rng))
+            scales.append(sampler._scaled(sampler._START_SCALE, factor))
+            rngs.append(rng)
+    return lists, np.array(starts).T, np.array(scales).T, rngs
+
+
+@pytest.mark.parametrize("reverse_lanes", [False, True])
+@pytest.mark.parametrize("burn_in_steps", [1, 3, 251])
+def test_burn_in_lanes_match_tune_burn_in(burn_in_steps, reverse_lanes):
+    # Burn-in is one run_lanes batch: an odd length ends in a lone step, in
+    # the last block (251 = 5 x 50 + 1) or in the only one.
+    prior = HyperPrior.weakly_informative()
+    config = small_config(burn_in_steps=burn_in_steps)
+    lists, starts, scales, rngs = _lane_starts(prior, config)
+    order = np.arange(len(lists))[::-1] if reverse_lanes else np.arange(len(lists))
+    target = make_lane_log_posterior([lists[i] for i in order] * 3, prior)
+    mu, logN, accepted = run_lanes(target, starts[:, order], scales[:, order],
+                                   [copy.deepcopy(rngs[i]) for i in order], 1, burn_in_steps)
+    for lane, i in enumerate(order):
+        _, factor = _grid_proposal(lists[i], prior)
+        tuned = tune_burn_in(make_log_posterior(lists[i], prior), config,
+                             tuple(starts[:, i].tolist()), factor, rngs[i])
+        assert (mu[lane, 0], logN[lane, 0]) == tuned.state
+        assert int(accepted[lane]) / burn_in_steps == tuned.accept_rate
+
+
+def test_lanes_match_run_chain_where_most_candidates_leave_the_domain():
+    # Lanes started just above w_k and log 2 n_k. Every other lane steps far
+    # wider than the posterior, so most candidates fall below w_k or N = 2 n_k,
+    # where the lane kernel gives nan or -inf and the one-lane view -inf;
+    # the others take narrower steps and are accepted now and then. No
+    # candidate outside the domain may ever be accepted, on either step of a pair.
+    prior, config = INFORMATIVE, small_config(batches=10, batch_len=7)
+    lists = [d for d in lane_events() for _ in range(2)]
+    tuned = [TunedState(step_scale=1.0, state=(d.w_k + 0.002, math.log(2.0 * d.n_k) + 0.05),
+                        accept_rate=0.0, factor=(2.0, 0.0, 10.0) if i % 2 else (0.2, 0.0, 3.0))
+             for i, d in enumerate(lists)]
+    rngs = [np.random.default_rng(70 + i) for i in range(len(lists))]
+    lane_target = make_lane_log_posterior(lists * 3, prior)
+    outside = []
+
+    def target(mu, log_n_pop, out):
+        lp = lane_target(mu, log_n_pop, out)
+        outside.append(np.mean(~np.isfinite(lp)))
+        return lp
+
+    starts = np.array([t.state for t in tuned]).T
+    scales = np.array([sampler._scaled(1.0, t.factor) for t in tuned]).T
+    mu, logN, accepted = run_lanes(target, starts, scales, [copy.deepcopy(r) for r in rngs],
+                                   config.batches, config.batch_len)
+    assert np.mean(outside[1:]) > 0.5
+    assert accepted[::2].min() > 0
+    for lane, data in enumerate(lists):
+        chain = run_chain(make_log_posterior(data, prior), config, tuned[lane], rngs[lane])
+        assert np.array_equal(mu[lane], chain.mu)
+        assert np.array_equal(logN[lane], chain.logN)
+        assert int(accepted[lane]) / (config.batches * config.batch_len) == chain.accept_rate
+        assert np.all(mu[lane] > data.w_k)
+
+
+def test_run_lanes_moves_two_steps_per_kernel_call():
+    # One call scores the start, then each call scores a pair of steps for
+    # every lane: 3 points per lane, a flat array over the lists taken 3 times.
+    prior, config = HyperPrior.weakly_informative(), small_config()
+    lists, starts, scales, rngs = _lane_starts(prior, config)
+    lane_target = make_lane_log_posterior(lists * 3, prior)
+    calls = []
+
+    def target(mu, log_n_pop, out):
+        calls.append((mu.shape, log_n_pop.shape, out.shape))
+        return lane_target(mu, log_n_pop, out)
+
+    run_lanes(target, starts, scales, rngs, 1, 250)
+    assert calls == [((3 * len(lists),),) * 3] * (1 + 125)
+    calls.clear()
+    # Batches of 20 run 3 at a time, 60 steps in blocks of 50 and 10.
+    run_lanes(target, starts, scales, rngs, 100, 20)
+    assert len(calls) == 1 + 1000
+
+
 def test_run_lanes_refuses_a_start_off_the_posterior():
     data = synthetic_event()
-    target = make_lane_log_posterior([data, data], INFORMATIVE)
+    target = make_lane_log_posterior([data, data] * 3, INFORMATIVE)
     # the second lane starts below the list's worst mark, where the posterior is 0
     starts = np.array([[float(max(data.marks)) + 0.05, data.w_k - 0.01],
                        [math.log(20_000.0)] * 2])
@@ -181,7 +271,7 @@ def test_burn_in_memory_is_bounded_by_the_block():
     rngs = [chain_rng(config.seed, data.event.event_id, c) for c in range(40)]
     starts = np.array([_draw_init(target, mean, factor, rng) for rng in rngs]).T
     scales = np.array([sampler._scaled(sampler._START_SCALE, factor)] * 40).T
-    lane_target = make_lane_log_posterior([data] * 40, prior)
+    lane_target = make_lane_log_posterior([data] * 120, prior)
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]

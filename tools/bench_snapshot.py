@@ -23,7 +23,11 @@ Each side's checkout is named by `git rev-parse HEAD` and whether
 source digest. A `quality` section runs `corpus` once per side at seeds
 0 to 9 and keeps each run's converged_frac and recovery_frac, with each
 side's default SamplerConfig and its lane-steps per chain
-(burn_in_steps + batches x batch_len).
+(burn_in_steps + batches x batch_len). A `work_counts` section holds, per
+side, the log-posterior kernel calls and scored points of one fit_events
+run at the `backtest` workload's config and at the defaults, counted in
+a child process in that side's checkout: exact counts, which do not
+drift with the host as times do.
 Files are added, never rewritten: the script refuses an existing name.
 """
 from __future__ import annotations
@@ -99,6 +103,62 @@ def default_config(checkout: Path) -> dict:
     config = json.loads(out.stdout)
     return {**config, "lane_steps_per_chain":
             config["burn_in_steps"] + config["batches"] * config["batch_len"]}
+
+
+# Exact work of one fit_events run in the checkout's own src/: the lists of
+# the first run of perfbench's `backtest` workload at seed 3, fitted under
+# the weak prior at that workload's config and at the default SamplerConfig,
+# each from fresh lists, so each count includes their grids. Every kernel
+# distcore.make_lane_log_posterior makes counts its calls and scored points:
+# kernels over one list (grids and chain starts) apart from the lane kernel
+# of the chains that fit_events samples.
+_WORK_PROBE = """
+import dataclasses, json, sys
+from pathlib import Path
+sys.path[:0] = ["src", "perfbench"]
+from tailcast import distcore, sampler
+from tailcast.distcore import HyperPrior
+from tailcast.sampler import SamplerConfig, fit_events
+from workloads import SIZES, WORKLOADS
+
+make = distcore.make_lane_log_posterior
+counts = {}
+
+
+def counting(lists, prior):
+    target = make(lists, prior)
+    tally = counts.setdefault("one_list" if len(lists) == 1 else "lanes",
+                              {"calls": 0, "points": 0})
+
+    def counted(mu, log_n_pop, out=None):
+        out = target(mu, log_n_pop, out)
+        tally["calls"] += 1
+        tally["points"] += out.size
+        return out
+
+    return counted
+
+
+distcore.make_lane_log_posterior = sampler.make_lane_log_posterior = counting
+result = {}
+for name in ("backtest", "default"):
+    workload = WORKLOADS["backtest"](3, SIZES["full"], Path("."))
+    workload.setup()
+    lists, config = workload.runs[0]
+    if name == "default":
+        config = SamplerConfig()
+    counts.clear()
+    fits, _ = fit_events(lists, HyperPrior.weakly_informative(), config)
+    result[name] = {"config": dataclasses.asdict(config), "events": len(lists),
+                    "fitted": len(fits), **counts}
+print(json.dumps(result))
+"""
+
+
+def work_counts(checkout: Path) -> dict:
+    out = subprocess.run([sys.executable, "-c", _WORK_PROBE], cwd=checkout,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
 
 
 def run_once(checkout: Path, workdir: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -192,6 +252,7 @@ def main(argv=None) -> int:
                    "--trace 0 --workdir DIR",
         "pairs": args.pairs, "order": "pair i runs the change first when i is even",
         "numpy_simd": numpy_simd(), "openblas_core": openblas_core(),
+        "work_counts": {side: work_counts(checkout) for side, checkout in sides.items()},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_snapshot.") as scratch:
