@@ -4,9 +4,9 @@ Each event is refitted using only data dated before the cutoff year, in one
 of two modes (all prior data, or exactly the prior five years). Predictions
 for held-out evaluation windows are then correlated with realized outcomes:
 exceedance counts over reference marks, improvements of the window best over
-those references, and record-breaking indicators. Every outcome of an event
-and window comes from one list, the event's marks inside that window, which
-is sorted best first like the PerformanceList it is read from.
+those references, and record-breaking indicators. Every list here is a cut
+of an event's full list by date: `within` the fit window for its fit, and its
+marks in a window (`marks_in`, best first) for its references and outcomes.
 """
 from __future__ import annotations
 
@@ -15,10 +15,10 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 
-import numpy as np
-
 from .emprior import HyperPrior, InsufficientEvents, two_pass_fit
-from .ingest import DateWindow, EmptyListError, PerformanceList, build_performance_list
+from .ingest import DateWindow, EmptyListError, PerformanceList
+# Not called here: perfbench/tracing.py wraps build_performance_list under this name.
+from .ingest import build_performance_list  # noqa: F401
 from .sampler import SamplerConfig
 from .stats import (
     UndefinedCorrelation,
@@ -139,29 +139,13 @@ def _correlate(statistic: str, window_years: int, rank: int | None,
     )
 
 
-def _dated_marks(data: PerformanceList) -> tuple[np.ndarray, np.ndarray]:
-    """The list's marks, best first, and their dates as day ordinals."""
-    days = np.fromiter((record.date.toordinal() for record in data.records),
-                       dtype=np.int64, count=len(data.records))
-    return np.array(data.marks, dtype=np.float64), days
-
-
-def _marks_in(dated: tuple[np.ndarray, np.ndarray], window: DateWindow) -> list[float]:
-    """The marks dated inside the half-open window [start, end), best first."""
-    marks, days = dated
-    inside = days < window.end.toordinal()
-    if window.start is not None:
-        inside &= days >= window.start.toordinal()
-    return marks[inside].tolist()
-
-
 def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestReport:
     """Fit pre-cutoff data for every event, then correlate forecasts with reality.
 
-    `corpus` is an iterable of full-history PerformanceLists with distinct
-    event ids. Events whose pre-cutoff slice is empty or whose fit fails are
-    dropped with a note; forecasting proceeds even on unconverged fits
-    (noted per event).
+    `corpus` is an iterable of full-history PerformanceLists, with no
+    window and with distinct event ids. Events whose pre-cutoff slice is
+    empty or whose fit fails are dropped with a note; forecasting proceeds
+    even on unconverged fits (noted per event).
     """
     full: dict[str, PerformanceList] = {}
     for data in corpus:
@@ -173,11 +157,8 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
     window = fit_window(spec.data_mode, spec.cutoff_year)
     pre_lists = []
     for event_id in sorted(full):
-        data = full[event_id]
         try:
-            pre_lists.append(
-                build_performance_list(data.event, list(data.records), window=window)
-            )
+            pre_lists.append(full[event_id].within(window))
         except EmptyListError:
             notes[event_id].append("no marks before cutoff")
     if len(pre_lists) < 4:
@@ -199,14 +180,14 @@ def run_backtest(corpus, spec: BacktestSpec, config: SamplerConfig) -> BacktestR
     for event_id, fit in result.fits.items():
         if not fit.converged:
             notes[event_id].append(f"forecast from unconverged fit (mpsrf={fit.mpsrf:.3f})")
-        dated = _dated_marks(full[event_id])
-        refs = _marks_in(dated, before_cutoff)
+        data = full[event_id]
+        refs = data.marks_in(before_cutoff)
         too_deep = [r for r in sorted(spec.reference_ranks) if r > len(refs)]
         if too_deep:
             notes[event_id].append(f"fewer than {too_deep[0]} marks before cutoff")
         rates = {r: expected_exceedances(fit, refs[r - 1])
                  for r in spec.reference_ranks if r <= len(refs)}
-        events[event_id] = (fit, refs, [_marks_in(dated, w) for w in windows], rates)
+        events[event_id] = (fit, refs, [data.marks_in(w) for w in windows], rates)
 
     cells: list[BacktestCell] = []
     for w, length in enumerate(spec.windows):

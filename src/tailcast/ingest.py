@@ -5,7 +5,8 @@ better: x = ln(seconds) for running events, x = -ln(centimeters) for
 field events. Every downstream module works in that space and only
 decodes back to raw units at the presentation edge. A PerformanceList's
 worst retained mark w_k is the tail model's truncation point; the list
-carries no other.
+carries no other. A list cuts itself to a date window with one mask of
+its records' day ordinals (`PerformanceList.within`, `marks_in`).
 """
 from __future__ import annotations
 
@@ -15,7 +16,10 @@ import functools
 import math
 import re
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
+
+import numpy as np
 
 from . import distcore
 from .errors import TailcastError
@@ -218,39 +222,61 @@ class PerformanceList:
         the pass-2 proposal both read it through distcore.grid_posterior."""
         return distcore.grid_columns(self)
 
+    @functools.cached_property
+    def _days(self) -> np.ndarray:
+        """Each record's date as a day ordinal, aligned with `marks`."""
+        return np.fromiter((r.date.toordinal() for r in self.records), dtype=np.int64,
+                           count=len(self.records))
+
+    def _masks(self, window: DateWindow) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the records dated before the window's end and inside the window."""
+        before_end = self._days < window.end.toordinal()
+        return before_end, before_end & (self._days >= (window.start or dt.date.min).toordinal())
+
     @property
     def t_m(self) -> float:
         """Years the list spans: its window's whole years if the window has a
         start, else the span of its record dates, floored at one year."""
         if self.window is not None and self.window.start is not None:
             return float(self.window.end.year - self.window.start.year)
-        dates = [r.date for r in self.records]
-        return max((max(dates) - min(dates)).days / 365.25, 1.0)
+        return max(int(self._days.max() - self._days.min()) / 365.25, 1.0)
+
+    def marks_in(self, window: DateWindow) -> list[TransformedMark]:
+        """The marks dated inside the half-open window [start, end), best first."""
+        return list(compress(self.marks, self._masks(window)[1].tolist()))
+
+    def within(self, window: DateWindow) -> "PerformanceList":
+        """This list cut to `window`: its records dated inside it, in order, and
+        as record its best mark dated before the window's end. Only a list with
+        no window is cut, so that record is taken over every mark of the event."""
+        if self.window is not None:
+            raise ValueError(f"{self.event.event_id}: the list is already cut to {self.window}; "
+                             "only a list with no window can be cut")
+        before_end, inside = self._masks(window)
+        keep = inside.tolist()
+        if not any(keep):
+            raise EmptyListError(f"{self.event.event_id}: no records inside the requested window")
+        return PerformanceList(event=self.event, records=tuple(compress(self.records, keep)),
+                               marks=tuple(compress(self.marks, keep)),
+                               record=self.marks[int(before_end.argmax())], window=window)
 
 
-def build_performance_list(
-    event: EventSpec,
-    records: list[RawMark],
-    window: DateWindow | None = None,
-) -> PerformanceList:
-    """Window, encode and order records into a PerformanceList.
+def build_performance_list(event: EventSpec, records: list[RawMark],
+                           window: DateWindow | None = None) -> PerformanceList:
+    """Encode and order records into a PerformanceList, cut to `window`
+    (PerformanceList.within) if one is given.
 
     Ties are kept as repeated values (they are real, especially in sprints).
-    The list's record is taken over every given record dated before the
-    window's end.
+    The list's record is its best mark dated before the window's end.
     """
-    kept = [r for r in records if window is None or window.contains(r.date)]
-    if not kept:
+    if not records:
         raise EmptyListError(f"{event.event_id}: no records inside the requested window")
     # i keeps full ties in input order, as a stable sort would
     decorated = sorted((encode_mark(event, r.value), r.date, r.athlete or "", i)
-                       for i, r in enumerate(kept))
-    marks = tuple(d[0] for d in decorated)
-    earlier = [] if window is None or window.start is None else [
-        encode_mark(event, r.value) for r in records if r.date < window.start]
-    record = min([marks[0], *earlier])
-    return PerformanceList(event=event, records=tuple(kept[d[3]] for d in decorated),
-                           marks=marks, record=record, window=window)
+                       for i, r in enumerate(records))
+    data = PerformanceList(event=event, records=tuple(records[d[3]] for d in decorated),
+                           marks=tuple(d[0] for d in decorated), record=decorated[0][0])
+    return data if window is None else data.within(window)
 
 
 _UNIT_TOKENS = {

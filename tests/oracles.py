@@ -34,6 +34,13 @@ Monte-Carlo error of a fit's pooled draws.
 colons, each field matched by a pattern built for its position, the total
 summed after every field is checked. ingest.parse_time must give the same
 value or refuse with the same message.
+
+`build_performance_list` is the earlier record-by-record list builder: each
+record kept if `DateWindow.contains` its date, the kept records sorted, and
+the record taken as the best of the window's marks and of every mark dated
+before the window's start, each encoded again. ingest.build_performance_list
+and PerformanceList.within must give an equal list, or refuse with the same
+message. `t_m` is the earlier span of a list, from its window or its dates.
 """
 import math
 import re
@@ -51,7 +58,7 @@ from tailcast.distcore import (
     _midpoints,
     make_lane_log_posterior,
 )
-from tailcast.ingest import MarkParseError
+from tailcast.ingest import EmptyListError, MarkParseError, PerformanceList, encode_mark
 from tailcast.stats import (
     _CHEB_NODES,
     _CHEB_WEIGHTS,
@@ -241,3 +248,24 @@ def parse_time(text: str) -> float:
     for v in values:
         total = total * 60.0 + v
     return total
+
+
+def build_performance_list(event, records, window=None) -> PerformanceList:
+    kept = [r for r in records if window is None or window.contains(r.date)]
+    if not kept:
+        raise EmptyListError(f"{event.event_id}: no records inside the requested window")
+    decorated = sorted((encode_mark(event, r.value), r.date, r.athlete or "", i)
+                       for i, r in enumerate(kept))
+    marks = tuple(d[0] for d in decorated)
+    earlier = [] if window is None or window.start is None else [
+        encode_mark(event, r.value) for r in records if r.date < window.start]
+    record = min([marks[0], *earlier])
+    return PerformanceList(event=event, records=tuple(kept[d[3]] for d in decorated),
+                           marks=marks, record=record, window=window)
+
+
+def t_m(data) -> float:
+    if data.window is not None and data.window.start is not None:
+        return float(data.window.end.year - data.window.start.year)
+    dates = [r.date for r in data.records]
+    return max((max(dates) - min(dates)).days / 365.25, 1.0)

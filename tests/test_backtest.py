@@ -13,8 +13,6 @@ from tailcast.backtest import (
     BacktestReport,
     BacktestSpec,
     DataMode,
-    _dated_marks,
-    _marks_in,
     fit_window,
     render_detail_records,
     render_report_table,
@@ -198,6 +196,16 @@ def test_run_backtest_refuses_a_repeated_event_id():
         run_backtest(corpus + [corpus[1]], spec, CONFIG)
 
 
+def test_run_backtest_refuses_a_windowed_list():
+    # a list already cut to a window has lost the marks its references and
+    # outcomes are read from
+    corpus = varied_span_corpus()
+    corpus[2] = corpus[2].within(DateWindow.before(CUTOFF))
+    spec = BacktestSpec(cutoff_year=CUTOFF, windows=(1,), reference_ranks=(10,))
+    with pytest.raises(ValueError, match=f"^{corpus[2].event.event_id}: the list is already cut"):
+        run_backtest(corpus, spec, CONFIG)
+
+
 def test_run_backtest_flags_degenerate_outcomes():
     # every future mark is worse than the rank-10 reference, so the actual
     # exceedance vector is identically zero and the correlation is undefined
@@ -325,7 +333,7 @@ def test_marks_in_matches_the_date_loop(window):
          date(2021, 1, 1)])]
     data = build_performance_list(data.event, list(data.records) + edges)
     want = [x for record, x in zip(data.records, data.marks) if window.contains(record.date)]
-    assert _marks_in(_dated_marks(data), window) == want
+    assert data.marks_in(window) == want
 
 
 def test_run_backtest_actuals_match_brute_force(outcome_report):

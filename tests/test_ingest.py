@@ -257,6 +257,75 @@ def test_build_performance_list_record_is_the_best_before_the_window_end():
     assert late.record == late.best == math.log(9.40)
 
 
+def _window_edge_records():
+    d = dt.date
+    return [
+        RawMark(10.00, d(2010, 1, 1), "start edge"),
+        RawMark(10.05, d(2013, 1, 1), "end edge"),
+        RawMark(10.05, d(2012, 12, 31)),
+        # ties on mark and date, and on the athlete too
+        RawMark(10.10, d(2011, 6, 1), "b"),
+        RawMark(10.10, d(2011, 6, 1), "a"),
+        RawMark(10.10, d(2011, 6, 1), "a"),
+        RawMark(10.20, d(2009, 12, 31)),
+        # before 2010 and better than every mark of 2010-2012
+        RawMark(9.90, d(2005, 7, 1)),
+        # after 2012 and better still: never the record of a window that ends before it
+        RawMark(9.80, d(2014, 7, 1)),
+    ]
+
+
+EDGE_EVENTS = [EventSpec.running("m100"), EventSpec.field("lj")]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["given", "reversed"])
+@pytest.mark.parametrize("event", EDGE_EVENTS, ids=lambda e: e.event_id)
+@pytest.mark.parametrize("window", [
+    None,
+    DateWindow.calendar_years(2010, 2012),
+    DateWindow.calendar_years(2013, 2013),
+    DateWindow.calendar_years(2014, 2014),
+    DateWindow.years_before(2010, 1),
+    DateWindow.before(2010),
+    DateWindow.before(2013),
+    DateWindow.before(2030),
+], ids=["none", "2010-2012", "2013", "2014", "2009", "before-2010", "before-2013",
+        "before-2030"])
+def test_build_performance_list_and_within_match_the_oracle(window, event, reverse):
+    records = _window_edge_records()[::-1] if reverse else _window_edge_records()
+    want = oracles.build_performance_list(event, records, window)
+    built = [build_performance_list(event, records, window)]
+    if window is not None:
+        built.append(build_performance_list(event, records).within(window))
+    for got in built:
+        assert got.records == want.records
+        assert got.marks == want.marks
+        assert got.record == want.record
+        assert got.window == want.window
+        assert got.t_m == oracles.t_m(want)
+
+
+@pytest.mark.parametrize("event", EDGE_EVENTS, ids=lambda e: e.event_id)
+@pytest.mark.parametrize("window", [DateWindow.calendar_years(2020, 2021),
+                                    DateWindow.before(2005)], ids=["after", "before"])
+def test_an_empty_window_is_refused_as_the_oracle_refuses(window, event):
+    records = _window_edge_records()
+    with pytest.raises(EmptyListError) as want:
+        oracles.build_performance_list(event, records, window)
+    with pytest.raises(EmptyListError) as built:
+        build_performance_list(event, records, window)
+    with pytest.raises(EmptyListError) as cut:
+        build_performance_list(event, records).within(window)
+    assert str(built.value) == str(cut.value) == str(want.value)
+
+
+def test_within_refuses_a_windowed_list():
+    data = build_performance_list(EventSpec.running("m100"), _window_edge_records(),
+                                  window=DateWindow.before(2013))
+    with pytest.raises(ValueError, match="^m100: the list is already cut to"):
+        data.within(DateWindow.calendar_years(2010, 2011))
+
+
 def test_list_file_roundtrip(tmp_path):
     run = EventSpec.running("m100", display_name="100 m")
     path = tmp_path / "m100.tsv"

@@ -5,12 +5,14 @@ against a parent checkout.
     python3 tools/bench_snapshot.py --number N --label LABEL --parent DIR [--pairs 10]
 
 For each workload of BENCHMARK.json at seeds 3 and 5, runs
-`perfbench/run.py` unchanged, untraced and at the `run_seconds` of
-BENCHMARK.json, N times in this checkout (the change) and N times in the
---parent checkout, alternating: pair i runs the
+`perfbench/run.py` unchanged and untraced, N times in this checkout (the
+change) and N times in the --parent checkout, alternating: pair i runs the
 change first when i is even and the parent first when it is odd. Each side
 has its own --workdir, kept for the whole snapshot, so perfbench's digest
-check compares every run of a side with its first. Standard library only.
+check compares every run of a side with its first. Each run measures 10
+cycles: its --seconds is 10 x the workload's NOMINAL_CYCLE_S, read from the
+side's own perfbench/run.py, which turns --seconds back into a cycle count;
+the file records both and each run's cycles. Standard library only.
 
 The file holds every run's end-to-end metrics and digest; per metric, each
 side's median and quartiles (statistics.quantiles, exclusive method), the
@@ -21,13 +23,15 @@ numpy's SIMD level and the OpenBLAS core, both of which fix the digests.
 Each side's checkout is named by `git rev-parse HEAD` and whether
 `git status --porcelain` lists anything (`dirty`), beside perfbench's
 source digest. A `quality` section runs `corpus` once per side at seeds
-0 to 9 and keeps each run's converged_frac and recovery_frac, with each
-side's default SamplerConfig and its lane-steps per chain
-(burn_in_steps + batches x batch_len). A `work_counts` section holds, per
+0 to 9, one cycle each at the `run_seconds` of BENCHMARK.json, and keeps
+each run's converged_frac and recovery_frac, with each side's default
+SamplerConfig and its lane-steps per chain (burn_in_steps + batches x
+batch_len). A `work_counts` section holds, per
 side, the log-posterior kernel calls and scored points of one fit_events
-run at the `backtest` workload's config and at the defaults, counted in
-a child process in that side's checkout: exact counts, which do not
-drift with the host as times do.
+run at the `backtest` workload's config and at the defaults, and the
+lane-steps of burn-in and of sampling of each run_lanes call and of each
+fit, counted in a child process in that side's checkout: exact counts,
+which do not drift with the host as times do.
 Files are added, never rewritten: the script refuses an existing name.
 """
 from __future__ import annotations
@@ -43,6 +47,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (3, 5)
+CYCLES = 10
 QUALITY_SEEDS = range(10)
 QUALITY = ("converged_frac", "recovery_frac")
 
@@ -97,6 +102,23 @@ print(json.dumps(dataclasses.asdict(SamplerConfig())))
 """
 
 
+# The checkout's nominal cycle time per workload, read from its perfbench/run.py.
+_NOMINAL_PROBE = """
+import json, sys
+sys.path.insert(0, "perfbench")
+from run import NOMINAL_CYCLE_S
+print(json.dumps(NOMINAL_CYCLE_S))
+"""
+
+
+def run_seconds(checkout: Path) -> dict[str, float]:
+    """Per workload, the --seconds that make perfbench/run.py in `checkout`
+    measure CYCLES cycles."""
+    out = subprocess.run([sys.executable, "-c", _NOMINAL_PROBE], cwd=checkout,
+                         capture_output=True, text=True, check=True)
+    return {workload: CYCLES * nominal for workload, nominal in json.loads(out.stdout).items()}
+
+
 def default_config(checkout: Path) -> dict:
     out = subprocess.run([sys.executable, "-c", _CONFIG_PROBE], cwd=checkout,
                          capture_output=True, text=True, check=True)
@@ -111,7 +133,9 @@ def default_config(checkout: Path) -> dict:
 # each from fresh lists, so each count includes their grids. Every kernel
 # distcore.make_lane_log_posterior makes counts its calls and scored points:
 # kernels over one list (grids and chain starts) apart from the lane kernel
-# of the chains that fit_events samples.
+# of the chains that fit_events samples. Each run_lanes call counts its
+# lane-steps (lanes x batches x batch_len): burn-in, then sampling. Each fit's
+# sampled chains each run burn_in_steps, then batches x batch_len steps.
 _WORK_PROBE = """
 import dataclasses, json, sys
 from pathlib import Path
@@ -140,6 +164,16 @@ def counting(lists, prior):
 
 
 distcore.make_lane_log_posterior = sampler.make_lane_log_posterior = counting
+run_lanes = sampler.run_lanes
+lane_steps = []
+
+
+def counting_lanes(target, starts, scales, rngs, batches, batch_len):
+    lane_steps.append(starts.shape[1] * batches * batch_len)
+    return run_lanes(target, starts, scales, rngs, batches, batch_len)
+
+
+sampler.run_lanes = counting_lanes
 result = {}
 for name in ("backtest", "default"):
     workload = WORKLOADS["backtest"](3, SIZES["full"], Path("."))
@@ -148,9 +182,14 @@ for name in ("backtest", "default"):
     if name == "default":
         config = SamplerConfig()
     counts.clear()
+    lane_steps.clear()
     fits, _ = fit_events(lists, HyperPrior.weakly_informative(), config)
+    per_fit = {event_id: {"burn_in": len(fit.meta.chains) * config.burn_in_steps,
+                          "sampling": len(fit.meta.chains) * config.batches * config.batch_len}
+               for event_id, fit in fits.items()}
     result[name] = {"config": dataclasses.asdict(config), "events": len(lists),
-                    "fitted": len(fits), **counts}
+                    "fitted": len(fits), **counts, "run_lanes_lane_steps": list(lane_steps),
+                    "lane_steps_per_fit": per_fit}
 print(json.dumps(result))
 """
 
@@ -242,14 +281,15 @@ def main(argv=None) -> int:
     if not (parent / "perfbench" / "run.py").is_file():
         raise SystemExit(f"error: no perfbench/run.py under {parent}")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = benchmark["run_seconds"]
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     sides = {"change": ROOT, "parent": parent}
+    seconds = {side: run_seconds(checkout) for side, checkout in sides.items()}
 
     snapshot = {
         "number": args.number, "label": args.label,
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} "
+        "command": "python3 perfbench/run.py --workload W --seed S --seconds T "
                    "--trace 0 --workdir DIR",
+        "cycles_per_run": CYCLES, "seconds": seconds,
         "pairs": args.pairs, "order": "pair i runs the change first when i is even",
         "numpy_simd": numpy_simd(), "openblas_core": openblas_core(),
         "work_counts": {side: work_counts(checkout) for side, checkout in sides.items()},
@@ -266,7 +306,10 @@ def main(argv=None) -> int:
                     pair = {"pair": i, "first": order[0]}
                     for side in order:
                         pair[side] = run_once(sides[side], workdirs[side], workload, seed,
-                                              seconds)
+                                              seconds[side][workload])
+                        if pair[side]["cycles"] != CYCLES:
+                            raise SystemExit(f"error: a {side} {workload} run measured "
+                                             f"{pair[side]['cycles']} cycles, not {CYCLES}")
                     pairs.append(pair)
                     print(f"{workload} seed {seed} pair {i}: " + ", ".join(
                         f"{side} cycle_s {pair[side]['metrics']['cycle_s']:.4f}"
@@ -285,7 +328,7 @@ def main(argv=None) -> int:
                     "summary": summarize(pairs, better),
                     "runs": pairs,
                 }
-        snapshot["quality"] = quality(sides, Path(scratch), seconds)
+        snapshot["quality"] = quality(sides, Path(scratch), benchmark["run_seconds"])
     target.write_text(json.dumps(snapshot, indent=1) + "\n")
     print(f"wrote {target}")
     return 0
