@@ -469,8 +469,8 @@ def cmd_validate_data(cfg: RunConfig) -> int:
         event = data.event
         print(
             f"{path.stem}\tOK\tn={data.n_k}"
-            f"\tbest={format_raw_mark(event, data.records[0].value)}"
-            f"\tworst={format_raw_mark(event, data.records[-1].value)}"
+            f"\tbest={format_raw_mark(event, float(data.values[0]))}"
+            f"\tworst={format_raw_mark(event, float(data.values[-1]))}"
             f"\tspan={data.t_m:.1f}y"
             f"\t{event.direction.value}/{event.unit.value}"
         )

@@ -5,8 +5,15 @@ better: x = ln(seconds) for running events, x = -ln(centimeters) for
 field events. Every downstream module works in that space and only
 decodes back to raw units at the presentation edge. A PerformanceList's
 worst retained mark w_k is the tail model's truncation point; the list
-carries no other. A list cuts itself to a date window with one mask of
-its records' day ordinals (`PerformanceList.within`, `marks_in`).
+carries no other.
+
+A list is held as aligned columns, best first: its transformed marks,
+raw values, day ordinals and athletes. Every list file is read by one
+column parser, and every list is built by `PerformanceList.from_columns`;
+`RawMark` records are built only when something reads
+`PerformanceList.records` or calls `read_list_file`. A list cuts itself
+to a date window with one mask of its day ordinals
+(`PerformanceList.within`, `marks_in`).
 """
 from __future__ import annotations
 
@@ -18,6 +25,7 @@ import re
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -92,8 +100,12 @@ class RawMark:
     athlete: str | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.value) and self.value > 0.0):
-            raise ValueError(f"mark value must be positive, got {self.value}")
+        _check_value(self.value)
+
+
+def _check_value(value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"mark value must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -189,19 +201,48 @@ def decode_mark(event: EventSpec, x: TransformedMark) -> float:
     return math.exp(-x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerformanceList:
-    """One event's observed tail. Records and transformed marks are kept
-    aligned and sorted best (smallest x) first; the worst retained mark
-    w_k is the truncation point of the tail model. `record` is the event's
+    """One event's observed tail, held as aligned columns sorted best
+    (smallest x) first: the transformed marks, a tuple of floats; their raw
+    values, a float64 array; their dates as day ordinals, an int64 array;
+    and their athletes, a tuple, or None when no mark names one. Ties sort
+    by date, then athlete, then input order. The worst retained mark w_k
+    is the truncation point of the tail model. `record` is the event's
     record as of the window's end: the best mark dated before it, inside
-    the window or not."""
+    the window or not. Build a list with `from_columns`; two lists are
+    equal when their columns are."""
 
     event: EventSpec
-    records: tuple[RawMark, ...]
     marks: tuple[TransformedMark, ...]
+    values: np.ndarray
+    days: np.ndarray
+    athletes: tuple[str | None, ...] | None
     record: TransformedMark
     window: DateWindow | None = None
+
+    def __post_init__(self) -> None:
+        self.values.flags.writeable = False
+        self.days.flags.writeable = False
+
+    @classmethod
+    def from_columns(cls, event: EventSpec, values: Sequence[float], days: Sequence[int],
+                     athletes: Sequence[str | None] | None = None) -> "PerformanceList":
+        """The list of these marks, given in any order: raw values, day
+        ordinals and athletes (None: no mark names one), aligned. Each value
+        is encoded once; the record is the best mark."""
+        n = len(values)
+        if not n:
+            raise EmptyListError(f"{event.event_id}: no records inside the requested window")
+        marks = [encode_mark(event, v) for v in values]
+        names = athletes if athletes is not None else [None] * n
+        # sorted is stable, so full ties keep their input order
+        order = sorted(range(n), key=lambda i: (marks[i], days[i], names[i] or ""))
+        index = np.array(order, dtype=np.intp)
+        return cls(event=event, marks=tuple(marks[i] for i in order),
+                   values=np.asarray(values, dtype=np.float64)[index],
+                   days=np.asarray(days, dtype=np.int64)[index],
+                   athletes=_named(names[i] for i in order), record=marks[order[0]])
 
     @property
     def n_k(self) -> int:
@@ -215,6 +256,18 @@ class PerformanceList:
     def best(self) -> float:
         return self.marks[0]
 
+    def iter_records(self) -> Iterator[RawMark]:
+        """The marks as RawMarks, best first, each built as it is read and
+        kept nowhere: for one pass, such as writing the list to a file."""
+        names = self.athletes or (None,) * self.n_k
+        for value, day, name in zip(self.values.tolist(), self.days.tolist(), names):
+            yield RawMark(value, dt.date.fromordinal(day), name)
+
+    @functools.cached_property
+    def records(self) -> tuple[RawMark, ...]:
+        """The marks as RawMarks, best first: built on first read and kept."""
+        return tuple(self.iter_records())
+
     @functools.cached_property
     def grid_columns(self):
         """The list's weak-prior grid summed per log N column
@@ -222,33 +275,36 @@ class PerformanceList:
         the pass-2 proposal both read it through distcore.grid_posterior."""
         return distcore.grid_columns(self)
 
-    @functools.cached_property
-    def _days(self) -> np.ndarray:
-        """Each record's date as a day ordinal, aligned with `marks`."""
-        return np.fromiter((r.date.toordinal() for r in self.records), dtype=np.int64,
-                           count=len(self.records))
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PerformanceList):
+            return NotImplemented
+        return (self.event == other.event and self.marks == other.marks
+                and np.array_equal(self.values, other.values)
+                and np.array_equal(self.days, other.days) and self.athletes == other.athletes
+                and self.record == other.record and self.window == other.window)
 
     def _masks(self, window: DateWindow) -> tuple[np.ndarray, np.ndarray]:
-        """Masks of the records dated before the window's end and inside the window."""
-        before_end = self._days < window.end.toordinal()
-        return before_end, before_end & (self._days >= (window.start or dt.date.min).toordinal())
+        """Masks of the marks dated before the window's end and inside the window."""
+        before_end = self.days < window.end.toordinal()
+        return before_end, before_end & (self.days >= (window.start or dt.date.min).toordinal())
 
     @property
     def t_m(self) -> float:
         """Years the list spans: its window's whole years if the window has a
-        start, else the span of its record dates, floored at one year."""
+        start, else the span of its mark dates, floored at one year."""
         if self.window is not None and self.window.start is not None:
             return float(self.window.end.year - self.window.start.year)
-        return max(int(self._days.max() - self._days.min()) / 365.25, 1.0)
+        return max(int(self.days.max() - self.days.min()) / 365.25, 1.0)
 
     def marks_in(self, window: DateWindow) -> list[TransformedMark]:
         """The marks dated inside the half-open window [start, end), best first."""
         return list(compress(self.marks, self._masks(window)[1].tolist()))
 
     def within(self, window: DateWindow) -> "PerformanceList":
-        """This list cut to `window`: its records dated inside it, in order, and
-        as record its best mark dated before the window's end. Only a list with
-        no window is cut, so that record is taken over every mark of the event."""
+        """This list cut to `window`: every column cut to the marks dated
+        inside it, in order, and as record its best mark dated before the
+        window's end. Only a list with no window is cut, so that record is
+        taken over every mark of the event."""
         if self.window is not None:
             raise ValueError(f"{self.event.event_id}: the list is already cut to {self.window}; "
                              "only a list with no window can be cut")
@@ -256,26 +312,30 @@ class PerformanceList:
         keep = inside.tolist()
         if not any(keep):
             raise EmptyListError(f"{self.event.event_id}: no records inside the requested window")
-        return PerformanceList(event=self.event, records=tuple(compress(self.records, keep)),
-                               marks=tuple(compress(self.marks, keep)),
-                               record=self.marks[int(before_end.argmax())], window=window)
+        return PerformanceList(
+            event=self.event, marks=tuple(compress(self.marks, keep)),
+            values=self.values[inside], days=self.days[inside],
+            athletes=None if self.athletes is None else _named(compress(self.athletes, keep)),
+            record=self.marks[int(before_end.argmax())], window=window)
 
 
-def build_performance_list(event: EventSpec, records: list[RawMark],
+def _named(athletes: Iterable[str | None]) -> tuple[str | None, ...] | None:
+    """The athletes column: these athletes as a tuple, or None if none is named."""
+    names = tuple(athletes)
+    return names if any(name is not None for name in names) else None
+
+
+def build_performance_list(event: EventSpec, records: Sequence[RawMark],
                            window: DateWindow | None = None) -> PerformanceList:
-    """Encode and order records into a PerformanceList, cut to `window`
-    (PerformanceList.within) if one is given.
+    """Order records into a PerformanceList (PerformanceList.from_columns),
+    cut to `window` (PerformanceList.within) if one is given.
 
     Ties are kept as repeated values (they are real, especially in sprints).
     The list's record is its best mark dated before the window's end.
     """
-    if not records:
-        raise EmptyListError(f"{event.event_id}: no records inside the requested window")
-    # i keeps full ties in input order, as a stable sort would
-    decorated = sorted((encode_mark(event, r.value), r.date, r.athlete or "", i)
-                       for i, r in enumerate(records))
-    data = PerformanceList(event=event, records=tuple(records[d[3]] for d in decorated),
-                           marks=tuple(d[0] for d in decorated), record=decorated[0][0])
+    data = PerformanceList.from_columns(event, [r.value for r in records],
+                                        [r.date.toordinal() for r in records],
+                                        [r.athlete for r in records])
     return data if window is None else data.within(window)
 
 
@@ -304,20 +364,29 @@ def _parse_value(text: str, unit: Unit, scale: float) -> float:
     return v * scale
 
 
-def _parse_iso_date(text: str) -> dt.date:
-    try:
-        return dt.date.fromisoformat(text.strip())
-    except ValueError as exc:
-        raise MarkParseError(f"invalid ISO date {text!r}") from exc
+# Exactly an ASCII `YYYY-MM-DD` date. date.fromisoformat reads more forms on
+# some Python versions than on others (3.11 reads 20190105 and 2019-W01-1,
+# 3.10 neither), and a list file must read the same on every version.
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-def read_list_file(path: str | Path) -> tuple[EventSpec, list[RawMark]]:
-    """Read a canonical tab-separated list file.
+def _parse_day(text: str) -> int:
+    """The day ordinal of a `YYYY-MM-DD` date."""
+    if _ISO_DATE.fullmatch(text):
+        try:
+            return dt.date.fromisoformat(text).toordinal()
+        except ValueError:
+            pass
+    raise MarkParseError(f"invalid ISO date {text!r}")
 
-    Header lines start with `#` and carry `key=value` pairs; records are
-    `value<TAB>ISO-date<TAB>athlete?`. Meter-valued files are scaled to
-    centimeters here, so callers always see the internal unit. A file that
-    cannot be read, or is not UTF-8 text, raises MarkParseError naming it.
+
+def _read_columns(path: str | Path) -> tuple[EventSpec, list[float], list[int],
+                                               list[str | None]]:
+    """The event of a canonical list file and its rows as columns, in file
+    order: raw values in the internal unit, day ordinals and athletes.
+
+    A row is checked field by field: its value, then its date, then that
+    the value is a positive mark; a refusal names the file and the line.
     """
     path = Path(path)
     header: dict[str, str] = {}
@@ -331,11 +400,11 @@ def read_list_file(path: str | Path) -> tuple[EventSpec, list[RawMark]]:
     except OSError as exc:
         raise MarkParseError(f"{path.name}: cannot be read: {exc.strerror or exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\n")
-        if not line.strip():
+        stripped = line.lstrip()
+        if not stripped:
             continue
-        if line.lstrip().startswith("#"):
-            body = line.lstrip()[1:].strip()
+        if stripped.startswith("#"):
+            body = stripped[1:].strip()
             if "=" in body:
                 key, _, value = body.partition("=")
                 header[key.strip()] = value.strip()
@@ -344,8 +413,8 @@ def read_list_file(path: str | Path) -> tuple[EventSpec, list[RawMark]]:
         cells = line.split("\t")
         if len(cells) < 2:
             raise MarkParseError(f"{path.name}:{lineno}: expected value<TAB>date, got {line!r}")
-        athlete = cells[2].strip() if len(cells) > 2 and cells[2].strip() else None
-        rows.append((lineno, cells[0].strip(), cells[1].strip(), athlete))
+        athlete = cells[2].strip() if len(cells) > 2 else ""
+        rows.append((lineno, cells[0].strip(), cells[1].strip(), athlete or None))
 
     try:
         direction = _DIRECTION_TOKENS[header.get("direction", "").lower()]
@@ -363,28 +432,50 @@ def read_list_file(path: str | Path) -> tuple[EventSpec, list[RawMark]]:
         lineno = max(header_lines[k] for k in ("event", "unit", "direction") if k in header_lines)
         raise MarkParseError(f"{path.name}:{lineno}: {exc}") from None
 
-    records = []
+    values: list[float] = []
+    days: list[int] = []
+    athletes: list[str | None] = []
     for lineno, value_text, date_text, athlete in rows:
         try:
             value = _parse_value(value_text, unit, scale)
-            records.append(RawMark(value=value, date=_parse_iso_date(date_text), athlete=athlete))
+            day = _parse_day(date_text)
+            _check_value(value)
         except (MarkParseError, ValueError) as exc:
             raise MarkParseError(f"{path.name}:{lineno}: {exc}") from None
-    return event, records
+        values.append(value)
+        days.append(day)
+        athletes.append(athlete)
+    return event, values, days, athletes
+
+
+def read_list_file(path: str | Path) -> tuple[EventSpec, list[RawMark]]:
+    """Read a canonical tab-separated list file as its event and records,
+    in file order.
+
+    Header lines start with `#` and carry `key=value` pairs; records are
+    `value<TAB>YYYY-MM-DD<TAB>athlete?`. Meter-valued files are scaled to
+    centimeters here, so callers always see the internal unit. A file that
+    cannot be read, or is not UTF-8 text, raises MarkParseError naming it.
+    """
+    event, values, days, athletes = _read_columns(path)
+    return event, [RawMark(value, dt.date.fromordinal(day), athlete)
+                   for value, day, athlete in zip(values, days, athletes)]
 
 
 def load_performance_list(path: str | Path, window: DateWindow | None = None) -> PerformanceList:
-    """Load, window and encode one event's list from a canonical file."""
-    event, records = read_list_file(path)
+    """Load one event's list from a canonical list file (the format of
+    read_list_file), cut to `window` if one is given. It builds no RawMark."""
+    event, values, days, athletes = _read_columns(path)
     try:
-        return build_performance_list(event, records, window=window)
+        data = PerformanceList.from_columns(event, values, days, athletes)
+        return data if window is None else data.within(window)
     except EmptyListError:
         raise EmptyListError(
             f"{event.event_id}: no records from {Path(path).name} inside the requested window"
         )
 
 
-def write_list_file(path: str | Path, event: EventSpec, records: list[RawMark] | tuple) -> None:
+def write_list_file(path: str | Path, event: EventSpec, records: Iterable[RawMark]) -> None:
     """Serialize records in the canonical format read_list_file accepts.
 
     Values are written with full float precision so a load/write/load trip

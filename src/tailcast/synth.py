@@ -6,7 +6,7 @@ normal draws, dated uniformly over a span of years.
 """
 from __future__ import annotations
 
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -15,8 +15,6 @@ import numpy as np
 from .ingest import (
     EventSpec,
     PerformanceList,
-    RawMark,
-    build_performance_list,
     decode_mark,
     write_list_file,
 )
@@ -41,14 +39,11 @@ def tail_performance_list(event: EventSpec, tail: Sequence[float],
     of one calendar year (first_year == last_year) spans 1.0.
     """
     rng = np.random.default_rng(seed)
-    start = date(first_year, 1, 1)
-    span_days = (date(last_year + 1, 1, 1) - start).days
+    start = date(first_year, 1, 1).toordinal()
+    span_days = date(last_year + 1, 1, 1).toordinal() - start
     offsets = rng.integers(0, span_days, len(tail))
-    records = [
-        RawMark(value=decode_mark(event, float(x)), date=start + timedelta(days=int(d)))
-        for x, d in zip(tail, offsets)
-    ]
-    return build_performance_list(event, records)
+    return PerformanceList.from_columns(event, [decode_mark(event, float(x)) for x in tail],
+                                        (start + offsets).tolist())
 
 
 def write_corpus(out_dir: Path, lists: Iterable[PerformanceList]) -> list[Path]:
@@ -58,6 +53,6 @@ def write_corpus(out_dir: Path, lists: Iterable[PerformanceList]) -> list[Path]:
     paths = []
     for data in lists:
         path = out_dir / f"{data.event.event_id}.tsv"
-        write_list_file(path, data.event, data.records)
+        write_list_file(path, data.event, data.iter_records())
         paths.append(path)
     return paths

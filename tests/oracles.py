@@ -38,12 +38,22 @@ value or refuse with the same message.
 `build_performance_list` is the earlier record-by-record list builder: each
 record kept if `DateWindow.contains` its date, the kept records sorted, and
 the record taken as the best of the window's marks and of every mark dated
-before the window's start, each encoded again. ingest.build_performance_list
-and PerformanceList.within must give an equal list, or refuse with the same
+before the window's start, each encoded again; the list's columns are then
+read off the sorted records. ingest.build_performance_list and
+PerformanceList.within must give an equal list, or refuse with the same
 message. `t_m` is the earlier span of a list, from its window or its dates.
+
+`read_list_file` is the earlier line-by-line reader of a list file: a
+`RawMark` per row, its date read by `date.fromisoformat` once the text is
+checked to be ASCII `YYYY-MM-DD`. `load_performance_list` feeds it to the
+builder above. ingest.load_performance_list, which parses columns and
+builds no record, must give an equal list, or refuse with the same
+exception and message.
 """
+import datetime as dt
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 from scipy import special
@@ -58,7 +68,17 @@ from tailcast.distcore import (
     _midpoints,
     make_lane_log_posterior,
 )
-from tailcast.ingest import EmptyListError, MarkParseError, PerformanceList, encode_mark
+from tailcast.ingest import (
+    _DIRECTION_TOKENS,
+    _UNIT_TOKENS,
+    EmptyListError,
+    EventSpec,
+    MarkParseError,
+    PerformanceList,
+    RawMark,
+    Unit,
+    encode_mark,
+)
 from tailcast.stats import (
     _CHEB_NODES,
     _CHEB_WEIGHTS,
@@ -260,8 +280,17 @@ def build_performance_list(event, records, window=None) -> PerformanceList:
     earlier = [] if window is None or window.start is None else [
         encode_mark(event, r.value) for r in records if r.date < window.start]
     record = min([marks[0], *earlier])
-    return PerformanceList(event=event, records=tuple(kept[d[3]] for d in decorated),
-                           marks=marks, record=record, window=window)
+    ordered = tuple(kept[d[3]] for d in decorated)
+    names = tuple(r.athlete for r in ordered)
+    data = PerformanceList(event=event, marks=marks,
+                           values=np.array([r.value for r in ordered], dtype=np.float64),
+                           days=np.array([r.date.toordinal() for r in ordered], dtype=np.int64),
+                           athletes=names if any(a is not None for a in names) else None,
+                           record=record, window=window)
+    # its records are these sorted ones, not the ones the shipped class
+    # would build from the columns on first read
+    data.__dict__["records"] = ordered
+    return data
 
 
 def t_m(data) -> float:
@@ -269,3 +298,81 @@ def t_m(data) -> float:
         return float(data.window.end.year - data.window.start.year)
     dates = [r.date for r in data.records]
     return max((max(dates) - min(dates)).days / 365.25, 1.0)
+
+
+def _iso_date(text: str) -> dt.date:
+    digits = text[:4] + text[5:7] + text[8:]
+    if len(text) == 10 and text[4] == text[7] == "-" and digits.isascii() and digits.isdigit():
+        try:
+            return dt.date.fromisoformat(text)
+        except ValueError:
+            pass
+    raise MarkParseError(f"invalid ISO date {text!r}")
+
+
+def read_list_file(path):
+    path = Path(path)
+    header: dict[str, str] = {}
+    header_lines: dict[str, int] = {}
+    rows = []
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise MarkParseError(f"{path.name}: not UTF-8 text ({exc.reason} at byte "
+                             f"{exc.start})") from None
+    except OSError as exc:
+        raise MarkParseError(f"{path.name}: cannot be read: {exc.strerror or exc}") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        if line.lstrip().startswith("#"):
+            body = line.lstrip()[1:].strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                header[key.strip()] = value.strip()
+                header_lines[key.strip()] = lineno
+            continue
+        cells = line.split("\t")
+        if len(cells) < 2:
+            raise MarkParseError(f"{path.name}:{lineno}: expected value<TAB>date, got {line!r}")
+        athlete = cells[2].strip() if len(cells) > 2 and cells[2].strip() else None
+        rows.append((lineno, cells[0].strip(), cells[1].strip(), athlete))
+
+    try:
+        direction = _DIRECTION_TOKENS[header.get("direction", "").lower()]
+    except KeyError:
+        raise MarkParseError(f"{path.name}: header must declare direction=lower|higher")
+    unit_token = header.get("unit", "").lower()
+    if unit_token not in _UNIT_TOKENS:
+        raise MarkParseError(f"{path.name}: header must declare unit= one of {sorted(_UNIT_TOKENS)}")
+    unit, scale = _UNIT_TOKENS[unit_token]
+    try:
+        event = EventSpec(header.get("event", path.stem), direction, unit,
+                          header.get("display_name", ""))
+    except ValueError as exc:
+        lineno = max(header_lines[k] for k in ("event", "unit", "direction") if k in header_lines)
+        raise MarkParseError(f"{path.name}:{lineno}: {exc}") from None
+
+    records = []
+    for lineno, value_text, date_text, athlete in rows:
+        try:
+            if unit is Unit.SECONDS:
+                value = parse_time(value_text)
+            else:
+                try:
+                    value = float(value_text) * scale
+                except ValueError:
+                    raise MarkParseError(f"invalid mark value {value_text!r}") from None
+            records.append(RawMark(value=value, date=_iso_date(date_text), athlete=athlete))
+        except (MarkParseError, ValueError) as exc:
+            raise MarkParseError(f"{path.name}:{lineno}: {exc}") from None
+    return event, records
+
+
+def load_performance_list(path, window=None) -> PerformanceList:
+    event, records = read_list_file(path)
+    try:
+        return build_performance_list(event, records, window)
+    except EmptyListError:
+        raise EmptyListError(f"{event.event_id}: no records from {Path(path).name} inside the "
+                             "requested window") from None

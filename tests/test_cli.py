@@ -464,6 +464,27 @@ def test_validate_data_prints_the_span_a_fit_uses(tmp_path, capsys):
     assert "span=5.0y" in row
 
 
+def test_validate_data_rows_read_best_and_worst(tmp_path, capsys):
+    # a field list in meters and a list of h:mm:ss times read OK with their
+    # best and worst marks; a compact date is refused on every Python version
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / "lj.tsv").write_text("# event=lj\n# unit=m\n# direction=higher\n"
+                                     "8.95\t1991-08-30\tpowell\n8.90\t1968-10-18\tbeamon\n"
+                                     "8.71\t2019-06-01\n")
+    (data_dir / "mar.tsv").write_text("# event=mar\n# unit=s\n# direction=lower\n"
+                                      "2:03:38\t2011-09-25\n2:01:39\t2018-09-16\n"
+                                      "2:02:57\t2014-09-28\n")
+    (data_dir / "compact.tsv").write_text("# event=compact\n# unit=s\n# direction=lower\n"
+                                          "9.58\t2009-08-16\n9.63\t20190105\n")
+    assert main(["validate-data", "--data", str(data_dir)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "compact\tERROR\tcompact.tsv:5: invalid ISO date '20190105'",
+        "lj\tOK\tn=3\tbest=8.95\tworst=8.71\tspan=50.6y\thigher/cm",
+        "mar\tOK\tn=3\tbest=2:01:39.00\tworst=2:03:38.00\tspan=7.0y\tlower/s",
+    ]
+
+
 def test_duplicate_event_ids_are_refused(tmp_path, capsys):
     # Two files declaring one event id: fit and backtest refuse to pick one,
     # and validate-data flags the second file.

@@ -1,7 +1,10 @@
 """Parsing, mark encoding, windowing, and list-file round trips."""
+import dataclasses
 import datetime as dt
+import gc
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +28,9 @@ from tailcast.ingest import (
     read_list_file,
     write_list_file,
 )
+from tailcast.emprior import two_pass_fit
+from tailcast.sampler import SamplerConfig
+from tailcast.synth import sample_tail, tail_performance_list, write_corpus
 
 import oracles
 
@@ -389,6 +395,50 @@ def test_read_list_file_header_errors(tmp_path):
         read_list_file(path)
 
 
+@pytest.mark.parametrize("day", ["20190105", "2019-W01-1", "2019-1-05", "２０１９-01-05",
+                                 "2019-02-29"])
+def test_only_an_ascii_yyyy_mm_dd_date_is_read(tmp_path, day):
+    # date.fromisoformat reads the compact forms on Python 3.11 and not on
+    # 3.10; a list file reads the same on every version
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"# unit=s\n# direction=lower\n9.58\t2009-08-16\n9.69\t{day}\n",
+                    encoding="utf-8")
+    message = f"^bad.tsv:4: invalid ISO date '{day}'$"
+    with pytest.raises(MarkParseError, match=message):
+        read_list_file(path)
+    with pytest.raises(MarkParseError, match=message):
+        load_performance_list(path)
+
+
+@pytest.mark.parametrize("row", ["0\t2019-13-01", "-1\t20190105\tx", "x\t2019-13-01",
+                                 "inf\t2019-01-01", "0", "8.0\t2019-02-29\t"])
+def test_a_row_is_refused_for_its_first_bad_field_as_the_oracle_refuses(tmp_path, row):
+    # the value is read first, then the date, then the value checked positive
+    path = tmp_path / "lj.tsv"
+    path.write_text(f"# unit=m\n# direction=higher\n8.95\t1991-08-30\n{row}\n",
+                    encoding="utf-8")
+    with pytest.raises(MarkParseError) as want:
+        oracles.read_list_file(path)
+    for read in (read_list_file, load_performance_list):
+        with pytest.raises(MarkParseError) as got:
+            read(path)
+        assert str(got.value) == str(want.value)
+
+
+def test_lists_are_equal_when_their_columns_are():
+    run = EventSpec.running("m100")
+    data = build_performance_list(run, _window_edge_records())
+    assert data == build_performance_list(run, _window_edge_records()[::-1])
+    for other in (dataclasses.replace(data, days=data.days + 1),
+                  dataclasses.replace(data, values=data.values * 2.0),
+                  dataclasses.replace(data, athletes=None),
+                  dataclasses.replace(data, marks=data.marks[::-1]),
+                  dataclasses.replace(data, record=data.marks[1]),
+                  data.within(DateWindow.before(2030)),
+                  build_performance_list(EventSpec.field("m100"), _window_edge_records())):
+        assert data != other
+
+
 def test_reserialization_idempotent(tmp_path):
     # loading our own serialization reproduces the same PerformanceList
     run = EventSpec.running("m100")
@@ -398,3 +448,140 @@ def test_reserialization_idempotent(tmp_path):
     second = load_performance_list(path)
     assert second.marks == first.marks
     assert second.records == first.records
+
+
+# List files for the property below. Each is one of four kinds of marks,
+# its athletes absent, present or mixed, with ties on mark and on date, an
+# optional byte-order mark, and at most one bad field.
+_KINDS = {
+    # kind: (unit token, direction, a mark's text from an integer, bad mark texts)
+    "seconds": ("s", "lower", lambda v: f"{v / 100:.2f}", ["x", "1:75", "-5", "0", ""]),
+    "hms": ("s", "lower", lambda v: f"{v // 3600}:{v // 60 % 60:02d}:{v % 60:02d}",
+            ["2:61:00", "2::00", "1:2:3:4", "0:00:00"]),
+    "meters": ("m", "higher", lambda v: f"{v / 100:.2f}", ["8,95", "-8.0", "0", "nan", "inf"]),
+    "centimetres": ("cm", "higher", lambda v: str(v), ["x", "-1", "1e999"]),
+}
+_MARK_RANGE = {"seconds": (950, 1010), "hms": (7400, 7440), "meters": (800, 840),
+               "centimetres": (800, 840)}
+_BAD_DATES = ["20190105", "2019-W01-1", "2019-13-01", "16-08-2009", "2019-02-29", ""]
+_BAD_HEADERS = [("direction", None), ("unit", None), ("direction", "sideways"),
+                ("unit", "ft"), ("event", "a/b")]
+_WINDOWS = [None, DateWindow.calendar_years(2009, 2010), DateWindow.calendar_years(2012, 2012),
+            DateWindow.before(2011), DateWindow.years_before(2014, 3),
+            DateWindow.calendar_years(2030, 2031)]
+
+
+@st.composite
+def _list_files(draw):
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    unit, direction, text_of, bad_marks = _KINDS[kind]
+    header = {"event": "ev", "unit": unit, "direction": direction}
+    # rows draw from a few marks and dates, so both tie
+    marks = draw(st.lists(st.integers(*_MARK_RANGE[kind]), min_size=1, max_size=6))
+    days = draw(st.lists(st.integers(0, 6 * 366), min_size=1, max_size=5))
+    names = {"absent": st.none(), "present": st.sampled_from(["a", "b", " c "]),
+             "mixed": st.sampled_from([None, "a", "b"])}[draw(st.sampled_from(
+                 ["absent", "present", "mixed"]))]
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        cells = [text_of(draw(st.sampled_from(marks))),
+                 (dt.date(2008, 1, 1) + dt.timedelta(days=draw(st.sampled_from(days))))
+                 .isoformat()]
+        athlete = draw(names)
+        if athlete is not None or draw(st.booleans()):
+            cells.append(athlete or "")
+        rows.append(cells)
+    bad = draw(st.sampled_from([None, None, None, None, "mark", "date", "cells", "header"]))
+    at = draw(st.integers(0, len(rows) - 1))
+    if bad == "mark":
+        rows[at][0] = draw(st.sampled_from(bad_marks))
+    elif bad == "date":
+        rows[at][1] = draw(st.sampled_from(_BAD_DATES))
+    elif bad == "cells":
+        rows[at] = rows[at][:1]
+    elif bad == "header":
+        key, value = draw(st.sampled_from(_BAD_HEADERS))
+        header.pop(key)
+        if value is not None:
+            header[key] = value
+    lines = [f"# {key}={value}" for key, value in header.items()]
+    lines += ["\t".join(cells) for cells in rows]
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + "\n".join(lines) + "\n", draw(st.sampled_from(_WINDOWS))
+
+
+def _columns(load, *args):
+    """What a list loader gives: the list's columns and fields, or the
+    type and text of the error it raises."""
+    try:
+        data = load(*args)
+    except (MarkParseError, EmptyListError) as exc:
+        return type(exc), str(exc)
+    return (data.event, data.marks, data.values.tolist(), data.days.tolist(), data.athletes,
+            data.records, data.record, data.window, data.t_m)
+
+
+@given(_list_files())
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+def test_load_performance_list_matches_the_line_by_line_oracle(tmp_path_factory, file):
+    text, window = file
+    path = tmp_path_factory.mktemp("lists") / "ev.tsv"
+    path.write_text(text, encoding="utf-8")
+    want = _columns(oracles.load_performance_list, path, window)
+    assert _columns(load_performance_list, path, window) == want
+    if window is not None:
+        assert _columns(lambda: load_performance_list(path).within(window)) == _columns(
+            lambda: oracles.build_performance_list(*oracles.read_list_file(path), window))
+    if not isinstance(want[0], type):
+        assert load_performance_list(path, window) == oracles.load_performance_list(path, window)
+        assert read_list_file(path) == oracles.read_list_file(path)
+
+
+_GUARD_CONFIG = SamplerConfig(burn_in_steps=300, batches=120, batch_len=10, chains=2,
+                              pool_size=200, seed=17)
+
+
+def _synthetic_lists(n_events=4, keep=300):
+    return [tail_performance_list(EventSpec.running(f"ev{i}"),
+                                  sample_tail(40 + i, math.log(11.0), 0.03, 20 * keep, keep),
+                                  2001, 2020, seed=140 + i) for i in range(n_events)]
+
+
+def test_no_path_of_a_fit_builds_the_records(tmp_path):
+    # a list is held as columns: records are built only when read
+    made = _synthetic_lists()
+    paths = write_corpus(tmp_path, made)
+    loaded = [load_performance_list(path) for path in paths]
+    cut = [data.within(DateWindow.years_before(2020, 5)) for data in loaded]
+    two_pass_fit(cut, _GUARD_CONFIG)
+    for data in made + loaded + cut:
+        assert "records" not in vars(data), data.event.event_id
+
+
+def test_a_list_retains_under_64_bytes_per_mark(tmp_path):
+    # the columns cost 48 bytes a mark (a float object and its tuple slot,
+    # 8-byte value and day ordinal); RawMark records cost about 200
+    n = 20_000
+    event = EventSpec.running("ev")
+    tail = sample_tail(5, math.log(11.0), 0.03, 5 * n, n)
+    made = tail_performance_list(event, tail, 2001, 2020, seed=6)
+    (path,) = write_corpus(tmp_path, [made])
+    records = list(made.iter_records())
+    builders = {
+        "tail_performance_list": lambda: tail_performance_list(event, tail, 2001, 2020, seed=6),
+        "load_performance_list": lambda: load_performance_list(path),
+        "build_performance_list": lambda: build_performance_list(event, records),
+        "within": lambda: made.within(DateWindow.calendar_years(2005, 2016)),
+    }
+    for name, build in builders.items():
+        build()  # first calls fill caches of re, numpy and the like
+        gc.collect()
+        tracemalloc.start()
+        try:
+            data = build()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert data.n_k > n // 2
+        assert retained / data.n_k < 64, (name, retained / data.n_k)
