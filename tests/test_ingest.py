@@ -16,6 +16,7 @@ from tailcast.ingest import (
     EmptyListError,
     EventSpec,
     MarkParseError,
+    PerformanceList,
     RawMark,
     Unit,
     build_performance_list,
@@ -480,7 +481,7 @@ def _list_files(draw):
     marks = draw(st.lists(st.integers(*_MARK_RANGE[kind]), min_size=1, max_size=6))
     days = draw(st.lists(st.integers(0, 6 * 366), min_size=1, max_size=5))
     names = {"absent": st.none(), "present": st.sampled_from(["a", "b", " c "]),
-             "mixed": st.sampled_from([None, "a", "b"])}[draw(st.sampled_from(
+             "mixed": st.sampled_from([None, None, "a", "b"])}[draw(st.sampled_from(
                  ["absent", "present", "mixed"]))]
     rows = []
     for _ in range(draw(st.integers(1, 12))):
@@ -510,31 +511,38 @@ def _list_files(draw):
     return bom + "\n".join(lines) + "\n", draw(st.sampled_from(_WINDOWS))
 
 
+def _outcome(call, *args):
+    """What a call returns, or the type and text of the error it raises."""
+    try:
+        return call(*args)
+    except (MarkParseError, EmptyListError) as exc:
+        return type(exc), str(exc)
+
+
 def _columns(load, *args):
     """What a list loader gives: the list's columns and fields, or the
     type and text of the error it raises."""
-    try:
-        data = load(*args)
-    except (MarkParseError, EmptyListError) as exc:
-        return type(exc), str(exc)
+    data = _outcome(load, *args)
+    if not isinstance(data, PerformanceList):
+        return data
     return (data.event, data.marks, data.values.tolist(), data.days.tolist(), data.athletes,
             data.records, data.record, data.window, data.t_m)
 
 
 @given(_list_files())
+@example(file=("# unit=s\n# direction=lower\n9.90\t2009-05-01\n9.80\t2012-05-01\tb\n"
+               "9.95\t2010-05-01\t\n", DateWindow.calendar_years(2009, 2010)))
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 def test_load_performance_list_matches_the_line_by_line_oracle(tmp_path_factory, file):
     text, window = file
     path = tmp_path_factory.mktemp("lists") / "ev.tsv"
     path.write_text(text, encoding="utf-8")
-    want = _columns(oracles.load_performance_list, path, window)
-    assert _columns(load_performance_list, path, window) == want
+    assert _outcome(read_list_file, path) == _outcome(oracles.read_list_file, path)
+    assert _columns(load_performance_list, path, window) == _columns(
+        oracles.load_performance_list, path, window)
     if window is not None:
         assert _columns(lambda: load_performance_list(path).within(window)) == _columns(
             lambda: oracles.build_performance_list(*oracles.read_list_file(path), window))
-    if not isinstance(want[0], type):
-        assert load_performance_list(path, window) == oracles.load_performance_list(path, window)
-        assert read_list_file(path) == oracles.read_list_file(path)
 
 
 _GUARD_CONFIG = SamplerConfig(burn_in_steps=300, batches=120, batch_len=10, chains=2,
